@@ -372,7 +372,13 @@ mod tests {
         }
     }
 
-    fn cbr(class: u16, subnet: u8, rate: u64, start_s: u64, end_s: u64) -> Box<dyn PacketSource> {
+    fn cbr(
+        class: u16,
+        subnet: u8,
+        rate: u64,
+        start_s: u64,
+        end_s: u64,
+    ) -> Box<dyn PacketSource + Send> {
         Box::new(CbrSource::new(
             FlowTemplate::udp(
                 Ipv4Addr::new(10, 0, class as u8, 1),

@@ -122,13 +122,10 @@ mod tests {
 
     fn workload(secs: u64) -> MergedSource {
         let end = SimTime::from_secs(secs);
-        let bg: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
-            6_000_000,
-            SimTime::ZERO,
-            end,
-            5,
-        )));
-        let attack: Box<dyn PacketSource> = Box::new(AttackSource::new(
+        let bg: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(
+            BackgroundConfig::new(6_000_000, SimTime::ZERO, end, 5),
+        ));
+        let attack: Box<dyn PacketSource + Send> = Box::new(AttackSource::new(
             AttackConfig::new(
                 AttackVector::UdpFlood,
                 40_000_000,
@@ -169,7 +166,7 @@ mod tests {
                 SimTime::ZERO,
                 end,
                 9,
-            ))) as Box<dyn PacketSource>]);
+            ))) as Box<dyn PacketSource + Send>]);
         let mut sw =
             RankedAccTurboSwitch::new(AccTurboConfig::hardware(FeatureSet::hardware_dst_bytes()));
         let cfg = EngineConfig::new(Bandwidth::from_mbps(10))

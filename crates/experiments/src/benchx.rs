@@ -1,10 +1,11 @@
 //! `xp bench-export` — the datapath throughput baseline (DESIGN.md §8).
 //!
 //! Measures packets/second through the three hot kernels of the fast
-//! path — the engine event loop stepping a full ACC-Turbo switch, the
-//! online cluster update, and the SP-PIFO ranked enqueue — and, where a
-//! pre-optimization path is kept under the `reference` feature, the same
-//! workload through that path, recording the speedup. Results are
+//! path — the engine event loop stepping a full ACC-Turbo switch (serial,
+//! sharded, and threaded stream-mode), the online cluster update, and
+//! the SP-PIFO ranked enqueue — and, where a pre-optimization path is
+//! kept under the `reference` feature, the same workload through that
+//! path, recording the speedup. Results are
 //! written as machine-readable JSON (`BENCH_datapath.json` by default)
 //! so CI can archive the baseline per commit.
 //!
@@ -22,7 +23,7 @@ use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
     run, run_sharded, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource,
-    SimDuration, SimTime, VecSource,
+    ShardedEngine, SimDuration, SimTime, VecSource,
 };
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use accturbo_sched::SpPifo;
@@ -44,7 +45,7 @@ pub struct BenchArgs {
     /// `--out PATH` (default `BENCH_datapath.json`).
     pub out: String,
     /// `--shards N[,M…]`: shard counts for the `engine_step_sharded@N`
-    /// rows (default [`DEFAULT_SHARDS`]).
+    /// and `engine_step_threaded@N` rows (default [`DEFAULT_SHARDS`]).
     pub shards: Vec<usize>,
 }
 
@@ -104,14 +105,18 @@ pub struct BenchRow {
 }
 
 /// The bench registry: every row name this module can produce from live
-/// code. `engine_step_sharded@N` resolves for any shard count ≥ 1 (the
-/// count parameterizes [`bench_engine_step_sharded`]). The JSON writer
-/// refuses rows outside this set, and the repo's consistency test
-/// resolves every committed `BENCH_datapath.json` row against it — a
-/// row from a deleted (or never-landed) bench cannot survive in the
-/// archive.
+/// code. `engine_step_sharded@N` and `engine_step_threaded@N` resolve
+/// for any shard count ≥ 1 (the count parameterizes
+/// [`bench_engine_step_sharded`] and [`bench_engine_step_threaded`]).
+/// The JSON writer refuses rows outside this set, and the repo's
+/// consistency test resolves every committed `BENCH_datapath.json` row
+/// against it — a row from a deleted (or never-landed) bench cannot
+/// survive in the archive.
 pub fn is_registered(name: &str) -> bool {
-    if let Some(n) = name.strip_prefix("engine_step_sharded@") {
+    let counted = name
+        .strip_prefix("engine_step_sharded@")
+        .or_else(|| name.strip_prefix("engine_step_threaded@"));
+    if let Some(n) = counted {
         return n.parse::<usize>().is_ok_and(|n| n >= 1);
     }
     matches!(
@@ -264,6 +269,16 @@ fn boxed_sources(per_source: &[Vec<Packet>]) -> Vec<Box<dyn PacketSource>> {
         .collect()
 }
 
+/// The same per-source packets merged serially, `MergedSource`-style.
+fn merged_source(per_source: &[Vec<Packet>]) -> MergedSource {
+    MergedSource::new(
+        per_source
+            .iter()
+            .map(|v| Box::new(VecSource::new(v.clone())) as Box<dyn PacketSource + Send>)
+            .collect(),
+    )
+}
+
 /// Sharded-datapath throughput at `shards` generation shards: the
 /// windowed shard merge + arena-batched feature extraction + batched
 /// link ticks feeding the calendar loop, versus (reference) the
@@ -293,12 +308,7 @@ fn bench_engine_step_sharded(h: &Harness, n: u64, shards: usize) -> BenchRow {
         .run_batched(
             &format!("engine_step_sharded@{shards}/accturbo (reference)"),
             Some(elements),
-            || {
-                (
-                    MergedSource::new(boxed_sources(&per_source)),
-                    sharded_switch(),
-                )
-            },
+            || (merged_source(&per_source), sharded_switch()),
             |(mut src, mut sw)| {
                 let res = run_reference(&mut src, &mut sw, &cfg);
                 assert_eq!(res.arrivals, elements);
@@ -310,6 +320,56 @@ fn bench_engine_step_sharded(h: &Harness, n: u64, shards: usize) -> BenchRow {
         format!("engine_step_sharded@{shards}"),
         &fast,
         Some(&reference),
+    )
+}
+
+/// Workload multiplier of the threaded rows (see
+/// [`bench_engine_step_threaded`]).
+const THREADED_SCALE: u64 = 10;
+
+/// Threaded stream-mode throughput at `shards` shards: the pre-merged
+/// 512-way [`merged_source`] handed to `ShardedEngine::run_stream`,
+/// whose producer thread pulls it, partitions it by flow and extracts
+/// features while the calling thread runs the event loop — versus
+/// (reference) the serial `run` over the same merge with the same live
+/// kernels, the path the pipeline takes the generation work off. On a
+/// 1-core host the two threads share the core, so the row only shows
+/// wall-clock scaling where `host_cores` > 1.
+///
+/// Runs [`THREADED_SCALE`] × `n` packets: each run starts a fresh
+/// producer thread and batch-buffer pool, whose first fills page in
+/// about 16k packets' worth of arena, so an `n`-packet run would time
+/// mostly that warm-up instead of the steady state a long run sees.
+fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
+    let per_source = sharded_workload(n * THREADED_SCALE);
+    let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
+    let cfg = engine_cfg();
+    let fast = h
+        .run_batched(
+            &format!("engine_step_threaded@{shards}/accturbo"),
+            Some(elements),
+            || (merged_source(&per_source), sharded_switch()),
+            |(src, mut sw)| {
+                let res = ShardedEngine::new(shards).run_stream(Box::new(src), &mut sw, &cfg);
+                assert_eq!(res.arrivals, elements);
+            },
+        )
+        .expect("unfiltered");
+    let serial = h
+        .run_batched(
+            &format!("engine_step_threaded@{shards}/accturbo (serial)"),
+            Some(elements),
+            || (merged_source(&per_source), sharded_switch()),
+            |(mut src, mut sw)| {
+                let res = run(&mut src, &mut sw, &cfg);
+                assert_eq!(res.arrivals, elements);
+            },
+        )
+        .expect("unfiltered");
+    row(
+        format!("engine_step_threaded@{shards}"),
+        &fast,
+        Some(&serial),
     )
 }
 
@@ -523,13 +583,16 @@ pub fn to_json(smoke: bool, cores: usize, rows: &[BenchRow]) -> Result<String, S
 }
 
 /// Runs the datapath benches on `h` with `n` packets each — the serial
-/// engine step, one sharded engine step per count in `shards`, the
-/// cluster kernels, and the SP-PIFO enqueue — returning the export rows
-/// (shared with the `fastpath` bench binary).
+/// engine step, one sharded and one threaded engine step per count in
+/// `shards`, the cluster kernels, and the SP-PIFO enqueue — returning
+/// the export rows (shared with the `fastpath` bench binary).
 pub fn run_rows(h: &Harness, n: u64, shards: &[usize]) -> Vec<BenchRow> {
     let mut rows = vec![bench_engine_step(h, n)];
     for &s in shards {
         rows.push(bench_engine_step_sharded(h, n, s));
+    }
+    for &s in shards {
+        rows.push(bench_engine_step_threaded(h, n, s));
     }
     rows.push(bench_cluster_scan_soa(h, n));
     rows.push(bench_cluster_update(h, n));
@@ -629,6 +692,8 @@ mod tests {
             "engine_step_sharded@1",
             "engine_step_sharded@8",
             "engine_step_sharded@64",
+            "engine_step_threaded@1",
+            "engine_step_threaded@2",
             "cluster_scan_soa",
             "cluster_update",
             "sppifo_enqueue",
@@ -639,6 +704,8 @@ mod tests {
             "engine_step_sharded@0",
             "engine_step_sharded@",
             "engine_step_sharded@two",
+            "engine_step_threaded@0",
+            "engine_step_threaded",
             "cluster_scan",
             "made_up_bench",
         ] {

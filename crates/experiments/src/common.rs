@@ -87,7 +87,7 @@ pub fn simulate(
 /// path carries no fault plane, so the fault-noop lockdown toggle does
 /// not apply here.
 pub fn simulate_sharded(
-    mut source: Box<dyn PacketSource>,
+    mut source: Box<dyn PacketSource + Send>,
     switch: &mut dyn Switch,
     link_bps: u64,
     secs: u64,

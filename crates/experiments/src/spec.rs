@@ -894,7 +894,9 @@ impl WorkloadSpec {
     /// demand matrix; `secs` bounds generators that take an end time
     /// (Fig. 2/3 run to their scripted [`scenarios::RUN_SECS`] and rely
     /// on the engine's end-time cutoff, exactly as the figures do).
-    pub fn build(&self, link_bps: u64, secs: u64, seed: u64) -> Box<dyn PacketSource> {
+    /// The box is `Send` so the sharded engine can pull it on its
+    /// producer thread.
+    pub fn build(&self, link_bps: u64, secs: u64, seed: u64) -> Box<dyn PacketSource + Send> {
         match self {
             WorkloadSpec::Fig2 => Box::new(scenarios::fig2_source(link_bps, seed)),
             WorkloadSpec::Fig3 => Box::new(scenarios::fig3_source(link_bps, seed)),

@@ -246,7 +246,7 @@ mod tests {
 
     const LINK: u64 = 10_000_000;
 
-    fn benign_src(end_s: u64) -> Box<dyn PacketSource> {
+    fn benign_src(end_s: u64) -> Box<dyn PacketSource + Send> {
         Box::new(CbrSource::new(
             FlowTemplate::udp(
                 Ipv4Addr::new(10, 0, 0, 1),

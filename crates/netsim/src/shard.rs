@@ -9,27 +9,42 @@
 //!
 //! * Sources (or flows, for a pre-merged stream) are partitioned across
 //!   `N` shards by FNV-1a hash.
-//! * Each shard independently materializes one **time window** (one
-//!   control period) of its packets into a struct-of-arrays
-//!   [`PacketArena`] — pulling its sources, ordering its slice of the
-//!   window, and precomputing the switch's classification features into
-//!   the arena's feature column.
-//! * At the window boundary the shard batches are merged with a
-//!   deterministic `(arrival, source-index)` tie-break — byte-identical
-//!   to [`MergedSource`]'s packet-at-a-time heap for every shard count,
+//! * Each shard fills its slice of a **sealed batch** into a
+//!   struct-of-arrays [`PacketArena`], precomputing the switch's
+//!   classification features into the arena's feature column.
+//! * The shard batches are merged with a unique, deterministic merge key
+//!   — byte-identical to the serial path for every shard count,
 //!   including `N = 1`.
 //!
-//! The serial consumer ([`run_sharded`]) is the same three-slot calendar
-//! loop as [`engine::run`], but arrivals come from the pre-built window
-//! batches and enter the switch through
-//! [`Switch::ingress_featured`] with their precomputed feature row.
-//! Shards share nothing and windows are sealed before consumption, so a
-//! thread pool can map shards to workers without changing a single output
-//! byte; on a single-core host the shards simply run inline, which is
-//! also why the per-packet channel design of the first sharding prototype
-//! (see DESIGN.md §14) lost to serial and this one does not.
+//! The two entry points differ in how a batch is bounded and where it is
+//! filled:
 //!
-//! [`MergedSource`]: crate::source::MergedSource
+//! * **Source mode** ([`run_sharded`], [`ShardedSource`]) merges many
+//!   sources. Its key is `(arrival, source-index)`, so a shard can only
+//!   order its slice once it holds every packet up to a time boundary:
+//!   batches are **time windows** of one control period, filled inline on
+//!   the calling thread.
+//! * **Stream mode** ([`ShardedEngine::run_stream`]) partitions one
+//!   pre-merged stream. Its key is the global pull ordinal, so where a
+//!   batch ends cannot change the output: batches are **bounded by packet
+//!   count**, which also caps resident memory however bursty the traffic.
+//!   A scoped producer thread pulls the source, partitions, fills the
+//!   arenas and seals batches over a bounded channel; the calling thread
+//!   runs the serial consumer, so the switch never crosses threads.
+//!   Drained batches return to the producer through a second channel, so
+//!   steady state allocates nothing. The source must therefore be `Send`
+//!   — which the fault plane's `Rc`-shared [`FaultedSource`] is not; the
+//!   scenario layer never shards a faulted run.
+//!
+//! The serial consumer is the same three-slot calendar loop as
+//! [`engine::run`], but arrivals come from the sealed batches and enter
+//! the switch through [`Switch::ingress_featured`] with their
+//! precomputed feature row. Batches are sealed before consumption and
+//! cross threads whole, which is why this design pays off where the
+//! per-packet channel of the first sharding prototype (see DESIGN.md §14)
+//! lost to serial.
+//!
+//! [`FaultedSource`]: crate::fault::FaultedSource
 //! [`engine::run`]: crate::engine::run
 
 use crate::arena::PacketArena;
@@ -40,6 +55,7 @@ use crate::source::PacketSource;
 use crate::stats::StatsCollector;
 use crate::switch::{FeatureExtractor, Switch};
 use crate::time::{SimDuration, SimTime};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -80,11 +96,11 @@ struct Feed {
     head: Option<Packet>,
 }
 
-/// One shard's window state: its sources, its slice of the current
-/// window (arena rows in pull order, a sorted emission permutation over
-/// them), and a cursor.
+/// One shard's slice of a sealed batch: arena rows in pull order, a
+/// sorted emission permutation over them, and a cursor. It holds no
+/// sources, so a whole batch is `Send` and can be sealed on the stream
+/// producer thread.
 struct ShardBuf {
-    members: Vec<Feed>,
     arena: PacketArena,
     /// Merge key per emission position, ascending:
     /// `(arrival_ns << 32) | src_idx` for source mode, the global pull
@@ -95,38 +111,52 @@ struct ShardBuf {
     /// window order.
     rows: Vec<u32>,
     cursor: usize,
+}
+
+impl ShardBuf {
+    fn new(feature_width: usize) -> Self {
+        ShardBuf {
+            arena: PacketArena::new(feature_width),
+            keys: Vec::new(),
+            rows: Vec::new(),
+            cursor: 0,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.arena.clear();
+        self.keys.clear();
+        self.rows.clear();
+        self.cursor = 0;
+    }
+
+    fn head_key(&self) -> Option<u128> {
+        self.keys.get(self.cursor).copied()
+    }
+}
+
+/// One sealed batch: a [`ShardBuf`] per shard.
+type Batch = Vec<ShardBuf>;
+
+/// Source mode's per-shard generator: the member sources and the window
+/// sort scratch.
+struct ShardSources {
+    members: Vec<Feed>,
     /// Window sort scratch: `(arrival_ns, src_idx, arena_row)` — the row
     /// is globally increasing in pull order, so the unstable sort is a
     /// total, deterministic order.
     order: Vec<(u64, u32, u32)>,
 }
 
-impl ShardBuf {
-    fn new(feature_width: usize) -> Self {
-        ShardBuf {
-            members: Vec::new(),
-            arena: PacketArena::new(feature_width),
-            keys: Vec::new(),
-            rows: Vec::new(),
-            cursor: 0,
-            order: Vec::new(),
-        }
-    }
-
-    fn reset_window(&mut self) {
-        self.arena.clear();
-        self.keys.clear();
-        self.rows.clear();
-        self.cursor = 0;
+impl ShardSources {
+    /// Materializes this shard's slice of the window `[.., end_ns)` into
+    /// `buf`: pulls every member source up to the boundary, orders the
+    /// slice by `(arrival, source-index)` — stable within a source via
+    /// the pull position — and fills the arena columns (features
+    /// included).
+    fn fill(&mut self, buf: &mut ShardBuf, end_ns: u64, extractor: Option<&FeatureExtractor>) {
+        buf.reset();
         self.order.clear();
-    }
-
-    /// Materializes this shard's slice of the window `[.., end_ns)`:
-    /// pulls every member source up to the boundary, orders the slice by
-    /// `(arrival, source-index)` — stable within a source via the pull
-    /// position — and fills the arena columns (features included).
-    fn fill_from_members(&mut self, end_ns: u64, extractor: Option<&FeatureExtractor>) {
-        self.reset_window();
         for feed in &mut self.members {
             loop {
                 let within = feed
@@ -148,9 +178,9 @@ impl ShardBuf {
                     );
                 }
                 feed.head = next;
-                let row = self.arena.len() as u32;
+                let row = buf.arena.len() as u32;
                 self.order.push((pkt.arrival.as_nanos(), feed.idx, row));
-                self.arena.push(pkt, extractor);
+                buf.arena.push(pkt, extractor);
             }
         }
         // The arena-row tie-break makes the key total, so the unstable
@@ -158,14 +188,43 @@ impl ShardBuf {
         // sort in per-source pull order.
         self.order.sort_unstable();
         for &(t_ns, idx, row) in &self.order {
-            self.keys.push((u128::from(t_ns) << 32) | u128::from(idx));
-            self.rows.push(row);
+            buf.keys.push((u128::from(t_ns) << 32) | u128::from(idx));
+            buf.rows.push(row);
         }
     }
+}
 
-    fn head_key(&self) -> Option<u128> {
-        self.keys.get(self.cursor).copied()
-    }
+/// Packets per sealed stream batch. Stream-mode merge keys are global
+/// pull ordinals, so where a batch ends cannot change the output; the
+/// bound only sets the hand-off granularity and caps resident memory.
+const BATCH_PKTS: usize = 4096;
+
+/// Sealed batches the producer may queue ahead of the consumer.
+const QUEUED_BATCHES: usize = 2;
+
+/// Batch buffers in circulation: the queued ones, one being filled and
+/// one being consumed.
+const POOL_BATCHES: usize = QUEUED_BATCHES + 2;
+
+/// Where a [`ShardedFeed`] gets its next batch once the current one is
+/// drained.
+enum Upstream {
+    /// Source mode: one control-period time window at a time,
+    /// materialized inline from the member sources. Sequence numbers are
+    /// assigned in merge order, exactly like `MergedSource`.
+    Windows {
+        sources: Vec<ShardSources>,
+        window_ns: u64,
+        extractor: Option<FeatureExtractor>,
+        next_seq: u64,
+    },
+    /// Stream mode: count-bounded batches sealed by the producer thread
+    /// ([`StreamProducer`]); drained batches go back for reuse. The inner
+    /// stream's sequence numbers are preserved.
+    Batches {
+        sealed: Receiver<Batch>,
+        spent: SyncSender<Batch>,
+    },
 }
 
 /// A packet emitted by a [`ShardedFeed`], with the arena coordinates of
@@ -176,19 +235,10 @@ struct FedPacket {
     row: u32,
 }
 
-/// The windowed shard generator + deterministic merge.
+/// The sealed shard batches + deterministic merge.
 struct ShardedFeed {
-    shards: Vec<ShardBuf>,
-    window_ns: u64,
-    extractor: Option<FeatureExtractor>,
-    /// Source mode assigns merge-order sequence numbers exactly like
-    /// `MergedSource`; stream mode preserves the inner stream's.
-    assign_seq: bool,
-    next_seq: u64,
-    /// Stream mode: the pre-merged input and its buffered head.
-    stream: Option<Box<dyn PacketSource>>,
-    stream_head: Option<Packet>,
-    stream_ordinal: u64,
+    shards: Batch,
+    upstream: Upstream,
 }
 
 impl ShardedFeed {
@@ -202,101 +252,85 @@ impl ShardedFeed {
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let width = extractor.as_ref().map_or(0, |e| e.width());
-        let mut bufs: Vec<ShardBuf> = (0..shards).map(|_| ShardBuf::new(width)).collect();
+        let mut by_shard: Vec<ShardSources> = (0..shards)
+            .map(|_| ShardSources {
+                members: Vec::new(),
+                order: Vec::new(),
+            })
+            .collect();
         for (idx, mut src) in sources.into_iter().enumerate() {
             let head = src.next_packet();
-            bufs[source_shard(idx, shards)].members.push(Feed {
+            by_shard[source_shard(idx, shards)].members.push(Feed {
                 idx: idx as u32,
                 src,
                 head,
             });
         }
         ShardedFeed {
-            shards: bufs,
-            window_ns: window.as_nanos().max(1),
-            extractor,
-            assign_seq: true,
-            next_seq: 0,
-            stream: None,
-            stream_head: None,
-            stream_ordinal: 0,
+            shards: (0..shards).map(|_| ShardBuf::new(width)).collect(),
+            upstream: Upstream::Windows {
+                sources: by_shard,
+                window_ns: window.as_nanos().max(1),
+                extractor,
+                next_seq: 0,
+            },
         }
     }
 
-    /// Partitions an already-merged stream across `shards` by FNV-1a of
-    /// each packet's flow five-tuple. The merge restores the stream's own
-    /// order (by pull ordinal), so the output is the input stream —
-    /// with every packet's feature row precomputed in its shard's arena.
-    fn from_stream(
-        mut source: Box<dyn PacketSource>,
-        shards: usize,
-        window: SimDuration,
-        extractor: Option<FeatureExtractor>,
-    ) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let width = extractor.as_ref().map_or(0, |e| e.width());
-        let bufs: Vec<ShardBuf> = (0..shards).map(|_| ShardBuf::new(width)).collect();
-        let head = source.next_packet();
+    /// Consumes the batches a [`StreamProducer`] seals into `sealed`,
+    /// returning each drained batch through `spent`.
+    fn from_batches(sealed: Receiver<Batch>, spent: SyncSender<Batch>) -> Self {
         ShardedFeed {
-            shards: bufs,
-            window_ns: window.as_nanos().max(1),
-            extractor,
-            assign_seq: false,
-            next_seq: 0,
-            stream: Some(source),
-            stream_head: head,
-            stream_ordinal: 0,
+            shards: Vec::new(),
+            upstream: Upstream::Batches { sealed, spent },
         }
     }
 
-    /// Seals the next non-empty window into the shard arenas. Returns
-    /// `false` when every source is exhausted. The window grid is
+    /// Replaces the drained batch with the next one. Returns `false`
+    /// when the upstream is exhausted.
+    ///
+    /// Source mode seals the next non-empty time window: the grid is
     /// anchored at `t = 0` with empty windows skipped, so the boundaries
     /// are a pure function of the traffic — not of the shard count.
-    fn fill_window(&mut self) -> bool {
-        let min_ns = match &self.stream {
-            Some(_) => self.stream_head.as_ref().map(|p| p.arrival.as_nanos()),
-            None => self
-                .shards
-                .iter()
-                .flat_map(|s| s.members.iter())
-                .filter_map(|f| f.head.as_ref().map(|p| p.arrival.as_nanos()))
-                .min(),
-        };
-        let Some(min_ns) = min_ns else {
-            return false;
-        };
-        let end_ns = (min_ns / self.window_ns)
-            .saturating_add(1)
-            .saturating_mul(self.window_ns);
-        if let Some(src) = &mut self.stream {
-            let n = self.shards.len();
-            for s in &mut self.shards {
-                s.reset_window();
-            }
-            loop {
-                let within = self
-                    .stream_head
-                    .as_ref()
-                    .is_some_and(|p| p.arrival.as_nanos() < end_ns);
-                if !within {
-                    break;
+    fn refill(&mut self) -> bool {
+        match &mut self.upstream {
+            Upstream::Windows {
+                sources,
+                window_ns,
+                extractor,
+                ..
+            } => {
+                let min_ns = sources
+                    .iter()
+                    .flat_map(|s| s.members.iter())
+                    .filter_map(|f| f.head.as_ref().map(|p| p.arrival.as_nanos()))
+                    .min();
+                let Some(min_ns) = min_ns else {
+                    return false;
+                };
+                let end_ns = (min_ns / *window_ns)
+                    .saturating_add(1)
+                    .saturating_mul(*window_ns);
+                for (shard_sources, buf) in sources.iter_mut().zip(&mut self.shards) {
+                    shard_sources.fill(buf, end_ns, extractor.as_ref());
                 }
-                let pkt = self.stream_head.take().expect("checked above");
-                self.stream_head = src.next_packet();
-                let buf = &mut self.shards[flow_shard(&pkt, n)];
-                buf.keys.push(u128::from(self.stream_ordinal));
-                buf.rows.push(buf.arena.len() as u32);
-                self.stream_ordinal += 1;
-                buf.arena.push(pkt, self.extractor.as_ref());
+                true
             }
-        } else {
-            let extractor = self.extractor.clone();
-            for s in &mut self.shards {
-                s.fill_from_members(end_ns, extractor.as_ref());
+            Upstream::Batches { sealed, spent } => {
+                // A closed channel is end of stream — or a producer
+                // panic, which `run_stream` re-raises after the join.
+                let Ok(batch) = sealed.recv() else {
+                    return false;
+                };
+                let drained = std::mem::replace(&mut self.shards, batch);
+                if !drained.is_empty() {
+                    // The channel holds the whole pool, so this fails only
+                    // once the producer has finished.
+                    let _ = spent.try_send(drained);
+                }
+                true
             }
         }
-        true
     }
 
     /// The next packet in the deterministic merge order: the lowest merge
@@ -318,9 +352,9 @@ impl ShardedFeed {
                     let row = buf.rows[buf.cursor];
                     buf.cursor += 1;
                     let mut pkt = buf.arena.packet(row as usize).clone();
-                    if self.assign_seq {
-                        pkt.seq = self.next_seq;
-                        self.next_seq += 1;
+                    if let Upstream::Windows { next_seq, .. } = &mut self.upstream {
+                        pkt.seq = *next_seq;
+                        *next_seq += 1;
                     }
                     return Some(FedPacket {
                         pkt,
@@ -329,7 +363,7 @@ impl ShardedFeed {
                     });
                 }
                 None => {
-                    if !self.fill_window() {
+                    if !self.refill() {
                         return None;
                     }
                 }
@@ -339,6 +373,71 @@ impl ShardedFeed {
 
     fn features_row(&self, shard: u32, row: u32) -> &[u32] {
         self.shards[shard as usize].arena.features_row(row as usize)
+    }
+}
+
+/// Stream mode's producer stage: owns the pre-merged source and, on its
+/// own thread, partitions each packet by [`flow_shard`], fills the shard
+/// arenas (feature rows included) and seals count-bounded batches for
+/// the serial consumer.
+struct StreamProducer {
+    source: Box<dyn PacketSource + Send>,
+    shards: usize,
+    extractor: Option<FeatureExtractor>,
+    /// The engine's end time: the first packet at or past it is pulled,
+    /// discarded, and ends the stream — the serial engine's truncation.
+    end: Option<SimTime>,
+}
+
+impl StreamProducer {
+    /// Seals batches into `sealed` until the stream ends or the consumer
+    /// hangs up. Buffers come fresh until the pool is full, then back
+    /// from the consumer through `spent` in FIFO order — batch `k` always
+    /// reuses buffer `k mod POOL_BATCHES`, so the warm-up allocations are
+    /// a function of the traffic, not of thread timing.
+    fn run(mut self, sealed: SyncSender<Batch>, spent: Receiver<Batch>) {
+        let width = self.extractor.as_ref().map_or(0, |e| e.width());
+        let end = self.end;
+        let mut fresh = POOL_BATCHES;
+        let mut ordinal = 0u64;
+        loop {
+            let mut batch = if fresh > 0 {
+                fresh -= 1;
+                (0..self.shards).map(|_| ShardBuf::new(width)).collect()
+            } else {
+                match spent.recv() {
+                    Ok(mut b) => {
+                        b.iter_mut().for_each(ShardBuf::reset);
+                        b
+                    }
+                    Err(_) => return,
+                }
+            };
+            let mut filled = 0;
+            let mut ended = false;
+            while filled < BATCH_PKTS {
+                let Some(pkt) = self
+                    .source
+                    .next_packet()
+                    .filter(|p| end.is_none_or(|e| p.arrival < e))
+                else {
+                    ended = true;
+                    break;
+                };
+                let buf = &mut batch[flow_shard(&pkt, self.shards)];
+                buf.keys.push(u128::from(ordinal));
+                buf.rows.push(buf.arena.len() as u32);
+                buf.arena.push(pkt, self.extractor.as_ref());
+                ordinal += 1;
+                filled += 1;
+            }
+            if filled > 0 && sealed.send(batch).is_err() {
+                return;
+            }
+            if ended {
+                return;
+            }
+        }
     }
 }
 
@@ -367,7 +466,7 @@ impl PacketSource for ShardedSource {
 }
 
 /// The sharded datapath's serial consumer: the same event loop as
-/// [`run`](crate::engine::run), fed by windowed shard batches.
+/// [`run`](crate::engine::run), fed by sealed shard batches.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     shards: usize,
@@ -407,19 +506,40 @@ impl ShardedEngine {
 
     /// Runs a pre-merged `source` through `switch`, partitioning by flow
     /// hash. Result-identical to `run(&mut source, switch, cfg)`.
+    ///
+    /// A two-stage pipeline: a scoped producer thread pulls `source`,
+    /// partitions and feature-extracts it into sealed batches, while the
+    /// calling thread runs the serial event loop — the switch never
+    /// crosses threads. A panic on the producer is re-raised here; it
+    /// never surfaces as a truncated result.
     pub fn run_stream(
         &self,
-        source: Box<dyn PacketSource>,
+        source: Box<dyn PacketSource + Send>,
         switch: &mut dyn Switch,
         cfg: &EngineConfig,
     ) -> RunResult {
-        let feed = ShardedFeed::from_stream(
+        let producer = StreamProducer {
             source,
-            self.shards,
-            Self::window(cfg),
-            switch.feature_extractor(),
-        );
-        run_feed(feed, switch, cfg)
+            shards: self.shards,
+            extractor: switch.feature_extractor(),
+            end: cfg.end_time,
+        };
+        std::thread::scope(|scope| {
+            let (sealed_tx, sealed_rx) = sync_channel(QUEUED_BATCHES);
+            let (spent_tx, spent_rx) = sync_channel(POOL_BATCHES);
+            let handle = std::thread::Builder::new()
+                .name("shard-feed".into())
+                .spawn_scoped(scope, move || producer.run(sealed_tx, spent_rx))
+                .expect("cannot spawn the shard feed thread");
+            // `run_feed` drops the feed — and with it both channel ends —
+            // before the join, so a producer blocked on either channel
+            // always wakes up and exits.
+            let result = run_feed(ShardedFeed::from_batches(sealed_rx, spent_tx), switch, cfg);
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+            result
+        })
     }
 }
 
@@ -452,7 +572,7 @@ fn next_fed(feed: &mut ShardedFeed, end: Option<SimTime>, done: &mut bool) -> Op
 }
 
 /// The serial consumer loop — [`run`](crate::engine::run) with arrivals
-/// taken from sealed window batches and delivered through
+/// taken from sealed shard batches and delivered through
 /// [`Switch::ingress_featured`] with their precomputed feature rows.
 /// Stays event-for-event identical: same three-slot calendar, same
 /// tie-breaks, same work-gated control plane, same end-time truncation.
@@ -590,14 +710,16 @@ mod tests {
     use super::*;
     use crate::engine::run;
     use crate::queue::FifoQueue;
-    use crate::source::{MergedSource, VecSource};
+    use crate::source::{IterSource, MergedSource, VecSource};
     use crate::switch::SingleQueueSwitch;
     use crate::units::Bandwidth;
     use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// A few CBR-ish sources with deliberate timestamp ties across
     /// sources and within one source.
-    fn sources(k: usize) -> Vec<Box<dyn PacketSource>> {
+    fn sources(k: usize) -> Vec<Box<dyn PacketSource + Send>> {
         (0..k)
             .map(|s| {
                 let pkts: Vec<Packet> = (0..40u64)
@@ -615,8 +737,16 @@ mod tests {
                             .with_proto(17)
                     })
                     .collect();
-                Box::new(VecSource::new(pkts)) as Box<dyn PacketSource>
+                Box::new(VecSource::new(pkts)) as Box<dyn PacketSource + Send>
             })
+            .collect()
+    }
+
+    /// [`sources`] boxed for the source-mode entry points.
+    fn local_sources(k: usize) -> Vec<Box<dyn PacketSource>> {
+        sources(k)
+            .into_iter()
+            .map(|s| s as Box<dyn PacketSource>)
             .collect()
     }
 
@@ -628,7 +758,8 @@ mod tests {
     fn sharded_source_is_byte_identical_to_merged_source() {
         for shards in [1, 2, 3, 8] {
             let mut serial = MergedSource::new(sources(7));
-            let mut sharded = ShardedSource::new(sources(7), shards, SimDuration::from_millis(1));
+            let mut sharded =
+                ShardedSource::new(local_sources(7), shards, SimDuration::from_millis(1));
             assert_eq!(
                 drain(&mut serial),
                 drain(&mut sharded),
@@ -642,7 +773,7 @@ mod tests {
         // A window much smaller than the inter-packet gap forces many
         // empty windows and boundary-straddling batches.
         let mut serial = MergedSource::new(sources(3));
-        let mut sharded = ShardedSource::new(sources(3), 2, SimDuration::from_nanos(77));
+        let mut sharded = ShardedSource::new(local_sources(3), 2, SimDuration::from_nanos(77));
         assert_eq!(drain(&mut serial), drain(&mut sharded));
     }
 
@@ -669,7 +800,7 @@ mod tests {
         let serial = run(&mut serial_src, &mut serial_sw, &cfg());
         for shards in [1, 2, 8] {
             let mut sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
-            let res = run_sharded(sources(7), &mut sw, &cfg(), shards);
+            let res = run_sharded(local_sources(7), &mut sw, &cfg(), shards);
             assert_eq!(
                 result_fingerprint(&serial),
                 result_fingerprint(&res),
@@ -700,10 +831,27 @@ mod tests {
     struct Recording {
         inner: SingleQueueSwitch<FifoQueue>,
         seen: Vec<(u64, SimTime, Vec<u32>)>,
+        /// Holds the first ingress until the counter reaches the target:
+        /// the stream producer has run ahead as far as it can and is
+        /// parked on its full channel.
+        gate: Option<(Arc<AtomicU64>, u64)>,
+    }
+
+    fn recording() -> Recording {
+        Recording {
+            inner: SingleQueueSwitch::new(FifoQueue::new(8_000)),
+            seen: Vec::new(),
+            gate: None,
+        }
     }
 
     impl Switch for Recording {
         fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
+            if let Some((pulled, target)) = self.gate.take() {
+                while pulled.load(Ordering::SeqCst) < target {
+                    std::thread::yield_now();
+                }
+            }
             self.seen.push((pkt.seq, pkt.arrival, vec![pkt.size]));
             self.inner.ingress(pkt, now, drops);
         }
@@ -736,18 +884,12 @@ mod tests {
 
     #[test]
     fn featured_ingress_stream_is_identical_to_serial() {
-        let mut serial_sw = Recording {
-            inner: SingleQueueSwitch::new(FifoQueue::new(8_000)),
-            seen: Vec::new(),
-        };
+        let mut serial_sw = recording();
         let mut serial_src = MergedSource::new(sources(6));
         run(&mut serial_src, &mut serial_sw, &cfg());
         for shards in [1, 2, 8] {
-            let mut sw = Recording {
-                inner: SingleQueueSwitch::new(FifoQueue::new(8_000)),
-                seen: Vec::new(),
-            };
-            run_sharded(sources(6), &mut sw, &cfg(), shards);
+            let mut sw = recording();
+            run_sharded(local_sources(6), &mut sw, &cfg(), shards);
             assert_eq!(serial_sw.seen, sw.seen, "shards={shards}");
         }
     }
@@ -769,5 +911,167 @@ mod tests {
             .with_ports(1234, 443)
             .with_proto(6);
         assert_eq!(flow_shard(&p, 8), flow_shard(&p.clone(), 8));
+    }
+
+    /// Packet `i` of the stream-mode probe: three packets per timestamp,
+    /// so equal arrival times straddle every batch boundary
+    /// (`BATCH_PKTS % 3 != 0`), spread over enough flows to fill every
+    /// shard.
+    fn stream_packet(i: u64) -> Packet {
+        let mut p = Packet::new(SimTime::from_micros(i / 3 * 10))
+            .with_size(200 + (i % 5) as u32 * 100)
+            .with_src(Ipv4Addr::new(10, 1, (i % 13) as u8, 1))
+            .with_dst(Ipv4Addr::new(20, 0, 0, 1))
+            .with_ports(1024 + (i % 7) as u16, 443)
+            .with_proto(17);
+        p.seq = i;
+        p
+    }
+
+    fn stream_cfg() -> EngineConfig {
+        EngineConfig::new(Bandwidth::from_mbps(100))
+            .with_control_period(SimDuration::from_millis(1))
+    }
+
+    /// Counts the packets pulled from the source it wraps.
+    struct Counted<S> {
+        inner: S,
+        pulled: Arc<AtomicU64>,
+    }
+
+    impl<S: PacketSource> PacketSource for Counted<S> {
+        fn next_packet(&mut self) -> Option<Packet> {
+            self.pulled.fetch_add(1, Ordering::SeqCst);
+            self.inner.next_packet()
+        }
+    }
+
+    /// Runs `source()` serially and through `run_stream` at several
+    /// shard counts, asserting the full `RunResult` and the recorded
+    /// ingress stream (seq, arrival, precomputed feature row) agree.
+    /// `gated` holds the consumer at its first packet until the producer
+    /// has filled the whole buffer pool and is parked on its full channel.
+    fn assert_stream_identity<S, F>(source: F, cfg: &EngineConfig, gated: bool, label: &str)
+    where
+        S: PacketSource + Send + 'static,
+        F: Fn() -> S,
+    {
+        let mut serial_sw = recording();
+        let serial = run(&mut source(), &mut serial_sw, cfg);
+        assert!(serial.arrivals > 0, "{label}: the probe must carry traffic");
+        for shards in [1, 2, 3] {
+            let mut sw = recording();
+            let pulled = Arc::new(AtomicU64::new(0));
+            if gated {
+                sw.gate = Some((pulled.clone(), (POOL_BATCHES * BATCH_PKTS) as u64));
+            }
+            let src = Counted {
+                inner: source(),
+                pulled,
+            };
+            let res = ShardedEngine::new(shards).run_stream(Box::new(src), &mut sw, cfg);
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{res:?}"),
+                "{label}: RunResult drifted at shards={shards}"
+            );
+            assert!(
+                serial_sw.seen == sw.seen,
+                "{label}: ingress stream drifted at shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn stream_batch_boundaries_do_not_change_the_run() {
+        let b = BATCH_PKTS as u64;
+        for n in [b, b + 1, 3 * b, 3 * b + 1, b - 1] {
+            let src = || VecSource::new((0..n).map(stream_packet).collect());
+            assert_stream_identity(src, &stream_cfg(), false, &format!("{n} packets"));
+        }
+    }
+
+    #[test]
+    fn unbounded_stream_stops_at_the_end_time() {
+        // Five batches before the end time, which falls on a three-packet
+        // timestamp tie (all three must be cut). The consumer is gated
+        // until the producer has parked on its full channel.
+        let end = SimTime::from_micros(5 * BATCH_PKTS as u64 / 3 * 10);
+        let cfg = stream_cfg().with_end_time(end);
+        let src = || IterSource::new((0..).map(stream_packet));
+        assert_stream_identity(src, &cfg, true, "unbounded");
+    }
+
+    /// A source that fails after `left` packets.
+    struct FailingSource {
+        next: u64,
+        left: u64,
+    }
+
+    impl PacketSource for FailingSource {
+        fn next_packet(&mut self) -> Option<Packet> {
+            assert!(self.left > 0, "source failed mid-stream");
+            self.left -= 1;
+            self.next += 1;
+            Some(stream_packet(self.next - 1))
+        }
+    }
+
+    #[test]
+    fn producer_panic_is_reraised_not_truncated() {
+        let src = FailingSource {
+            next: 0,
+            left: 2 * BATCH_PKTS as u64 + 5,
+        };
+        let mut sw = recording();
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ShardedEngine::new(2).run_stream(Box::new(src), &mut sw, &stream_cfg())
+        }));
+        let panic = out.expect_err("a failed source must not yield a RunResult");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("mid-stream"),
+            "the source's own panic: {msg:?}"
+        );
+    }
+
+    /// Panics on its `n`-th ingress.
+    struct FailingSwitch {
+        inner: SingleQueueSwitch<FifoQueue>,
+        n: u64,
+    }
+
+    impl Switch for FailingSwitch {
+        fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
+            self.n -= 1;
+            assert!(self.n > 0, "switch failed");
+            self.inner.ingress(pkt, now, drops);
+        }
+        fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+            self.inner.dequeue(now)
+        }
+        fn backlog_pkts(&self) -> usize {
+            self.inner.backlog_pkts()
+        }
+    }
+
+    #[test]
+    fn consumer_panic_releases_a_blocked_producer() {
+        // The switch fails early in an endless stream: the producer is
+        // parked on its full channel and must be released, or the scope
+        // never joins and this test hangs.
+        let mut sw = FailingSwitch {
+            inner: SingleQueueSwitch::new(FifoQueue::new(8_000)),
+            n: 10,
+        };
+        let src = IterSource::new((0..).map(stream_packet));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ShardedEngine::new(2).run_stream(Box::new(src), &mut sw, &stream_cfg())
+        }));
+        assert!(out.is_err(), "the switch panic must propagate");
     }
 }

@@ -93,15 +93,17 @@ impl Ord for Head {
 /// Merges several sources into one time-ordered stream and assigns each
 /// emitted packet a unique, monotonically increasing sequence number.
 pub struct MergedSource {
-    sources: Vec<Box<dyn PacketSource>>,
+    sources: Vec<Box<dyn PacketSource + Send>>,
     heads: BinaryHeap<Reverse<Head>>,
     next_seq: u64,
     last_emitted: SimTime,
 }
 
 impl MergedSource {
-    /// Builds a merge over `sources`.
-    pub fn new(sources: Vec<Box<dyn PacketSource>>) -> Self {
+    /// Builds a merge over `sources`. They must be `Send` so the merge
+    /// itself is, and can feed the sharded engine's producer thread
+    /// (`ShardedEngine::run_stream`).
+    pub fn new(sources: Vec<Box<dyn PacketSource + Send>>) -> Self {
         let mut merged = MergedSource {
             sources,
             heads: BinaryHeap::new(),

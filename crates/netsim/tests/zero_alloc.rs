@@ -9,7 +9,7 @@
 use accturbo_netsim::engine::{run, EngineConfig};
 use accturbo_netsim::topology::{run_topology, LinkSpec, Topology, TopologyConfig};
 use accturbo_netsim::{
-    run_sharded, Bandwidth, FifoQueue, Packet, PacketSource, SimDuration, SimTime,
+    run_sharded, Bandwidth, FifoQueue, Packet, PacketSource, ShardedEngine, SimDuration, SimTime,
     SingleQueueSwitch, Switch, VecSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,6 +118,45 @@ fn sharded_engine_steady_state_does_not_allocate() {
         large <= small + 64,
         "sharded datapath allocations scale with packet count: \
          {small} allocs for 2k pkts, {large} for 8k"
+    );
+}
+
+/// Allocation count of one threaded stream-mode run (`run_stream`, 4
+/// shards) over `n` packets of four interleaved flows. The producer
+/// thread, both channels and the batch-buffer pool are a fixed cost; the
+/// pool's buffers are reused in a fixed rotation, so once every buffer
+/// has been filled once nothing grows with the packet count.
+fn allocs_during_stream_run(n: u64) -> u64 {
+    let packets: Vec<Packet> = (0..n)
+        .map(|i| {
+            Packet::new(SimTime::from_nanos(i * 50_000))
+                .with_size(1000)
+                .with_src([10, (i % 4) as u8, 0, 1].into())
+        })
+        .collect();
+    let src = Box::new(VecSource::new(packets));
+    let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
+    let cfg = EngineConfig::new(Bandwidth::from_mbps(20))
+        .with_stats_interval(SimDuration::from_secs(10))
+        .with_control_period(SimDuration::from_millis(10));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let res = ShardedEngine::new(4).run_stream(src, &mut sw, &cfg);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(res.arrivals, n, "workload must run");
+    after - before
+}
+
+#[test]
+fn threaded_stream_steady_state_does_not_allocate() {
+    let _guard = MEASURE.lock().unwrap();
+    let _ = allocs_during_stream_run(400);
+    // Both sizes cycle the whole batch-buffer pool several times.
+    let small = allocs_during_stream_run(40_000);
+    let large = allocs_during_stream_run(160_000);
+    assert!(
+        large <= small + 64,
+        "threaded stream allocations scale with packet count: \
+         {small} allocs for 40k pkts, {large} for 160k"
     );
 }
 

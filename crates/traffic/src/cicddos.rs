@@ -95,7 +95,7 @@ impl CicDdosConfig {
     /// Materializes the full day as one time-ordered source.
     pub fn into_source(self) -> MergedSource {
         let end = SimTime::ZERO + self.total_duration();
-        let mut sources: Vec<Box<dyn PacketSource>> = Vec::new();
+        let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
         sources.push(Box::new(BackgroundSource::new(BackgroundConfig::new(
             self.background_bps,
             SimTime::ZERO,

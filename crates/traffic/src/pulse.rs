@@ -72,7 +72,7 @@ impl PulseWave {
     /// Materializes the pulse train as a single time-ordered source.
     pub fn into_source(self) -> MergedSource {
         let seed = self.seed;
-        let sources: Vec<Box<dyn PacketSource>> = self
+        let sources: Vec<Box<dyn PacketSource + Send>> = self
             .pulses
             .into_iter()
             .enumerate()
@@ -90,7 +90,7 @@ impl PulseWave {
                 .with_victim(p.victim, p.dport)
                 .with_single_flow()
                 .with_fixed_dport(p.dport);
-                Box::new(AttackSource::new(cfg)) as Box<dyn PacketSource>
+                Box::new(AttackSource::new(cfg)) as Box<dyn PacketSource + Send>
             })
             .collect();
         MergedSource::new(sources)

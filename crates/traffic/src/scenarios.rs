@@ -49,7 +49,7 @@ pub fn aggregate_sport_band(i: u16) -> (u16, u16) {
     }
 }
 
-fn cbr_aggregate(i: u16, rate_bps: u64, end: SimTime, seed: u64) -> Box<dyn PacketSource> {
+fn cbr_aggregate(i: u16, rate_bps: u64, end: SimTime, seed: u64) -> Box<dyn PacketSource + Send> {
     let dports = [80u16, 53, 443, 8080];
     let sizes = [1500u32, 800, 1200, 600];
     let ttls = [64u8, 58, 52, 47];
@@ -81,7 +81,7 @@ fn cbr_aggregate(i: u16, rate_bps: u64, end: SimTime, seed: u64) -> Box<dyn Pack
 /// back down between t = 25 s and t = 31 s.
 pub fn fig2_source(link_bps: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(RUN_SECS);
-    let mut sources: Vec<Box<dyn PacketSource>> = Vec::new();
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
     for i in 1..=4u16 {
         sources.push(cbr_aggregate(
             i,
@@ -154,7 +154,7 @@ pub fn fig3_pulse_subnet(k: usize) -> Ipv4Addr {
 /// target /24, at 3× the link rate.
 pub fn fig3_source(link_bps: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(RUN_SECS);
-    let mut sources: Vec<Box<dyn PacketSource>> = Vec::new();
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
     for i in 1..=4u16 {
         sources.push(cbr_aggregate(
             i,

@@ -65,7 +65,7 @@ impl FloodVariation {
 /// varied per the row.
 pub fn flood(variation: FloodVariation, secs: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let mut sources: Vec<Box<dyn PacketSource>> = vec![Box::new(BackgroundSource::new(
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = vec![Box::new(BackgroundSource::new(
         BackgroundConfig::new(EXPERIMENT_BACKGROUND_BPS, SimTime::ZERO, end, seed),
     ))];
     if variation != FloodVariation::NoAttack {
@@ -92,13 +92,10 @@ pub fn flood(variation: FloodVariation, secs: u64, seed: u64) -> MergedSource {
 /// starting at t = 10 s, each targeting a different IP of a common /24.
 pub fn fig6_pulses(secs: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let background: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
-        EXPERIMENT_BACKGROUND_BPS,
-        SimTime::ZERO,
-        end,
-        seed,
-    )));
-    let wave: Box<dyn PacketSource> = Box::new(
+    let background: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(
+        BackgroundConfig::new(EXPERIMENT_BACKGROUND_BPS, SimTime::ZERO, end, seed),
+    ));
+    let wave: Box<dyn PacketSource + Send> = Box::new(
         PulseWave::fig6(
             4,
             SimTime::from_secs(10),
@@ -117,14 +114,11 @@ pub fn fig6_pulses(secs: u64, seed: u64) -> MergedSource {
 /// single-flow UDP flood from t = 20 s to t = end − 20 s.
 pub fn reaction_flood(secs: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let background: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
-        EXPERIMENT_BACKGROUND_BPS,
-        SimTime::ZERO,
-        end,
-        seed,
-    )));
+    let background: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(
+        BackgroundConfig::new(EXPERIMENT_BACKGROUND_BPS, SimTime::ZERO, end, seed),
+    ));
     let attack_end = SimTime::from_secs(secs.saturating_sub(20).max(REACTION_ATTACK_START_S + 1));
-    let attack: Box<dyn PacketSource> = Box::new(AttackSource::new(
+    let attack: Box<dyn PacketSource + Send> = Box::new(AttackSource::new(
         AttackConfig::new(
             AttackVector::UdpFlood,
             FLOOD_ATTACK_BPS,
@@ -146,7 +140,7 @@ pub fn background_only(secs: u64, seed: u64) -> MergedSource {
         SimTime::ZERO,
         end,
         seed,
-    ))) as Box<dyn PacketSource>])
+    ))) as Box<dyn PacketSource + Send>])
 }
 
 /// The §9 adversarial scenarios.
@@ -188,7 +182,7 @@ impl AdversarialScenario {
 
 /// The benign service all §9.2 scenarios target: a tight, high-rate
 /// aggregate (one /24, one port band, fixed size).
-fn victim_service(end: SimTime, rate_bps: u64, seed: u64) -> Box<dyn PacketSource> {
+fn victim_service(end: SimTime, rate_bps: u64, seed: u64) -> Box<dyn PacketSource + Send> {
     let cbr = CbrSource::new(
         FlowTemplate::udp(
             Ipv4Addr::new(95, 10, 1, 1),
@@ -217,7 +211,7 @@ fn victim_service(end: SimTime, rate_bps: u64, seed: u64) -> Box<dyn PacketSourc
 pub fn adversarial(scenario: AdversarialScenario, secs: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
     let start = SimTime::from_secs(5);
-    let mut sources: Vec<Box<dyn PacketSource>> = vec![Box::new(BackgroundSource::new(
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = vec![Box::new(BackgroundSource::new(
         BackgroundConfig::new(5_000_000, SimTime::ZERO, end, seed),
     ))];
     match scenario {
@@ -370,7 +364,7 @@ pub fn elephant(secs: u64) -> MergedSource {
         7,
     );
     MergedSource::new(vec![
-        Box::new(attack) as Box<dyn PacketSource>,
+        Box::new(attack) as Box<dyn PacketSource + Send>,
         Box::new(background),
         Box::new(cdn),
     ])
@@ -463,7 +457,7 @@ pub fn pulse_attack(cfg: &PulseAttackConfig, secs: u64, seed: u64) -> MergedSour
     );
     assert!(!cfg.period.is_zero(), "pulse period must be positive");
     let end = SimTime::from_secs(secs);
-    let mut sources: Vec<Box<dyn PacketSource>> = vec![Box::new(BackgroundSource::new(
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = vec![Box::new(BackgroundSource::new(
         BackgroundConfig::new(EXPERIMENT_BACKGROUND_BPS, SimTime::ZERO, end, seed),
     ))];
     let start = SimTime::from_secs(PULSE_ATTACK_START_S);

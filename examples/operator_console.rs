@@ -33,7 +33,7 @@ const BACKUP_NET: [u8; 3] = [203, 7, 44];
 
 fn workload() -> MergedSource {
     let end = SimTime::from_secs(SECS);
-    let flood: Box<dyn PacketSource> = Box::new(AttackSource::new(
+    let flood: Box<dyn PacketSource + Send> = Box::new(AttackSource::new(
         AttackConfig::new(
             AttackVector::UdpFlood,
             10_000_000,
@@ -44,12 +44,9 @@ fn workload() -> MergedSource {
         )
         .with_single_flow(),
     ));
-    let background: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
-        6_000_000,
-        SimTime::ZERO,
-        end,
-        11,
-    )));
+    let background: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(
+        BackgroundConfig::new(6_000_000, SimTime::ZERO, end, 11),
+    ));
     // The legitimate backup transfer: high rate, spread over its /24.
     let backup = CbrSource::new(
         FlowTemplate::udp(
@@ -64,7 +61,7 @@ fn workload() -> MergedSource {
         SimTime::ZERO,
         end,
     );
-    let backup: Box<dyn PacketSource> = Box::new(SpreadSource::new(
+    let backup: Box<dyn PacketSource + Send> = Box::new(SpreadSource::new(
         backup,
         Spread {
             dst_low_bits: 8,

@@ -23,15 +23,12 @@ const SECS: u64 = 100;
 
 fn workload() -> MergedSource {
     let end = SimTime::from_secs(SECS);
-    let background: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
-        7_000_000,
-        SimTime::ZERO,
-        end,
-        1,
-    )));
+    let background: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(
+        BackgroundConfig::new(7_000_000, SimTime::ZERO, end, 1),
+    ));
     // Four 10 s pulses at 4x the bottleneck, 10 s apart, each hitting a
     // different host and port of the victim /24.
-    let pulses: Box<dyn PacketSource> = Box::new(
+    let pulses: Box<dyn PacketSource + Send> = Box::new(
         PulseWave::fig6(
             4,
             SimTime::from_secs(10),

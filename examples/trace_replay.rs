@@ -29,7 +29,7 @@ fn build_capture() -> Vec<Packet> {
             SimTime::ZERO,
             end,
             17,
-        ))) as Box<dyn PacketSource>,
+        ))) as Box<dyn PacketSource + Send>,
         Box::new(AttackSource::new(AttackConfig::new(
             AttackVector::Memcached,
             30_000_000,

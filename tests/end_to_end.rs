@@ -27,13 +27,13 @@ fn engine(secs: u64, control_ms: Option<u64>) -> EngineConfig {
 
 fn flood_over_background(secs: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let bg: Box<dyn PacketSource> = Box::new(BackgroundSource::new(BackgroundConfig::new(
+    let bg: Box<dyn PacketSource + Send> = Box::new(BackgroundSource::new(BackgroundConfig::new(
         6_000_000,
         SimTime::ZERO,
         end,
         5,
     )));
-    let attack: Box<dyn PacketSource> = Box::new(AttackSource::new(
+    let attack: Box<dyn PacketSource + Send> = Box::new(AttackSource::new(
         AttackConfig::new(
             AttackVector::UdpFlood,
             40_000_000,
@@ -200,7 +200,7 @@ fn transparency_between_pulses() {
             SimTime::ZERO,
             end,
             9,
-        ))) as Box<dyn PacketSource>])
+        ))) as Box<dyn PacketSource + Send>])
     };
     let mut src = benign_only();
     let mut turbo =
