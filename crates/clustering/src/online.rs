@@ -84,31 +84,220 @@ fn scan_anime(clusters: &[Option<Repr>], values: &[u32]) -> Option<(usize, f64)>
     best
 }
 
-/// Struct-of-arrays mirror of every range cluster's ordinal extents:
-/// flat `num_clusters × width` min/max columns the Manhattan scan walks
-/// linearly instead of chasing each cluster's `Vec<Dim>`. Nominal
-/// dimensions hold the sentinel `[0, u32::MAX]` (a zero gap for every
-/// value), so the ordinal pass needs no per-dimension kind dispatch;
-/// their set membership is resolved in a second, bound-gated pass.
-/// Maintained incrementally at every geometry mutation (seed, admit,
-/// merge, reset) — the same writes the mutation itself performs, so the
-/// mirror costs O(width) where the mutation already pays O(width).
-#[derive(Debug, Clone, Default)]
-struct RangeSoa {
-    width: usize,
-    mins: Vec<u32>,
-    maxs: Vec<u32>,
-    occupied: Vec<bool>,
+/// Clusters per lane block. One block row is a `[L; LANES]` array, so the
+/// kernel's fixed-width inner loop spans whole SIMD registers (four SSE2
+/// registers of `i32`).
+const LANES: usize = 16;
+
+/// A lane element of the column store. Every range bound and feature
+/// value fits (the value-range contract of
+/// [`OnlineClusterer::assign_values`]), and so does every gap sum (the
+/// lane type is chosen at construction from the feature spaces), so the
+/// signed arithmetic below never wraps.
+trait Lane: Copy + Ord + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self> {
+    const ZERO: Self;
+    /// A feature value or range bound, below its feature's space.
+    fn of(v: u32) -> Self;
+    /// A (non-negative) gap sum as a Manhattan distance.
+    fn distance(self) -> u64;
 }
 
-impl RangeSoa {
-    fn new(num_clusters: usize, width: usize) -> Self {
-        RangeSoa {
-            width,
-            mins: vec![0; num_clusters * width],
-            maxs: vec![u32::MAX; num_clusters * width],
-            occupied: vec![false; num_clusters],
+impl Lane for i32 {
+    const ZERO: Self = 0;
+    fn of(v: u32) -> Self {
+        v as i32
+    }
+    fn distance(self) -> u64 {
+        self as u64
+    }
+}
+
+impl Lane for i64 {
+    const ZERO: Self = 0;
+    fn of(v: u32) -> Self {
+        i64::from(v)
+    }
+    fn distance(self) -> u64 {
+        self as u64
+    }
+}
+
+/// The ordinal Manhattan gap sums of the sixteen clusters of one lane
+/// block: `mins[f]` / `maxs[f]` are the block's lane rows of feature `f`.
+/// Of `min − v` and `v − max` at most one is positive (`min <= max`), so
+/// `max(min − v, v − max, 0)` is the gap to the nearest range edge. The
+/// body is fixed-width and branch-free: in signed lanes it lowers to
+/// whole-register subtract / compare / blend / add on baseline SSE2,
+/// which has no unsigned 32-bit min/max or saturating subtract.
+#[inline(always)]
+fn block_gaps<L: Lane>(mins: &[[L; LANES]], maxs: &[[L; LANES]], values: &[u32]) -> [L; LANES] {
+    let mut acc = [L::ZERO; LANES];
+    for ((mn, mx), &v) in mins.iter().zip(maxs).zip(values) {
+        let v = L::of(v);
+        for ((a, &lo), &hi) in acc.iter_mut().zip(mn).zip(mx) {
+            *a = *a + (lo - v).max(v - hi).max(L::ZERO);
         }
+    }
+    acc
+}
+
+/// The Manhattan scan's column store: every range cluster's ordinal
+/// extents, feature-major in blocks of [`LANES`] clusters. Block `b`
+/// covers slots `b·LANES ..`; row `b·w + f` of `mins` / `maxs` holds
+/// feature `f`'s minima / maxima, one lane per slot. Nominal dimensions
+/// hold the sentinel `[0, space − 1]` (a zero gap for every in-range
+/// value), so the ordinal pass needs no per-dimension kind dispatch;
+/// their set membership is resolved in a second, bound-gated pass. Lanes
+/// of vacant and padding slots keep whatever in-range bounds they last
+/// held and are never read past the occupied prefix.
+#[derive(Debug, Clone)]
+struct Lanes<L> {
+    mins: Vec<[L; LANES]>,
+    maxs: Vec<[L; LANES]>,
+}
+
+impl<L: Lane> Lanes<L> {
+    fn new(rows: usize) -> Self {
+        Lanes {
+            mins: vec![[L::ZERO; LANES]; rows],
+            maxs: vec![[L::ZERO; LANES]; rows],
+        }
+    }
+
+    /// Writes slot `slot`'s per-feature `[lo, hi]` extents.
+    fn set_slot(&mut self, width: usize, slot: usize, extents: impl Iterator<Item = (u32, u32)>) {
+        let rows = (slot / LANES) * width..(slot / LANES + 1) * width;
+        let lane = slot % LANES;
+        let (mins, maxs) = (&mut self.mins[rows.clone()], &mut self.maxs[rows]);
+        for ((mn, mx), (lo, hi)) in mins.iter_mut().zip(maxs).zip(extents) {
+            mn[lane] = L::of(lo);
+            mx[lane] = L::of(hi);
+        }
+    }
+}
+
+/// [`Lanes`] in the lane type fixed at construction: `i32` is exact
+/// whenever `Σ_f (space_f − 1) <= i32::MAX` (every shipped profile:
+/// 198,900 for the simulation default), `i64` otherwise (full-address
+/// features).
+#[derive(Debug, Clone)]
+enum LaneColumns {
+    Narrow(Lanes<i32>),
+    Wide(Lanes<i64>),
+}
+
+impl LaneColumns {
+    fn new(features: &FeatureSet, num_clusters: usize) -> Self {
+        let rows = num_clusters.div_ceil(LANES) * features.len();
+        let max_gap_sum: u64 = features.specs().iter().map(|s| s.feature.space() - 1).sum();
+        if max_gap_sum <= i32::MAX as u64 {
+            LaneColumns::Narrow(Lanes::new(rows))
+        } else {
+            LaneColumns::Wide(Lanes::new(rows))
+        }
+    }
+
+    fn set_slot(&mut self, width: usize, slot: usize, extents: impl Iterator<Item = (u32, u32)>) {
+        match self {
+            LaneColumns::Narrow(lanes) => lanes.set_slot(width, slot, extents),
+            LaneColumns::Wide(lanes) => lanes.set_slot(width, slot, extents),
+        }
+    }
+}
+
+/// Per-slot window bookkeeping in three flat columns of `width`-long
+/// rows: row `k` of `lo` / `hi` is the per-feature min / max of every
+/// value *assigned* to slot `k` this window, row `k` of `rep` the last
+/// vector assigned to it, and the extra last row of `lo` / `hi` the
+/// range of every value observed since the last reset. An empty range is
+/// `lo = u32::MAX, hi = 0` on every feature, so recording is a
+/// branch-free min/max and "empty" is `lo[0] > hi[0]`; a slot has a
+/// representative exactly when its window range is non-empty (both are
+/// written by every assignment and cleared by every reset). Separate
+/// columns keep every block of the default profile below 1 KiB; a
+/// single interleaved buffer measured about 5% slower per packet on the
+/// CICDDoS attack day (DESIGN.md §14).
+#[derive(Debug, Clone)]
+struct Ledger {
+    width: usize,
+    slots: usize,
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    rep: Vec<u32>,
+}
+
+impl Ledger {
+    fn new(slots: usize, width: usize) -> Self {
+        Ledger {
+            width,
+            slots,
+            lo: vec![u32::MAX; (slots + 1) * width],
+            hi: vec![0; (slots + 1) * width],
+            rep: vec![0; slots * width],
+        }
+    }
+
+    fn row(&self, k: usize) -> std::ops::Range<usize> {
+        k * self.width..(k + 1) * self.width
+    }
+
+    /// Row `k`'s range, `None` when empty.
+    fn range(&self, k: usize) -> Option<(&[u32], &[u32])> {
+        let (lo, hi) = (&self.lo[self.row(k)], &self.hi[self.row(k)]);
+        (lo[0] <= hi[0]).then_some((lo, hi))
+    }
+
+    /// Widens row `k`'s range per feature to cover `values`.
+    fn widen(&mut self, k: usize, values: &[u32]) {
+        let row = self.row(k);
+        let (lo, hi) = (&mut self.lo[row.clone()], &mut self.hi[row]);
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(values) {
+            *l = (*l).min(v);
+            *h = (*h).max(v);
+        }
+    }
+
+    /// Widens the observed ranges to cover `values`.
+    fn observe(&mut self, values: &[u32]) {
+        self.widen(self.slots, values);
+    }
+
+    /// Records `values` as assigned to slot `k`: widens its window range
+    /// and makes it the slot's representative.
+    fn record(&mut self, k: usize, values: &[u32]) {
+        self.widen(k, values);
+        let row = self.row(k);
+        self.rep[row].copy_from_slice(values);
+    }
+
+    /// Per-feature `(lo, hi)` of every value observed since the last
+    /// reset; `None` before the first.
+    fn observed(&self) -> Option<(&[u32], &[u32])> {
+        self.range(self.slots)
+    }
+
+    /// Slot `k`'s per-feature window range; `None` when no traffic was
+    /// assigned to it this window (or `k` is out of range).
+    fn window(&self, k: usize) -> Option<(&[u32], &[u32])> {
+        (k < self.slots).then(|| self.range(k)).flatten()
+    }
+
+    /// The last vector assigned to slot `k` this window, if any.
+    fn representative(&self, k: usize) -> Option<&[u32]> {
+        self.window(k)?;
+        Some(&self.rep[self.row(k)])
+    }
+
+    fn clear_windows(&mut self) {
+        let end = self.slots * self.width;
+        self.lo[..end].fill(u32::MAX);
+        self.hi[..end].fill(0);
+    }
+
+    fn clear_observed(&mut self) {
+        let row = self.row(self.slots);
+        self.lo[row.clone()].fill(u32::MAX);
+        self.hi[row].fill(0);
     }
 }
 
@@ -298,40 +487,47 @@ pub struct OnlineClusterer {
     window: Vec<WindowStats>,
     totals: Vec<WindowStats>,
     scratch: Vec<u32>,
-    /// Per-feature (min, max) of every value observed since the last
-    /// reset (empty = nothing observed yet; the buffer is retained across
-    /// resets so steady state allocates nothing). Under anchor
-    /// initialization, the next reset spreads the anchors of *idle* slots
-    /// over these ranges, so the anchor grid adapts to the value ranges
-    /// traffic actually uses (declared field widths like ip.len's 16 bits
-    /// are mostly unused; see DESIGN.md §4).
-    observed: Vec<(u32, u32)>,
-    /// The *last* feature vector assigned to each cluster in the current
-    /// window (empty = none yet). At the next reset each active slot is
-    /// re-seeded at its representative, so slots track the traffic
-    /// aggregates they captured. "Last packet" is (a) trivially
-    /// implementable in the data plane (a per-cluster register overwritten
-    /// on every packet, read by the control plane at the poll) and (b)
-    /// biased toward the cluster's dominant flow — exactly the property
-    /// that makes a high-rate attack become its own seed and release any
-    /// benign traffic it dragged in.
-    representative: Vec<Vec<u32>>,
+    /// The per-packet bookkeeping, in flat columns (see [`Ledger`]):
+    ///
+    /// * Per-feature (min, max) of every value observed since the last
+    ///   reset. Under anchor initialization, the next reset spreads the
+    ///   anchors of *idle* slots over these ranges, so the anchor grid
+    ///   adapts to the value ranges traffic actually uses (declared
+    ///   field widths like ip.len's 16 bits are mostly unused; see
+    ///   DESIGN.md §4).
+    /// * Per-cluster per-feature (min, max) of every value *assigned* in
+    ///   the current window — independent of the budget-limited
+    ///   geometry. This is what the P4 min/max registers report to the
+    ///   controller, and it is what the `/Size` rankings divide by: the
+    ///   cluster's statistical spread, not its (stabilized) geometric
+    ///   shape.
+    /// * The *last* feature vector assigned to each cluster in the
+    ///   current window. At the next reset each active slot is re-seeded
+    ///   at its representative, so slots track the traffic aggregates
+    ///   they captured. "Last packet" is (a) trivially implementable in
+    ///   the data plane (a per-cluster register overwritten on every
+    ///   packet, read by the control plane at the poll) and (b) biased
+    ///   toward the cluster's dominant flow — exactly the property that
+    ///   makes a high-rate attack become its own seed and release any
+    ///   benign traffic it dragged in.
+    ///
+    /// Sized once at construction, so steady state allocates nothing.
+    ledger: Ledger,
     /// Remaining growth budget per cluster in the current window.
     budget: Vec<u64>,
-    /// Per-cluster per-feature (min, max) of every value *assigned* in the
-    /// current window (empty = no traffic) — independent of the
-    /// budget-limited geometry. This is what the P4 min/max registers
-    /// report to the controller, and it is what the `/Size` rankings
-    /// divide by: the cluster's statistical spread, not its (stabilized)
-    /// geometric shape.
-    stat_ranges: Vec<Vec<(u32, u32)>>,
     /// Scratch for re-seed points at resets (reused across resets).
     point_scratch: Vec<u32>,
-    /// Struct-of-arrays mirror of the range clusters' ordinal extents —
-    /// the column store the default Manhattan scan reads.
-    soa: RangeSoa,
+    /// Lane-blocked columns of the range clusters' ordinal extents — the
+    /// store the default Manhattan scan reads. Maintained at every
+    /// geometry mutation (seed, admit, merge, reset) with the same
+    /// O(width) writes the mutation itself performs.
+    lanes: LaneColumns,
+    /// Range slots fill lowest index first (`first_empty`), are re-seeded
+    /// in place (merges) and vacate all at once (resets), so the occupied
+    /// range slots are always exactly `0..live`: the scan's bound.
+    live: usize,
     /// Feature positions holding nominal (set-based) dimensions, in
-    /// order — the second pass of the SoA scan.
+    /// order — the second pass of the lane scan.
     nominal_dims: Vec<usize>,
     /// Nearest-cluster scan kernel, resolved from `cfg.distance` once at
     /// construction (never consulted in Euclidean mode, which is
@@ -373,7 +569,7 @@ impl OnlineClusterer {
         #[cfg(not(feature = "reference"))]
         let use_reference = false;
         let width = cfg.features.len();
-        let soa = RangeSoa::new(n, width);
+        let lanes = LaneColumns::new(&cfg.features, n);
         let nominal_dims: Vec<usize> = cfg
             .features
             .specs()
@@ -388,12 +584,11 @@ impl OnlineClusterer {
             window: vec![WindowStats::default(); n],
             totals: vec![WindowStats::default(); n],
             scratch: Vec::new(),
-            observed: Vec::new(),
-            representative: vec![Vec::new(); n],
+            ledger: Ledger::new(n, width),
             budget: vec![0; n],
-            stat_ranges: vec![Vec::new(); n],
-            point_scratch: Vec::new(),
-            soa,
+            point_scratch: Vec::with_capacity(width),
+            lanes,
+            live: 0,
             nominal_dims,
             range_scan,
             range_merge_cost,
@@ -403,44 +598,46 @@ impl OnlineClusterer {
         oc
     }
 
-    /// Rewrites the SoA mirror row of slot `i` from its cluster's
-    /// current dimensions (empty and center slots mark the row vacant).
-    fn soa_sync_row(&mut self, i: usize) {
-        let w = self.soa.width;
+    /// Rewrites slot `i`'s lanes from its cluster's current dimensions
+    /// (empty and center slots leave the occupied prefix).
+    fn sync_lanes(&mut self, i: usize) {
+        let w = self.cfg.features.len();
         match &self.clusters[i] {
             Some(Repr::Range(c)) => {
-                self.soa.occupied[i] = true;
-                for (k, dim) in c.dims().iter().enumerate() {
-                    let (lo, hi) = match dim {
-                        Dim::Range { min, max } => (*min, *max),
-                        // Zero ordinal gap for every value: set membership
-                        // is resolved in the scan's second pass.
-                        Dim::Set(_) => (0, u32::MAX),
-                    };
-                    self.soa.mins[i * w + k] = lo;
-                    self.soa.maxs[i * w + k] = hi;
-                }
+                let extents = c
+                    .dims()
+                    .iter()
+                    .zip(self.cfg.features.specs())
+                    .map(|(dim, spec)| {
+                        match dim {
+                            Dim::Range { min, max } => (*min, *max),
+                            // Zero ordinal gap for every in-range value: set
+                            // membership is resolved in the scan's second pass.
+                            Dim::Set(_) => (0, (spec.feature.space() - 1) as u32),
+                        }
+                    });
+                self.lanes.set_slot(w, i, extents);
+                debug_assert!(i <= self.live, "range slots fill lowest index first");
+                self.live = self.live.max(i + 1);
             }
-            _ => self.soa.occupied[i] = false,
+            _ => self.live = self.live.min(i),
         }
     }
 
-    fn soa_sync_all(&mut self) {
+    fn sync_all_lanes(&mut self) {
         for i in 0..self.clusters.len() {
-            self.soa_sync_row(i);
+            self.sync_lanes(i);
         }
     }
 
     /// The anchor coordinate of slot `k` on feature `f`: the diagonal
-    /// point of the per-feature range observed since the last reset (the
-    /// declared field width before any traffic has been seen).
-    fn anchor_coord(&self, k: usize, f: usize) -> u32 {
+    /// point of the per-feature range `observed` since the last reset
+    /// (the declared field width before any traffic has been seen).
+    fn anchor_coord(&self, k: usize, f: usize, observed: Option<(&[u32], &[u32])>) -> u32 {
         let n = self.cfg.num_clusters as u64;
-        let (lo, hi) = if self.observed.is_empty() {
-            (0, self.cfg.features.specs()[f].feature.space() - 1)
-        } else {
-            let (lo, hi) = self.observed[f];
-            (lo as u64, hi as u64)
+        let (lo, hi) = match observed {
+            Some((lo, hi)) => (lo[f] as u64, hi[f] as u64),
+            None => (0, self.cfg.features.specs()[f].feature.space() - 1),
         };
         let span = hi - lo + 1;
         (lo + ((2 * k as u64 + 1) * span) / (2 * n)).min(hi) as u32
@@ -449,8 +646,9 @@ impl OnlineClusterer {
     /// Writes the full anchor point of slot `k` into `out`.
     fn anchor_into(&self, k: usize, out: &mut Vec<u32>) {
         out.clear();
+        let observed = self.ledger.observed();
         for f in 0..self.cfg.features.len() {
-            out.push(self.anchor_coord(k, f));
+            out.push(self.anchor_coord(k, f, observed));
         }
     }
 
@@ -465,7 +663,7 @@ impl OnlineClusterer {
                         Dim::Range { min, max } => min / 2 + max / 2,
                         // Sets have no midpoint; fall back to the anchor
                         // coordinate for this feature.
-                        Dim::Set(_) => self.anchor_coord(k, f),
+                        Dim::Set(_) => self.anchor_coord(k, f, self.ledger.observed()),
                     });
                 }
                 true
@@ -509,29 +707,27 @@ impl OnlineClusterer {
                     // Active slots re-seed at their representative; idle
                     // slots fall back to the diagonal anchor over the
                     // observed ranges.
-                    let has_rep = !self.representative[k].is_empty();
-                    match (self.cfg.rep, has_rep) {
-                        (RepMode::RangeMidpoint, true) => {
+                    match (self.cfg.rep, self.ledger.representative(k)) {
+                        (RepMode::RangeMidpoint, Some(_)) => {
                             if !self.midpoint_into(k, &mut point) {
                                 self.anchor_into(k, &mut point);
                             }
                         }
-                        (_, true) => {
+                        (_, Some(rep)) => {
                             point.clear();
-                            point.extend_from_slice(&self.representative[k]);
+                            point.extend_from_slice(rep);
                         }
-                        (_, false) => self.anchor_into(k, &mut point),
+                        (_, None) => self.anchor_into(k, &mut point),
                     }
                     self.seed_slot(k, &point);
                 }
                 self.point_scratch = point;
             }
         }
-        self.representative.iter_mut().for_each(|r| r.clear());
-        self.stat_ranges.iter_mut().for_each(|r| r.clear());
+        self.ledger.clear_windows();
         let budget = self.cfg.update_budget.unwrap_or(u64::MAX);
         self.budget.iter_mut().for_each(|b| *b = budget);
-        self.soa_sync_all();
+        self.sync_all_lanes();
     }
 
     /// The configuration.
@@ -601,8 +797,28 @@ impl OnlineClusterer {
     }
 
     /// Assigns a pre-extracted feature vector carrying `bytes` of payload.
+    ///
+    /// `values` holds one value per feature, in [`FeatureSet`] order, and
+    /// each value must lie below its feature's
+    /// [`space`](crate::Feature::space) — exactly what
+    /// [`FeatureSet::extract_into`] produces. The nearest-cluster kernel's
+    /// lanes are exact only inside that range. The arity is always
+    /// checked; the range only in debug builds.
     pub fn assign_values(&mut self, values: &[u32], bytes: u32) -> usize {
         self.assign_values_inner(values, bytes).0
+    }
+
+    /// Debug-build check of the value-range contract of
+    /// [`assign_values`](Self::assign_values).
+    fn debug_assert_in_range(&self, values: &[u32]) {
+        debug_assert_eq!(values.len(), self.cfg.features.len());
+        for (spec, &v) in self.cfg.features.specs().iter().zip(values) {
+            debug_assert!(
+                u64::from(v) < spec.feature.space(),
+                "feature value {v} out of range for {}",
+                spec.feature
+            );
+        }
     }
 
     fn assign_values_inner(&mut self, values: &[u32], bytes: u32) -> (usize, f64, AssignAction) {
@@ -611,30 +827,13 @@ impl OnlineClusterer {
             self.cfg.features.len(),
             "feature vector arity mismatch"
         );
-        if self.observed.is_empty() {
-            self.observed.extend(values.iter().map(|&v| (v, v)));
-        } else {
-            for (r, &v) in self.observed.iter_mut().zip(values) {
-                r.0 = r.0.min(v);
-                r.1 = r.1.max(v);
-            }
-        }
+        self.debug_assert_in_range(values);
+        self.ledger.observe(values);
         let (idx, dist, action) = match self.cfg.distance {
             DistanceKind::Euclidean => self.assign_center(values),
             _ => self.assign_range(values),
         };
-        let stat = &mut self.stat_ranges[idx];
-        if stat.is_empty() {
-            stat.extend(values.iter().map(|&v| (v, v)));
-        } else {
-            for (r, &v) in stat.iter_mut().zip(values) {
-                r.0 = r.0.min(v);
-                r.1 = r.1.max(v);
-            }
-        }
-        let rep = &mut self.representative[idx];
-        rep.clear();
-        rep.extend_from_slice(values);
+        self.ledger.record(idx, values);
         self.window[idx].pkts += 1;
         self.window[idx].bytes += bytes as u64;
         self.totals[idx].pkts += 1;
@@ -669,73 +868,75 @@ impl OnlineClusterer {
         unreachable!("reference kernels require the `reference` cargo feature")
     }
 
-    /// The struct-of-arrays Manhattan scan: a branch-free vectorizable
-    /// pass over the flat ordinal min/max columns, then — only for
-    /// clusters whose ordinal gap is still below the running best — the
-    /// nominal set lookups. Winner and tie-break are exactly those of
-    /// [`scan_aos`](Self::scan_aos): a full row distance at or above the
-    /// running bound is rejected precisely like a bounded partial sum
-    /// would be (the `manhattan_bounded` argument), and the first index
-    /// attaining the minimum wins via the strict `d < bound` comparison.
+    /// The lane-blocked Manhattan scan: per block of sixteen clusters, a
+    /// branch-free fixed-width pass over the feature-major min/max lanes
+    /// ([`block_gaps`]), then an in-order argmin over the block's lanes
+    /// that runs the nominal set lookups only for clusters whose ordinal
+    /// gap is still below the running best. Winner and tie-break are
+    /// exactly those of [`scan_aos`](Self::scan_aos): a full ordinal gap
+    /// at or above the running bound is rejected precisely like a bounded
+    /// partial sum would be (the `manhattan_bounded` argument), the first
+    /// index attaining the minimum wins via the strict `d < bound`
+    /// comparison, and a zero distance ends the scan. `values` must obey
+    /// the contract of [`assign_values`](Self::assign_values).
     pub fn scan_soa(&self, values: &[u32]) -> Option<(usize, f64)> {
         debug_assert_eq!(self.cfg.distance, DistanceKind::Manhattan);
-        let w = self.soa.width;
-        if w == 0 {
-            return None;
+        self.debug_assert_in_range(values);
+        match &self.lanes {
+            LaneColumns::Narrow(lanes) => self.scan_lanes(lanes, values),
+            LaneColumns::Wide(lanes) => self.scan_lanes(lanes, values),
         }
+    }
+
+    fn scan_lanes<L: Lane>(&self, lanes: &Lanes<L>, values: &[u32]) -> Option<(usize, f64)> {
+        let w = self.cfg.features.len();
         let mut best: Option<(usize, u64)> = None;
         let mut bound = u64::MAX;
-        // `chunks_exact` + `zip` keep the inner pass free of bounds
-        // checks; together with the saturating-gap form the column scan
-        // compiles to straight-line arithmetic per dimension.
-        let rows = self
-            .soa
-            .mins
-            .chunks_exact(w)
-            .zip(self.soa.maxs.chunks_exact(w))
-            .zip(&self.soa.occupied);
-        for (i, ((mins, maxs), &occupied)) in rows.enumerate() {
-            if !occupied {
-                continue;
+        let blocks = lanes.mins.chunks_exact(w).zip(lanes.maxs.chunks_exact(w));
+        for (b, (mins, maxs)) in blocks.enumerate() {
+            let base = b * LANES;
+            if base >= self.live {
+                break;
             }
-            // Branch-free full-row sum: a row whose partial sum would hit
-            // the running bound loses the strict `d < bound` comparison
-            // just the same with its full distance, so skipping the
-            // per-dimension exit changes nothing about the winner — and
-            // the straight-line form vectorizes, which a data-dependent
-            // break never can.
-            let mut d = 0u64;
-            for ((&mn, &mx), &v) in mins.iter().zip(maxs).zip(values) {
-                d += (mn.saturating_sub(v) + v.saturating_sub(mx)) as u64;
-            }
-            if d < bound && !self.nominal_dims.is_empty() {
-                let Some(Repr::Range(c)) = &self.clusters[i] else {
-                    unreachable!("occupied SoA row implies a range cluster")
-                };
-                let dims = c.dims();
-                for &k in &self.nominal_dims {
-                    let Dim::Set(set) = &dims[k] else {
-                        unreachable!("nominal_dims indexes set dimensions")
+            let gaps = block_gaps(mins, maxs, values);
+            for (j, gap) in gaps.iter().enumerate().take(self.live - base) {
+                let mut d = gap.distance();
+                // Nominal misses only add: a lane already at the bound
+                // cannot win.
+                if d >= bound {
+                    continue;
+                }
+                let i = base + j;
+                if !self.nominal_dims.is_empty() {
+                    let Some(Repr::Range(c)) = &self.clusters[i] else {
+                        unreachable!("occupied lane implies a range cluster")
                     };
-                    d += u64::from(!set.contains(values[k]));
-                    if d >= bound {
-                        break;
+                    let dims = c.dims();
+                    for &k in &self.nominal_dims {
+                        let Dim::Set(set) = &dims[k] else {
+                            unreachable!("nominal_dims indexes set dimensions")
+                        };
+                        d += u64::from(!set.contains(values[k]));
+                        if d >= bound {
+                            break;
+                        }
                     }
                 }
-            }
-            if best.is_none() || d < bound {
-                best = Some((i, d));
-                bound = d;
-                if d == 0 {
-                    break;
+                if d < bound {
+                    best = Some((i, d));
+                    bound = d;
+                    if d == 0 {
+                        // Covered: no later cluster can beat a strict `< 0`.
+                        return Some((i, 0.0));
+                    }
                 }
             }
         }
         best.map(|(i, d)| (i, d as f64))
     }
 
-    /// The per-cluster (array-of-structs) scan the SoA kernel replaced
-    /// on the Manhattan path — kept as the benchmark baseline and
+    /// The per-cluster (array-of-structs) scan the lane-blocked kernel
+    /// replaced on the Manhattan path — kept as the benchmark baseline and
     /// differential oracle for [`scan_soa`](Self::scan_soa). For other
     /// distances this *is* the live kernel.
     pub fn scan_aos(&self, values: &[u32]) -> Option<(usize, f64)> {
@@ -766,7 +967,7 @@ impl OnlineClusterer {
                     values,
                     &self.cfg.nominal,
                 )));
-                self.soa_sync_row(slot);
+                self.sync_lanes(slot);
                 (slot, 0.0, AssignAction::Seeded)
             }
             Some((i, d)) => {
@@ -793,8 +994,8 @@ impl OnlineClusterer {
                                 values,
                                 &self.cfg.nominal,
                             )));
-                            self.soa_sync_row(a);
-                            self.soa_sync_row(b);
+                            self.sync_lanes(a);
+                            self.sync_lanes(b);
                             return (b, 0.0, AssignAction::Merged { from: b, into: a });
                         }
                     }
@@ -809,7 +1010,7 @@ impl OnlineClusterer {
                         unreachable!("best index is occupied")
                     };
                     c.admit(values);
-                    self.soa_sync_row(i);
+                    self.sync_lanes(i);
                 }
                 (i, d, AssignAction::Expanded { grew })
             }
@@ -997,13 +1198,11 @@ impl OnlineClusterer {
     /// report), falling back to the geometric cost when the slot saw no
     /// traffic. `None` for never-seeded slots.
     pub fn cost(&self, idx: usize) -> Option<f64> {
-        if let Some(ranges) = self.stat_ranges.get(idx).filter(|r| !r.is_empty()) {
+        if let Some((lo, hi)) = self.ledger.window(idx) {
+            let extents = lo.iter().zip(hi).map(|(&lo, &hi)| hi - lo);
             let spread = match self.cfg.distance {
-                DistanceKind::Anime => ranges
-                    .iter()
-                    .map(|&(lo, hi)| (hi - lo) as f64 + 1.0)
-                    .product(),
-                _ => ranges.iter().map(|&(lo, hi)| (hi - lo) as f64).sum(),
+                DistanceKind::Anime => extents.map(|e| e as f64 + 1.0).product(),
+                _ => extents.map(|e| e as f64).sum(),
             };
             return Some(spread);
         }
@@ -1023,9 +1222,8 @@ impl OnlineClusterer {
     /// remain meaningful.
     pub fn reset_clusters(&mut self) {
         self.init_clusters();
-        // Start a fresh observation window for the next re-anchoring (the
-        // buffer is retained, so steady-state resets allocate nothing).
-        self.observed.clear();
+        // Start a fresh observation window for the next re-anchoring.
+        self.ledger.clear_observed();
     }
 }
 
@@ -1341,10 +1539,10 @@ mod tests {
 
     #[test]
     fn soa_scan_matches_aos_scan_while_streaming() {
-        // The SoA column scan must agree with the per-cluster scan on
+        // The lane-blocked scan must agree with the per-cluster scan on
         // winner index AND exact distance, at every point of a live
-        // stream, across feature profiles (ordinal-only, mixed nominal),
-        // search modes, init modes, and budgets.
+        // packet stream, across feature profiles (ordinal-only, mixed
+        // nominal), search modes, init modes, and budgets.
         let profiles: Vec<(FeatureSet, SearchKind, InitMode, Option<u64>)> = vec![
             (
                 FeatureSet::hardware_fig6(),
@@ -1388,11 +1586,176 @@ mod tests {
                 );
                 oc.assign(&p);
                 if i == 300 {
-                    // The mirror must survive a control-plane reset.
+                    // The lanes must survive a control-plane reset.
                     oc.reset_clusters();
                 }
             }
         }
+    }
+
+    /// A seeded feature-vector stream over `features`: values at the
+    /// space edges (0 and `space − 1`), near a few hot spots (so
+    /// clusters are revisited, grown and merged), and uniform.
+    fn edge_stream(features: &FeatureSet, seed: u64, len: usize) -> Vec<Vec<u32>> {
+        use accturbo_prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spaces: Vec<u64> = features.specs().iter().map(|s| s.feature.space()).collect();
+        let hot: Vec<Vec<u64>> = (0..6)
+            .map(|_| spaces.iter().map(|&s| rng.gen_range(0..s)).collect())
+            .collect();
+        (0..len)
+            .map(|_| {
+                let h = &hot[rng.gen_range(0..hot.len())];
+                spaces
+                    .iter()
+                    .zip(h)
+                    .map(|(&s, &c)| {
+                        let v = match rng.gen_range(0u8..8) {
+                            0 => 0,
+                            1 => s - 1,
+                            2..=5 => (c + rng.gen_range(0..=s / 64)).min(s - 1),
+                            _ => rng.gen_range(0..s),
+                        };
+                        v as u32
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every shipped profile, the fig9 single full-address features (the
+    /// `i64`-lane path) and a wide set with a nominal dimension.
+    fn lane_profiles() -> Vec<(&'static str, FeatureSet, bool)> {
+        vec![
+            ("fig6", FeatureSet::hardware_fig6(), false),
+            ("dst4", FeatureSet::hardware_dst_bytes(), false),
+            ("sim", FeatureSet::simulation_default(), false),
+            (
+                "daddr",
+                FeatureSet::new(vec![FeatureSpec::ordinal(Feature::DstIp)]),
+                true,
+            ),
+            (
+                "saddr",
+                FeatureSet::new(vec![FeatureSpec::ordinal(Feature::SrcIp)]),
+                true,
+            ),
+            (
+                "daddr+sport",
+                FeatureSet::new(vec![
+                    FeatureSpec::ordinal(Feature::DstIp),
+                    FeatureSpec::natural(Feature::SrcPort),
+                ]),
+                true,
+            ),
+        ]
+    }
+
+    #[test]
+    fn lane_scan_matches_the_oracles_across_block_boundaries() {
+        // Cluster counts straddling the 16-lane block size, on every
+        // profile, both searches and both inits, with resets: the lane
+        // scan must equal the per-cluster scan (and, with the `reference`
+        // feature, the generic full-distance scan and a reference-kernel
+        // clusterer run in lockstep) before every assignment.
+        let mut merges = 0;
+        for (name, features, wide) in lane_profiles() {
+            let stream = edge_stream(&features, 0x1A9E ^ features.len() as u64, 360);
+            for n in [1, 15, 16, 17, 33] {
+                for search in [SearchKind::Fast, SearchKind::Exhaustive] {
+                    for init in [InitMode::FromTraffic, InitMode::Anchors] {
+                        let label = format!("{name}/n={n}/{search:?}/{init:?}");
+                        let mut c = cfg(n, DistanceKind::Manhattan, search).with_init(init);
+                        c.features = features.clone();
+                        c.update_budget = Some(1 << 20);
+                        let mut oc = OnlineClusterer::new(c);
+                        assert_eq!(matches!(oc.lanes, LaneColumns::Wide(_)), wide, "{label}");
+                        #[cfg(feature = "reference")]
+                        let mut slow = {
+                            let mut slow = oc.clone();
+                            slow.use_reference = true;
+                            slow
+                        };
+                        for (i, v) in stream.iter().enumerate() {
+                            let lanes = oc.scan_soa(v);
+                            assert_eq!(lanes, oc.scan_aos(v), "{label}: aos, vector {i}");
+                            #[cfg(feature = "reference")]
+                            assert_eq!(
+                                lanes,
+                                oc.scan_range_reference(v),
+                                "{label}: reference, vector {i}"
+                            );
+                            let (idx, _, action) = oc.assign_values_inner(v, 100);
+                            merges += usize::from(matches!(action, AssignAction::Merged { .. }));
+                            #[cfg(feature = "reference")]
+                            assert_eq!(
+                                idx,
+                                slow.assign_values(v, 100),
+                                "{label}: lockstep, vector {i}"
+                            );
+                            let _ = idx;
+                            if i % 120 == 119 {
+                                #[cfg(feature = "reference")]
+                                {
+                                    assert_eq!(oc.take_window(), slow.take_window(), "{label}");
+                                    for k in 0..n {
+                                        assert_eq!(oc.cost(k), slow.cost(k), "{label}: slot {k}");
+                                    }
+                                    slow.reset_clusters();
+                                }
+                                oc.reset_clusters();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(merges > 0, "exhaustive runs must exercise merges");
+    }
+
+    #[test]
+    fn lane_distances_are_exact_at_the_space_edges() {
+        // A single cluster collapsed at the origin, probed at the far
+        // corner: the distance is the full Σ (space − 1), which needs
+        // the `i64` lanes for full addresses.
+        for (name, features, _) in lane_profiles() {
+            let mut c = cfg(1, DistanceKind::Manhattan, SearchKind::Fast);
+            c.features = features.clone();
+            let mut oc = OnlineClusterer::new(c);
+            let origin = vec![0; features.len()];
+            oc.assign_values(&origin, 100);
+            let corner: Vec<u32> = features
+                .specs()
+                .iter()
+                .map(|s| (s.feature.space() - 1) as u32)
+                .collect();
+            let want: u64 = features
+                .specs()
+                .iter()
+                .map(|s| match s.kind {
+                    FeatureKind::Ordinal => s.feature.space() - 1,
+                    FeatureKind::Nominal => 1,
+                })
+                .sum();
+            assert_eq!(oc.scan_soa(&corner), Some((0, want as f64)), "{name}");
+            assert_eq!(oc.scan_soa(&corner), oc.scan_aos(&corner), "{name}");
+            assert_eq!(oc.scan_soa(&origin), Some((0, 0.0)), "{name}");
+        }
+        let sim: u64 = FeatureSet::simulation_default()
+            .specs()
+            .iter()
+            .map(|s| s.feature.space() - 1)
+            .sum();
+        assert_eq!(sim, 198_900, "the simulation default's i32 headroom");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_values_are_rejected_in_debug_builds() {
+        let mut oc = OnlineClusterer::new(cfg(2, DistanceKind::Manhattan, SearchKind::Fast));
+        // DstIpByte(3) spans 0..256.
+        oc.assign_values(&[256, 80], 100);
     }
 
     #[test]

@@ -4,29 +4,43 @@
 //! allocations must not scale with the number of packets processed.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! counting global allocator.
+//! counting global allocator. The count is per thread, so tests running
+//! concurrently in this binary never see each other's allocations.
 
-use accturbo_clustering::FeatureSet;
+use accturbo_clustering::{FeatureSet, OnlineClusterer};
 use accturbo_core::{AccTurboConfig, AccTurboSwitch};
 use accturbo_netsim::{ClassId, Packet, SimTime, Switch};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,7 +69,7 @@ fn pkt(i: u64) -> Packet {
 /// is excluded.
 fn allocs_during(sw: &mut AccTurboSwitch<'static>, n: u64) -> u64 {
     let mut drops = Vec::with_capacity(64);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..n {
         sw.ingress(pkt(i), SimTime::from_nanos(i * 1_000), &mut drops);
         let _ = sw.dequeue(SimTime::from_nanos(i * 1_000));
@@ -64,7 +78,7 @@ fn allocs_during(sw: &mut AccTurboSwitch<'static>, n: u64) -> u64 {
             drops.clear();
         }
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
@@ -80,5 +94,33 @@ fn switch_steady_state_does_not_allocate() {
     assert!(
         large <= small + 64,
         "allocations scale with packet count: {small} allocs for 2k pkts, {large} for 8k"
+    );
+}
+
+/// Allocation count of running `build` (the value is dropped outside the
+/// counted span).
+fn allocs_of<T>(build: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocations();
+    let built = build();
+    (allocations() - before, built)
+}
+
+#[test]
+fn construction_allocation_counts_stay_pinned() {
+    // Building a switch is a per-scenario setup cost (the sweep, search
+    // and corpus runners build thousands): it is dominated by small
+    // allocations, so their count is the regression guard.
+    let cfg = AccTurboConfig::simulation(FeatureSet::simulation_default());
+    let clustering = cfg.clustering.clone();
+    let (clusterer, _) = allocs_of(|| OnlineClusterer::new(clustering));
+    let (switch, _) = allocs_of(|| AccTurboSwitch::new(cfg));
+    eprintln!("OnlineClusterer::new: {clusterer} allocations, AccTurboSwitch::new: {switch}");
+    assert!(
+        clusterer <= 23,
+        "OnlineClusterer::new allocates {clusterer} times (pinned at 23)"
+    );
+    assert!(
+        switch <= 29,
+        "AccTurboSwitch::new allocates {switch} times (pinned at 29)"
     );
 }

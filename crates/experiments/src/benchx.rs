@@ -176,8 +176,8 @@ fn engine_switch() -> AccTurboSwitch<'static> {
 /// profile — the configuration ROADMAP item 2's "Internet-day at scale"
 /// workloads run, and the regime the datapath rebuild targets: wide
 /// per-packet feature extraction and a fully occupied cluster scan
-/// dominate the step, so the arena's batched extraction and the bounded
-/// SoA column scan carry the row. The serial `engine_step` row keeps
+/// dominate the step, so the arena's batched extraction and the
+/// lane-blocked column scan carry the row. The serial `engine_step` row keeps
 /// the 4-feature hardware profile for comparability with its committed
 /// history.
 fn sharded_switch() -> AccTurboSwitch<'static> {
@@ -373,9 +373,9 @@ fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
     )
 }
 
-/// Cluster-update throughput: `assign` over the simulation profile (10
-/// clusters), with a window poll + reset every 2048 packets, versus the
-/// reference per-cluster-dispatch full-distance scan.
+/// Cluster-update throughput: `assign` over the fig6 hardware profile
+/// (10 clusters), with a window poll + reset every 2048 packets, versus
+/// the reference per-cluster-dispatch full-distance scan.
 fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let cfg = ClusteringConfig::deployable(10, FeatureSet::hardware_fig6());
@@ -405,15 +405,13 @@ fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
 }
 
 /// Nearest-cluster scan throughput on a realistically grown geometry:
-/// the struct-of-arrays column scan (`scan_soa`, the live Manhattan
-/// kernel) versus the per-cluster array-of-structs scan it replaced
+/// the lane-blocked column scan (`scan_soa`, the live Manhattan kernel)
+/// versus the per-cluster array-of-structs scan it replaced
 /// (`scan_aos`, kept as the differential oracle). The clusterer is
 /// first fed the whole workload so the ten clusters have the stretched,
 /// overlapping shapes a scan meets mid-run, then each path re-scans
 /// every extracted feature vector. Runs the 12-feature simulation
-/// profile — the width the sharded engine rows drive the kernel at,
-/// and the regime where the flat column layout pays (a 4-feature row
-/// leaves nothing for the vectorized pass to chew on).
+/// profile — the width the sharded engine rows drive the kernel at.
 fn bench_cluster_scan_soa(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let features = FeatureSet::simulation_default();
