@@ -74,7 +74,7 @@ impl PushbackConfig {
 
 /// One upstream switch: a FIFO plus any pushback policers installed by
 /// the bottleneck.
-struct Upstream {
+struct EdgeSwitch {
     queue: FifoQueue,
     policers: Vec<(Prefix, TokenBucket)>,
     /// Bytes forwarded per policed prefix in the current refresh window
@@ -82,7 +82,7 @@ struct Upstream {
     contribution: HashMap<Prefix, u64>,
 }
 
-impl Upstream {
+impl EdgeSwitch {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
         let dst = u32::from(pkt.dst);
         if let Some((prefix, policer)) = self
@@ -141,8 +141,8 @@ pub fn run_pushback_traced<T: Tracer + ?Sized>(
     assert!(!sources.is_empty(), "need at least one upstream");
     let n = sources.len();
     let mut stats = StatsCollector::new(cfg.stats_interval);
-    let mut upstreams: Vec<Upstream> = (0..n)
-        .map(|_| Upstream {
+    let mut upstreams: Vec<EdgeSwitch> = (0..n)
+        .map(|_| EdgeSwitch {
             queue: FifoQueue::new(cfg.upstream_buffer),
             policers: Vec::new(),
             contribution: HashMap::new(),
@@ -198,7 +198,7 @@ pub fn run_pushback_traced<T: Tracer + ?Sized>(
                 stats.on_depart(&pkt, now);
             }
         }
-        // 2. Upstream tx completions: the packet crosses into the
+        // 2. Tx completions upstream: the packet crosses into the
         //    bottleneck's data path.
         for slot in upstream_tx.iter_mut() {
             if matches!(slot, Some((done, _)) if *done == now) {
@@ -425,8 +425,8 @@ mod tests {
     fn unshared_upstream_is_unaffected_either_way() {
         let secs = 20;
         let with = run_pushback(sources(secs), &config(true), SimTime::from_secs(secs));
-        // Upstream 1 (class 2) never sees the attack; its delivery is
-        // near-perfect under pushback.
+        // The class-2 upstream switch (index 1) never sees the attack; its
+        // delivery is near-perfect under pushback.
         let arrived = with.stats.total_arrived(ClassId(2)).pkts;
         let delivered = with.stats.total_departed(ClassId(2)).pkts;
         assert!(

@@ -1,8 +1,8 @@
 //! `xp bench-export` — the datapath throughput baseline (DESIGN.md §8).
 //!
 //! Measures packets/second through the three hot kernels of the fast
-//! path — the engine event loop stepping a full ACC-Turbo switch (serial,
-//! sharded, and threaded stream-mode), the online cluster update, and
+//! path — the engine event loop stepping a full ACC-Turbo switch (serial
+//! and threaded stream-mode), the online cluster update, and
 //! the SP-PIFO ranked enqueue — and, where a pre-optimization path is
 //! kept under the `reference` feature, the same workload through that
 //! path, recording the speedup. Results are
@@ -22,8 +22,8 @@ use accturbo_clustering::{ClusteringConfig, FeatureSet, OnlineClusterer, WindowS
 use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
-    run, run_sharded, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource,
-    ShardedEngine, SimDuration, SimTime, VecSource,
+    run, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource, ShardedEngine,
+    SimDuration, SimTime, VecSource, MAX_SHARDS,
 };
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use accturbo_sched::SpPifo;
@@ -44,8 +44,8 @@ pub struct BenchArgs {
     pub smoke: bool,
     /// `--out PATH` (default `BENCH_datapath.json`).
     pub out: String,
-    /// `--shards N[,M…]`: shard counts for the `engine_step_sharded@N`
-    /// and `engine_step_threaded@N` rows (default [`DEFAULT_SHARDS`]).
+    /// `--shards N[,M…]`: shard counts for the `engine_step_threaded@N`
+    /// rows (default [`DEFAULT_SHARDS`]), each in `1..=MAX_SHARDS`.
     pub shards: Vec<usize>,
 }
 
@@ -72,11 +72,12 @@ pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
                     .ok_or("--shards requires a count list, e.g. `--shards 2,4,8`")?;
                 parsed.shards = list
                     .split(',')
-                    .map(|t| {
-                        t.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| format!("`{t}` is not a shard count"))
+                    .map(|t| match t.parse::<usize>() {
+                        Ok(n) if n > MAX_SHARDS => Err(format!(
+                            "shard count {n} exceeds the maximum of {MAX_SHARDS}"
+                        )),
+                        Ok(n) if n >= 1 => Ok(n),
+                        _ => Err(format!("`{t}` is not a shard count")),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
             }
@@ -105,19 +106,18 @@ pub struct BenchRow {
 }
 
 /// The bench registry: every row name this module can produce from live
-/// code. `engine_step_sharded@N` and `engine_step_threaded@N` resolve
-/// for any shard count ≥ 1 (the count parameterizes
-/// [`bench_engine_step_sharded`] and [`bench_engine_step_threaded`]).
+/// code. `engine_step_threaded@N` resolves for any shard count in
+/// `1..=MAX_SHARDS` (the count parameterizes
+/// [`bench_engine_step_threaded`]).
 /// The JSON writer refuses rows outside this set, and the repo's
 /// consistency test resolves every committed `BENCH_datapath.json` row
 /// against it — a row from a deleted (or never-landed) bench cannot
 /// survive in the archive.
 pub fn is_registered(name: &str) -> bool {
-    let counted = name
-        .strip_prefix("engine_step_sharded@")
-        .or_else(|| name.strip_prefix("engine_step_threaded@"));
-    if let Some(n) = counted {
-        return n.parse::<usize>().is_ok_and(|n| n >= 1);
+    if let Some(n) = name.strip_prefix("engine_step_threaded@") {
+        return n
+            .parse::<usize>()
+            .is_ok_and(|n| (1..=MAX_SHARDS).contains(&n));
     }
     matches!(
         name,
@@ -172,15 +172,15 @@ fn engine_switch() -> AccTurboSwitch<'static> {
     .build()
 }
 
-/// The switch for the sharded rows: the full 12-feature simulation
+/// The switch for the threaded rows: the full 12-feature simulation
 /// profile — the configuration ROADMAP item 2's "Internet-day at scale"
 /// workloads run, and the regime the datapath rebuild targets: wide
 /// per-packet feature extraction and a fully occupied cluster scan
-/// dominate the step, so the arena's batched extraction and the
-/// lane-blocked column scan carry the row. The serial `engine_step` row keeps
+/// dominate the step, so the producer thread's batched extraction and
+/// the lane-blocked column scan carry the row. The serial `engine_step` row keeps
 /// the 4-feature hardware profile for comparability with its committed
 /// history.
-fn sharded_switch() -> AccTurboSwitch<'static> {
+fn threaded_switch() -> AccTurboSwitch<'static> {
     AccTurboSpec::simulation().build()
 }
 
@@ -223,10 +223,10 @@ fn bench_engine_step(h: &Harness, n: u64) -> BenchRow {
     row("engine_step".into(), &fast, Some(&reference))
 }
 
-/// Source count for the sharded engine rows: enough independent
-/// generators that the serial engine pays a realistically wide k-way
-/// merge heap (the pulse-wave experiments' shape), while the sharded
-/// datapath reassembles the same stream from per-window sorted batches.
+/// Source count for the threaded engine rows: enough independent
+/// generators that the merge pays a realistically wide k-way heap (the
+/// pulse-wave experiments' shape) — on the calling thread for the serial
+/// side, on the producer thread for the threaded one.
 const SHARD_SOURCES: usize = 512;
 
 /// The engine workload split across [`SHARD_SOURCES`] generators:
@@ -234,7 +234,7 @@ const SHARD_SOURCES: usize = 512;
 /// merged stream is `engine_workload`-shaped but must be reassembled
 /// from 512 interleaved heads. Per-source src addresses keep the flow
 /// space diverse.
-fn sharded_workload(n: u64) -> Vec<Vec<Packet>> {
+fn threaded_workload(n: u64) -> Vec<Vec<Packet>> {
     let per = (n as usize / SHARD_SOURCES).max(1);
     (0..SHARD_SOURCES)
         .map(|j| {
@@ -262,13 +262,6 @@ fn sharded_workload(n: u64) -> Vec<Vec<Packet>> {
         .collect()
 }
 
-fn boxed_sources(per_source: &[Vec<Packet>]) -> Vec<Box<dyn PacketSource>> {
-    per_source
-        .iter()
-        .map(|v| Box::new(VecSource::new(v.clone())) as Box<dyn PacketSource>)
-        .collect()
-}
-
 /// The same per-source packets merged serially, `MergedSource`-style.
 fn merged_source(per_source: &[Vec<Packet>]) -> MergedSource {
     MergedSource::new(
@@ -276,50 +269,6 @@ fn merged_source(per_source: &[Vec<Packet>]) -> MergedSource {
             .iter()
             .map(|v| Box::new(VecSource::new(v.clone())) as Box<dyn PacketSource + Send>)
             .collect(),
-    )
-}
-
-/// Sharded-datapath throughput at `shards` generation shards: the
-/// windowed shard merge + arena-batched feature extraction + batched
-/// link ticks feeding the calendar loop, versus (reference) the
-/// pre-optimization engine — the 512-way `MergedSource` heap driving the
-/// generic per-packet-dispatch kernels. Both sides drive the
-/// [`sharded_switch`] simulation-profile pipeline over the same
-/// workload, with byte-identical output (locked down by the
-/// `tests/sharded_differential.rs` suite); the row measures what the
-/// datapath rebuild is worth end to end.
-fn bench_engine_step_sharded(h: &Harness, n: u64, shards: usize) -> BenchRow {
-    let per_source = sharded_workload(n);
-    let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
-    let cfg = engine_cfg();
-    let fast = h
-        .run_batched(
-            &format!("engine_step_sharded@{shards}/accturbo"),
-            Some(elements),
-            || (boxed_sources(&per_source), sharded_switch()),
-            |(srcs, mut sw)| {
-                let res = run_sharded(srcs, &mut sw, &cfg, shards);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(true);
-    let reference = h
-        .run_batched(
-            &format!("engine_step_sharded@{shards}/accturbo (reference)"),
-            Some(elements),
-            || (merged_source(&per_source), sharded_switch()),
-            |(mut src, mut sw)| {
-                let res = run_reference(&mut src, &mut sw, &cfg);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(false);
-    row(
-        format!("engine_step_sharded@{shards}"),
-        &fast,
-        Some(&reference),
     )
 }
 
@@ -341,14 +290,14 @@ const THREADED_SCALE: u64 = 10;
 /// about 16k packets' worth of arena, so an `n`-packet run would time
 /// mostly that warm-up instead of the steady state a long run sees.
 fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
-    let per_source = sharded_workload(n * THREADED_SCALE);
+    let per_source = threaded_workload(n * THREADED_SCALE);
     let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
     let cfg = engine_cfg();
     let fast = h
         .run_batched(
             &format!("engine_step_threaded@{shards}/accturbo"),
             Some(elements),
-            || (merged_source(&per_source), sharded_switch()),
+            || (merged_source(&per_source), threaded_switch()),
             |(src, mut sw)| {
                 let res = ShardedEngine::new(shards).run_stream(Box::new(src), &mut sw, &cfg);
                 assert_eq!(res.arrivals, elements);
@@ -359,7 +308,7 @@ fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
         .run_batched(
             &format!("engine_step_threaded@{shards}/accturbo (serial)"),
             Some(elements),
-            || (merged_source(&per_source), sharded_switch()),
+            || (merged_source(&per_source), threaded_switch()),
             |(mut src, mut sw)| {
                 let res = run(&mut src, &mut sw, &cfg);
                 assert_eq!(res.arrivals, elements);
@@ -411,7 +360,7 @@ fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
 /// first fed the whole workload so the ten clusters have the stretched,
 /// overlapping shapes a scan meets mid-run, then each path re-scans
 /// every extracted feature vector. Runs the 12-feature simulation
-/// profile — the width the sharded engine rows drive the kernel at.
+/// profile — the width the threaded engine rows drive the kernel at.
 fn bench_cluster_scan_soa(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let features = FeatureSet::simulation_default();
@@ -581,14 +530,11 @@ pub fn to_json(smoke: bool, cores: usize, rows: &[BenchRow]) -> Result<String, S
 }
 
 /// Runs the datapath benches on `h` with `n` packets each — the serial
-/// engine step, one sharded and one threaded engine step per count in
-/// `shards`, the cluster kernels, and the SP-PIFO enqueue — returning
+/// engine step, one threaded engine step per count in `shards`, the
+/// cluster kernels, and the SP-PIFO enqueue — returning
 /// the export rows (shared with the `fastpath` bench binary).
 pub fn run_rows(h: &Harness, n: u64, shards: &[usize]) -> Vec<BenchRow> {
     let mut rows = vec![bench_engine_step(h, n)];
-    for &s in shards {
-        rows.push(bench_engine_step_sharded(h, n, s));
-    }
     for &s in shards {
         rows.push(bench_engine_step_threaded(h, n, s));
     }
@@ -661,6 +607,15 @@ mod tests {
         assert!(parse_args(&args(&["--shards", "2,x"]))
             .unwrap_err()
             .contains("shard count"));
+        let max = MAX_SHARDS.to_string();
+        assert_eq!(
+            parse_args(&args(&["--shards", &max])).unwrap().shards,
+            [MAX_SHARDS]
+        );
+        for huge in [(MAX_SHARDS + 1).to_string(), "100000000".to_string()] {
+            let err = parse_args(&args(&["--shards", &huge])).unwrap_err();
+            assert!(err.contains("exceeds the maximum"), "{err}");
+        }
     }
 
     #[test]
@@ -687,11 +642,9 @@ mod tests {
     fn registry_resolves_every_producible_row_and_nothing_else() {
         for name in [
             "engine_step",
-            "engine_step_sharded@1",
-            "engine_step_sharded@8",
-            "engine_step_sharded@64",
             "engine_step_threaded@1",
             "engine_step_threaded@2",
+            "engine_step_threaded@256",
             "cluster_scan_soa",
             "cluster_update",
             "sppifo_enqueue",
@@ -699,10 +652,11 @@ mod tests {
             assert!(is_registered(name), "{name} must resolve");
         }
         for name in [
-            "engine_step_sharded@0",
-            "engine_step_sharded@",
-            "engine_step_sharded@two",
+            "engine_step_sharded@2",
+            "engine_step_sharded@8",
             "engine_step_threaded@0",
+            "engine_step_threaded@257",
+            "engine_step_threaded@two",
             "engine_step_threaded",
             "cluster_scan",
             "made_up_bench",

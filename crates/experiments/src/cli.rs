@@ -13,7 +13,7 @@
 use crate::result::aggregate_csv;
 use crate::spec::{DefenseSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
 use crate::{figure_spec, FigureSpec, Scale, FIGURES};
-use accturbo_netsim::SimDuration;
+use accturbo_netsim::{SimDuration, MAX_SHARDS};
 use accturbo_obs::{
     shared_recorder, DatasetSink, FlightRecorder, FlowSampler, JsonlSink, Telemetry,
 };
@@ -559,6 +559,11 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
                             .map_err(|_| format!("xp run: `{val}` is not a shard count"))?;
                         if n == 0 {
                             return Err("xp run: shards must be at least 1".to_string());
+                        }
+                        if n > MAX_SHARDS {
+                            return Err(format!(
+                                "xp run: shards={n} exceeds the maximum of {MAX_SHARDS}"
+                            ));
                         }
                         shards = Some(n);
                     }
@@ -1457,6 +1462,17 @@ mod tests {
 
         let err = parse_run(&args(&["workload=fig2", "shards=0"])).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
+
+        let max = format!("shards={MAX_SHARDS}");
+        let cmd = parse_run(&args(&["workload=fig2", &max])).unwrap();
+        assert_eq!(cmd.spec.shards, MAX_SHARDS);
+        for huge in [
+            format!("shards={}", MAX_SHARDS + 1),
+            "shards=100000000".into(),
+        ] {
+            let err = parse_run(&args(&["workload=fig2", &huge])).unwrap_err();
+            assert!(err.contains("exceeds the maximum"), "{err}");
+        }
 
         let err = parse_run(&args(&["workload=fig2", "shards=2", "topology=line:2"])).unwrap_err();
         assert!(err.contains("drop shards= or topology="), "{err}");

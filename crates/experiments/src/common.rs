@@ -79,15 +79,14 @@ pub fn simulate(
     run(source, switch, &cfg)
 }
 
-/// [`simulate`] on the sharded datapath: the stream is partitioned by
-/// flow hash across `shards` windowed generations (feature extraction
-/// batched per shard into the packet arena) and consumed by the same
-/// serial event loop — byte-identical to [`simulate`] for every shard
-/// count, including `1` (see `accturbo_netsim::shard`). The sharded
-/// path carries no fault plane, so the fault-noop lockdown toggle does
-/// not apply here.
+/// [`simulate`] on the sharded datapath: a producer thread partitions
+/// the stream by flow hash across `shards` shards (feature extraction
+/// batched per shard into the packet arena) and the engine's one event
+/// loop consumes it — byte-identical to [`simulate`] for every shard
+/// count (see `accturbo_netsim::shard`). The sharded path carries no
+/// fault plane, so the fault-noop lockdown toggle does not apply here.
 pub fn simulate_sharded(
-    mut source: Box<dyn PacketSource + Send>,
+    source: Box<dyn PacketSource + Send>,
     switch: &mut dyn Switch,
     link_bps: u64,
     secs: u64,
@@ -95,9 +94,6 @@ pub fn simulate_sharded(
     shards: usize,
 ) -> RunResult {
     let cfg = engine_config(link_bps, secs, control_period);
-    if shards <= 1 {
-        return run(&mut *source, switch, &cfg);
-    }
     ShardedEngine::new(shards).run_stream(source, switch, &cfg)
 }
 

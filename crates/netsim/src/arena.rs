@@ -1,113 +1,51 @@
-//! Struct-of-arrays packet storage for the batched datapath.
+//! Struct-of-arrays packet storage for the sharded datapath.
 //!
-//! The event loop's per-packet hot data — arrival time, wire size, and
-//! the classification feature vector — lives in parallel columns so the
-//! sharded engine and the clustering kernels can scan it linearly instead
-//! of chasing per-packet structs. The full [`Packet`] is kept as a payload
-//! column for the moment a packet actually enters the switch; everything
-//! before that point reads only the hot columns.
+//! A shard's slice of a sealed batch lives in two parallel columns: the
+//! full [`Packet`] payload, and the switch's classification features as
+//! one flat interleaved column (`feature_width` values per row),
+//! precomputed on the producer thread so the event loop can hand the
+//! switch a ready row through
+//! [`Switch::ingress_featured`](crate::switch::Switch::ingress_featured).
 //!
-//! An arena is filled once per shard per time window and recycled:
-//! [`clear`](PacketArena::clear) keeps every column's capacity, so after
-//! the first few windows warm the buffers up, steady state allocates
-//! nothing (locked down by the zero-allocation test suite). Each clear
-//! bumps a generation counter; a [`PacketHandle`] carries the generation
-//! it was issued under, so a handle held across a window boundary is
-//! detected instead of silently reading a recycled row.
+//! Arenas are recycled: [`clear`](PacketArena::clear) keeps every
+//! column's capacity, so once the batch-buffer pool has warmed up,
+//! steady state allocates nothing (locked down by the zero-allocation
+//! test suite).
 
 use crate::packet::Packet;
 use crate::switch::FeatureExtractor;
-use crate::time::SimTime;
 
-/// A generation-checked reference to one packet row in a [`PacketArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PacketHandle {
-    index: u32,
-    generation: u32,
-}
-
-impl PacketHandle {
-    /// The row index this handle points at (valid only for the generation
-    /// it was issued under).
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-
-    /// The arena generation this handle was issued under.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
-
-/// Struct-of-arrays storage for one window's worth of packets.
+/// Struct-of-arrays storage for one shard's slice of a batch.
 #[derive(Debug)]
-pub struct PacketArena {
+pub(crate) struct PacketArena {
     feature_width: usize,
-    arrivals: Vec<SimTime>,
-    sizes: Vec<u32>,
-    seqs: Vec<u64>,
     features: Vec<u32>,
     payload: Vec<Packet>,
     scratch: Vec<u32>,
-    generation: u32,
 }
 
 impl PacketArena {
     /// An empty arena whose feature column holds `feature_width` values
     /// per packet (zero for switches without a feature extractor).
-    pub fn new(feature_width: usize) -> Self {
+    pub(crate) fn new(feature_width: usize) -> Self {
         PacketArena {
             feature_width,
-            arrivals: Vec::new(),
-            sizes: Vec::new(),
-            seqs: Vec::new(),
             features: Vec::new(),
             payload: Vec::new(),
             scratch: Vec::new(),
-            generation: 0,
         }
     }
 
-    /// Values per packet in the feature column.
-    pub fn feature_width(&self) -> usize {
-        self.feature_width
-    }
-
-    /// Number of packets currently stored.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
-    /// The current generation (bumped by every [`clear`](Self::clear)).
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    /// Empties every column, keeping capacity, and invalidates all
-    /// previously issued handles.
-    pub fn clear(&mut self) {
-        self.arrivals.clear();
-        self.sizes.clear();
-        self.seqs.clear();
+    /// Empties every column, keeping capacity.
+    pub(crate) fn clear(&mut self) {
         self.features.clear();
         self.payload.clear();
-        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Appends a packet, extracting its feature row with `extractor` when
     /// one is given (otherwise the feature column stays empty for this
     /// arena, which must then have `feature_width == 0`).
-    pub fn push(&mut self, pkt: Packet, extractor: Option<&FeatureExtractor>) -> PacketHandle {
-        debug_assert!(self.payload.len() < u32::MAX as usize, "arena overflow");
-        let index = self.payload.len() as u32;
-        self.arrivals.push(pkt.arrival);
-        self.sizes.push(pkt.size);
-        self.seqs.push(pkt.seq);
+    pub(crate) fn push(&mut self, pkt: Packet, extractor: Option<&FeatureExtractor>) {
         if let Some(ex) = extractor {
             debug_assert_eq!(ex.width(), self.feature_width, "extractor width mismatch");
             ex.extract_into(&pkt, &mut self.scratch);
@@ -116,74 +54,25 @@ impl PacketArena {
             debug_assert_eq!(self.feature_width, 0, "arena expects feature rows");
         }
         self.payload.push(pkt);
-        PacketHandle {
-            index,
-            generation: self.generation,
-        }
     }
 
-    /// A handle to row `index` under the current generation.
-    pub fn handle(&self, index: usize) -> PacketHandle {
-        debug_assert!(index < self.len(), "handle out of bounds");
-        PacketHandle {
-            index: index as u32,
-            generation: self.generation,
-        }
-    }
-
-    /// Resolves a handle to its row index, or `None` when the handle is
-    /// from an earlier generation (its row has been recycled).
-    pub fn resolve(&self, h: PacketHandle) -> Option<usize> {
-        (h.generation == self.generation && h.index() < self.len()).then(|| h.index())
-    }
-
-    /// The packet a live handle points at.
-    pub fn get(&self, h: PacketHandle) -> Option<&Packet> {
-        self.resolve(h).map(|i| &self.payload[i])
-    }
-
-    /// The feature row of a live handle (empty when the arena carries no
+    /// The feature row at `index` (empty when the arena carries no
     /// feature column).
-    pub fn features_of(&self, h: PacketHandle) -> Option<&[u32]> {
-        self.resolve(h).map(|i| self.features_row(i))
-    }
-
-    /// The feature row at `index` (unchecked generation; empty when the
-    /// arena carries no feature column).
-    pub fn features_row(&self, index: usize) -> &[u32] {
+    pub(crate) fn features_row(&self, index: usize) -> &[u32] {
         let w = self.feature_width;
         &self.features[index * w..(index + 1) * w]
     }
 
     /// The full packet payload at `index`.
-    pub fn packet(&self, index: usize) -> &Packet {
+    pub(crate) fn packet(&self, index: usize) -> &Packet {
         &self.payload[index]
-    }
-
-    /// The arrival-time column.
-    pub fn arrivals(&self) -> &[SimTime] {
-        &self.arrivals
-    }
-
-    /// The wire-size column.
-    pub fn sizes(&self) -> &[u32] {
-        &self.sizes
-    }
-
-    /// The sequence-number (packet id) column.
-    pub fn seqs(&self) -> &[u64] {
-        &self.seqs
-    }
-
-    /// The interleaved feature column (`feature_width` values per row).
-    pub fn features(&self) -> &[u32] {
-        &self.features
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
     use std::sync::Arc;
 
     fn extractor() -> FeatureExtractor {
@@ -205,38 +94,33 @@ mod tests {
             let pkt = Packet::new(SimTime::from_micros(u64::from(i))).with_size(100 + i);
             arena.push(pkt, Some(&ex));
         }
-        assert_eq!(arena.len(), 5);
-        assert_eq!(arena.sizes()[3], 103);
-        assert_eq!(arena.arrivals()[3], SimTime::from_micros(3));
         assert_eq!(arena.features_row(3), &[103, 206]);
         assert_eq!(arena.packet(3).size, 103);
+        assert_eq!(arena.packet(3).arrival, SimTime::from_micros(3));
     }
 
     #[test]
-    fn clear_invalidates_handles_and_keeps_capacity() {
+    fn clear_keeps_capacity() {
         let ex = extractor();
         let mut arena = PacketArena::new(2);
-        let h = arena.push(Packet::new(SimTime::ZERO).with_size(1), Some(&ex));
-        assert!(arena.get(h).is_some());
-        assert_eq!(arena.features_of(h).unwrap(), &[1, 2]);
-        let cap = (arena.arrivals.capacity(), arena.features.capacity());
+        arena.push(Packet::new(SimTime::ZERO).with_size(1), Some(&ex));
+        let cap = (arena.payload.capacity(), arena.features.capacity());
         arena.clear();
-        assert!(arena.get(h).is_none(), "stale generation must not resolve");
-        assert!(arena.is_empty());
+        assert!(arena.payload.is_empty() && arena.features.is_empty());
         assert_eq!(
-            (arena.arrivals.capacity(), arena.features.capacity()),
+            (arena.payload.capacity(), arena.features.capacity()),
             cap,
             "clear must keep capacity"
         );
-        let h2 = arena.push(Packet::new(SimTime::ZERO).with_size(9), Some(&ex));
-        assert_ne!(h, h2, "same row, new generation");
-        assert_eq!(arena.get(h2).unwrap().size, 9);
+        arena.push(Packet::new(SimTime::ZERO).with_size(9), Some(&ex));
+        assert_eq!(arena.packet(0).size, 9);
+        assert_eq!(arena.features_row(0), &[9, 18]);
     }
 
     #[test]
     fn featureless_arena_has_empty_rows() {
         let mut arena = PacketArena::new(0);
-        let h = arena.push(Packet::new(SimTime::ZERO), None);
-        assert_eq!(arena.features_of(h).unwrap(), &[] as &[u32]);
+        arena.push(Packet::new(SimTime::ZERO), None);
+        assert_eq!(arena.features_row(0), &[] as &[u32]);
     }
 }

@@ -16,6 +16,11 @@
 //! The engine is synchronous and single-threaded: the workload is CPU-bound
 //! and determinism is a hard requirement for figure regeneration, so (per
 //! the networking guides) an async runtime would buy nothing here.
+//!
+//! One loop serves every single-switch run: the `run*` entry points drive
+//! it from a [`PacketSource`], and the sharded engine
+//! ([`crate::shard::ShardedEngine`]) drives it from the sealed batches of
+//! its producer thread.
 
 use crate::fault::{ControlAction, FaultInjector};
 use crate::latency::DelayHistogram;
@@ -301,6 +306,62 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     tracer: &mut T,
     metrics: Option<&MetricsHandle>,
     faults: Option<&FaultInjector>,
+    telemetry: Option<&mut Telemetry>,
+) -> RunResult {
+    drive(source, switch, cfg, tracer, metrics, faults, telemetry)
+}
+
+/// Where the event loop's arrivals come from: the loop pulls the next
+/// packet, then hands it to the switch when its arrival event fires.
+///
+/// A plain [`PacketSource`] ingresses through [`Switch::ingress`]; the
+/// sharded feed (`shard.rs`) delivers its precomputed feature row through
+/// [`Switch::ingress_featured`]. The loop always ingresses the pending
+/// packet before it pulls again, so a feed may keep the coordinates of
+/// its last-pulled packet until then.
+pub(crate) trait ArrivalFeed {
+    /// The next packet in arrival order, or `None` once the feed is
+    /// exhausted.
+    fn pull(&mut self) -> Option<Packet>;
+
+    /// Hands `pkt` — the packet the last [`pull`](Self::pull) returned —
+    /// to `switch`.
+    fn ingress(
+        &mut self,
+        switch: &mut dyn Switch,
+        pkt: Packet,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    );
+}
+
+impl ArrivalFeed for dyn PacketSource + '_ {
+    #[inline]
+    fn pull(&mut self) -> Option<Packet> {
+        self.next_packet()
+    }
+
+    #[inline]
+    fn ingress(
+        &mut self,
+        switch: &mut dyn Switch,
+        pkt: Packet,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    ) {
+        switch.ingress(pkt, now, drops);
+    }
+}
+
+/// The event loop: every single-switch run, serial or sharded, goes
+/// through here.
+pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
+    feed: &mut F,
+    switch: &mut dyn Switch,
+    cfg: &EngineConfig,
+    tracer: &mut T,
+    metrics: Option<&MetricsHandle>,
+    faults: Option<&FaultInjector>,
     mut telemetry: Option<&mut Telemetry>,
 ) -> RunResult {
     let mut stats = StatsCollector::new(cfg.stats_interval);
@@ -329,7 +390,7 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     // events warm the buffers up, the loop itself allocates nothing
     // (locked down by the `engine_steady_state_does_not_allocate` test).
     let mut calendar = EventCalendar::new();
-    let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
+    let mut pending: Option<Packet> = next_arrival(feed, cfg.end_time);
     if let Some(p) = &pending {
         calendar.schedule(EventSlot::Arrival, p.arrival);
     }
@@ -450,7 +511,7 @@ pub fn run_streamed<T: Tracer + ?Sized>(
                     t.on_arrival(now.as_nanos(), flow_key(&pkt), pkt.class.0, pkt.size);
                 }
                 drops_buf.clear();
-                switch.ingress(pkt, now, &mut drops_buf);
+                feed.ingress(switch, pkt, now, &mut drops_buf);
                 for d in &drops_buf {
                     stats.on_drop(d, now);
                     if let Some(t) = telemetry.as_mut() {
@@ -477,7 +538,7 @@ pub fn run_streamed<T: Tracer + ?Sized>(
                     }
                     r.observe(ids.4, switch.backlog_pkts() as f64);
                 }
-                pending = next_arrival(source, cfg.end_time);
+                pending = next_arrival(feed, cfg.end_time);
                 if let Some(p) = &pending {
                     calendar.schedule(EventSlot::Arrival, p.arrival);
                 }
@@ -524,8 +585,11 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     }
 }
 
-fn next_arrival(source: &mut dyn PacketSource, end: Option<SimTime>) -> Option<Packet> {
-    let pkt = source.next_packet()?;
+/// The truncating pull: the first packet at or past the end time is
+/// consumed and discarded, and (because the loop then schedules no
+/// arrival) the feed is never pulled again.
+fn next_arrival<F: ArrivalFeed + ?Sized>(feed: &mut F, end: Option<SimTime>) -> Option<Packet> {
+    let pkt = feed.pull()?;
     match end {
         Some(end) if pkt.arrival >= end => None,
         _ => Some(pkt),
@@ -690,6 +754,66 @@ mod tests {
         assert_eq!(drp, res.drops);
         assert!(r.snapshot_count() > 1, "per-interval + final snapshots");
         assert!(!r.to_jsonl().is_empty());
+    }
+
+    #[test]
+    fn stats_ticks_precede_every_later_event_under_overload() {
+        use accturbo_obs::{shared, OwnedEvent, Registry, RingTracer};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        // 80 Mbps offered on a 10 Mbps link: the link stays busy across
+        // every 1 ms stats bucket, so arrivals (and their drops) land on
+        // both sides of each bucket boundary while a transmission is in
+        // flight.
+        let cfg = EngineConfig::new(Bandwidth::from_mbps(10))
+            .with_stats_interval(SimDuration::from_millis(1))
+            .with_control_period(SimDuration::from_micros(700));
+        let mut src = VecSource::new(cbr_packets(2_000, 100, 1000));
+        let mut sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
+        let mut tracer = shared(RingTracer::new(100_000));
+        let metrics = Rc::new(RefCell::new(Registry::new()));
+        let res = run_instrumented(&mut src, &mut sw, &cfg, &mut tracer, Some(&metrics));
+
+        let mut plain_src = VecSource::new(cbr_packets(2_000, 100, 1000));
+        let mut plain_sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
+        let plain = run(&mut plain_src, &mut plain_sw, &cfg);
+        assert_eq!(format!("{res:?}"), format!("{plain:?}"));
+
+        let events: Vec<(u64, OwnedEvent)> = tracer.borrow().iter().cloned().collect();
+        let interval = cfg.stats_interval.as_nanos();
+        let ticks = events
+            .iter()
+            .filter(|(_, e)| matches!(e, OwnedEvent::StatsTick { .. }))
+            .count();
+        assert!(ticks >= 100, "the run must cross many buckets: {ticks}");
+        assert!(
+            events.iter().any(|(_, e)| e.kind() == "drop"),
+            "overload must drop"
+        );
+        // Scanning backwards, `boundary` is the earliest bucket start of
+        // any stats tick recorded later; no event before that tick may
+        // be at or past it.
+        let mut boundary = u64::MAX;
+        for (t, e) in events.iter().rev() {
+            match e {
+                OwnedEvent::StatsTick { bucket } => {
+                    assert_eq!(*t, bucket * interval);
+                    assert!(*t < boundary, "stats ticks out of order");
+                    boundary = *t;
+                }
+                _ => assert!(
+                    *t < boundary,
+                    "{} at {t} ns recorded before the stats tick at {boundary} ns",
+                    e.kind()
+                ),
+            }
+        }
+        assert_eq!(
+            metrics.borrow().snapshot_count(),
+            ticks as u64 + 1,
+            "one snapshot per bucket boundary plus the final one"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod engine;
 pub mod fault;
 pub mod latency;
@@ -43,7 +43,6 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use arena::{PacketArena, PacketHandle};
 pub use engine::{run, run_instrumented, run_streamed, run_with_faults, EngineConfig, RunResult};
 pub use fault::{
     ControlAction, FaultConfig, FaultInjector, FaultRecord, FaultSchedule, FaultStats,
@@ -53,7 +52,7 @@ pub use latency::DelayHistogram;
 pub use packet::{ClassId, DropReason, Dropped, FiveTuple, Packet};
 pub use queue::{FifoQueue, PifoQueue, PriorityBank, QueueDiscipline, RedConfig, RedQueue};
 pub use rate::{EwmaRate, TokenBucket};
-pub use shard::{flow_shard, fnv1a64, run_sharded, source_shard, ShardedEngine, ShardedSource};
+pub use shard::{flow_shard, fnv1a64, ShardedEngine, MAX_SHARDS};
 pub use source::{IterSource, MergedSource, PacketSource, VecSource};
 pub use stats::{Counts, StatsCollector};
 pub use switch::{FeatureExtractor, ProgramSwapSwitch, SingleQueueSwitch, Switch};

@@ -3,62 +3,57 @@
 //! Scaling the packet rate cannot come from running the event loop on
 //! more cores — the loop's outputs are a serial total order that every
 //! golden and corpus differential depends on. What *can* leave the serial
-//! loop is everything upstream of it: workload generation, the k-way
-//! time-ordered merge, and per-packet feature extraction. This module
-//! moves exactly that work into shards:
+//! loop is everything upstream of it: workload generation and per-packet
+//! feature extraction. [`ShardedEngine::run_stream`] moves exactly that
+//! work onto a producer thread:
 //!
-//! * Sources (or flows, for a pre-merged stream) are partitioned across
-//!   `N` shards by FNV-1a hash.
-//! * Each shard fills its slice of a **sealed batch** into a
-//!   struct-of-arrays [`PacketArena`], precomputing the switch's
-//!   classification features into the arena's feature column.
-//! * The shard batches are merged with a unique, deterministic merge key
-//!   — byte-identical to the serial path for every shard count,
-//!   including `N = 1`.
+//! * A scoped producer thread pulls the pre-merged source, partitions
+//!   each packet across `N` shards by [`flow_shard`] (FNV-1a of the flow
+//!   five-tuple), and appends it to its shard's `PacketArena`,
+//!   precomputing the switch's classification features into the arena's
+//!   feature column.
+//! * A batch is **sealed** after `BATCH_PKTS` (4096) packets and crosses to
+//!   the consumer whole over a bounded channel; drained batches return
+//!   through a second channel, so steady state allocates nothing. Each
+//!   batch records the shard every pulled packet went to (its `route`
+//!   column), and the consumer replays that column with one cursor per
+//!   shard — which restores the source's own order exactly, so the output
+//!   is byte-identical to the serial engine for every shard count and
+//!   wherever a batch ends.
+//! * The calling thread runs the engine's one event loop
+//!   ([`engine::run`]'s), delivering each arrival through
+//!   [`Switch::ingress_featured`] with its precomputed feature row. The
+//!   switch never crosses threads.
 //!
-//! The two entry points differ in how a batch is bounded and where it is
-//! filled:
-//!
-//! * **Source mode** ([`run_sharded`], [`ShardedSource`]) merges many
-//!   sources. Its key is `(arrival, source-index)`, so a shard can only
-//!   order its slice once it holds every packet up to a time boundary:
-//!   batches are **time windows** of one control period, filled inline on
-//!   the calling thread.
-//! * **Stream mode** ([`ShardedEngine::run_stream`]) partitions one
-//!   pre-merged stream. Its key is the global pull ordinal, so where a
-//!   batch ends cannot change the output: batches are **bounded by packet
-//!   count**, which also caps resident memory however bursty the traffic.
-//!   A scoped producer thread pulls the source, partitions, fills the
-//!   arenas and seals batches over a bounded channel; the calling thread
-//!   runs the serial consumer, so the switch never crosses threads.
-//!   Drained batches return to the producer through a second channel, so
-//!   steady state allocates nothing. The source must therefore be `Send`
-//!   — which the fault plane's `Rc`-shared [`FaultedSource`] is not; the
-//!   scenario layer never shards a faulted run.
-//!
-//! The serial consumer is the same three-slot calendar loop as
-//! [`engine::run`], but arrivals come from the sealed batches and enter
-//! the switch through [`Switch::ingress_featured`] with their
-//! precomputed feature row. Batches are sealed before consumption and
-//! cross threads whole, which is why this design pays off where the
-//! per-packet channel of the first sharding prototype (see DESIGN.md §14)
-//! lost to serial.
+//! The source moves to the producer and must therefore be `Send` — which
+//! the fault plane's `Rc`-shared [`FaultedSource`] is not; the scenario
+//! layer never shards a faulted run. Batches are sealed before
+//! consumption and cross threads whole, which is why this design pays off
+//! where the per-packet channel of the first sharding prototype (see
+//! DESIGN.md §14) lost to serial.
 //!
 //! [`FaultedSource`]: crate::fault::FaultedSource
 //! [`engine::run`]: crate::engine::run
 
 use crate::arena::PacketArena;
-use crate::engine::{EngineConfig, EventCalendar, EventSlot, RunResult};
-use crate::latency::DelayHistogram;
+use crate::engine::{drive, ArrivalFeed, EngineConfig, RunResult};
 use crate::packet::{Dropped, Packet};
 use crate::source::PacketSource;
-use crate::stats::StatsCollector;
 use crate::switch::{FeatureExtractor, Switch};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
+use accturbo_obs::NoopTracer;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The largest shard count [`ShardedEngine::new`] accepts. Every batch in
+/// the buffer pool holds one arena per shard, and a batch carries at most
+/// `BATCH_PKTS` packets, so more shards only add empty arenas; the
+/// bound also keeps a shard index within one byte of the route column.
+pub const MAX_SHARDS: usize = 256;
+
+const _: () = assert!(MAX_SHARDS <= u8::MAX as usize + 1);
 
 /// FNV-1a over a byte slice — the shard-partitioning hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -68,11 +63,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// The shard a source index maps to.
-pub fn source_shard(idx: usize, shards: usize) -> usize {
-    (fnv1a64(&(idx as u64).to_le_bytes()) % shards as u64) as usize
 }
 
 /// The shard a packet's flow five-tuple maps to.
@@ -87,116 +77,9 @@ pub fn flow_shard(p: &Packet, shards: usize) -> usize {
     (fnv1a64(&bytes) % shards as u64) as usize
 }
 
-/// One upstream source owned by a shard, with its buffered head packet.
-struct Feed {
-    /// Global source index — the merge tie-break, identical to the index
-    /// [`MergedSource`](crate::source::MergedSource) would use.
-    idx: u32,
-    src: Box<dyn PacketSource>,
-    head: Option<Packet>,
-}
-
-/// One shard's slice of a sealed batch: arena rows in pull order, a
-/// sorted emission permutation over them, and a cursor. It holds no
-/// sources, so a whole batch is `Send` and can be sealed on the stream
-/// producer thread.
-struct ShardBuf {
-    arena: PacketArena,
-    /// Merge key per emission position, ascending:
-    /// `(arrival_ns << 32) | src_idx` for source mode, the global pull
-    /// ordinal for stream mode.
-    keys: Vec<u128>,
-    /// Arena row per emission position — packets land in the arena in
-    /// pull order and are never moved; this permutation is the sorted
-    /// window order.
-    rows: Vec<u32>,
-    cursor: usize,
-}
-
-impl ShardBuf {
-    fn new(feature_width: usize) -> Self {
-        ShardBuf {
-            arena: PacketArena::new(feature_width),
-            keys: Vec::new(),
-            rows: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.arena.clear();
-        self.keys.clear();
-        self.rows.clear();
-        self.cursor = 0;
-    }
-
-    fn head_key(&self) -> Option<u128> {
-        self.keys.get(self.cursor).copied()
-    }
-}
-
-/// One sealed batch: a [`ShardBuf`] per shard.
-type Batch = Vec<ShardBuf>;
-
-/// Source mode's per-shard generator: the member sources and the window
-/// sort scratch.
-struct ShardSources {
-    members: Vec<Feed>,
-    /// Window sort scratch: `(arrival_ns, src_idx, arena_row)` — the row
-    /// is globally increasing in pull order, so the unstable sort is a
-    /// total, deterministic order.
-    order: Vec<(u64, u32, u32)>,
-}
-
-impl ShardSources {
-    /// Materializes this shard's slice of the window `[.., end_ns)` into
-    /// `buf`: pulls every member source up to the boundary, orders the
-    /// slice by `(arrival, source-index)` — stable within a source via
-    /// the pull position — and fills the arena columns (features
-    /// included).
-    fn fill(&mut self, buf: &mut ShardBuf, end_ns: u64, extractor: Option<&FeatureExtractor>) {
-        buf.reset();
-        self.order.clear();
-        for feed in &mut self.members {
-            loop {
-                let within = feed
-                    .head
-                    .as_ref()
-                    .is_some_and(|p| p.arrival.as_nanos() < end_ns);
-                if !within {
-                    break;
-                }
-                let pkt = feed.head.take().expect("checked above");
-                let next = feed.src.next_packet();
-                if let Some(n) = &next {
-                    debug_assert!(
-                        n.arrival >= pkt.arrival,
-                        "source {} emitted a packet out of order ({} < {})",
-                        feed.idx,
-                        n.arrival,
-                        pkt.arrival,
-                    );
-                }
-                feed.head = next;
-                let row = buf.arena.len() as u32;
-                self.order.push((pkt.arrival.as_nanos(), feed.idx, row));
-                buf.arena.push(pkt, extractor);
-            }
-        }
-        // The arena-row tie-break makes the key total, so the unstable
-        // sort is deterministic and equals a stable `(arrival, idx)`
-        // sort in per-source pull order.
-        self.order.sort_unstable();
-        for &(t_ns, idx, row) in &self.order {
-            buf.keys.push((u128::from(t_ns) << 32) | u128::from(idx));
-            buf.rows.push(row);
-        }
-    }
-}
-
-/// Packets per sealed stream batch. Stream-mode merge keys are global
-/// pull ordinals, so where a batch ends cannot change the output; the
-/// bound only sets the hand-off granularity and caps resident memory.
+/// Packets per sealed batch. The consumer replays each batch's route
+/// column in pull order, so where a batch ends cannot change the output;
+/// the bound only sets the hand-off granularity and caps resident memory.
 const BATCH_PKTS: usize = 4096;
 
 /// Sealed batches the producer may queue ahead of the consumer.
@@ -206,178 +89,33 @@ const QUEUED_BATCHES: usize = 2;
 /// one being consumed.
 const POOL_BATCHES: usize = QUEUED_BATCHES + 2;
 
-/// Where a [`ShardedFeed`] gets its next batch once the current one is
-/// drained.
-enum Upstream {
-    /// Source mode: one control-period time window at a time,
-    /// materialized inline from the member sources. Sequence numbers are
-    /// assigned in merge order, exactly like `MergedSource`.
-    Windows {
-        sources: Vec<ShardSources>,
-        window_ns: u64,
-        extractor: Option<FeatureExtractor>,
-        next_seq: u64,
-    },
-    /// Stream mode: count-bounded batches sealed by the producer thread
-    /// ([`StreamProducer`]); drained batches go back for reuse. The inner
-    /// stream's sequence numbers are preserved.
-    Batches {
-        sealed: Receiver<Batch>,
-        spent: SyncSender<Batch>,
-    },
+/// One sealed batch: an arena per shard, each holding its packets in pull
+/// order, plus the shard each pulled packet went to.
+#[derive(Default)]
+struct Batch {
+    arenas: Vec<PacketArena>,
+    /// Shard index of every packet in the batch, in pull order.
+    route: Vec<u8>,
 }
 
-/// A packet emitted by a [`ShardedFeed`], with the arena coordinates of
-/// its precomputed feature row.
-struct FedPacket {
-    pkt: Packet,
-    shard: u32,
-    row: u32,
-}
-
-/// The sealed shard batches + deterministic merge.
-struct ShardedFeed {
-    shards: Batch,
-    upstream: Upstream,
-}
-
-impl ShardedFeed {
-    /// Partitions `sources` across `shards` by FNV-1a of the global
-    /// source index.
-    fn from_sources(
-        sources: Vec<Box<dyn PacketSource>>,
-        shards: usize,
-        window: SimDuration,
-        extractor: Option<FeatureExtractor>,
-    ) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let width = extractor.as_ref().map_or(0, |e| e.width());
-        let mut by_shard: Vec<ShardSources> = (0..shards)
-            .map(|_| ShardSources {
-                members: Vec::new(),
-                order: Vec::new(),
-            })
-            .collect();
-        for (idx, mut src) in sources.into_iter().enumerate() {
-            let head = src.next_packet();
-            by_shard[source_shard(idx, shards)].members.push(Feed {
-                idx: idx as u32,
-                src,
-                head,
-            });
-        }
-        ShardedFeed {
-            shards: (0..shards).map(|_| ShardBuf::new(width)).collect(),
-            upstream: Upstream::Windows {
-                sources: by_shard,
-                window_ns: window.as_nanos().max(1),
-                extractor,
-                next_seq: 0,
-            },
+impl Batch {
+    fn new(shards: usize, feature_width: usize) -> Self {
+        Batch {
+            arenas: (0..shards)
+                .map(|_| PacketArena::new(feature_width))
+                .collect(),
+            route: Vec::with_capacity(BATCH_PKTS),
         }
     }
 
-    /// Consumes the batches a [`StreamProducer`] seals into `sealed`,
-    /// returning each drained batch through `spent`.
-    fn from_batches(sealed: Receiver<Batch>, spent: SyncSender<Batch>) -> Self {
-        ShardedFeed {
-            shards: Vec::new(),
-            upstream: Upstream::Batches { sealed, spent },
-        }
-    }
-
-    /// Replaces the drained batch with the next one. Returns `false`
-    /// when the upstream is exhausted.
-    ///
-    /// Source mode seals the next non-empty time window: the grid is
-    /// anchored at `t = 0` with empty windows skipped, so the boundaries
-    /// are a pure function of the traffic — not of the shard count.
-    fn refill(&mut self) -> bool {
-        match &mut self.upstream {
-            Upstream::Windows {
-                sources,
-                window_ns,
-                extractor,
-                ..
-            } => {
-                let min_ns = sources
-                    .iter()
-                    .flat_map(|s| s.members.iter())
-                    .filter_map(|f| f.head.as_ref().map(|p| p.arrival.as_nanos()))
-                    .min();
-                let Some(min_ns) = min_ns else {
-                    return false;
-                };
-                let end_ns = (min_ns / *window_ns)
-                    .saturating_add(1)
-                    .saturating_mul(*window_ns);
-                for (shard_sources, buf) in sources.iter_mut().zip(&mut self.shards) {
-                    shard_sources.fill(buf, end_ns, extractor.as_ref());
-                }
-                true
-            }
-            Upstream::Batches { sealed, spent } => {
-                // A closed channel is end of stream — or a producer
-                // panic, which `run_stream` re-raises after the join.
-                let Ok(batch) = sealed.recv() else {
-                    return false;
-                };
-                let drained = std::mem::replace(&mut self.shards, batch);
-                if !drained.is_empty() {
-                    // The channel holds the whole pool, so this fails only
-                    // once the producer has finished.
-                    let _ = spent.try_send(drained);
-                }
-                true
-            }
-        }
-    }
-
-    /// The next packet in the deterministic merge order: the lowest merge
-    /// key across the shard batch heads (keys are unique — a source, and
-    /// an ordinal, lives in exactly one shard).
-    fn next(&mut self) -> Option<FedPacket> {
-        loop {
-            let mut best: Option<(u128, usize)> = None;
-            for (s, buf) in self.shards.iter().enumerate() {
-                if let Some(k) = buf.head_key() {
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, s));
-                    }
-                }
-            }
-            match best {
-                Some((_, s)) => {
-                    let buf = &mut self.shards[s];
-                    let row = buf.rows[buf.cursor];
-                    buf.cursor += 1;
-                    let mut pkt = buf.arena.packet(row as usize).clone();
-                    if let Upstream::Windows { next_seq, .. } = &mut self.upstream {
-                        pkt.seq = *next_seq;
-                        *next_seq += 1;
-                    }
-                    return Some(FedPacket {
-                        pkt,
-                        shard: s as u32,
-                        row,
-                    });
-                }
-                None => {
-                    if !self.refill() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn features_row(&self, shard: u32, row: u32) -> &[u32] {
-        self.shards[shard as usize].arena.features_row(row as usize)
+    fn clear(&mut self) {
+        self.arenas.iter_mut().for_each(PacketArena::clear);
+        self.route.clear();
     }
 }
 
-/// Stream mode's producer stage: owns the pre-merged source and, on its
-/// own thread, partitions each packet by [`flow_shard`], fills the shard
+/// The producer stage: owns the pre-merged source and, on its own
+/// thread, partitions each packet by [`flow_shard`], fills the shard
 /// arenas (feature rows included) and seals count-bounded batches for
 /// the serial consumer.
 struct StreamProducer {
@@ -399,23 +137,21 @@ impl StreamProducer {
         let width = self.extractor.as_ref().map_or(0, |e| e.width());
         let end = self.end;
         let mut fresh = POOL_BATCHES;
-        let mut ordinal = 0u64;
         loop {
             let mut batch = if fresh > 0 {
                 fresh -= 1;
-                (0..self.shards).map(|_| ShardBuf::new(width)).collect()
+                Batch::new(self.shards, width)
             } else {
                 match spent.recv() {
                     Ok(mut b) => {
-                        b.iter_mut().for_each(ShardBuf::reset);
+                        b.clear();
                         b
                     }
                     Err(_) => return,
                 }
             };
-            let mut filled = 0;
             let mut ended = false;
-            while filled < BATCH_PKTS {
+            while batch.route.len() < BATCH_PKTS {
                 let Some(pkt) = self
                     .source
                     .next_packet()
@@ -424,14 +160,11 @@ impl StreamProducer {
                     ended = true;
                     break;
                 };
-                let buf = &mut batch[flow_shard(&pkt, self.shards)];
-                buf.keys.push(u128::from(ordinal));
-                buf.rows.push(buf.arena.len() as u32);
-                buf.arena.push(pkt, self.extractor.as_ref());
-                ordinal += 1;
-                filled += 1;
+                let shard = flow_shard(&pkt, self.shards);
+                batch.route.push(shard as u8);
+                batch.arenas[shard].push(pkt, self.extractor.as_ref());
             }
-            if filled > 0 && sealed.send(batch).is_err() {
+            if !batch.route.is_empty() && sealed.send(batch).is_err() {
                 return;
             }
             if ended {
@@ -441,32 +174,85 @@ impl StreamProducer {
     }
 }
 
-/// [`MergedSource`](crate::source::MergedSource) rebuilt on the windowed
-/// shard machinery: merges `sources` into one time-ordered, sequence-
-/// numbered stream, byte-identical to `MergedSource` for every shard
-/// count. Implements [`PacketSource`], so it composes with the fault
-/// plane, streaming telemetry, and every engine entry point.
-pub struct ShardedSource {
-    feed: ShardedFeed,
+/// The consumer side: replays each sealed batch's route column into the
+/// event loop, then returns the drained batch to the producer.
+struct ShardFeed {
+    batch: Batch,
+    /// Next position in `batch.route`.
+    pos: usize,
+    /// Next arena row per shard.
+    cursors: Vec<u32>,
+    /// Arena coordinates `(shard, row)` of the last-pulled packet.
+    last: (usize, usize),
+    sealed: Receiver<Batch>,
+    spent: SyncSender<Batch>,
 }
 
-impl ShardedSource {
-    /// Builds the sharded merge over `sources` with the given window.
-    pub fn new(sources: Vec<Box<dyn PacketSource>>, shards: usize, window: SimDuration) -> Self {
-        ShardedSource {
-            feed: ShardedFeed::from_sources(sources, shards, window, None),
+impl ShardFeed {
+    fn new(shards: usize, sealed: Receiver<Batch>, spent: SyncSender<Batch>) -> Self {
+        ShardFeed {
+            batch: Batch::default(),
+            pos: 0,
+            cursors: vec![0; shards],
+            last: (0, 0),
+            sealed,
+            spent,
         }
     }
-}
 
-impl PacketSource for ShardedSource {
-    fn next_packet(&mut self) -> Option<Packet> {
-        self.feed.next().map(|f| f.pkt)
+    /// Replaces the drained batch with the next sealed one. Returns
+    /// `false` at end of stream — or after a producer panic, which
+    /// `run_stream` re-raises after the join.
+    fn refill(&mut self) -> bool {
+        let Ok(batch) = self.sealed.recv() else {
+            return false;
+        };
+        let drained = std::mem::replace(&mut self.batch, batch);
+        if !drained.arenas.is_empty() {
+            // The channel holds the whole pool, so this fails only once
+            // the producer has finished.
+            let _ = self.spent.try_send(drained);
+        }
+        self.pos = 0;
+        self.cursors.fill(0);
+        true
     }
 }
 
-/// The sharded datapath's serial consumer: the same event loop as
-/// [`run`](crate::engine::run), fed by sealed shard batches.
+impl ArrivalFeed for ShardFeed {
+    #[inline]
+    fn pull(&mut self) -> Option<Packet> {
+        loop {
+            if let Some(&shard) = self.batch.route.get(self.pos) {
+                self.pos += 1;
+                let shard = usize::from(shard);
+                let row = self.cursors[shard] as usize;
+                self.cursors[shard] += 1;
+                self.last = (shard, row);
+                return Some(self.batch.arenas[shard].packet(row).clone());
+            }
+            if !self.refill() {
+                return None;
+            }
+        }
+    }
+
+    #[inline]
+    fn ingress(
+        &mut self,
+        switch: &mut dyn Switch,
+        pkt: Packet,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    ) {
+        let (shard, row) = self.last;
+        let features = self.batch.arenas[shard].features_row(row);
+        switch.ingress_featured(pkt, features, now, drops);
+    }
+}
+
+/// The sharded datapath: a producer thread feeding the engine's event
+/// loop with sealed shard batches.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     shards: usize,
@@ -474,34 +260,13 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// An engine with `shards` generation shards (`1` is valid and is the
-    /// plain batched datapath).
+    /// plain batched datapath). Panics outside `1..=MAX_SHARDS`.
     pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        ShardedEngine { shards }
-    }
-
-    /// The generation window: one control period, falling back to the
-    /// stats interval when the scenario runs no control plane.
-    fn window(cfg: &EngineConfig) -> SimDuration {
-        cfg.control_period.unwrap_or(cfg.stats_interval)
-    }
-
-    /// Runs `sources` (merged shard-side, `MergedSource`-identically)
-    /// through `switch`. Result-identical to
-    /// `run(&mut MergedSource::new(sources), switch, cfg)`.
-    pub fn run(
-        &self,
-        sources: Vec<Box<dyn PacketSource>>,
-        switch: &mut dyn Switch,
-        cfg: &EngineConfig,
-    ) -> RunResult {
-        let feed = ShardedFeed::from_sources(
-            sources,
-            self.shards,
-            Self::window(cfg),
-            switch.feature_extractor(),
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "shard count {shards} outside 1..={MAX_SHARDS}"
         );
-        run_feed(feed, switch, cfg)
+        ShardedEngine { shards }
     }
 
     /// Runs a pre-merged `source` through `switch`, partitioning by flow
@@ -531,177 +296,19 @@ impl ShardedEngine {
                 .name("shard-feed".into())
                 .spawn_scoped(scope, move || producer.run(sealed_tx, spent_rx))
                 .expect("cannot spawn the shard feed thread");
-            // `run_feed` drops the feed — and with it both channel ends —
-            // before the join, so a producer blocked on either channel
-            // always wakes up and exits.
-            let result = run_feed(ShardedFeed::from_batches(sealed_rx, spent_tx), switch, cfg);
+            // The feed — and with it both channel ends — is dropped
+            // before the join (also while unwinding from a switch panic),
+            // so a producer blocked on either channel always wakes up and
+            // exits.
+            let result = {
+                let mut feed = ShardFeed::new(self.shards, sealed_rx, spent_tx);
+                drive(&mut feed, switch, cfg, &mut NoopTracer, None, None, None)
+            };
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);
             }
             result
         })
-    }
-}
-
-/// [`ShardedEngine::run`] as a free function, mirroring
-/// [`run`](crate::engine::run)'s shape.
-pub fn run_sharded(
-    sources: Vec<Box<dyn PacketSource>>,
-    switch: &mut dyn Switch,
-    cfg: &EngineConfig,
-    shards: usize,
-) -> RunResult {
-    ShardedEngine::new(shards).run(sources, switch, cfg)
-}
-
-/// The truncating pull mirroring the serial engine's `next_arrival`: the
-/// first packet at or past the end time is consumed and discarded, and
-/// the feed is never pulled again.
-fn next_fed(feed: &mut ShardedFeed, end: Option<SimTime>, done: &mut bool) -> Option<FedPacket> {
-    if *done {
-        return None;
-    }
-    let fed = feed.next()?;
-    match end {
-        Some(end) if fed.pkt.arrival >= end => {
-            *done = true;
-            None
-        }
-        _ => Some(fed),
-    }
-}
-
-/// The serial consumer loop — [`run`](crate::engine::run) with arrivals
-/// taken from sealed shard batches and delivered through
-/// [`Switch::ingress_featured`] with their precomputed feature rows.
-/// Stays event-for-event identical: same three-slot calendar, same
-/// tie-breaks, same work-gated control plane, same end-time truncation.
-fn run_feed(mut feed: ShardedFeed, switch: &mut dyn Switch, cfg: &EngineConfig) -> RunResult {
-    let mut stats = StatsCollector::new(cfg.stats_interval);
-    let mut delays = DelayHistogram::new();
-    let mut drops_buf: Vec<Dropped> = Vec::new();
-
-    let mut calendar = EventCalendar::new();
-    let mut src_done = false;
-    let mut pending: Option<FedPacket> = next_fed(&mut feed, cfg.end_time, &mut src_done);
-    if let Some(p) = &pending {
-        calendar.schedule(EventSlot::Arrival, p.pkt.arrival);
-    }
-    let mut in_flight: Option<Packet> = None;
-    if let Some(period) = cfg.control_period {
-        calendar.schedule(EventSlot::Control, SimTime::ZERO + period);
-    }
-
-    let mut now = SimTime::ZERO;
-    let (mut arrivals, mut departures, mut total_drops) = (0u64, 0u64, 0u64);
-    let mut stats_bucket = 0u64;
-
-    loop {
-        let has_work = calendar.is_scheduled(EventSlot::Tx)
-            || calendar.is_scheduled(EventSlot::Arrival)
-            || switch.backlog_pkts() > 0;
-        let next = if has_work {
-            calendar.earliest()
-        } else {
-            calendar.earliest_without_control()
-        };
-        let Some((slot, t)) = next else {
-            break;
-        };
-        debug_assert!(t >= now, "event time went backwards");
-        now = t;
-
-        let bucket = now.bucket(cfg.stats_interval);
-        if bucket != stats_bucket {
-            stats_bucket = bucket;
-        }
-
-        match slot {
-            EventSlot::Tx => {
-                let pkt = in_flight.take().expect("Tx slot implies in-flight");
-                calendar.cancel(EventSlot::Tx);
-                stats.on_depart(&pkt, now);
-                delays.record(pkt.class, now.saturating_since(pkt.arrival));
-                departures += 1;
-            }
-            EventSlot::Control => {
-                let period = cfg.control_period.expect("Control slot implies a period");
-                switch.control_tick(now);
-                calendar.schedule(EventSlot::Control, now + period);
-            }
-            EventSlot::Arrival => {
-                let fed = pending
-                    .take()
-                    .expect("Arrival slot implies a pending packet");
-                calendar.cancel(EventSlot::Arrival);
-                stats.on_arrival(&fed.pkt);
-                arrivals += 1;
-                drops_buf.clear();
-                let row = feed.features_row(fed.shard, fed.row);
-                switch.ingress_featured(fed.pkt, row, now, &mut drops_buf);
-                for d in &drops_buf {
-                    stats.on_drop(d, now);
-                }
-                total_drops += drops_buf.len() as u64;
-                pending = next_fed(&mut feed, cfg.end_time, &mut src_done);
-                // Batched link tick: while the link is busy and the next
-                // arrival strictly precedes every scheduled event (ties
-                // go to Tx and Control, matching the calendar's slot
-                // priority), arrivals ingress back-to-back without the
-                // per-packet schedule/earliest/cancel round-trip. The
-                // operation sequence — and therefore every output byte —
-                // is exactly what the calendar would have produced.
-                while in_flight.is_some() {
-                    let Some(p) = &pending else { break };
-                    let t = p.pkt.arrival;
-                    let tx = calendar
-                        .scheduled_at(EventSlot::Tx)
-                        .expect("busy link implies a scheduled Tx");
-                    if t >= tx {
-                        break;
-                    }
-                    if calendar
-                        .scheduled_at(EventSlot::Control)
-                        .is_some_and(|c| t >= c)
-                    {
-                        break;
-                    }
-                    let fed = pending.take().expect("checked above");
-                    debug_assert!(t >= now, "arrival time went backwards");
-                    now = t;
-                    stats.on_arrival(&fed.pkt);
-                    arrivals += 1;
-                    drops_buf.clear();
-                    let row = feed.features_row(fed.shard, fed.row);
-                    switch.ingress_featured(fed.pkt, row, now, &mut drops_buf);
-                    for d in &drops_buf {
-                        stats.on_drop(d, now);
-                    }
-                    total_drops += drops_buf.len() as u64;
-                    pending = next_fed(&mut feed, cfg.end_time, &mut src_done);
-                }
-                if let Some(p) = &pending {
-                    calendar.schedule(EventSlot::Arrival, p.pkt.arrival);
-                }
-            }
-        }
-
-        if in_flight.is_none() {
-            if let Some(pkt) = switch.dequeue(now) {
-                let tx = cfg.link.tx_time(pkt.size);
-                calendar.schedule(EventSlot::Tx, now + tx);
-                in_flight = Some(pkt);
-            }
-        }
-    }
-
-    RunResult {
-        stats,
-        delays,
-        final_time: now,
-        arrivals,
-        departures,
-        drops: total_drops,
     }
 }
 
@@ -712,6 +319,7 @@ mod tests {
     use crate::queue::FifoQueue;
     use crate::source::{IterSource, MergedSource, VecSource};
     use crate::switch::SingleQueueSwitch;
+    use crate::time::SimDuration;
     use crate::units::Bandwidth;
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -742,47 +350,6 @@ mod tests {
             .collect()
     }
 
-    /// [`sources`] boxed for the source-mode entry points.
-    fn local_sources(k: usize) -> Vec<Box<dyn PacketSource>> {
-        sources(k)
-            .into_iter()
-            .map(|s| s as Box<dyn PacketSource>)
-            .collect()
-    }
-
-    fn drain(src: &mut dyn PacketSource) -> Vec<Packet> {
-        std::iter::from_fn(|| src.next_packet()).collect()
-    }
-
-    #[test]
-    fn sharded_source_is_byte_identical_to_merged_source() {
-        for shards in [1, 2, 3, 8] {
-            let mut serial = MergedSource::new(sources(7));
-            let mut sharded =
-                ShardedSource::new(local_sources(7), shards, SimDuration::from_millis(1));
-            assert_eq!(
-                drain(&mut serial),
-                drain(&mut sharded),
-                "shards={shards} must reproduce the serial merge exactly"
-            );
-        }
-    }
-
-    #[test]
-    fn window_boundaries_do_not_reorder() {
-        // A window much smaller than the inter-packet gap forces many
-        // empty windows and boundary-straddling batches.
-        let mut serial = MergedSource::new(sources(3));
-        let mut sharded = ShardedSource::new(local_sources(3), 2, SimDuration::from_nanos(77));
-        assert_eq!(drain(&mut serial), drain(&mut sharded));
-    }
-
-    #[test]
-    fn empty_sharded_source_is_empty() {
-        let mut s = ShardedSource::new(Vec::new(), 4, SimDuration::from_millis(1));
-        assert!(s.next_packet().is_none());
-    }
-
     fn cfg() -> EngineConfig {
         EngineConfig::new(Bandwidth::from_mbps(10))
             .with_control_period(SimDuration::from_millis(1))
@@ -791,22 +358,6 @@ mod tests {
 
     fn result_fingerprint(r: &RunResult) -> (u64, u64, u64, SimTime) {
         (r.arrivals, r.departures, r.drops, r.final_time)
-    }
-
-    #[test]
-    fn run_sharded_matches_serial_run() {
-        let mut serial_src = MergedSource::new(sources(7));
-        let mut serial_sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
-        let serial = run(&mut serial_src, &mut serial_sw, &cfg());
-        for shards in [1, 2, 8] {
-            let mut sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
-            let res = run_sharded(local_sources(7), &mut sw, &cfg(), shards);
-            assert_eq!(
-                result_fingerprint(&serial),
-                result_fingerprint(&res),
-                "shards={shards}"
-            );
-        }
     }
 
     #[test]
@@ -889,7 +440,8 @@ mod tests {
         run(&mut serial_src, &mut serial_sw, &cfg());
         for shards in [1, 2, 8] {
             let mut sw = recording();
-            run_sharded(local_sources(6), &mut sw, &cfg(), shards);
+            let src = Box::new(MergedSource::new(sources(6)));
+            ShardedEngine::new(shards).run_stream(src, &mut sw, &cfg());
             assert_eq!(serial_sw.seen, sw.seen, "shards={shards}");
         }
     }
@@ -899,12 +451,7 @@ mod tests {
         // The partition function is part of the determinism contract:
         // pin a few values so an accidental hash change cannot hide.
         assert_eq!(fnv1a64(b""), FNV_OFFSET);
-        let a = source_shard(0, 8);
-        let b = source_shard(1, 8);
-        for _ in 0..3 {
-            assert_eq!(source_shard(0, 8), a);
-            assert_eq!(source_shard(1, 8), b);
-        }
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         let p = Packet::new(SimTime::ZERO)
             .with_src(Ipv4Addr::new(10, 0, 0, 1))
             .with_dst(Ipv4Addr::new(20, 0, 0, 2))

@@ -18,8 +18,8 @@ pub type ExtractFn = Arc<dyn Fn(&Packet, &mut Vec<u32>) + Send + Sync>;
 
 /// A pure per-packet feature extractor a switch can expose (see
 /// [`Switch::feature_extractor`]) so the sharded engine can precompute the
-/// classification features of a whole arrival window into the packet
-/// arena's feature column — per shard, off the serial event loop.
+/// classification features of every packet into its shard arena's
+/// feature column — on the producer thread, off the serial event loop.
 ///
 /// The closure must be a pure function of the packet: calling it twice on
 /// the same packet yields the same values, and extraction order carries no
@@ -83,10 +83,11 @@ pub trait Switch {
     }
 
     /// The pure feature extractor of this switch's classification stage,
-    /// if it has one. When `Some`, the sharded engine precomputes feature
-    /// columns per shard and delivers packets via
-    /// [`ingress_featured`](Self::ingress_featured); when `None` (the
-    /// default) it falls back to plain [`ingress`](Self::ingress).
+    /// if it has one. When `Some`, the sharded engine precomputes each
+    /// packet's feature row on its producer thread; it always delivers
+    /// packets via [`ingress_featured`](Self::ingress_featured), with an
+    /// empty row when this is `None` (the default), which the default
+    /// `ingress_featured` ignores.
     fn feature_extractor(&self) -> Option<FeatureExtractor> {
         None
     }

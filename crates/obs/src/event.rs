@@ -214,7 +214,7 @@ pub enum OwnedEvent {
     },
     /// See [`Event::PushbackLimit`].
     PushbackLimit {
-        /// Upstream index.
+        /// Index of the upstream switch.
         upstream: usize,
         /// Policed prefix address.
         prefix: u32,

@@ -1,22 +1,25 @@
 //! Serial-vs-sharded byte-identity differentials (DESIGN.md §14): the
-//! sharded windowed datapath must reproduce the serial engine's output
+//! sharded datapath must reproduce the serial engine's output
 //! **bit-exactly** for every shard count, on the figure scenarios and on
 //! the adversarial worst-case corpus.
 //!
-//! The sharded engine partitions sources (or flows, in stream mode) by
-//! FNV hash, runs each shard's calendar inside a one-control-period time
-//! window, and merges at window boundaries with a deterministic
-//! (time, shard, tie-break) order. Any divergence from the serial path —
-//! a reordered tie, a window boundary off by one tick — shows up here as
-//! a full `RunResult` debug diff naming the scenario and shard count.
+//! The sharded engine's producer thread partitions the pre-merged stream
+//! by FNV hash of each packet's flow into per-shard arenas (with
+//! precomputed feature rows) and seals 4096-packet batches that record
+//! the shard of every pulled packet; the calling thread replays that
+//! record through the engine's one event loop. Any divergence from the
+//! serial path — a packet replayed out of order, a batch boundary that
+//! drops or repeats a packet, a feature row that differs from ingress-time
+//! extraction — shows up here as a full `RunResult` debug diff naming the
+//! scenario and shard count.
 
 use accturbo_adversary::Corpus;
 use accturbo_experiments::spec::{DefenseSpec, ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
 
 /// Shard counts exercised against the serial (`shards=1`) baseline.
-/// 2 is the smallest real split; 8 oversubscribes the windows enough
-/// that any merge-order bug has many chances to fire.
+/// 2 is the smallest real split; 8 spreads each batch thinly enough
+/// that any replay-order bug has many chances to fire.
 const SHARD_COUNTS: &[usize] = &[2, 8];
 
 /// Runs `spec` serially and at every sharded count, asserting the full
@@ -55,7 +58,7 @@ fn fig2_scenarios_are_byte_identical_under_sharding() {
 }
 
 /// Fig. 6's pulse-wave attack: the pulses concentrate arrivals into
-/// bursts, the sharpest stress on per-window shard merging.
+/// bursts, so batch boundaries fall mid-pulse.
 #[test]
 fn fig6_scenario_is_byte_identical_under_sharding() {
     for defense in [DefenseSpec::Fifo, DefenseSpec::accturbo()] {
@@ -66,7 +69,7 @@ fn fig6_scenario_is_byte_identical_under_sharding() {
 }
 
 /// The CICDDoS-style day behind Figs. 9–11: many concurrent attack
-/// vectors and the widest source-address diversity, so the FNV source
+/// vectors and the widest source-address diversity, so the FNV flow
 /// partition actually spreads traffic across all shards.
 #[test]
 fn fig9_day_is_byte_identical_under_sharding() {
@@ -79,7 +82,7 @@ fn fig9_day_is_byte_identical_under_sharding() {
 
 /// Every committed worst-case corpus entry replays identically under
 /// sharding: the adversarial frontier is exactly where pulse timing is
-/// most extreme, so a window-boundary bug that survives the figure
+/// most extreme, so a batch-boundary bug that survives the figure
 /// scenarios gets caught here.
 #[test]
 fn attack_corpus_replays_byte_identically_under_sharding() {
