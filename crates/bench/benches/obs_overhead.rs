@@ -1,14 +1,15 @@
 //! Proof that observability is pay-for-what-you-use (DESIGN.md,
 //! Observability): the plain `run` entry point monomorphizes
-//! `run_instrumented` over `NoopTracer`, so the tracing branches must
+//! `run_streamed` over `NoopTracer`, so the tracing branches must
 //! compile out of the hot path. This bench runs the Fig. 2 ACC-Turbo
-//! workload three ways on identical inputs:
+//! workload four ways on identical inputs:
 //!
 //! * `plain`    — `run` (the pre-observability datapath),
-//! * `noop`     — `run_instrumented` with `NoopTracer` and no metrics,
+//! * `noop`     — `run_streamed` with `NoopTracer` and no hooks,
+//!   spelled out at the call site,
 //! * `streamed` — `run_streamed` with telemetry disabled (`None`), the
 //!   path every figure run now takes,
-//! * `active`   — `run_instrumented` with a live `RingTracer`, a metrics
+//! * `active`   — `run_streamed` with a live `RingTracer`, a metrics
 //!   registry on both engine and switch, and stage timing enabled.
 //!
 //! The budgets are **noop ≤ plain + 2%** and **streamed-disabled ≤
@@ -19,8 +20,7 @@ use accturbo_bench::{black_box, fmt_ns, overhead_pct, Harness};
 use accturbo_clustering::FeatureSet;
 use accturbo_core::{AccTurboConfig, AccTurboSwitch};
 use accturbo_netsim::{
-    run, run_instrumented, run_streamed, Bandwidth, EngineConfig, MergedSource, SimDuration,
-    SimTime,
+    run, run_streamed, Bandwidth, EngineConfig, MergedSource, SimDuration, SimTime,
 };
 use accturbo_obs::{shared, NoopTracer, Registry, RingTracer};
 use accturbo_traffic::scenarios;
@@ -63,11 +63,13 @@ fn main() {
         None,
         fresh,
         |(mut src, mut sw)| {
-            black_box(run_instrumented(
+            black_box(run_streamed(
                 &mut src,
                 &mut sw,
                 &cfg(),
                 &mut NoopTracer,
+                None,
+                None,
                 None,
             ));
         },
@@ -104,12 +106,14 @@ fn main() {
         },
         |(mut src, mut sw, tracer, metrics)| {
             let mut engine_tracer = Rc::clone(&tracer);
-            black_box(run_instrumented(
+            black_box(run_streamed(
                 &mut src,
                 &mut sw,
                 &cfg(),
                 &mut engine_tracer,
                 Some(&metrics),
+                None,
+                None,
             ));
         },
     );

@@ -580,43 +580,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     }
     let workload = workload
         .ok_or_else(|| "xp run: `workload=` is required (e.g. workload=fig2)".to_string())?;
-    if topology.is_some() && !fault_mix.is_empty() {
-        return Err("xp run: the fault plane models a single defended switch; \
-                    combine either faults= or topology=, not both"
-            .to_string());
-    }
-    let wants_telemetry = sink.is_some() || dataset.is_some() || flight_recorder.is_some();
-    // `topology=line:1` (at default options) is byte-identical to the
-    // single-switch engine — tests/topology_matrix.rs locks that down —
-    // so it may carry streaming telemetry; every deeper shape is
-    // genuinely multi-switch and cannot.
-    if wants_telemetry && topology.as_ref().is_some_and(|t| !t.is_single_switch()) {
-        return Err(
-            "xp run: streaming telemetry supports only the single-switch \
-                    `topology=line:1`; drop --sink/--dataset/--flight-recorder or topology="
-                .to_string(),
-        );
-    }
-    let shard_count = shards.unwrap_or(1);
-    if shard_count > 1 {
-        if topology.is_some() {
-            return Err(
-                "xp run: the sharded datapath runs the single defended switch; \
-                        drop shards= or topology="
-                    .to_string(),
-            );
-        }
-        if !fault_mix.is_empty() {
-            return Err("xp run: the sharded datapath has no fault plane; \
-                        drop shards= or faults="
-                .to_string());
-        }
-        if wants_telemetry {
-            return Err("xp run: streaming telemetry runs the serial engine; \
-                        drop --sink/--dataset/--flight-recorder or shards="
-                .to_string());
-        }
-    }
     let quick_secs = workload.default_secs(Scale::Quick);
     let mut spec = ScenarioSpec::new(workload, defense);
     if quick {
@@ -645,13 +608,16 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     if let Some(t) = topology {
         spec = spec.with_topology(t);
     }
-    if shard_count > 1 {
-        spec = spec.with_shards(shard_count);
+    if let Some(n) = shards {
+        spec = spec.with_shards(n);
     }
     if !fault_mix.is_empty() {
         let fault_seed = spec.seed;
         spec = spec.with_faults(crate::robustness::config_from_mix(&fault_mix, fault_seed));
     }
+    let wants_telemetry = sink.is_some() || dataset.is_some() || flight_recorder.is_some();
+    spec.check(wants_telemetry)
+        .map_err(|e| format!("xp run: {e}"))?;
     Ok(RunCmd {
         spec,
         csv,
@@ -720,43 +686,7 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
         cmd.flight_recorder.as_deref(),
         spec.seed,
     )?;
-    // Topology runs keep the per-node picture for the summary; the
-    // single-switch path is untouched.
-    let mut topo_detail: Option<(u64, u64, Option<f64>)> = None;
-    let outcome = match &spec.topology {
-        // `topology=line:1` with telemetry: byte-identical to the
-        // single-switch engine (tests/topology_matrix.rs), so run it on
-        // the streamed single-switch path the telemetry bundle needs.
-        Some(t) if telemetry.is_some() && t.is_single_switch() => {
-            let mut flat = spec.clone();
-            flat.topology = None;
-            flat.execute_streamed(telemetry.as_mut())
-        }
-        Some(tspec) => {
-            let t = spec.execute_topology();
-            let leaves = tspec.build(spec.link_bps).leaves().to_vec();
-            let converge = t
-                .node_first_limit
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| leaves.contains(i))
-                .filter_map(|(_, at)| *at)
-                .map(|at| at.as_secs_f64())
-                .fold(None, |acc: Option<f64>, s| {
-                    Some(acc.map_or(s, |a| a.max(s)))
-                });
-            topo_detail = Some((t.hops, t.pushback_installs, converge));
-            crate::spec::ScenarioOutcome {
-                backlog_pkts: t.backlog_pkts,
-                result: t.result,
-                fault_stats: None,
-                missed_ticks: 0,
-                stale_ticks: 0,
-                fallbacks: 0,
-            }
-        }
-        None => spec.execute_streamed(telemetry.as_mut()),
-    };
+    let outcome = spec.execute_streamed(telemetry.as_mut());
     let res = &outcome.result;
     let secs = spec.secs;
     let mut out = String::new();
@@ -822,10 +752,23 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
         "conservation,{}",
         if conserved { "ok" } else { "VIOLATED" }
     );
-    if let Some((hops, installs, converge)) = topo_detail {
-        let _ = writeln!(out, "topology.hops,{hops}");
-        if spec.topology.as_ref().is_some_and(|t| t.pushback) {
-            let _ = writeln!(out, "pushback.installs,{installs}");
+    // Only a run on the multi-switch engine has a per-node record.
+    if let Some(t) = spec
+        .topology
+        .as_ref()
+        .filter(|_| !outcome.node_first_limit.is_empty())
+    {
+        let _ = writeln!(out, "topology.hops,{}", outcome.hops);
+        if t.pushback {
+            let leaves = t.build(spec.link_bps).leaves().to_vec();
+            let converge = leaves
+                .iter()
+                .filter_map(|&i| outcome.node_first_limit[i])
+                .map(|at| at.as_secs_f64())
+                .fold(None, |acc: Option<f64>, s| {
+                    Some(acc.map_or(s, |a| a.max(s)))
+                });
+            let _ = writeln!(out, "pushback.installs,{}", outcome.pushback_installs);
             let _ = writeln!(
                 out,
                 "pushback.converge_s,{}",

@@ -7,10 +7,10 @@
 
 use crate::result::FigureResult;
 use accturbo_netsim::{
-    run, run_instrumented, run_streamed, run_with_faults, ClassId, EngineConfig, FaultInjector,
-    NoopFaultInjector, PacketSource, RunResult, ShardedEngine, SimDuration, Switch,
+    run_streamed, ClassId, EngineConfig, FaultInjector, NoopFaultInjector, PacketSource, RunResult,
+    SimDuration, Switch,
 };
-use accturbo_obs::{MetricsHandle, NoopTracer, Telemetry, Tracer};
+use accturbo_obs::NoopTracer;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Experiment fidelity: `Full` regenerates the paper's figures; `Quick`
@@ -44,22 +44,27 @@ pub fn baseline_fifo() -> accturbo_netsim::FifoQueue {
     accturbo_netsim::FifoQueue::new(512 * 1024).with_pkt_cap(775)
 }
 
-/// Process-global test toggle: when set, every [`simulate`] call routes
-/// through the fault-injection engine entry with an explicit no-op
-/// injector instead of the plain `run`.
+/// Process-global test toggle: when set, every fault-free run
+/// ([`simulate`] and `ScenarioSpec::execute`) threads an explicit no-op
+/// injector through the engine.
 static FORCE_NOOP_FAULTS: AtomicBool = AtomicBool::new(false);
 
-/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): flips
-/// [`simulate`] onto the `run_with_faults(…, Some(noop))` path so the
-/// differential test can assert that threading a do-nothing injector
-/// through every figure leaves the output byte-identical. Process-global
-/// — tests using it must not run concurrently with other figure runs.
+/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): puts
+/// every fault-free run on the engine's fault path with a no-op
+/// injector so the differential test can assert that threading a
+/// do-nothing injector through every figure leaves the output
+/// byte-identical. Process-global — tests using it must not run
+/// concurrently with other figure runs.
 pub fn force_noop_fault_injection(on: bool) {
     FORCE_NOOP_FAULTS.store(on, Ordering::SeqCst);
 }
 
-fn engine_config(link_bps: u64, secs: u64, control_period: Option<SimDuration>) -> EngineConfig {
-    EngineConfig::experiment(link_bps, secs, control_period)
+/// The no-op injector a fault-free run hands the engine while the
+/// lockdown toggle is on; `None` otherwise.
+pub(crate) fn forced_noop_faults() -> Option<FaultInjector> {
+    FORCE_NOOP_FAULTS
+        .load(Ordering::SeqCst)
+        .then(|| NoopFaultInjector.into())
 }
 
 /// Runs `source` through `switch` with the standard experiment engine:
@@ -71,86 +76,17 @@ pub fn simulate(
     secs: u64,
     control_period: Option<SimDuration>,
 ) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    if FORCE_NOOP_FAULTS.load(Ordering::SeqCst) {
-        let noop: FaultInjector = NoopFaultInjector.into();
-        return run_with_faults(source, switch, &cfg, &mut NoopTracer, None, Some(&noop));
-    }
-    run(source, switch, &cfg)
-}
-
-/// [`simulate`] on the sharded datapath: a producer thread partitions
-/// the stream by flow hash across `shards` shards (feature extraction
-/// batched per shard into the packet arena) and the engine's one event
-/// loop consumes it — byte-identical to [`simulate`] for every shard
-/// count (see `accturbo_netsim::shard`). The sharded path carries no
-/// fault plane, so the fault-noop lockdown toggle does not apply here.
-pub fn simulate_sharded(
-    source: Box<dyn PacketSource + Send>,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    shards: usize,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    ShardedEngine::new(shards).run_stream(source, switch, &cfg)
-}
-
-/// [`simulate`] with a fault plane: the engine consults `faults` for
-/// control-tick suppression/delay and link flaps. Packet-level faults
-/// are the caller's job — wrap the source in a
-/// [`accturbo_netsim::FaultedSource`] holding a clone of the same
-/// injector.
-pub fn simulate_with_faults(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    faults: &FaultInjector,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    run_with_faults(source, switch, &cfg, &mut NoopTracer, None, Some(faults))
-}
-
-/// [`simulate`] with observability: engine-side events go to `tracer`,
-/// engine metrics (and per-interval snapshots) to `metrics`. Install the
-/// same tracer/registry on the switch beforehand to interleave its
-/// enqueue/cluster/remap events into the same timeline.
-pub fn simulate_instrumented<T: Tracer + ?Sized>(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    run_instrumented(source, switch, &cfg, tracer, metrics)
-}
-
-/// [`simulate`] with the full streaming-telemetry plumbing: optional
-/// fault plane, engine tracer (share a flight-recorder handle with the
-/// switch to get one interleaved incident timeline), engine metrics,
-/// and the [`Telemetry`] bundle driven at every stats boundary. With
-/// `telemetry == None` this is byte-identical to the corresponding
-/// non-streamed path.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_streamed<T: Tracer + ?Sized>(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    link_bps: u64,
-    secs: u64,
-    control_period: Option<SimDuration>,
-    tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
-    faults: Option<&FaultInjector>,
-    telemetry: Option<&mut Telemetry>,
-) -> RunResult {
-    let cfg = engine_config(link_bps, secs, control_period);
-    run_streamed(source, switch, &cfg, tracer, metrics, faults, telemetry)
+    let cfg = EngineConfig::experiment(link_bps, secs, control_period);
+    let noop = forced_noop_faults();
+    run_streamed(
+        source,
+        switch,
+        &cfg,
+        &mut NoopTracer,
+        None,
+        noop.as_ref(),
+        None,
+    )
 }
 
 /// Pushes the structural summary of a bandwidth-share panel into a

@@ -16,7 +16,7 @@ use crate::common::{delay_text, push_share_summary, share_panel, Scale, LINK_10G
 use crate::result::FigureResult;
 use crate::spec::{DefenseSpec, ScenarioSpec, WorkloadSpec};
 use crate::Figure;
-use accturbo_netsim::{ClassId, RunResult, SimDuration};
+use accturbo_netsim::{run_streamed, ClassId, EngineConfig, RunResult, SimDuration};
 use accturbo_traffic::scenarios;
 use std::fmt::Write as _;
 
@@ -50,7 +50,7 @@ fn accturbo_run(secs: u64, seed: u64) -> RunResult {
 /// switch decision traced into one ring, engine + switch metrics in one
 /// registry. Returns `(result, tracer, metrics)` — what the `xp`
 /// `--trace`/`--metrics` flags export.
-pub fn accturbo_run_instrumented(
+pub fn accturbo_traced_run(
     scale: Scale,
 ) -> (
     RunResult,
@@ -70,14 +70,15 @@ pub fn accturbo_run_instrumented(
     sw.set_metrics(Rc::clone(&metrics));
     sw.set_timing(true);
     let mut engine_tracer = Rc::clone(&tracer);
-    let res = crate::common::simulate_instrumented(
+    let cfg = EngineConfig::experiment(LINK, secs, Some(SimDuration::from_millis(250)));
+    let res = run_streamed(
         &mut src,
         &mut sw,
-        LINK,
-        secs,
-        Some(SimDuration::from_millis(250)),
+        &cfg,
         &mut engine_tracer,
         Some(&metrics),
+        None,
+        None,
     );
     // Export the hot-path stage timings as custom events at end-of-run.
     {

@@ -47,7 +47,7 @@ fn dump_trace(path: &str) -> Result<(), String> {
 /// every figure ran and for how long.
 fn export_observability(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
     eprintln!("running the instrumented Fig. 2 ACC-Turbo scenario ...");
-    let (_, tracer, metrics) = accturbo_experiments::fig2::accturbo_run_instrumented(cli.scale);
+    let (_, tracer, metrics) = accturbo_experiments::fig2::accturbo_traced_run(cli.scale);
     if let Some(path) = &cli.trace {
         for span in spans {
             tracer.borrow_mut().record(

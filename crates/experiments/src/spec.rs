@@ -9,11 +9,13 @@
 //! * [`DefenseSpec`] — names a switch under test and knows how to build
 //!   it ([`DefenseSpec::build`]) and what control-plane period it
 //!   naturally wants ([`DefenseSpec::control_period`]).
-//! * [`ScenarioSpec`] — the full sentence, with one [`execute`]
-//!   entry point routing through the same engine paths
-//!   (`common::simulate` / `simulate_with_faults`) the figures have
-//!   always used, so spec-driven runs are byte-identical to the
-//!   hand-rolled ones they replaced.
+//! * [`ScenarioSpec`] — the full sentence, with one executor
+//!   ([`execute_streamed`]; [`execute`] is it without telemetry). It
+//!   builds the engine config, fault plane, switch and source, then
+//!   runs the serial, sharded or topology engine, so spec-driven runs
+//!   are byte-identical to the hand-rolled ones they replaced.
+//!   [`ScenarioSpec::check`] is the one list of knob combinations the
+//!   executor does not support.
 //!
 //! Both spec types round-trip through a colon-separated textual grammar
 //! (`accturbo:profile=hw:clusters=8`, `flood:carpet`, …) — the `xp run`
@@ -22,23 +24,21 @@
 //! short.
 //!
 //! [`execute`]: ScenarioSpec::execute
+//! [`execute_streamed`]: ScenarioSpec::execute_streamed
 
-use crate::common::{
-    baseline_fifo, simulate, simulate_sharded, simulate_streamed, simulate_with_faults, Scale,
-    LINK_10G_SCALED,
-};
+use crate::common::{forced_noop_faults, Scale, LINK_10G_SCALED};
 use accturbo_acc::{AccConfig, AccSwitch};
 use accturbo_clustering::{DistanceKind, FeatureSet, InitMode, NominalMode, RepMode, SearchKind};
 use accturbo_core::{AccTurboConfig, AccTurboSwitch, IdealPifoSwitch, RankedAccTurboSwitch};
 use accturbo_jaqen::{JaqenConfig, JaqenSwitch, Signature};
 use accturbo_netsim::{
-    run_topology, Bandwidth, ClassId, FaultConfig, FaultInjector, FaultSchedule, FaultStats,
-    FaultedSource, LinkSpec, PacketSource, ProgramSwapSwitch, PushbackPlan, RedConfig, RedQueue,
-    RunResult, SimDuration, SimTime, SingleQueueSwitch, Switch, Topology, TopologyConfig,
-    TopologyRunResult,
+    run_streamed, run_topology, Bandwidth, ClassId, EngineConfig, FaultConfig, FaultInjector,
+    FaultSchedule, FaultStats, FaultedSource, LinkSpec, PacketSource, ProgramSwapSwitch,
+    PushbackPlan, RedConfig, RedQueue, RunResult, ShardedEngine, SimDuration, SimTime,
+    SingleQueueSwitch, Switch, Topology, TopologyConfig, TopologyRunResult,
 };
-use accturbo_obs::{MetricsHandle, NoopTracer, Registry, Telemetry, Tracer};
-use accturbo_sched::RankingAlgorithm;
+use accturbo_obs::{MetricsHandle, NoopTracer, Registry, Telemetry};
+use accturbo_sched::{DegradationCounters, RankingAlgorithm};
 use accturbo_traffic::workloads::{self, AdversarialScenario, FloodVariation, PulseAttackConfig};
 use accturbo_traffic::{scenarios, AttackVector, CicDdosConfig, LeafPlacement};
 use std::cell::RefCell;
@@ -1443,14 +1443,16 @@ pub struct ScenarioSpec {
     pub topology: Option<TopologySpec>,
     /// Datapath shard count (`1` = the classic serial engine). Higher
     /// counts route through the sharded engine — byte-identical output
-    /// by construction. Only the plain single-switch path shards;
-    /// combining `shards>1` with faults or a topology is rejected.
+    /// by construction. Only the plain single-switch path shards:
+    /// [`ScenarioSpec::check`] rejects `shards>1` with faults, a
+    /// topology or telemetry.
     pub shards: usize,
 }
 
 /// What [`ScenarioSpec::execute`] returns: the engine's result plus the
-/// end-of-run switch backlog (for conservation checks) and — on faulted
-/// runs — the injection and degradation counters.
+/// end-of-run switch backlog (for conservation checks), on faulted runs
+/// the injection and degradation counters, and on topology runs the hop
+/// and pushback record.
 #[derive(Debug)]
 pub struct ScenarioOutcome {
     /// The engine's run result.
@@ -1465,6 +1467,13 @@ pub struct ScenarioOutcome {
     pub stale_ticks: u64,
     /// Bounded-staleness fallback decisions (ACC-Turbo only).
     pub fallbacks: u64,
+    /// Inter-switch link crossings (topology runs only).
+    pub hops: u64,
+    /// Pushback limit messages delivered (topology runs only).
+    pub pushback_installs: u64,
+    /// Per node: when the first pushback limit arrived, if ever. Empty
+    /// unless the run went through the multi-switch engine.
+    pub node_first_limit: Vec<Option<SimTime>>,
 }
 
 impl ScenarioSpec {
@@ -1534,33 +1543,54 @@ impl ScenarioSpec {
             .or_else(|| self.defense.control_period())
     }
 
+    /// The one list of knob combinations the executors do not support;
+    /// `telemetry` says whether a streaming-telemetry bundle rides
+    /// along. `xp run` reports the message as a parse error and the
+    /// executors panic with it.
+    pub fn check(&self, telemetry: bool) -> Result<(), String> {
+        let single_switch = self.topology.as_ref().is_none_or(|t| t.is_single_switch());
+        let reason = if self.topology.is_some() && self.faults.is_some() {
+            "the fault plane models a single defended switch; \
+             combine either faults= or topology=, not both"
+        } else if telemetry && !single_switch {
+            "streaming telemetry supports only the single-switch \
+             `topology=line:1`; drop --sink/--dataset/--flight-recorder or topology="
+        } else if self.shards > 1 && self.topology.is_some() {
+            "the sharded datapath runs the single defended switch; drop shards= or topology="
+        } else if self.shards > 1 && self.faults.is_some() {
+            "the sharded datapath has no fault plane; drop shards= or faults="
+        } else if self.shards > 1 && telemetry {
+            "streaming telemetry runs the serial engine; \
+             drop --sink/--dataset/--flight-recorder or shards="
+        } else {
+            return Ok(());
+        };
+        Err(reason.to_string())
+    }
+
     /// Runs the scenario on its topology and returns the full per-node
-    /// picture. Panics without a topology or with a fault plane attached
-    /// (the fault plane models a single defended switch).
+    /// picture. Panics without a topology, or on a combination
+    /// [`ScenarioSpec::check`] rejects.
     pub fn execute_topology(&self) -> TopologyRunResult {
         let tspec = self
             .topology
             .as_ref()
             .expect("execute_topology needs a topology");
-        assert!(
-            self.faults.is_none(),
-            "the fault plane is not topology-aware; drop faults= or topology="
-        );
-        assert!(
-            self.shards == 1,
-            "the sharded datapath runs the single defended switch; drop shards= or topology="
-        );
+        if let Err(e) = self.check(false) {
+            panic!("{e}");
+        }
         let topo = tspec.build(self.link_bps);
         let uplink = tspec.uplink(self.link_bps);
+        let edge = match tspec.edges {
+            EdgeDefense::Fifo => DefenseSpec::Fifo,
+            EdgeDefense::Same => self.defense.clone(),
+        };
         let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
             .map(|i| {
                 if i == topo.root() {
                     self.defense.build(self.link_bps)
                 } else {
-                    match tspec.edges {
-                        EdgeDefense::Fifo => Box::new(SingleQueueSwitch::new(baseline_fifo())),
-                        EdgeDefense::Same => self.defense.build(uplink),
-                    }
+                    edge.build(uplink)
                 }
             })
             .collect();
@@ -1579,202 +1609,115 @@ impl ScenarioSpec {
         )
     }
 
-    /// Runs the scenario through the standard engine paths.
+    /// Runs the scenario: [`ScenarioSpec::execute_streamed`] without
+    /// telemetry.
     pub fn execute(&self) -> ScenarioOutcome {
-        if self.topology.is_some() {
-            let t = self.execute_topology();
-            return ScenarioOutcome {
-                backlog_pkts: t.backlog_pkts,
-                result: t.result,
-                fault_stats: None,
-                missed_ticks: 0,
-                stale_ticks: 0,
-                fallbacks: 0,
-            };
-        }
-        let period = self.effective_period();
-        assert!(
-            self.shards == 1 || self.faults.is_none(),
-            "the sharded datapath has no fault plane; drop shards= or faults="
-        );
-        match &self.faults {
-            None => {
-                let mut sw = self.defense.build(self.link_bps);
-                let src = self.workload.build(self.link_bps, self.secs, self.seed);
-                let result = if self.shards > 1 {
-                    simulate_sharded(src, &mut *sw, self.link_bps, self.secs, period, self.shards)
-                } else {
-                    let mut src = src;
-                    simulate(&mut *src, &mut *sw, self.link_bps, self.secs, period)
-                };
-                ScenarioOutcome {
-                    backlog_pkts: sw.backlog_pkts(),
-                    result,
-                    fault_stats: None,
-                    missed_ticks: 0,
-                    stale_ticks: 0,
-                    fallbacks: 0,
-                }
-            }
-            Some(fc) => {
-                let inj = FaultInjector::new(FaultSchedule::new(fc.clone()));
-                // ACC-Turbo exposes graceful-degradation hooks the boxed
-                // `Switch` trait cannot carry — wire them concretely.
-                if let DefenseSpec::AccTurbo(spec) = &self.defense {
-                    let mut sw = spec.build();
-                    sw.set_faults(inj.clone());
-                    let mut src = FaultedSource::new(
-                        self.workload.build(self.link_bps, self.secs, self.seed),
-                        inj.clone(),
-                    );
-                    let result = simulate_with_faults(
-                        &mut src,
-                        &mut sw,
-                        self.link_bps,
-                        self.secs,
-                        period,
-                        &inj,
-                    );
-                    let (missed, stale, fallbacks) = {
-                        let d = sw.degradation();
-                        (d.total_missed(), d.total_stale(), d.fallbacks())
-                    };
-                    ScenarioOutcome {
-                        backlog_pkts: sw.backlog_pkts(),
-                        result,
-                        fault_stats: Some(inj.stats()),
-                        missed_ticks: missed,
-                        stale_ticks: stale,
-                        fallbacks,
-                    }
-                } else {
-                    let mut sw = self.defense.build(self.link_bps);
-                    let mut src = FaultedSource::new(
-                        self.workload.build(self.link_bps, self.secs, self.seed),
-                        inj.clone(),
-                    );
-                    let result = simulate_with_faults(
-                        &mut src,
-                        &mut *sw,
-                        self.link_bps,
-                        self.secs,
-                        period,
-                        &inj,
-                    );
-                    ScenarioOutcome {
-                        backlog_pkts: sw.backlog_pkts(),
-                        result,
-                        fault_stats: Some(inj.stats()),
-                        missed_ticks: 0,
-                        stale_ticks: 0,
-                        fallbacks: 0,
-                    }
-                }
-            }
-        }
+        self.execute_streamed(None)
     }
 
-    /// [`ScenarioSpec::execute`] with a streaming-telemetry bundle.
+    /// The scenario executor. Panics on a combination
+    /// [`ScenarioSpec::check`] rejects.
     ///
-    /// With `telemetry == None` this delegates to [`execute`]
-    /// (byte-identical, keeping the goldens honest). When streaming, the
-    /// engine gets a fresh metrics registry so the aggregation stage has
-    /// per-period counters/gauges/histograms to delta; an ACC-Turbo
-    /// defense additionally shares that registry (control-loop timing,
-    /// queue depths, degradation gauges) and — when the bundle carries a
-    /// flight recorder — installs the recorder as its tracer so switch
-    /// and engine events land in one incident timeline.
+    /// A topology runs on the multi-switch engine, except `line:1` with
+    /// telemetry: that is byte-identical to the single-switch engine
+    /// (`tests/topology_matrix.rs`), so it runs flat, where the bundle
+    /// can be wired. A single switch runs on the sharded engine when
+    /// `shards > 1` and on the serial engine otherwise. The fault plane
+    /// reaches the engine, the source (`FaultedSource`) and an
+    /// ACC-Turbo switch; ACC-Turbo also reports its degradation
+    /// counters.
     ///
-    /// [`execute`]: ScenarioSpec::execute
+    /// With `telemetry`, the engine gets a fresh metrics registry so the
+    /// aggregation stage has per-period counters/gauges/histograms to
+    /// delta; an ACC-Turbo defense shares that registry (control-loop
+    /// timing, queue depths, degradation gauges) and — when the bundle
+    /// carries a flight recorder — the recorder as its tracer, so switch
+    /// and engine events land in one incident timeline. Without it the
+    /// run is byte-identical to the plain engine paths the figures use.
     pub fn execute_streamed(&self, telemetry: Option<&mut Telemetry>) -> ScenarioOutcome {
-        let Some(tel) = telemetry else {
-            return self.execute();
-        };
-        // The streaming bundle wires a single switch's metrics/tracer;
-        // the CLI rejects telemetry + topology before reaching here.
-        assert!(
-            self.topology.is_none(),
-            "streaming telemetry is not topology-aware; drop the telemetry flags or topology="
-        );
-        assert!(
-            self.shards == 1,
-            "streaming telemetry runs the serial engine; drop the telemetry flags or shards="
-        );
-        let period = self.effective_period();
-        let metrics: MetricsHandle = Rc::new(RefCell::new(Registry::new()));
-        let recorder = tel.recorder_handle();
-        let mut engine_tracer: Box<dyn Tracer> = match &recorder {
-            Some(rec) => Box::new(rec.clone()),
-            None => Box::new(NoopTracer),
-        };
-        let inj = self
-            .faults
+        if let Err(e) = self.check(telemetry.is_some()) {
+            panic!("{e}");
+        }
+        let result;
+        let backlog_pkts;
+        let mut fault_stats = None;
+        let mut degradation = DegradationCounters::default();
+        let (mut hops, mut pushback_installs, mut node_first_limit) = (0, 0, Vec::new());
+        if self
+            .topology
             .as_ref()
-            .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
-        if let DefenseSpec::AccTurbo(spec) = &self.defense {
-            let mut sw = spec.build();
-            sw.set_metrics(Rc::clone(&metrics));
-            if let Some(rec) = &recorder {
-                sw.set_tracer(Box::new(rec.clone()));
-            }
-            if let Some(inj) = &inj {
-                sw.set_faults(inj.clone());
-            }
-            let mut src: Box<dyn PacketSource> = {
-                let inner = self.workload.build(self.link_bps, self.secs, self.seed);
-                match &inj {
-                    Some(inj) => Box::new(FaultedSource::new(inner, inj.clone())),
-                    None => inner,
-                }
-            };
-            let result = simulate_streamed(
-                &mut *src,
-                &mut sw,
-                self.link_bps,
-                self.secs,
-                period,
-                &mut *engine_tracer,
-                Some(&metrics),
-                inj.as_ref(),
-                Some(tel),
-            );
-            let d = sw.degradation().counters();
-            ScenarioOutcome {
-                backlog_pkts: sw.backlog_pkts(),
-                result,
-                fault_stats: inj.map(|i| i.stats()),
-                missed_ticks: d.total_missed,
-                stale_ticks: d.total_stale,
-                fallbacks: d.fallbacks,
-            }
+            .is_some_and(|t| telemetry.is_none() || !t.is_single_switch())
+        {
+            let t = self.execute_topology();
+            (result, backlog_pkts) = (t.result, t.backlog_pkts);
+            (hops, pushback_installs) = (t.hops, t.pushback_installs);
+            node_first_limit = t.node_first_limit;
         } else {
-            let mut sw = self.defense.build(self.link_bps);
-            let mut src: Box<dyn PacketSource> = {
-                let inner = self.workload.build(self.link_bps, self.secs, self.seed);
-                match &inj {
-                    Some(inj) => Box::new(FaultedSource::new(inner, inj.clone())),
-                    None => inner,
+            let cfg = EngineConfig::experiment(self.link_bps, self.secs, self.effective_period());
+            let faults = self
+                .faults
+                .as_ref()
+                .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
+            let engine_faults = faults.clone().or_else(forced_noop_faults);
+            let metrics: Option<MetricsHandle> = telemetry
+                .is_some()
+                .then(|| Rc::new(RefCell::new(Registry::new())));
+            let recorder = telemetry.as_ref().and_then(|t| t.recorder_handle());
+            // ACC-Turbo stays concrete: its metrics/tracer/fault setters
+            // and degradation counters are not on the `Switch` trait.
+            let mut turbo = match &self.defense {
+                DefenseSpec::AccTurbo(spec) => Some(Box::new(spec.build())),
+                _ => None,
+            };
+            if let Some(sw) = &mut turbo {
+                if let Some(m) = &metrics {
+                    sw.set_metrics(Rc::clone(m));
+                }
+                if let Some(rec) = &recorder {
+                    sw.set_tracer(Box::new(rec.clone()));
+                }
+                if let Some(inj) = &faults {
+                    sw.set_faults(inj.clone());
+                }
+            }
+            let mut other: Box<dyn Switch>;
+            let sw: &mut dyn Switch = match &mut turbo {
+                Some(sw) => &mut **sw,
+                None => {
+                    other = self.defense.build(self.link_bps);
+                    &mut *other
                 }
             };
-            let result = simulate_streamed(
-                &mut *src,
-                &mut *sw,
-                self.link_bps,
-                self.secs,
-                period,
-                &mut *engine_tracer,
-                Some(&metrics),
-                inj.as_ref(),
-                Some(tel),
-            );
-            ScenarioOutcome {
-                backlog_pkts: sw.backlog_pkts(),
-                result,
-                fault_stats: inj.map(|i| i.stats()),
-                missed_ticks: 0,
-                stale_ticks: 0,
-                fallbacks: 0,
+            let src = self.workload.build(self.link_bps, self.secs, self.seed);
+            result = if self.shards > 1 {
+                ShardedEngine::new(self.shards).run_stream(src, sw, &cfg)
+            } else {
+                let mut src: Box<dyn PacketSource> = match &faults {
+                    Some(inj) => Box::new(FaultedSource::new(src, inj.clone())),
+                    None => src,
+                };
+                let (m, f) = (metrics.as_ref(), engine_faults.as_ref());
+                match recorder {
+                    Some(mut rec) => run_streamed(&mut *src, sw, &cfg, &mut rec, m, f, telemetry),
+                    None => run_streamed(&mut *src, sw, &cfg, &mut NoopTracer, m, f, telemetry),
+                }
+            };
+            backlog_pkts = sw.backlog_pkts();
+            if let Some(sw) = &turbo {
+                degradation = sw.degradation().counters();
             }
+            fault_stats = faults.map(|inj| inj.stats());
+        }
+        ScenarioOutcome {
+            result,
+            backlog_pkts,
+            fault_stats,
+            missed_ticks: degradation.total_missed,
+            stale_ticks: degradation.total_stale,
+            fallbacks: degradation.fallbacks,
+            hops,
+            pushback_installs,
+            node_first_limit,
         }
     }
 }
@@ -1794,6 +1737,25 @@ impl fmt::Display for ScenarioSpec {
         }
         if self.shards != 1 {
             write!(out, " shards={}", self.shards)?;
+        }
+        if let Some(fc) = &self.faults {
+            let mix = [
+                fc.ctrl_drop,
+                fc.ctrl_delay,
+                fc.stale_snapshot,
+                fc.pkt_drop,
+                fc.pkt_reorder,
+                fc.link_flap,
+            ];
+            let kinds: Vec<String> = crate::robustness::FAULT_KINDS
+                .iter()
+                .zip(mix)
+                .filter(|&(_, v)| v != 0.0)
+                .map(|(kind, v)| format!("{kind}:{v}"))
+                .collect();
+            if !kinds.is_empty() {
+                write!(out, " faults={}", kinds.join("+"))?;
+            }
         }
         Ok(())
     }

@@ -17,8 +17,8 @@
 //! and determinism is a hard requirement for figure regeneration, so (per
 //! the networking guides) an async runtime would buy nothing here.
 //!
-//! One loop serves every single-switch run: the `run*` entry points drive
-//! it from a [`PacketSource`], and the sharded engine
+//! One loop serves every single-switch run: [`run`] and [`run_streamed`]
+//! drive it from a [`PacketSource`], and the sharded engine
 //! ([`crate::shard::ShardedEngine`]) drives it from the sealed batches of
 //! its producer thread.
 
@@ -220,55 +220,7 @@ pub fn run(
 ) -> RunResult {
     // NoopTracer monomorphizes: the tracing branches compile out of this
     // path entirely (verified by the `obs_overhead` bench).
-    run_instrumented(source, switch, cfg, &mut NoopTracer, None)
-}
-
-/// Runs `source` through `switch` under `cfg`, emitting trace events to
-/// `tracer` and (when given) engine-level metrics to `metrics`.
-///
-/// Trace events emitted here: `depart` and `drop` per packet,
-/// `control_tick` per control-plane tick, and `stats_tick` at every
-/// stats-interval boundary. Switch-internal events (enqueue, cluster
-/// decisions, priority remaps) are emitted by the switch itself when its
-/// own tracer is installed — share one `SharedTracer` across both to get
-/// a single interleaved timeline.
-///
-/// When `metrics` is given, the engine registers `engine_arrivals` /
-/// `engine_departures` / `engine_drops` counters, a `backlog_pkts`
-/// gauge, and a `queue_depth_pkts` histogram, and snapshots the whole
-/// registry at every stats-interval boundary (plus once at the end).
-pub fn run_instrumented<T: Tracer + ?Sized>(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    cfg: &EngineConfig,
-    tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
-) -> RunResult {
-    run_with_faults(source, switch, cfg, tracer, metrics, None)
-}
-
-/// [`run_instrumented`] with an optional fault plane (DESIGN.md §9).
-///
-/// When `faults` is given, the injector is consulted at the engine's two
-/// substrate decision points: each control-tick firing (which may be run,
-/// suppressed — invoking the switch's `control_missed` hook — or
-/// postponed) and each transmission start (whose serialization time is
-/// stretched inside a link-flap window). Packet-level faults live in
-/// [`crate::fault::FaultedSource`], outside the engine.
-///
-/// With `faults == None` every injection point is a not-taken branch on
-/// unchanged state: the run is byte-identical to [`run_instrumented`]
-/// and stays allocation-free in steady state (both locked down by the
-/// fault lockdown test suite).
-pub fn run_with_faults<T: Tracer + ?Sized>(
-    source: &mut dyn PacketSource,
-    switch: &mut dyn Switch,
-    cfg: &EngineConfig,
-    tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
-    faults: Option<&FaultInjector>,
-) -> RunResult {
-    run_streamed(source, switch, cfg, tracer, metrics, faults, None)
+    run_streamed(source, switch, cfg, &mut NoopTracer, None, None, None)
 }
 
 /// The flow identity the streaming sampler keys on, taken from a packet.
@@ -283,22 +235,48 @@ fn flow_key(p: &Packet) -> FlowKey {
     }
 }
 
-/// [`run_with_faults`] with an optional streaming-telemetry bundle
-/// (DESIGN.md §11).
+/// Runs `source` through `switch` under `cfg` with every hook the
+/// engine has: a tracer, engine metrics, a fault plane and a
+/// streaming-telemetry bundle. Each is optional; with `NoopTracer` and
+/// `None` everywhere this is [`run`].
 ///
-/// When `telemetry` is given, the engine replaces the registry's
-/// accumulate-and-dump snapshots with streaming: at every stats-interval
-/// boundary (and once at the end) it calls [`Telemetry::on_period`] with
-/// the live registry, which emits per-period counter deltas / gauge
-/// last-values / histogram merges to the bundle's sink, feeds the
-/// reservoir flow sampler from arrivals/drops, runs the pulse-onset
-/// heuristic, and — via [`Telemetry::finish`] — exports the labeled
-/// dataset. `Registry::snapshot` is never called on this path, so
-/// telemetry memory stays bounded by the sink/ring/reservoir capacities
-/// for arbitrarily long runs.
+/// **Events.** Trace events emitted here: `depart` and `drop` per
+/// packet, `control_tick` per control-plane tick, and `stats_tick` at
+/// every stats-interval boundary. Switch-internal events (enqueue,
+/// cluster decisions, priority remaps) are emitted by the switch itself
+/// when its own tracer is installed — share one `SharedTracer` across
+/// both to get a single interleaved timeline.
 ///
-/// With `telemetry == None` every hook is a not-taken branch on
-/// unchanged state: the run is byte-identical to [`run_with_faults`].
+/// **Metrics.** When `metrics` is given, the engine registers
+/// `engine_arrivals` / `engine_departures` / `engine_drops` counters, a
+/// `backlog_pkts` gauge, and a `queue_depth_pkts` histogram, and
+/// snapshots the whole registry at every stats-interval boundary (plus
+/// once at the end).
+///
+/// **Faults** (DESIGN.md §9). When `faults` is given, the injector is
+/// consulted at the engine's two substrate decision points: each
+/// control-tick firing (which may be run, suppressed — invoking the
+/// switch's `control_missed` hook — or postponed) and each transmission
+/// start (whose serialization time is stretched inside a link-flap
+/// window). Packet-level faults live in
+/// [`crate::fault::FaultedSource`], outside the engine.
+///
+/// **Telemetry** (DESIGN.md §11). When `telemetry` is given, the engine
+/// replaces the registry's accumulate-and-dump snapshots with
+/// streaming: at every stats-interval boundary (and once at the end) it
+/// calls [`Telemetry::on_period`] with the live registry, which emits
+/// per-period counter deltas / gauge last-values / histogram merges to
+/// the bundle's sink, feeds the reservoir flow sampler from
+/// arrivals/drops, runs the pulse-onset heuristic, and — via
+/// [`Telemetry::finish`] — exports the labeled dataset.
+/// `Registry::snapshot` is never called on this path, so telemetry
+/// memory stays bounded by the sink/ring/reservoir capacities for
+/// arbitrarily long runs.
+///
+/// With `faults == None` and `telemetry == None` every injection point
+/// and hook is a not-taken branch on unchanged state: the run is
+/// byte-identical to the hook-free one and stays allocation-free in
+/// steady state (both locked down by the fault lockdown test suite).
 pub fn run_streamed<T: Tracer + ?Sized>(
     source: &mut dyn PacketSource,
     switch: &mut dyn Switch,
@@ -729,7 +707,15 @@ mod tests {
             .with_stats_interval(SimDuration::from_millis(20));
         let mut tracer = shared(RingTracer::new(100_000));
         let metrics = Rc::new(RefCell::new(Registry::new()));
-        let res = run_instrumented(&mut src, &mut sw, &cfg, &mut tracer, Some(&metrics));
+        let res = run_streamed(
+            &mut src,
+            &mut sw,
+            &cfg,
+            &mut tracer,
+            Some(&metrics),
+            None,
+            None,
+        );
 
         let t = tracer.borrow();
         let departs = t.iter().filter(|(_, e)| e.kind() == "depart").count() as u64;
@@ -773,7 +759,15 @@ mod tests {
         let mut sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
         let mut tracer = shared(RingTracer::new(100_000));
         let metrics = Rc::new(RefCell::new(Registry::new()));
-        let res = run_instrumented(&mut src, &mut sw, &cfg, &mut tracer, Some(&metrics));
+        let res = run_streamed(
+            &mut src,
+            &mut sw,
+            &cfg,
+            &mut tracer,
+            Some(&metrics),
+            None,
+            None,
+        );
 
         let mut plain_src = VecSource::new(cbr_packets(2_000, 100, 1000));
         let mut plain_sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
@@ -824,7 +818,7 @@ mod tests {
         let a = run(&mut src1, &mut sw1, &cfg);
         let mut src2 = VecSource::new(cbr_packets(500, 100, 1000));
         let mut sw2 = SingleQueueSwitch::new(FifoQueue::new(10_000));
-        let b = run_instrumented(&mut src2, &mut sw2, &cfg, &mut NoopTracer, None);
+        let b = run_streamed(&mut src2, &mut sw2, &cfg, &mut NoopTracer, None, None, None);
         assert_eq!(a.arrivals, b.arrivals);
         assert_eq!(a.departures, b.departures);
         assert_eq!(a.drops, b.drops);

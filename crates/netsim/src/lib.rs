@@ -43,7 +43,7 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use engine::{run, run_instrumented, run_streamed, run_with_faults, EngineConfig, RunResult};
+pub use engine::{run, run_streamed, EngineConfig, RunResult};
 pub use fault::{
     ControlAction, FaultConfig, FaultInjector, FaultRecord, FaultSchedule, FaultStats,
     FaultedSource, NoopFaultInjector, PktFate,

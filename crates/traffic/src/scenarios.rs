@@ -49,7 +49,17 @@ pub fn aggregate_sport_band(i: u16) -> (u16, u16) {
     }
 }
 
-fn cbr_aggregate(i: u16, rate_bps: u64, end: SimTime, seed: u64) -> Box<dyn PacketSource + Send> {
+/// Benign CBR aggregate `i`, or `None` when `rate_bps` rounds to zero
+/// (a link of a few bps): a silent aggregate emits nothing.
+fn cbr_aggregate(
+    i: u16,
+    rate_bps: u64,
+    end: SimTime,
+    seed: u64,
+) -> Option<Box<dyn PacketSource + Send>> {
+    if rate_bps == 0 {
+        return None;
+    }
     let dports = [80u16, 53, 443, 8080];
     let sizes = [1500u32, 800, 1200, 600];
     let ttls = [64u8, 58, 52, 47];
@@ -70,7 +80,7 @@ fn cbr_aggregate(i: u16, rate_bps: u64, end: SimTime, seed: u64) -> Box<dyn Pack
         sport: Some(aggregate_sport_band(i)),
         ..Spread::default()
     };
-    Box::new(SpreadSource::new(cbr, spread, seed))
+    Some(Box::new(SpreadSource::new(cbr, spread, seed)))
 }
 
 /// Builds the Fig. 2 workload for a bottleneck of `link_bps`.
@@ -83,7 +93,7 @@ pub fn fig2_source(link_bps: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(RUN_SECS);
     let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
     for i in 1..=4u16 {
-        sources.push(cbr_aggregate(
+        sources.extend(cbr_aggregate(
             i,
             link_bps * 2125 / 10_000,
             end,
@@ -156,7 +166,7 @@ pub fn fig3_source(link_bps: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(RUN_SECS);
     let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
     for i in 1..=4u16 {
-        sources.push(cbr_aggregate(
+        sources.extend(cbr_aggregate(
             i,
             link_bps / 4,
             end,

@@ -27,6 +27,21 @@ pub const FIG6_PULSE_BPS: u64 = 40_000_000;
 /// Attack start of the Fig. 7 reaction-time flood (seconds).
 pub const REACTION_ATTACK_START_S: u64 = 20;
 
+/// Boxes `build()` into `sources` unless its window `[start, end)` is
+/// empty: such a sub-source would emit nothing, and its constructor
+/// rejects it. Short runs (`secs` at or before an attack start)
+/// therefore run without that attack instead of panicking.
+fn push_live(
+    sources: &mut Vec<Box<dyn PacketSource + Send>>,
+    start: SimTime,
+    end: SimTime,
+    build: impl FnOnce() -> Box<dyn PacketSource + Send>,
+) {
+    if end > start {
+        sources.push(build());
+    }
+}
+
 /// The attack variations of Table 3's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FloodVariation {
@@ -69,21 +84,23 @@ pub fn flood(variation: FloodVariation, secs: u64, seed: u64) -> MergedSource {
         BackgroundConfig::new(EXPERIMENT_BACKGROUND_BPS, SimTime::ZERO, end, seed),
     ))];
     if variation != FloodVariation::NoAttack {
-        let mut cfg = AttackConfig::new(
-            AttackVector::UdpFlood,
-            FLOOD_ATTACK_BPS,
-            SimTime::from_secs(5),
-            end,
-            ClassId(1),
-            seed + 1,
-        )
-        .with_single_flow();
-        cfg = match variation {
-            FloodVariation::CarpetBombing => cfg.with_carpet_bombing(),
-            FloodVariation::SourceSpoofing => cfg.with_source_spoofing(),
-            _ => cfg,
-        };
-        sources.push(Box::new(AttackSource::new(cfg)));
+        let start = SimTime::from_secs(5);
+        push_live(&mut sources, start, end, || {
+            let cfg = AttackConfig::new(
+                AttackVector::UdpFlood,
+                FLOOD_ATTACK_BPS,
+                start,
+                end,
+                ClassId(1),
+                seed + 1,
+            )
+            .with_single_flow();
+            Box::new(AttackSource::new(match variation {
+                FloodVariation::CarpetBombing => cfg.with_carpet_bombing(),
+                FloodVariation::SourceSpoofing => cfg.with_source_spoofing(),
+                _ => cfg,
+            }))
+        });
     }
     MergedSource::new(sources)
 }
@@ -216,102 +233,112 @@ pub fn adversarial(scenario: AdversarialScenario, secs: u64, seed: u64) -> Merge
     ))];
     match scenario {
         AdversarialScenario::PlainFlood => {
-            sources.push(Box::new(AttackSource::new(
-                AttackConfig::new(
-                    AttackVector::UdpFlood,
-                    40_000_000,
-                    start,
-                    end,
-                    ClassId(1),
-                    seed + 1,
-                )
-                .with_single_flow(),
-            )));
+            push_live(&mut sources, start, end, || {
+                Box::new(AttackSource::new(
+                    AttackConfig::new(
+                        AttackVector::UdpFlood,
+                        40_000_000,
+                        start,
+                        end,
+                        ClassId(1),
+                        seed + 1,
+                    )
+                    .with_single_flow(),
+                ))
+            });
         }
         AdversarialScenario::PacketLevelEvasion => {
             // Randomize *everything*: source, destination, both ports,
             // size, TTL — nothing left to correlate on.
-            let flood = AttackSource::new(
-                AttackConfig::new(
-                    AttackVector::UdpFlood,
-                    40_000_000,
-                    start,
-                    end,
-                    ClassId(1),
-                    seed + 1,
-                )
-                .with_source_spoofing(),
-            );
-            let mut rng = StdRng::seed_from_u64(seed + 2);
-            sources.push(Box::new(MapSource::new(flood, move |p| {
-                p.dst = Ipv4Addr::new(rng.gen(), rng.gen(), rng.gen(), rng.gen());
-                p.ttl = rng.gen();
-                p.ip_len = rng.gen();
-                p.ip_id = rng.gen();
-            })));
+            push_live(&mut sources, start, end, || {
+                let flood = AttackSource::new(
+                    AttackConfig::new(
+                        AttackVector::UdpFlood,
+                        40_000_000,
+                        start,
+                        end,
+                        ClassId(1),
+                        seed + 1,
+                    )
+                    .with_source_spoofing(),
+                );
+                let mut rng = StdRng::seed_from_u64(seed + 2);
+                Box::new(MapSource::new(flood, move |p| {
+                    p.dst = Ipv4Addr::new(rng.gen(), rng.gen(), rng.gen(), rng.gen());
+                    p.ttl = rng.gen();
+                    p.ip_len = rng.gen();
+                    p.ip_id = rng.gen();
+                }))
+            });
         }
         AdversarialScenario::AggregateLevelEvasion => {
             // Ten spread-out vectors at 4 Mbps each (same 40 Mbps total),
             // one per cluster slot of the simulation profile.
             for (i, vector) in AttackVector::ALL.iter().enumerate() {
-                sources.push(Box::new(AttackSource::new(
-                    AttackConfig::new(
-                        *vector,
-                        4_000_000,
-                        start,
-                        end,
-                        ClassId(1 + i as u16),
-                        seed + 10 + i as u64,
-                    )
-                    .with_victim(Ipv4Addr::new(10 + 20 * i as u8, 50, 7, 9), 4000 + i as u16),
-                )));
+                push_live(&mut sources, start, end, || {
+                    Box::new(AttackSource::new(
+                        AttackConfig::new(
+                            *vector,
+                            4_000_000,
+                            start,
+                            end,
+                            ClassId(1 + i as u16),
+                            seed + 10 + i as u64,
+                        )
+                        .with_victim(Ipv4Addr::new(10 + 20 * i as u8, 50, 7, 9), 4000 + i as u16),
+                    ))
+                });
             }
         }
         AdversarialScenario::Swapping => {
             // Benign = tight 6 Mbps service; attack = randomized 12 Mbps.
             sources.push(victim_service(end, 6_000_000, seed));
-            let flood = AttackSource::new(
-                AttackConfig::new(
-                    AttackVector::UdpFlood,
-                    12_000_000,
-                    start,
-                    end,
-                    ClassId(1),
-                    seed + 3,
-                )
-                .with_source_spoofing(),
-            );
-            let mut rng = StdRng::seed_from_u64(seed + 4);
-            sources.push(Box::new(MapSource::new(flood, move |p| {
-                p.dst = Ipv4Addr::new(rng.gen(), rng.gen(), rng.gen(), rng.gen());
-                p.ttl = rng.gen();
-            })));
+            push_live(&mut sources, start, end, || {
+                let flood = AttackSource::new(
+                    AttackConfig::new(
+                        AttackVector::UdpFlood,
+                        12_000_000,
+                        start,
+                        end,
+                        ClassId(1),
+                        seed + 3,
+                    )
+                    .with_source_spoofing(),
+                );
+                let mut rng = StdRng::seed_from_u64(seed + 4);
+                Box::new(MapSource::new(flood, move |p| {
+                    p.dst = Ipv4Addr::new(rng.gen(), rng.gen(), rng.gen(), rng.gen());
+                    p.ttl = rng.gen();
+                }))
+            });
         }
         AdversarialScenario::Imitation => {
             // The attack replicates the victim service's exact signature.
             sources.push(victim_service(end, 6_000_000, seed));
-            let imitation = CbrSource::new(
-                FlowTemplate::udp(
-                    Ipv4Addr::new(95, 10, 1, 1),
-                    Ipv4Addr::new(203, 7, 44, 0),
-                    30_000,
-                    443,
-                    ClassId(1),
-                )
-                .with_size(1200),
-                40_000_000,
-                start,
-                end,
-            );
-            sources.push(Box::new(SpreadSource::new(
-                imitation,
-                Spread {
-                    dst_low_bits: 8,
-                    sport: Some((30_000, 30_200)),
-                    ..Spread::default()
-                },
-                seed + 5,
-            )));
+            push_live(&mut sources, start, end, || {
+                let imitation = CbrSource::new(
+                    FlowTemplate::udp(
+                        Ipv4Addr::new(95, 10, 1, 1),
+                        Ipv4Addr::new(203, 7, 44, 0),
+                        30_000,
+                        443,
+                        ClassId(1),
+                    )
+                    .with_size(1200),
+                    40_000_000,
+                    start,
+                    end,
+                );
+                Box::new(SpreadSource::new(
+                    imitation,
+                    Spread {
+                        dst_low_bits: 8,
+                        sport: Some((30_000, 30_200)),
+                        ..Spread::default()
+                    },
+                    seed + 5,
+                ))
+            });
         }
     }
     MergedSource::new(sources)
@@ -327,17 +354,21 @@ pub fn adversarial(scenario: AdversarialScenario, secs: u64, seed: u64) -> Merge
 /// experiment, not the draw — so it takes no seed parameter.
 pub fn elephant(secs: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let attack = AttackSource::new(
-        AttackConfig::new(
-            AttackVector::UdpFlood,
-            10_000_000,
-            SimTime::from_secs(5),
-            end,
-            ClassId(1),
-            3,
-        )
-        .with_single_flow(),
-    );
+    let start = SimTime::from_secs(5);
+    let mut sources: Vec<Box<dyn PacketSource + Send>> = Vec::new();
+    push_live(&mut sources, start, end, || {
+        Box::new(AttackSource::new(
+            AttackConfig::new(
+                AttackVector::UdpFlood,
+                10_000_000,
+                start,
+                end,
+                ClassId(1),
+                3,
+            )
+            .with_single_flow(),
+        ))
+    });
     let background =
         BackgroundSource::new(BackgroundConfig::new(8_000_000, SimTime::ZERO, end, 11));
     let cdn = CbrSource::new(
@@ -363,11 +394,9 @@ pub fn elephant(secs: u64) -> MergedSource {
         },
         7,
     );
-    MergedSource::new(vec![
-        Box::new(attack) as Box<dyn PacketSource + Send>,
-        Box::new(background),
-        Box::new(cdn),
-    ])
+    sources.push(Box::new(background));
+    sources.push(Box::new(cdn));
+    MergedSource::new(sources)
 }
 
 /// Attack start of the parameterized pulse workload (seconds). Early —

@@ -1,7 +1,7 @@
 //! Differential lockdown of the fault-injection layer (DESIGN.md §9):
 //! threading a do-nothing injector through the engine must leave every
 //! figure byte-identical to the plain `run` path. This is the guarantee
-//! that lets `run_with_faults` exist at all — the fault plane costs
+//! that lets the engine carry a fault plane at all — the fault plane costs
 //! nothing (no behaviour change, no RNG draws) until a fault is
 //! actually configured.
 //!

@@ -2,7 +2,8 @@
 //! [`DefenseSpec`] the factory can build runs the same short flood
 //! workload end to end, conserves packets, and round-trips its spec
 //! string. A second test pins `xp run workload=fig2 defense=accturbo`
-//! to the Fig. 2d experiment it claims to reproduce.
+//! to the Fig. 2d experiment it claims to reproduce, and a third runs
+//! every workload kind at the shortest run lengths and a 1 bps link.
 
 use accturbo_experiments::common::{share_series, Scale};
 use accturbo_experiments::spec::{self, DefenseSpec, ScenarioSpec, WorkloadSpec};
@@ -88,5 +89,57 @@ fn fig2_accturbo_scenario_reproduces_fig2d() {
                 "attack mean share {mean:.3} not suppressed as in Fig. 2d"
             );
         }
+    }
+}
+
+/// Every workload kind runs through `xp run` at the shortest run
+/// lengths — `secs=1` and `secs=5`, at or before most attack starts —
+/// and the Fig. 2/3 pair also at `link=1`, where the demand matrix
+/// rounds benign rates to zero. Each run conserves packets instead of
+/// panicking on a sub-source that would emit nothing.
+#[test]
+fn every_workload_kind_runs_at_short_lengths_and_tiny_links() {
+    let workloads = [
+        "fig2",
+        "fig3",
+        "fig6",
+        "fig7",
+        "background",
+        "flood:none",
+        "flood",
+        "flood:carpet",
+        "flood:spoof",
+        "adversarial:plain",
+        "adversarial:evade-pkt",
+        "adversarial:evade-agg",
+        "adversarial:swap",
+        "adversarial:imitate",
+        "elephant",
+        "pulse",
+        "cicday",
+    ];
+    let mut sentences: Vec<Vec<String>> = Vec::new();
+    for w in workloads {
+        for secs in [1, 5] {
+            sentences.push(vec![format!("workload={w}"), format!("secs={secs}")]);
+        }
+    }
+    for w in ["fig2", "fig3"] {
+        sentences.push(vec![
+            format!("workload={w}"),
+            "link=1".into(),
+            "secs=5".into(),
+        ]);
+    }
+    for argv in sentences {
+        let cmd =
+            accturbo_experiments::cli::parse_run(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        let outcome = cmd.spec.execute();
+        let res = &outcome.result;
+        assert_eq!(
+            res.arrivals,
+            res.departures + res.drops + outcome.backlog_pkts as u64,
+            "{argv:?}: packet conservation violated"
+        );
     }
 }

@@ -11,11 +11,11 @@
 //! the quantization the grammar's shortest-float rendering round-trips
 //! losslessly, and the same grid the adversarial search explores.
 
-use accturbo_experiments::cli;
 use accturbo_experiments::spec::{
     AccTurboSpec, DefenseSpec, EdgeDefense, FeatureProfile, JaqenSpec, Profile, ScenarioSpec,
     TopologyShape, TopologySpec, WorkloadSpec,
 };
+use accturbo_experiments::{cli, robustness};
 use accturbo_netsim::{SimDuration, SimTime};
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use accturbo_sched::RankingAlgorithm;
@@ -291,8 +291,8 @@ fn topology_specs_round_trip_through_the_grammar() {
 /// A full scenario renders as the `xp run` KEY=VAL sentence; feeding that
 /// sentence back through the real CLI parser must reconstruct the same
 /// scenario. (This is the property that makes every report header and
-/// corpus replay line copy-pasteable.) Topology-bearing sentences stay
-/// exact because `Display` always emits an explicit `secs=`, which
+/// corpus replay line copy-pasteable, fault plane included.)
+/// Topology-bearing sentences stay exact because `Display` always emits an explicit `secs=`, which
 /// overrides `parse_run`'s topology-aware padding.
 #[test]
 fn scenario_specs_round_trip_through_the_xp_run_sentence() {
@@ -311,6 +311,19 @@ fn scenario_specs_round_trip_through_the_xp_run_sentence() {
             // shards= and topology= are mutually exclusive in the CLI, so
             // the sharded knob only rides on single-switch sentences.
             spec = spec.with_shards(rng.gen_range(2..=16));
+        } else if rng.gen_bool(0.4) {
+            // The fault plane rides only on serial single-switch
+            // sentences; `xp run` seeds it from the scenario seed.
+            let mut mix: Vec<(String, f64)> = Vec::new();
+            for kind in robustness::FAULT_KINDS {
+                if rng.gen_bool(0.5) {
+                    mix.push((kind.to_string(), rng.gen_range(1..=100u32) as f64 / 100.0));
+                }
+            }
+            if !mix.is_empty() {
+                let faults = robustness::config_from_mix(&mix, spec.seed);
+                spec = spec.with_faults(faults);
+            }
         }
         let sentence = spec.to_string();
         let argv: Vec<String> = sentence.split(' ').map(str::to_string).collect();

@@ -11,6 +11,7 @@
 //!   including when fed from the parallel runner's in-order stream.
 
 use accturbo_experiments::cli::{build_telemetry, parse_run};
+use accturbo_experiments::spec::{ScenarioOutcome, ScenarioSpec};
 use accturbo_obs::{
     shared_recorder, DatasetSink, FlightRecorder, FlowSampler, RingSink, Sink, TeeSink, Telemetry,
 };
@@ -92,25 +93,69 @@ fn cicday_quick_run_keeps_telemetry_memory_bounded() {
     std::fs::remove_file(&dataset_path).ok();
 }
 
-/// Attaching a full telemetry bundle must not perturb the simulation:
-/// the streamed outcome matches the plain `execute()` packet for packet.
+/// Attaching a full telemetry bundle (sink and flight recorder) must
+/// not perturb the simulation: for every defense with and without a
+/// fault plane, the streamed outcome matches the plain `execute()`
+/// packet for packet, fault counter for fault counter. `topology=line:1`
+/// runs flat when streamed, and both of its outcomes match the flat
+/// run's.
 #[test]
 fn telemetry_does_not_perturb_the_scenario() {
-    let cmd = parse_run(&args(&[
+    fn streamed(spec: &ScenarioSpec) -> ScenarioOutcome {
+        let rec = FlightRecorder::new(256, 32, Box::new(RingSink::new(64)));
+        let mut tel = Telemetry::new()
+            .with_sink(Box::new(RingSink::new(1024)))
+            .with_recorder(shared_recorder(rec));
+        let out = spec.execute_streamed(Some(&mut tel));
+        assert!(tel.periods() > 0 && tel.sink_lines() > 0);
+        out
+    }
+    fn assert_same(ctx: &str, a: &ScenarioOutcome, b: &ScenarioOutcome) {
+        assert_eq!(a.result.arrivals, b.result.arrivals, "{ctx}: arrivals");
+        assert_eq!(
+            a.result.departures, b.result.departures,
+            "{ctx}: departures"
+        );
+        assert_eq!(a.result.drops, b.result.drops, "{ctx}: drops");
+        assert_eq!(a.backlog_pkts, b.backlog_pkts, "{ctx}: backlog");
+        assert_eq!(a.fault_stats, b.fault_stats, "{ctx}: fault stats");
+        assert_eq!(a.missed_ticks, b.missed_ticks, "{ctx}: missed ticks");
+        assert_eq!(a.stale_ticks, b.stale_ticks, "{ctx}: stale ticks");
+        assert_eq!(a.fallbacks, b.fallbacks, "{ctx}: fallbacks");
+    }
+
+    for defense in ["fifo", "acc", "accturbo", "jaqen"] {
+        for faults in [
+            None,
+            Some("faults=ctrl_drop:0.3+pkt_drop:0.05+link_flap:0.1"),
+        ] {
+            let mut argv = vec![
+                "workload=fig2".to_string(),
+                format!("defense={defense}"),
+                "secs=6".to_string(),
+                "--quick".to_string(),
+            ];
+            argv.extend(faults.map(str::to_string));
+            let spec = parse_run(&argv).unwrap().spec;
+            let plain = spec.execute();
+            assert_eq!(plain.fault_stats.is_some(), faults.is_some());
+            assert_same(&argv.join(" "), &plain, &streamed(&spec));
+        }
+    }
+
+    let line1 = parse_run(&args(&[
         "workload=fig2",
         "defense=accturbo",
         "secs=6",
-        "--quick",
+        "topology=line:1",
     ]))
-    .unwrap();
-    let plain = cmd.spec.execute();
-    let mut tel = Telemetry::new().with_sink(Box::new(RingSink::new(1024)));
-    let streamed = cmd.spec.execute_streamed(Some(&mut tel));
-    assert_eq!(plain.result.arrivals, streamed.result.arrivals);
-    assert_eq!(plain.result.departures, streamed.result.departures);
-    assert_eq!(plain.result.drops, streamed.result.drops);
-    assert_eq!(plain.backlog_pkts, streamed.backlog_pkts);
-    assert!(tel.periods() > 0 && tel.sink_lines() > 0);
+    .unwrap()
+    .spec;
+    let mut flat = line1.clone();
+    flat.topology = None;
+    let flat = flat.execute();
+    assert_same("line:1 execute", &flat, &line1.execute());
+    assert_same("line:1 streamed", &flat, &streamed(&line1));
 }
 
 /// Same seed ⇒ byte-identical dataset export, twice over.
