@@ -456,7 +456,11 @@ fn parse_period(v: &str) -> Result<SimDuration, String> {
     if !x.is_finite() || x <= 0.0 {
         return Err(format!("xp run: period `{v}` must be positive"));
     }
-    Ok(SimDuration::from_secs_f64(x / div))
+    let period = SimDuration::from_secs_f64(x / div);
+    if period.is_zero() {
+        return Err(format!("xp run: period `{v}` rounds to 0 ns"));
+    }
+    Ok(period)
 }
 
 /// Parses `xp run` arguments: `key=value` pairs (comma- or
@@ -752,12 +756,7 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
         "conservation,{}",
         if conserved { "ok" } else { "VIOLATED" }
     );
-    // Only a run on the multi-switch engine has a per-node record.
-    if let Some(t) = spec
-        .topology
-        .as_ref()
-        .filter(|_| !outcome.node_first_limit.is_empty())
-    {
+    if let Some(t) = &spec.topology {
         let _ = writeln!(out, "topology.hops,{}", outcome.hops);
         if t.pushback {
             let leaves = t.build(spec.link_bps).leaves().to_vec();
@@ -1346,47 +1345,23 @@ mod tests {
 
     #[test]
     fn run_topology_rejects_unsupported_combinations() {
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "topology=star:4",
-            "faults=ctrl_drop:0.5",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("not both"), "{err}");
-
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "topology=star:4",
-            "--sink",
-            "/tmp/x.jsonl",
-        ]))
-        .unwrap_err();
-        assert!(
-            err.contains("only the single-switch `topology=line:1`"),
-            "{err}"
-        );
-
-        // line:1 with all-default options is the single-switch engine, so
-        // telemetry is allowed (tests/topology_matrix.rs proves byte-identity) —
-        // but any non-default knob disqualifies it.
-        let ok = parse_run(&args(&[
-            "workload=fig2",
-            "topology=line:1",
-            "--sink",
-            "/tmp/x.jsonl",
-        ]));
-        assert!(ok.is_ok(), "{ok:?}");
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "topology=line:1:pushback=on",
-            "--sink",
-            "/tmp/x.jsonl",
-        ]))
-        .unwrap_err();
-        assert!(
-            err.contains("only the single-switch `topology=line:1`"),
-            "{err}"
-        );
+        // Every tree runs on the engine's one loop, so faults and the
+        // telemetry sinks combine with any topology.
+        for extra in [
+            vec!["topology=star:4", "faults=ctrl_drop:0.5"],
+            vec!["topology=star:4", "--sink", "/tmp/x.jsonl"],
+            vec!["topology=line:1:pushback=on", "--sink", "/tmp/x.jsonl"],
+            vec![
+                "topology=fattree:2:pushback=on",
+                "faults=link_flap:0.1",
+                "--dataset",
+                "/tmp/x.csv",
+            ],
+        ] {
+            let argv: Vec<&str> = ["workload=fig2"].into_iter().chain(extra).collect();
+            let ok = parse_run(&args(&argv));
+            assert!(ok.is_ok(), "{argv:?}: {ok:?}");
+        }
 
         let err = parse_run(&args(&["workload=fig2", "topology=ring:4"])).unwrap_err();
         assert!(err.contains("unknown topology"), "{err}");
@@ -1485,6 +1460,23 @@ mod tests {
             (vec!["workload=fig2", "secs=0"], "secs must be at least 1"),
             (vec!["workload=fig2", "link=-3m"], "must be positive"),
             (vec!["workload=fig2", "period=0ms"], "must be positive"),
+            // Positive values that round to 0 ns / 0 bps.
+            (
+                vec!["workload=fig2", "period=0.0000000001"],
+                "rounds to 0 ns",
+            ),
+            (vec!["workload=fig2", "link=0.4"], "rounds to 0 bps"),
+            (
+                vec![
+                    "workload=fig2",
+                    "topology=line:2:pushback=on:refresh=0.0000000001",
+                ],
+                "rounds to 0 ns",
+            ),
+            (
+                vec!["workload=fig2", "topology=line:2:uplink=0.1"],
+                "rounds to 0 bps",
+            ),
             (
                 vec!["workload=fig2", "faults=frob:0.5"],
                 "unknown fault kind `frob`",

@@ -32,8 +32,8 @@ use accturbo_clustering::{DistanceKind, FeatureSet, InitMode, NominalMode, RepMo
 use accturbo_core::{AccTurboConfig, AccTurboSwitch, IdealPifoSwitch, RankedAccTurboSwitch};
 use accturbo_jaqen::{JaqenConfig, JaqenSwitch, Signature};
 use accturbo_netsim::{
-    run_streamed, run_topology, Bandwidth, ClassId, EngineConfig, FaultConfig, FaultInjector,
-    FaultSchedule, FaultStats, FaultedSource, LinkSpec, PacketSource, ProgramSwapSwitch,
+    run_topology_streamed, Bandwidth, ClassId, EngineConfig, FaultConfig, FaultInjector,
+    FaultSchedule, FaultStats, FaultedSource, LinkSpec, Packet, PacketSource, ProgramSwapSwitch,
     PushbackPlan, RedConfig, RedQueue, RunResult, ShardedEngine, SimDuration, SimTime,
     SingleQueueSwitch, Switch, Topology, TopologyConfig, TopologyRunResult,
 };
@@ -64,7 +64,11 @@ pub(crate) fn parse_secs(v: &str) -> Result<SimDuration, String> {
     if !s.is_finite() || s <= 0.0 {
         return Err(format!("duration must be positive, got `{v}`"));
     }
-    Ok(SimDuration::from_secs_f64(s))
+    let d = SimDuration::from_secs_f64(s);
+    if d.is_zero() {
+        return Err(format!("duration `{v}` rounds to 0 ns"));
+    }
+    Ok(d)
 }
 
 /// Parses a duration that may be zero (ramp shapes: `0` = square pulse).
@@ -110,7 +114,10 @@ pub(crate) fn parse_bandwidth(v: &str) -> Result<u64, String> {
     if !x.is_finite() || x <= 0.0 {
         return Err(format!("bandwidth `{v}` must be positive"));
     }
-    Ok((x * mult).round() as u64)
+    match (x * mult).round() as u64 {
+        0 => Err(format!("bandwidth `{v}` rounds to 0 bps")),
+        bps => Ok(bps),
+    }
 }
 
 /// Parses a `+`-separated attack-vector mix (`udp+syn+ntp`).
@@ -1213,16 +1220,6 @@ impl TopologySpec {
         }
     }
 
-    /// True when this topology is the trivial one-node line at default
-    /// options — semantically (and, per `tests/topology_matrix.rs`,
-    /// byte-for-byte) the classic single-switch engine. Only this case
-    /// may route through single-switch-only paths such as streaming
-    /// telemetry; any non-default knob (delay, uplink, pushback, …)
-    /// disqualifies it.
-    pub fn is_single_switch(&self) -> bool {
-        self == &TopologySpec::new(TopologyShape::Line(1))
-    }
-
     /// Number of ingress leaves.
     pub fn leaf_count(&self) -> usize {
         match self.shape {
@@ -1471,8 +1468,8 @@ pub struct ScenarioOutcome {
     pub hops: u64,
     /// Pushback limit messages delivered (topology runs only).
     pub pushback_installs: u64,
-    /// Per node: when the first pushback limit arrived, if ever. Empty
-    /// unless the run went through the multi-switch engine.
+    /// Per node: when the first pushback limit arrived, if ever (a
+    /// single switch is one node).
     pub node_first_limit: Vec<Option<SimTime>>,
 }
 
@@ -1548,14 +1545,7 @@ impl ScenarioSpec {
     /// along. `xp run` reports the message as a parse error and the
     /// executors panic with it.
     pub fn check(&self, telemetry: bool) -> Result<(), String> {
-        let single_switch = self.topology.as_ref().is_none_or(|t| t.is_single_switch());
-        let reason = if self.topology.is_some() && self.faults.is_some() {
-            "the fault plane models a single defended switch; \
-             combine either faults= or topology=, not both"
-        } else if telemetry && !single_switch {
-            "streaming telemetry supports only the single-switch \
-             `topology=line:1`; drop --sink/--dataset/--flight-recorder or topology="
-        } else if self.shards > 1 && self.topology.is_some() {
+        let reason = if self.shards > 1 && self.topology.is_some() {
             "the sharded datapath runs the single defended switch; drop shards= or topology="
         } else if self.shards > 1 && self.faults.is_some() {
             "the sharded datapath has no fault plane; drop shards= or faults="
@@ -1572,41 +1562,8 @@ impl ScenarioSpec {
     /// picture. Panics without a topology, or on a combination
     /// [`ScenarioSpec::check`] rejects.
     pub fn execute_topology(&self) -> TopologyRunResult {
-        let tspec = self
-            .topology
-            .as_ref()
-            .expect("execute_topology needs a topology");
-        if let Err(e) = self.check(false) {
-            panic!("{e}");
-        }
-        let topo = tspec.build(self.link_bps);
-        let uplink = tspec.uplink(self.link_bps);
-        let edge = match tspec.edges {
-            EdgeDefense::Fifo => DefenseSpec::Fifo,
-            EdgeDefense::Same => self.defense.clone(),
-        };
-        let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
-            .map(|i| {
-                if i == topo.root() {
-                    self.defense.build(self.link_bps)
-                } else {
-                    edge.build(uplink)
-                }
-            })
-            .collect();
-        let mut src = self.workload.build(self.link_bps, self.secs, self.seed);
-        let placement = LeafPlacement::new(topo.leaves().len(), tspec.attackers.as_deref());
-        let mut cfg = TopologyConfig::experiment(self.secs, self.effective_period());
-        if tspec.pushback {
-            cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
-        }
-        run_topology(
-            &topo,
-            &mut switches,
-            &mut *src,
-            &mut |p| placement.place(p),
-            &cfg,
-        )
+        assert!(self.topology.is_some(), "execute_topology needs a topology");
+        self.run(None).0
     }
 
     /// Runs the scenario: [`ScenarioSpec::execute_streamed`] without
@@ -1618,107 +1575,134 @@ impl ScenarioSpec {
     /// The scenario executor. Panics on a combination
     /// [`ScenarioSpec::check`] rejects.
     ///
-    /// A topology runs on the multi-switch engine, except `line:1` with
-    /// telemetry: that is byte-identical to the single-switch engine
-    /// (`tests/topology_matrix.rs`), so it runs flat, where the bundle
-    /// can be wired. A single switch runs on the sharded engine when
-    /// `shards > 1` and on the serial engine otherwise. The fault plane
-    /// reaches the engine, the source (`FaultedSource`) and an
-    /// ACC-Turbo switch; ACC-Turbo also reports its degradation
-    /// counters.
+    /// Every serial run goes through the engine's one loop on a tree of
+    /// switches: the scenario's topology, or the one-node `line:1` when
+    /// it has none. A single switch runs on the sharded engine when
+    /// `shards > 1`. The fault plane reaches the engine, the source
+    /// (`FaultedSource`, ahead of leaf placement) and an ACC-Turbo
+    /// bottleneck; ACC-Turbo also reports its degradation counters.
     ///
     /// With `telemetry`, the engine gets a fresh metrics registry so the
     /// aggregation stage has per-period counters/gauges/histograms to
-    /// delta; an ACC-Turbo defense shares that registry (control-loop
+    /// delta; an ACC-Turbo bottleneck shares that registry (control-loop
     /// timing, queue depths, degradation gauges) and — when the bundle
     /// carries a flight recorder — the recorder as its tracer, so switch
     /// and engine events land in one incident timeline. Without it the
     /// run is byte-identical to the plain engine paths the figures use.
     pub fn execute_streamed(&self, telemetry: Option<&mut Telemetry>) -> ScenarioOutcome {
-        if let Err(e) = self.check(telemetry.is_some()) {
-            panic!("{e}");
-        }
-        let result;
-        let backlog_pkts;
-        let mut fault_stats = None;
-        let mut degradation = DegradationCounters::default();
-        let (mut hops, mut pushback_installs, mut node_first_limit) = (0, 0, Vec::new());
-        if self
-            .topology
-            .as_ref()
-            .is_some_and(|t| telemetry.is_none() || !t.is_single_switch())
-        {
-            let t = self.execute_topology();
-            (result, backlog_pkts) = (t.result, t.backlog_pkts);
-            (hops, pushback_installs) = (t.hops, t.pushback_installs);
-            node_first_limit = t.node_first_limit;
-        } else {
-            let cfg = EngineConfig::experiment(self.link_bps, self.secs, self.effective_period());
-            let faults = self
-                .faults
-                .as_ref()
-                .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
-            let engine_faults = faults.clone().or_else(forced_noop_faults);
-            let metrics: Option<MetricsHandle> = telemetry
-                .is_some()
-                .then(|| Rc::new(RefCell::new(Registry::new())));
-            let recorder = telemetry.as_ref().and_then(|t| t.recorder_handle());
-            // ACC-Turbo stays concrete: its metrics/tracer/fault setters
-            // and degradation counters are not on the `Switch` trait.
-            let mut turbo = match &self.defense {
-                DefenseSpec::AccTurbo(spec) => Some(Box::new(spec.build())),
-                _ => None,
-            };
-            if let Some(sw) = &mut turbo {
-                if let Some(m) = &metrics {
-                    sw.set_metrics(Rc::clone(m));
-                }
-                if let Some(rec) = &recorder {
-                    sw.set_tracer(Box::new(rec.clone()));
-                }
-                if let Some(inj) = &faults {
-                    sw.set_faults(inj.clone());
-                }
-            }
-            let mut other: Box<dyn Switch>;
-            let sw: &mut dyn Switch = match &mut turbo {
-                Some(sw) => &mut **sw,
-                None => {
-                    other = self.defense.build(self.link_bps);
-                    &mut *other
-                }
-            };
-            let src = self.workload.build(self.link_bps, self.secs, self.seed);
-            result = if self.shards > 1 {
-                ShardedEngine::new(self.shards).run_stream(src, sw, &cfg)
-            } else {
-                let mut src: Box<dyn PacketSource> = match &faults {
-                    Some(inj) => Box::new(FaultedSource::new(src, inj.clone())),
-                    None => src,
-                };
-                let (m, f) = (metrics.as_ref(), engine_faults.as_ref());
-                match recorder {
-                    Some(mut rec) => run_streamed(&mut *src, sw, &cfg, &mut rec, m, f, telemetry),
-                    None => run_streamed(&mut *src, sw, &cfg, &mut NoopTracer, m, f, telemetry),
-                }
-            };
-            backlog_pkts = sw.backlog_pkts();
-            if let Some(sw) = &turbo {
-                degradation = sw.degradation().counters();
-            }
-            fault_stats = faults.map(|inj| inj.stats());
-        }
+        let (t, fault_stats, degradation) = self.run(telemetry);
         ScenarioOutcome {
-            result,
-            backlog_pkts,
+            result: t.result,
+            backlog_pkts: t.backlog_pkts,
             fault_stats,
             missed_ticks: degradation.total_missed,
             stale_ticks: degradation.total_stale,
             fallbacks: degradation.fallbacks,
-            hops,
-            pushback_installs,
-            node_first_limit,
+            hops: t.hops,
+            pushback_installs: t.pushback_installs,
+            node_first_limit: t.node_first_limit,
         }
+    }
+
+    /// The body of both executors.
+    fn run(
+        &self,
+        telemetry: Option<&mut Telemetry>,
+    ) -> (TopologyRunResult, Option<FaultStats>, DegradationCounters) {
+        if let Err(e) = self.check(telemetry.is_some()) {
+            panic!("{e}");
+        }
+        let line1 = || TopologySpec::new(TopologyShape::Line(1));
+        let tspec = self.topology.clone().unwrap_or_else(line1);
+        let topo = tspec.build(self.link_bps);
+        let faults = self
+            .faults
+            .as_ref()
+            .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
+        let engine_faults = faults.clone().or_else(forced_noop_faults);
+        let metrics: Option<MetricsHandle> = telemetry
+            .is_some()
+            .then(|| Rc::new(RefCell::new(Registry::new())));
+        let recorder = telemetry.as_ref().and_then(|t| t.recorder_handle());
+        // ACC-Turbo stays concrete: its metrics/tracer/fault setters and
+        // degradation counters are not on the `Switch` trait.
+        let mut turbo = match &self.defense {
+            DefenseSpec::AccTurbo(spec) => Some(Box::new(spec.build())),
+            _ => None,
+        };
+        if let Some(sw) = &mut turbo {
+            if let Some(m) = &metrics {
+                sw.set_metrics(Rc::clone(m));
+            }
+            if let Some(rec) = &recorder {
+                sw.set_tracer(Box::new(rec.clone()));
+            }
+            if let Some(inj) = &faults {
+                sw.set_faults(inj.clone());
+            }
+        }
+        let mut other: Box<dyn Switch>;
+        let root: &mut dyn Switch = match &mut turbo {
+            Some(sw) => &mut **sw,
+            None => {
+                other = self.defense.build(self.link_bps);
+                &mut *other
+            }
+        };
+        let src = self.workload.build(self.link_bps, self.secs, self.seed);
+        let t = if self.shards > 1 {
+            let cfg = EngineConfig::experiment(self.link_bps, self.secs, self.effective_period());
+            let result = ShardedEngine::new(self.shards).run_stream(src, root, &cfg);
+            TopologyRunResult {
+                node_drops: vec![result.drops],
+                backlog_pkts: root.backlog_pkts(),
+                hops: 0,
+                pushback_installs: 0,
+                node_first_limit: vec![None],
+                result,
+            }
+        } else {
+            let edge = match tspec.edges {
+                EdgeDefense::Fifo => DefenseSpec::Fifo,
+                EdgeDefense::Same => self.defense.clone(),
+            };
+            let uplink = tspec.uplink(self.link_bps);
+            let mut edges: Vec<Box<dyn Switch>> =
+                (1..topo.num_nodes()).map(|_| edge.build(uplink)).collect();
+            let mut nodes: Vec<&mut dyn Switch> =
+                edges.iter_mut().map(|s| s.as_mut() as _).collect();
+            nodes.insert(topo.root(), root);
+            let mut src: Box<dyn PacketSource> = match &faults {
+                Some(inj) => Box::new(FaultedSource::new(src, inj.clone())),
+                None => src,
+            };
+            let placement = LeafPlacement::new(topo.leaves().len(), tspec.attackers.as_deref());
+            let place = &mut |p: &Packet| placement.place(p);
+            let mut cfg = TopologyConfig::experiment(self.secs, self.effective_period());
+            if tspec.pushback {
+                cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
+            }
+            let (m, f) = (metrics.as_ref(), engine_faults.as_ref());
+            let (topo, nodes, src) = (&topo, &mut nodes[..], &mut *src);
+            match recorder {
+                Some(mut rec) => {
+                    run_topology_streamed(topo, nodes, src, place, &cfg, &mut rec, m, f, telemetry)
+                }
+                None => run_topology_streamed(
+                    topo,
+                    nodes,
+                    src,
+                    place,
+                    &cfg,
+                    &mut NoopTracer,
+                    m,
+                    f,
+                    telemetry,
+                ),
+            }
+        };
+        let degradation = turbo.map_or_else(Default::default, |sw| sw.degradation().counters());
+        (t, faults.map(|inj| inj.stats()), degradation)
     }
 }
 
@@ -1847,6 +1831,9 @@ mod tests {
         assert!("pulse:vectors=".parse::<WorkloadSpec>().is_err());
         assert!("pulse:amp=0".parse::<WorkloadSpec>().is_err());
         assert!("pulse:wibble=1".parse::<WorkloadSpec>().is_err());
+        // Positive values that round to 0 ns / 0 bps.
+        assert!("pulse:period=0.0000000001".parse::<WorkloadSpec>().is_err());
+        assert!("pulse:amp=0.4".parse::<WorkloadSpec>().is_err());
     }
 
     /// Every canonical topology string must survive parse → Display
@@ -1892,6 +1879,12 @@ mod tests {
         assert!("star:4:refresh=0".parse::<TopologySpec>().is_err());
         assert!("star:4:delay=-1".parse::<TopologySpec>().is_err());
         assert!("star:4:wibble=1".parse::<TopologySpec>().is_err());
+        let err = "line:2:pushback=on:refresh=0.0000000001"
+            .parse::<TopologySpec>()
+            .unwrap_err();
+        assert!(err.contains("rounds to 0 ns"), "{err}");
+        let err = "line:2:uplink=0.1".parse::<TopologySpec>().unwrap_err();
+        assert!(err.contains("rounds to 0 bps"), "{err}");
     }
 
     #[test]

@@ -1,140 +1,49 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine models the paper's testbed topology reduced to its essential
-//! element: one switch in front of one bottleneck output link. Input
-//! capacity is assumed larger than the output link (paper §3.1), so
-//! arrivals are taken directly from the workload source. Three event kinds
-//! are interleaved in exact time order:
+//! The engine drives a tree of switches (`topology.rs`) with the
+//! paper's testbed as its smallest case: one switch in front of one
+//! bottleneck output link. Input capacity is assumed larger than the
+//! output link (paper §3.1), so arrivals are taken directly from the
+//! workload source and handed to an ingress leaf. Six event kinds are
+//! interleaved in exact time order; at equal timestamps they fire in
+//! this order (nodes in ascending index within a kind):
 //!
-//! 1. **Packet arrival** — the switch's data path runs (`ingress`).
-//! 2. **Transmission completion** — the link frees and the next packet is
-//!    pulled from the switch (`dequeue`).
-//! 3. **Control tick** — the switch's control plane runs (`control_tick`),
-//!    at a fixed configurable period. This is where the paper's reaction
-//!    time lives: ACC-Turbo's priority updates only take effect at ticks.
+//! 1. **Transmission completion** — a node's output link frees; at the
+//!    root the packet departs, elsewhere it starts propagating.
+//! 2. **Delivery** — a propagating packet reaches the parent node and
+//!    ingresses there.
+//! 3. **Control tick** — every node's control plane runs
+//!    (`control_tick`), at a fixed configurable period. This is where
+//!    the paper's reaction time lives: ACC-Turbo's priority updates only
+//!    take effect at ticks.
+//! 4. **Pushback message** — a rate-limit request reaches a node.
+//! 5. **Pushback refresh** — the root re-reads its aggregate limits.
+//! 6. **Packet arrival** — a leaf's data path runs (`ingress`).
+//!
+//! After every event, each node whose link is idle pulls its next packet
+//! (`dequeue`). A single switch has no deliveries and no pushback, so its
+//! order is the classic `Tx < Control < Arrival`.
 //!
 //! The engine is synchronous and single-threaded: the workload is CPU-bound
 //! and determinism is a hard requirement for figure regeneration, so (per
 //! the networking guides) an async runtime would buy nothing here.
 //!
-//! One loop serves every single-switch run: [`run`] and [`run_streamed`]
-//! drive it from a [`PacketSource`], and the sharded engine
-//! ([`crate::shard::ShardedEngine`]) drives it from the sealed batches of
-//! its producer thread.
+//! One loop, `drive`, serves every run: [`run`] and [`run_streamed`]
+//! give it a one-node tree, [`crate::topology::run_topology`] any tree,
+//! and the sharded engine ([`crate::shard::ShardedEngine`]) feeds it the
+//! sealed batches of its producer thread.
 
 use crate::fault::{ControlAction, FaultInjector};
 use crate::latency::DelayHistogram;
-use crate::packet::{Dropped, Packet};
+use crate::packet::{DropReason, Dropped, Packet};
 use crate::source::PacketSource;
 use crate::stats::StatsCollector;
 use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
+use crate::topology::{LinkSpec, Pushback, Topology, TopologyConfig, TopologyRunResult};
 use crate::units::Bandwidth;
 use accturbo_obs::{Event, FlowKey, MetricsHandle, NoopTracer, Telemetry, Tracer};
-
-/// The three event kinds the engine schedules, in tie-break priority
-/// order: at equal timestamps a transmission completion is processed
-/// before the control plane runs, and the control plane runs before a new
-/// arrival is admitted (the dispatch order of the original min-scan's
-/// `if t == t_tx` / `else if t == t_ctl` / `else` chain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventSlot {
-    /// Output-link transmission completion.
-    Tx = 0,
-    /// Control-plane tick.
-    Control = 1,
-    /// Next packet arrival.
-    Arrival = 2,
-}
-
-/// Slot scan order == tie-break priority order.
-const SLOT_ORDER: [EventSlot; 3] = [EventSlot::Tx, EventSlot::Control, EventSlot::Arrival];
-
-/// A fixed three-slot event calendar: each slot holds the next firing
-/// time of one event kind, or `SimTime::MAX` for "not scheduled".
-///
-/// This replaces the engine's per-iteration `Option` unwrapping and
-/// sentinel `min`-chain with one small array the optimizer keeps in
-/// registers, and it makes phantom events structurally impossible:
-/// [`earliest`](Self::earliest) returns `None` when nothing is scheduled
-/// instead of a `SimTime::MAX` pseudo-winner the caller must remember to
-/// filter out.
-#[derive(Debug, Clone)]
-pub struct EventCalendar {
-    when: [SimTime; 3],
-}
-
-impl Default for EventCalendar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventCalendar {
-    /// An empty calendar (nothing scheduled).
-    pub fn new() -> Self {
-        EventCalendar {
-            when: [SimTime::MAX; 3],
-        }
-    }
-
-    /// Schedules (or reschedules) `slot` to fire at `at`.
-    pub fn schedule(&mut self, slot: EventSlot, at: SimTime) {
-        debug_assert!(
-            at != SimTime::MAX,
-            "SimTime::MAX is the not-scheduled sentinel"
-        );
-        self.when[slot as usize] = at;
-    }
-
-    /// Unschedules `slot`.
-    pub fn cancel(&mut self, slot: EventSlot) {
-        self.when[slot as usize] = SimTime::MAX;
-    }
-
-    /// Whether `slot` currently has a firing time.
-    pub fn is_scheduled(&self, slot: EventSlot) -> bool {
-        self.when[slot as usize] != SimTime::MAX
-    }
-
-    /// The firing time of `slot`, if scheduled.
-    pub fn scheduled_at(&self, slot: EventSlot) -> Option<SimTime> {
-        let t = self.when[slot as usize];
-        (t != SimTime::MAX).then_some(t)
-    }
-
-    /// The earliest scheduled event, if any. Ties resolve in
-    /// [`EventSlot`] priority order: `Tx` before `Control` before
-    /// `Arrival`.
-    pub fn earliest(&self) -> Option<(EventSlot, SimTime)> {
-        self.earliest_filtered(true)
-    }
-
-    /// [`earliest`](Self::earliest) with the control slot masked out —
-    /// the engine gates control ticks on work remaining, so a drained
-    /// simulation must not be kept alive by its own control plane.
-    pub fn earliest_without_control(&self) -> Option<(EventSlot, SimTime)> {
-        self.earliest_filtered(false)
-    }
-
-    fn earliest_filtered(&self, include_control: bool) -> Option<(EventSlot, SimTime)> {
-        let mut best: Option<(EventSlot, SimTime)> = None;
-        for slot in SLOT_ORDER {
-            if slot == EventSlot::Control && !include_control {
-                continue;
-            }
-            let t = self.when[slot as usize];
-            if t == SimTime::MAX {
-                continue;
-            }
-            // Strictly-less keeps the first slot in priority order on ties.
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((slot, t));
-            }
-        }
-        best
-    }
-}
+use std::collections::VecDeque;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -193,6 +102,18 @@ impl EngineConfig {
         }
         cfg
     }
+
+    /// This configuration as the one-node tree the loop drives.
+    pub(crate) fn one_node(&self) -> (Topology, TopologyConfig) {
+        let link = LinkSpec::new(self.link, SimDuration::ZERO);
+        let cfg = TopologyConfig {
+            stats_interval: self.stats_interval,
+            control_period: self.control_period,
+            end_time: self.end_time,
+            pushback: None,
+        };
+        (Topology::line(1, link, link), cfg)
+    }
 }
 
 /// Result of a simulation run.
@@ -242,7 +163,8 @@ fn flow_key(p: &Packet) -> FlowKey {
 ///
 /// **Events.** Trace events emitted here: `depart` and `drop` per
 /// packet, `control_tick` per control-plane tick, and `stats_tick` at
-/// every stats-interval boundary. Switch-internal events (enqueue,
+/// every stats-interval boundary (on a tree also `hop` per link crossing
+/// and `pushback_limit` per message). Switch-internal events (enqueue,
 /// cluster decisions, priority remaps) are emitted by the switch itself
 /// when its own tracer is installed — share one `SharedTracer` across
 /// both to get a single interleaved timeline.
@@ -257,8 +179,8 @@ fn flow_key(p: &Packet) -> FlowKey {
 /// consulted at the engine's two substrate decision points: each
 /// control-tick firing (which may be run, suppressed — invoking the
 /// switch's `control_missed` hook — or postponed) and each transmission
-/// start (whose serialization time is stretched inside a link-flap
-/// window). Packet-level faults live in
+/// start on the bottleneck link (whose serialization time is stretched
+/// inside a link-flap window). Packet-level faults live in
 /// [`crate::fault::FaultedSource`], outside the engine.
 ///
 /// **Telemetry** (DESIGN.md §11). When `telemetry` is given, the engine
@@ -286,11 +208,25 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     faults: Option<&FaultInjector>,
     telemetry: Option<&mut Telemetry>,
 ) -> RunResult {
-    drive(source, switch, cfg, tracer, metrics, faults, telemetry)
+    let (topo, tcfg) = cfg.one_node();
+    let nodes = &mut [switch];
+    drive(
+        source,
+        &topo,
+        nodes,
+        &mut |_| 0,
+        &tcfg,
+        tracer,
+        metrics,
+        faults,
+        telemetry,
+    )
+    .result
 }
 
 /// Where the event loop's arrivals come from: the loop pulls the next
-/// packet, then hands it to the switch when its arrival event fires.
+/// packet, then hands it to its leaf's switch when its arrival event
+/// fires.
 ///
 /// A plain [`PacketSource`] ingresses through [`Switch::ingress`]; the
 /// sharded feed (`shard.rs`) delivers its precomputed feature row through
@@ -331,17 +267,52 @@ impl ArrivalFeed for dyn PacketSource + '_ {
     }
 }
 
-/// The event loop: every single-switch run, serial or sharded, goes
-/// through here.
+/// The loop's event kinds, declared in tie-break order: at equal
+/// timestamps the earlier kind fires first, and within a kind the lower
+/// node index (pushback messages: the lower position in the in-flight
+/// list).
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Tx(usize),
+    Deliver(usize),
+    Control,
+    Msg(usize),
+    Refresh,
+    Arrival,
+}
+
+/// Keeps `slot` as the next event if it fires strictly before the best
+/// so far: candidates offered in tie-break order win their ties.
+#[inline]
+fn offer(next: &mut Option<(Slot, SimTime)>, slot: Slot, t: SimTime) {
+    if t != SimTime::MAX && next.is_none_or(|(_, bt)| t < bt) {
+        *next = Some((slot, t));
+    }
+}
+
+/// Packets queued across every node.
+fn backlog(nodes: &[&mut dyn Switch]) -> usize {
+    nodes.iter().map(|s| s.backlog_pkts()).sum()
+}
+
+/// The event loop: every run — one switch or a tree, serial or sharded
+/// — goes through here. `place` maps an arrival to a leaf ordinal; with
+/// one leaf it is never called. The hooks are [`run_streamed`]'s.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     feed: &mut F,
-    switch: &mut dyn Switch,
-    cfg: &EngineConfig,
+    topo: &Topology,
+    nodes: &mut [&mut dyn Switch],
+    place: &mut dyn FnMut(&Packet) -> usize,
+    cfg: &TopologyConfig,
     tracer: &mut T,
     metrics: Option<&MetricsHandle>,
     faults: Option<&FaultInjector>,
     mut telemetry: Option<&mut Telemetry>,
-) -> RunResult {
+) -> TopologyRunResult {
+    let n = topo.num_nodes();
+    assert_eq!(nodes.len(), n, "one switch per topology node");
+    let (root, leaves) = (topo.root(), topo.leaves());
     let mut stats = StatsCollector::new(cfg.stats_interval);
     let mut delays = DelayHistogram::new();
     let mut drops_buf: Vec<Dropped> = Vec::new();
@@ -362,41 +333,99 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
         )
     });
 
-    // The calendar owns the firing times; `pending`/`in_flight` own the
-    // corresponding payloads. The drop buffer above is the only per-event
-    // scratch and is reused across the whole run: after the first few
-    // events warm the buffers up, the loop itself allocates nothing
-    // (locked down by the `engine_steady_state_does_not_allocate` test).
-    let mut calendar = EventCalendar::new();
+    // Per node: the packet on its output link and when it finishes
+    // serializing (`SimTime::MAX` = idle), and the packets propagating
+    // on that link with the delivery time of the head. The drop buffer
+    // is the only per-event scratch; after warm-up the loop allocates
+    // nothing (locked down by the `zero_alloc` tests).
+    let mut in_flight: Vec<Option<Packet>> = vec![None; n];
+    let mut tx_at = vec![SimTime::MAX; n];
+    let mut wires: Vec<VecDeque<(SimTime, Packet)>> = vec![VecDeque::new(); n];
+    let mut wire_at = vec![SimTime::MAX; n];
+    let mut on_wire = 0usize;
     let mut pending: Option<Packet> = next_arrival(feed, cfg.end_time);
-    if let Some(p) = &pending {
-        calendar.schedule(EventSlot::Arrival, p.arrival);
-    }
-    let mut in_flight: Option<Packet> = None;
-    if let Some(period) = cfg.control_period {
-        calendar.schedule(EventSlot::Control, SimTime::ZERO + period);
-    }
+    let mut control_at = cfg
+        .control_period
+        .map_or(SimTime::MAX, |p| SimTime::ZERO + p);
+    let mut pushback = cfg.pushback.map(|plan| Pushback::new(plan, n));
 
     let mut now = SimTime::ZERO;
     let (mut arrivals, mut departures, mut total_drops) = (0u64, 0u64, 0u64);
+    let mut node_drops = vec![0u64; n];
+    let mut hops = 0u64;
     let mut control_ticks = 0u64;
     let mut stats_bucket = 0u64;
     // A control tick the injector postponed: when it finally fires it runs
     // unconditionally — a delayed tick can be late, but never lost twice.
     let mut control_delayed = false;
 
+    // Ingress at `node` through its pushback policer, then the switch
+    // (`via_feed`: through the feed, for arrivals); every drop is counted
+    // at the node, in the stats, the telemetry and the trace.
+    macro_rules! ingress_at {
+        ($node:expr, $pkt:expr, $via_feed:expr) => {{
+            let (node, pkt): (usize, Packet) = ($node, $pkt);
+            drops_buf.clear();
+            if pushback
+                .as_mut()
+                .is_some_and(|pb| pb.polices(node, &pkt, now))
+            {
+                drops_buf.push(Dropped {
+                    packet: pkt,
+                    reason: DropReason::Policer,
+                });
+            } else if $via_feed {
+                feed.ingress(&mut *nodes[node], pkt, now, &mut drops_buf);
+            } else {
+                nodes[node].ingress(pkt, now, &mut drops_buf);
+            }
+            for d in &drops_buf {
+                stats.on_drop(d, now);
+                if let Some(t) = telemetry.as_mut() {
+                    t.on_drop(&flow_key(&d.packet));
+                }
+                if tracer.enabled() {
+                    tracer.record(
+                        now.as_nanos(),
+                        &Event::Drop {
+                            queue: None,
+                            class: d.packet.class.0,
+                            size: d.packet.size,
+                            reason: d.reason.name(),
+                        },
+                    );
+                }
+            }
+            node_drops[node] += drops_buf.len() as u64;
+            total_drops += drops_buf.len() as u64;
+        }};
+    }
+
     loop {
-        // Control ticks only matter while there is still work, so the loop
-        // exits when both the source and the switch are drained (a control
-        // plane must not keep its own simulation alive forever).
-        let has_work = calendar.is_scheduled(EventSlot::Tx)
-            || calendar.is_scheduled(EventSlot::Arrival)
-            || switch.backlog_pkts() > 0;
-        let next = if has_work {
-            calendar.earliest()
-        } else {
-            calendar.earliest_without_control()
-        };
+        let mut next: Option<(Slot, SimTime)> = None;
+        for (i, &t) in tx_at.iter().enumerate() {
+            offer(&mut next, Slot::Tx(i), t);
+        }
+        if on_wire > 0 {
+            for (i, &t) in wire_at.iter().enumerate() {
+                offer(&mut next, Slot::Deliver(i), t);
+            }
+        }
+        // Control-plane events only matter while there is still work, so
+        // the loop exits once the source, the links and every switch are
+        // drained (a control plane must not keep its own simulation alive).
+        if pending.is_some() || next.is_some() || backlog(nodes) > 0 {
+            offer(&mut next, Slot::Control, control_at);
+            if let Some(pb) = &pushback {
+                for (k, m) in pb.msgs.iter().enumerate() {
+                    offer(&mut next, Slot::Msg(k), m.0);
+                }
+                offer(&mut next, Slot::Refresh, pb.refresh_at);
+            }
+        }
+        if let Some(p) = &pending {
+            offer(&mut next, Slot::Arrival, p.arrival);
+        }
         let Some((slot, t)) = next else {
             break;
         };
@@ -413,42 +442,77 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
             }
             if let (Some(m), Some(ids)) = (metrics, &ids) {
                 let mut r = m.borrow_mut();
-                r.set(ids.3, switch.backlog_pkts() as f64);
+                r.set(ids.3, backlog(nodes) as f64);
                 match telemetry.as_mut() {
-                    Some(t) => t.on_period(boundary_ns, switch.backlog_pkts(), Some(&r)),
+                    Some(t) => t.on_period(boundary_ns, backlog(nodes), Some(&r)),
                     None => r.snapshot(boundary_ns),
                 }
             } else if let Some(t) = telemetry.as_mut() {
-                t.on_period(boundary_ns, switch.backlog_pkts(), None);
+                t.on_period(boundary_ns, backlog(nodes), None);
             }
         }
 
         match slot {
-            EventSlot::Tx => {
-                // Transmission completes: the packet leaves on the wire.
-                let pkt = in_flight.take().expect("Tx slot implies in-flight");
-                calendar.cancel(EventSlot::Tx);
-                stats.on_depart(&pkt, now);
-                delays.record(pkt.class, now.saturating_since(pkt.arrival));
-                departures += 1;
+            Slot::Tx(i) => {
+                let pkt = in_flight[i].take().expect("Tx implies in-flight");
+                tx_at[i] = SimTime::MAX;
+                if i == root {
+                    // The packet leaves the tree on the bottleneck link.
+                    stats.on_depart(&pkt, now);
+                    delays.record(pkt.class, now.saturating_since(pkt.arrival));
+                    departures += 1;
+                    if tracer.enabled() {
+                        tracer.record(
+                            now.as_nanos(),
+                            &Event::Depart {
+                                class: pkt.class.0,
+                                size: pkt.size,
+                            },
+                        );
+                    }
+                    if let (Some(m), Some(ids)) = (metrics, &ids) {
+                        m.borrow_mut().inc(ids.1, 1);
+                    }
+                    if let Some(t) = telemetry.as_mut() {
+                        t.on_depart(pkt.size);
+                    }
+                } else {
+                    if let Some(pb) = &mut pushback {
+                        pb.forwarded(i, &pkt);
+                    }
+                    let at = now + topo.link(i).delay;
+                    if wires[i].is_empty() {
+                        wire_at[i] = at;
+                    }
+                    wires[i].push_back((at, pkt));
+                    on_wire += 1;
+                }
+            }
+            Slot::Deliver(i) => {
+                let (_, pkt) = wires[i].pop_front().expect("Deliver implies a wire packet");
+                wire_at[i] = wires[i].front().map_or(SimTime::MAX, |w| w.0);
+                on_wire -= 1;
+                let parent = topo.parent(i).expect("only non-root links deliver");
+                hops += 1;
                 if tracer.enabled() {
                     tracer.record(
                         now.as_nanos(),
-                        &Event::Depart {
+                        &Event::Hop {
+                            node: parent,
                             class: pkt.class.0,
                             size: pkt.size,
                         },
                     );
                 }
+                ingress_at!(parent, pkt, false);
                 if let (Some(m), Some(ids)) = (metrics, &ids) {
-                    m.borrow_mut().inc(ids.1, 1);
-                }
-                if let Some(t) = telemetry.as_mut() {
-                    t.on_depart(pkt.size);
+                    if !drops_buf.is_empty() {
+                        m.borrow_mut().inc(ids.2, drops_buf.len() as u64);
+                    }
                 }
             }
-            EventSlot::Control => {
-                let period = cfg.control_period.expect("Control slot implies a period");
+            Slot::Control => {
+                let period = cfg.control_period.expect("Control implies a period");
                 let action = match faults {
                     Some(f) if !control_delayed => f.control_action(now),
                     _ => ControlAction::Run,
@@ -456,7 +520,9 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                 match action {
                     ControlAction::Run => {
                         control_delayed = false;
-                        switch.control_tick(now);
+                        for sw in nodes.iter_mut() {
+                            sw.control_tick(now);
+                        }
                         control_ticks += 1;
                         if tracer.enabled() {
                             tracer.record(
@@ -466,107 +532,126 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                                 },
                             );
                         }
-                        calendar.schedule(EventSlot::Control, now + period);
+                        control_at = now + period;
                     }
                     ControlAction::Skip => {
-                        switch.control_missed(now);
-                        calendar.schedule(EventSlot::Control, now + period);
+                        for sw in nodes.iter_mut() {
+                            sw.control_missed(now);
+                        }
+                        control_at = now + period;
                     }
                     ControlAction::Delay(d) => {
                         control_delayed = true;
-                        calendar.schedule(EventSlot::Control, now + d);
+                        control_at = now + d;
                     }
                 }
             }
-            EventSlot::Arrival => {
-                let pkt = pending
-                    .take()
-                    .expect("Arrival slot implies a pending packet");
-                calendar.cancel(EventSlot::Arrival);
+            Slot::Msg(k) => {
+                let pb = pushback.as_mut().expect("Msg implies pushback");
+                let (node, limit) = pb.deliver(k, topo, now);
+                if tracer.enabled() {
+                    tracer.record(
+                        now.as_nanos(),
+                        &Event::PushbackLimit {
+                            upstream: node,
+                            prefix: limit.addr,
+                            prefix_len: limit.len,
+                            bps: limit.bps,
+                        },
+                    );
+                }
+            }
+            Slot::Refresh => {
+                let pb = pushback.as_mut().expect("Refresh implies pushback");
+                pb.refresh(topo, &mut *nodes[root], now);
+            }
+            Slot::Arrival => {
+                let pkt = pending.take().expect("Arrival implies a pending packet");
+                let leaf = match leaves {
+                    [only] => *only,
+                    _ => leaves[place(&pkt)],
+                };
                 stats.on_arrival(&pkt);
                 arrivals += 1;
                 if let Some(t) = telemetry.as_mut() {
                     t.on_arrival(now.as_nanos(), flow_key(&pkt), pkt.class.0, pkt.size);
                 }
-                drops_buf.clear();
-                feed.ingress(switch, pkt, now, &mut drops_buf);
-                for d in &drops_buf {
-                    stats.on_drop(d, now);
-                    if let Some(t) = telemetry.as_mut() {
-                        t.on_drop(&flow_key(&d.packet));
-                    }
-                    if tracer.enabled() {
-                        tracer.record(
-                            now.as_nanos(),
-                            &Event::Drop {
-                                queue: None,
-                                class: d.packet.class.0,
-                                size: d.packet.size,
-                                reason: d.reason.name(),
-                            },
-                        );
-                    }
-                }
-                total_drops += drops_buf.len() as u64;
+                ingress_at!(leaf, pkt, true);
                 if let (Some(m), Some(ids)) = (metrics, &ids) {
                     let mut r = m.borrow_mut();
                     r.inc(ids.0, 1);
                     if !drops_buf.is_empty() {
                         r.inc(ids.2, drops_buf.len() as u64);
                     }
-                    r.observe(ids.4, switch.backlog_pkts() as f64);
+                    r.observe(ids.4, backlog(nodes) as f64);
                 }
                 pending = next_arrival(feed, cfg.end_time);
-                if let Some(p) = &pending {
-                    calendar.schedule(EventSlot::Arrival, p.arrival);
-                }
             }
         }
 
-        // Whenever the link is idle and the switch has backlog, start the
-        // next transmission.
-        if in_flight.is_none() {
-            if let Some(pkt) = switch.dequeue(now) {
-                let mut tx = cfg.link.tx_time(pkt.size);
-                if let Some(f) = faults {
-                    let scale = f.link_scale(now);
-                    if scale < 1.0 {
-                        tx = SimDuration::from_nanos((tx.as_nanos() as f64 / scale).ceil() as u64);
+        // Whenever a link is idle and its switch has backlog, start the
+        // next transmission; the fault plane may stretch the bottleneck's.
+        for (i, sw) in nodes.iter_mut().enumerate() {
+            if tx_at[i] == SimTime::MAX {
+                if let Some(pkt) = sw.dequeue(now) {
+                    let mut tx = topo.link(i).bandwidth.tx_time(pkt.size);
+                    if let Some(f) = faults.filter(|_| i == root) {
+                        let scale = f.link_scale(now);
+                        if scale < 1.0 {
+                            tx = SimDuration::from_nanos(
+                                (tx.as_nanos() as f64 / scale).ceil() as u64
+                            );
+                        }
                     }
+                    tx_at[i] = now + tx;
+                    in_flight[i] = Some(pkt);
                 }
-                calendar.schedule(EventSlot::Tx, now + tx);
-                in_flight = Some(pkt);
             }
         }
     }
 
     // Final snapshot (or streamed final period) so short runs still
     // export at least one.
+    let backlog_pkts = backlog(nodes);
     if let (Some(m), Some(ids)) = (metrics, &ids) {
         let mut r = m.borrow_mut();
-        r.set(ids.3, switch.backlog_pkts() as f64);
+        r.set(ids.3, backlog_pkts as f64);
         match telemetry.as_mut() {
-            Some(t) => t.finish(now.as_nanos(), switch.backlog_pkts(), Some(&r)),
+            Some(t) => t.finish(now.as_nanos(), backlog_pkts, Some(&r)),
             None => r.snapshot(now.as_nanos()),
         }
     } else if let Some(t) = telemetry.as_mut() {
-        t.finish(now.as_nanos(), switch.backlog_pkts(), None);
+        t.finish(now.as_nanos(), backlog_pkts, None);
     }
 
-    RunResult {
-        stats,
-        delays,
-        final_time: now,
-        arrivals,
-        departures,
-        drops: total_drops,
+    let (pushback_installs, node_first_limit) = match pushback {
+        Some(pb) => (pb.installs, pb.first_limit),
+        None => (0, vec![None; n]),
+    };
+    TopologyRunResult {
+        result: RunResult {
+            stats,
+            delays,
+            final_time: now,
+            arrivals,
+            departures,
+            drops: total_drops,
+        },
+        node_drops,
+        backlog_pkts,
+        hops,
+        pushback_installs,
+        node_first_limit,
     }
 }
 
 /// The truncating pull: the first packet at or past the end time is
 /// consumed and discarded, and (because the loop then schedules no
 /// arrival) the feed is never pulled again.
-fn next_arrival<F: ArrivalFeed + ?Sized>(feed: &mut F, end: Option<SimTime>) -> Option<Packet> {
+pub(crate) fn next_arrival<F: ArrivalFeed + ?Sized>(
+    feed: &mut F,
+    end: Option<SimTime>,
+) -> Option<Packet> {
     let pkt = feed.pull()?;
     match end {
         Some(end) if pkt.arrival >= end => None,
@@ -574,10 +659,10 @@ fn next_arrival<F: ArrivalFeed + ?Sized>(feed: &mut F, end: Option<SimTime>) -> 
     }
 }
 
-/// The pre-calendar engine loop, kept verbatim (minus instrumentation,
-/// which `NoopTracer` monomorphized away) as the benchmark baseline and
-/// differential-test oracle for the [`EventCalendar`] refactor. Compiled
-/// only with the `reference` cargo feature.
+/// The original single-switch engine loop, kept verbatim (minus
+/// instrumentation, which `NoopTracer` monomorphized away) as the
+/// benchmark baseline and differential-test oracle for `drive`.
+/// Compiled only with the `reference` cargo feature.
 #[cfg(feature = "reference")]
 pub mod reference {
     use super::*;
@@ -899,41 +984,6 @@ mod tests {
             EngineConfig::new(Bandwidth::from_mbps(100)).with_end_time(SimTime::from_millis(100));
         let res = run(&mut src, &mut sw, &cfg);
         assert_eq!(res.arrivals, 100);
-    }
-
-    #[test]
-    fn calendar_earliest_picks_min_and_breaks_ties_by_priority() {
-        let mut cal = EventCalendar::new();
-        assert_eq!(cal.earliest(), None, "empty calendar has no events");
-
-        cal.schedule(EventSlot::Arrival, SimTime::from_micros(5));
-        cal.schedule(EventSlot::Tx, SimTime::from_micros(9));
-        assert_eq!(
-            cal.earliest(),
-            Some((EventSlot::Arrival, SimTime::from_micros(5)))
-        );
-
-        // Equal times: Tx beats Control beats Arrival.
-        cal.schedule(EventSlot::Tx, SimTime::from_micros(5));
-        cal.schedule(EventSlot::Control, SimTime::from_micros(5));
-        assert_eq!(
-            cal.earliest(),
-            Some((EventSlot::Tx, SimTime::from_micros(5)))
-        );
-        cal.cancel(EventSlot::Tx);
-        assert_eq!(
-            cal.earliest(),
-            Some((EventSlot::Control, SimTime::from_micros(5)))
-        );
-        assert_eq!(
-            cal.earliest_without_control(),
-            Some((EventSlot::Arrival, SimTime::from_micros(5)))
-        );
-
-        cal.cancel(EventSlot::Control);
-        cal.cancel(EventSlot::Arrival);
-        assert_eq!(cal.earliest(), None);
-        assert!(!cal.is_scheduled(EventSlot::Arrival));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! capacity exceeds the output bandwidth. The [`topology`] layer composes
 //! that same switch abstraction into small trees (line, star, fat-tree,
 //! ISP edge) with per-link serialization + propagation delay and
-//! hop-by-hop pushback, without touching the single-switch fast path.
+//! hop-by-hop pushback; one event loop runs them all, the single switch
+//! being the one-node tree.
 //!
 //! Building blocks:
 //!
@@ -20,7 +21,8 @@
 //! * [`rate`] — EWMA rate estimation and token-bucket policing.
 //! * [`source`] — workload streams and the k-way time-ordered merge.
 //! * [`switch`] / [`engine`] — the defended-switch abstraction and the
-//!   event loop that drives arrivals, transmissions and control ticks.
+//!   event loop that drives arrivals, transmissions, control ticks and
+//!   (on a tree) link deliveries and pushback messages.
 //!
 //! Everything is synchronous, allocation-conscious and seeded: running the
 //! same experiment twice produces bit-identical results.
@@ -58,8 +60,8 @@ pub use stats::{Counts, StatsCollector};
 pub use switch::{FeatureExtractor, ProgramSwapSwitch, SingleQueueSwitch, Switch};
 pub use time::{SimDuration, SimTime};
 pub use topology::{
-    run_topology, run_topology_traced, AggLimit, LinkSpec, PushbackPlan, Topology, TopologyConfig,
-    TopologyRunResult,
+    run_topology, run_topology_streamed, AggLimit, LinkSpec, PushbackPlan, Topology,
+    TopologyConfig, TopologyRunResult,
 };
 pub use trace::{pcap_source, read_csv, read_pcap, write_csv, write_pcap, TraceStats};
 pub use units::Bandwidth;

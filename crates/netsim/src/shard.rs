@@ -302,7 +302,13 @@ impl ShardedEngine {
             // exits.
             let result = {
                 let mut feed = ShardFeed::new(self.shards, sealed_rx, spent_tx);
-                drive(&mut feed, switch, cfg, &mut NoopTracer, None, None, None)
+                let (topo, tcfg) = cfg.one_node();
+                let nodes = &mut [switch];
+                let (tracer, place) = (&mut NoopTracer, &mut |_: &Packet| 0);
+                drive(
+                    &mut feed, &topo, nodes, place, &tcfg, tracer, None, None, None,
+                )
+                .result
             };
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);

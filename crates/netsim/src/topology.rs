@@ -1,10 +1,10 @@
 //! Multi-switch topologies with hop-by-hop pushback (DESIGN.md §13).
 //!
-//! The single-switch engine models the paper's testbed reduced to one
-//! bottleneck. The ACC lineage (Mahajan 2002) argues the interesting
-//! pulse-wave dynamics are multi-hop: pulses converging from many ingress
-//! points while rate-limit requests propagate upstream. This module grows
-//! the simulator into a small vocabulary of tree topologies where
+//! The paper's testbed reduces the network to one bottleneck. The ACC
+//! lineage (Mahajan 2002) argues the interesting pulse-wave dynamics are
+//! multi-hop: pulses converging from many ingress points while rate-limit
+//! requests propagate upstream. This module describes a small vocabulary
+//! of tree topologies where
 //!
 //! * every node is an independent [`Switch`] (any defense),
 //! * every link carries serialization (its [`Bandwidth`]) plus a
@@ -13,27 +13,26 @@
 //!   direction, one link delay per hop, narrowing the policed aggregate
 //!   to what each hop actually observes.
 //!
-//! The topology layer **composes** the existing switches — it schedules
-//! per-node Tx/Control/Arrival events with exactly the single-engine's
-//! tie-break discipline (Tx before Control before Arrival at equal
-//! timestamps, then a dequeue attempt after every event), so a
-//! one-node topology is bit-identical to [`crate::engine::run`].
+//! The engine's one event loop (`engine.rs`) runs every tree — a single
+//! switch is the one-node `line:1` — so trees get the engine's tracer,
+//! metrics, fault plane and telemetry; this module holds the shapes, the
+//! pushback state ([`PushbackPlan`], policers, narrowing, division) and
+//! the run entry points. The pre-unification scan loop survives as
+//! `reference` (cargo feature `reference`), the differential oracle.
 //!
 //! All shapes are trees rooted at the bottleneck: traffic enters at the
 //! leaves, flows toward the root, and departs on the root's output link
 //! (the victim side). Pushback messages flow the other way.
 
-use crate::engine::RunResult;
-use crate::latency::DelayHistogram;
-use crate::packet::{DropReason, Dropped, Packet};
+use crate::engine::{drive, RunResult};
+use crate::fault::FaultInjector;
+use crate::packet::Packet;
 use crate::rate::TokenBucket;
 use crate::source::PacketSource;
-use crate::stats::StatsCollector;
 use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
-use accturbo_obs::{Event, NoopTracer, Tracer};
-use std::collections::VecDeque;
+use accturbo_obs::{MetricsHandle, NoopTracer, Telemetry, Tracer};
 
 /// One directed link: serialization rate plus propagation delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,22 +349,27 @@ fn narrowed(limit: AggLimit, fwd: &[(u32, u64)]) -> AggLimit {
 /// forwarded inside the aggregate, with a 10% even-split floor so a
 /// currently-quiet upstream is never starved to zero — the same policy
 /// as the two-tier pushback (`accturbo-acc`), applied per hop.
-fn divide(kids: &[usize], limit: AggLimit, fwd: &[Vec<(u32, u64)>], out: &mut Vec<(usize, u64)>) {
+/// `contribs` is scratch, reused across calls.
+fn divide(
+    kids: &[usize],
+    limit: AggLimit,
+    fwd: &[Vec<(u32, u64)>],
+    contribs: &mut Vec<u64>,
+    out: &mut Vec<(usize, u64)>,
+) {
     out.clear();
     let n = kids.len();
     if n == 0 {
         return;
     }
-    let contribs: Vec<u64> = kids
-        .iter()
-        .map(|&c| {
-            fwd[c]
-                .iter()
-                .filter(|(dst, _)| limit.contains(*dst))
-                .map(|(_, b)| *b)
-                .sum()
-        })
-        .collect();
+    contribs.clear();
+    contribs.extend(kids.iter().map(|&c| {
+        fwd[c]
+            .iter()
+            .filter(|(dst, _)| limit.contains(*dst))
+            .map(|(_, b)| *b)
+            .sum::<u64>()
+    }));
     let total: u64 = contribs.iter().sum();
     for (i, &c) in kids.iter().enumerate() {
         let share = if total == 0 {
@@ -388,33 +392,121 @@ fn match_policer(policers: &mut [Policer], dst: u32) -> Option<&mut Policer> {
     best.map(move |i| &mut policers[i])
 }
 
-fn next_arrival(source: &mut dyn PacketSource, end: Option<SimTime>) -> Option<Packet> {
-    let pkt = source.next_packet()?;
-    match end {
-        Some(end) if pkt.arrival >= end => None,
-        _ => Some(pkt),
-    }
+/// The hop-by-hop pushback state of one run: the policers each node has
+/// installed, what each node forwarded, and the limit messages in flight.
+/// The event loop (`engine.rs`) owns the schedule; this owns the rest.
+pub(crate) struct Pushback {
+    plan: PushbackPlan,
+    policers: Vec<Vec<Policer>>,
+    fwd: Vec<Vec<(u32, u64)>>,
+    /// In-flight messages `(delivery time, receiving node, limit)`. At
+    /// equal delivery times the lower position fires first; delivery
+    /// `swap_remove`s, so the order is deterministic but not send order.
+    pub(crate) msgs: Vec<(SimTime, usize, AggLimit)>,
+    /// The next refresh at the root.
+    pub(crate) refresh_at: SimTime,
+    /// Messages delivered (installs + refreshes).
+    pub(crate) installs: u64,
+    /// Per node: when its first limit arrived.
+    pub(crate) first_limit: Vec<Option<SimTime>>,
+    limits: Vec<AggLimit>,
+    shares: Vec<(usize, u64)>,
+    contribs: Vec<u64>,
 }
 
-/// The event kinds of the topology loop, in tie-break priority order.
-/// The first three mirror the single engine's `Tx > Control > Arrival`
-/// discipline exactly (wire deliveries and pushback messages do not
-/// exist there); scanning in this order with a strict `<` comparison
-/// keeps the one-node case bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    /// Transmission completion on node `.0`'s output link.
-    Tx(usize),
-    /// A packet finishing propagation on node `.0`'s output link.
-    Deliver(usize),
-    /// The shared control tick.
-    Control,
-    /// Pushback message `.0` (index into the in-flight list).
-    Msg(usize),
-    /// The pushback refresh at the root.
-    Refresh,
-    /// The next workload arrival.
-    Arrival,
+impl Pushback {
+    pub(crate) fn new(plan: PushbackPlan, nodes: usize) -> Self {
+        Pushback {
+            plan,
+            policers: (0..nodes).map(|_| Vec::new()).collect(),
+            fwd: (0..nodes).map(|_| Vec::new()).collect(),
+            msgs: Vec::new(),
+            refresh_at: SimTime::ZERO + plan.refresh,
+            installs: 0,
+            first_limit: vec![None; nodes],
+            limits: Vec::new(),
+            shares: Vec::new(),
+            contribs: Vec::new(),
+        }
+    }
+
+    /// Whether `node`'s policer drops `pkt` (longest-prefix match, token
+    /// bucket out of tokens).
+    #[inline]
+    pub(crate) fn polices(&mut self, node: usize, pkt: &Packet, now: SimTime) -> bool {
+        let policers = &mut self.policers[node];
+        !policers.is_empty()
+            && match_policer(policers, u32::from(pkt.dst))
+                .is_some_and(|p| !p.tb.conforms(pkt.size, now))
+    }
+
+    /// Records `pkt` leaving `node` toward its parent.
+    #[inline]
+    pub(crate) fn forwarded(&mut self, node: usize, pkt: &Packet) {
+        fwd_record(&mut self.fwd[node], u32::from(pkt.dst), pkt.size as u64);
+    }
+
+    /// Delivers message `k`: narrows the limit to what its node
+    /// forwarded, installs (or refreshes) the node's policer and splits
+    /// the allocation among the node's own children, one more link delay
+    /// away. Returns the node and the limit it installed.
+    pub(crate) fn deliver(&mut self, k: usize, topo: &Topology, now: SimTime) -> (usize, AggLimit) {
+        let (_, node, limit) = self.msgs.swap_remove(k);
+        let limit = narrowed(limit, &self.fwd[node]);
+        let same = |p: &&mut Policer| p.limit.addr == limit.addr && p.limit.len == limit.len;
+        match self.policers[node].iter_mut().find(same) {
+            Some(p) => {
+                p.limit.bps = limit.bps;
+                p.tb.set_rate(Bandwidth::from_bps(limit.bps));
+                p.last_update = now;
+            }
+            None => self.policers[node].push(Policer {
+                limit,
+                tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), self.plan.burst_bytes),
+                last_update: now,
+            }),
+        }
+        self.installs += 1;
+        self.first_limit[node].get_or_insert(now);
+        self.send(topo, node, limit, now);
+        (node, limit)
+    }
+
+    /// The refresh at the root: re-reads `root`'s aggregate limits and
+    /// sends them upstream, ages out policers for aggregates the root
+    /// stopped limiting, and decays the forwarded-traffic windows so
+    /// division and narrowing track the present.
+    pub(crate) fn refresh(&mut self, topo: &Topology, root: &mut dyn Switch, now: SimTime) {
+        let mut limits = std::mem::take(&mut self.limits);
+        limits.clear();
+        root.pushback_limits(now, &mut limits);
+        for limit in &limits {
+            self.send(topo, topo.root, *limit, now);
+        }
+        self.limits = limits;
+        let horizon = self.plan.refresh.as_nanos().saturating_mul(3);
+        for ps in self.policers.iter_mut() {
+            ps.retain(|p| now.saturating_since(p.last_update).as_nanos() <= horizon);
+        }
+        for w in self.fwd.iter_mut() {
+            for e in w.iter_mut() {
+                e.1 /= 2;
+            }
+            w.retain(|e| e.1 > 0);
+        }
+        self.refresh_at = now + self.plan.refresh;
+    }
+
+    /// Splits `limit` among `node`'s children and puts one message per
+    /// child on its link.
+    fn send(&mut self, topo: &Topology, node: usize, limit: AggLimit, now: SimTime) {
+        let kids = &topo.children[node];
+        divide(kids, limit, &self.fwd, &mut self.contribs, &mut self.shares);
+        for &(child, bps) in &self.shares {
+            let at = now + topo.links[child].delay;
+            self.msgs.push((at, child, AggLimit { bps, ..limit }));
+        }
+    }
 }
 
 /// Runs `source` through the topology and returns end-to-end statistics.
@@ -427,330 +519,307 @@ pub fn run_topology(
     place: &mut dyn FnMut(&Packet) -> usize,
     cfg: &TopologyConfig,
 ) -> TopologyRunResult {
-    run_topology_traced(topo, switches, source, place, cfg, &mut NoopTracer)
+    let mut nodes: Vec<&mut dyn Switch> = switches.iter_mut().map(|s| s.as_mut() as _).collect();
+    run_topology_streamed(
+        topo,
+        &mut nodes,
+        source,
+        place,
+        cfg,
+        &mut NoopTracer,
+        None,
+        None,
+        None,
+    )
 }
 
-/// [`run_topology`] with trace events: per-packet `depart`/`drop`,
-/// `hop` per link crossing (tagged with the receiving node),
+/// [`run_topology`] with the engine's hooks, which act on the tree as
+/// a whole (see [`crate::engine::run_streamed`]): trace events also
+/// include `hop` per link crossing (tagged with the receiving node) and
 /// `pushback_limit` per message delivery (tagged with the installing
-/// node), plus `control_tick` / `stats_tick`.
-pub fn run_topology_traced<T: Tracer + ?Sized>(
+/// node); the fault plane decides each shared control tick for every
+/// node and stretches transmissions on the root's bottleneck link; the
+/// metrics and telemetry count arrivals at the leaves, drops at any node
+/// (policer drops included), departures at the root, and the backlog
+/// summed over all nodes.
+#[allow(clippy::too_many_arguments)]
+pub fn run_topology_streamed<T: Tracer + ?Sized>(
     topo: &Topology,
-    switches: &mut [Box<dyn Switch>],
+    switches: &mut [&mut dyn Switch],
     source: &mut dyn PacketSource,
     place: &mut dyn FnMut(&Packet) -> usize,
     cfg: &TopologyConfig,
     tracer: &mut T,
+    metrics: Option<&MetricsHandle>,
+    faults: Option<&FaultInjector>,
+    telemetry: Option<&mut Telemetry>,
 ) -> TopologyRunResult {
-    let n = topo.num_nodes();
-    assert_eq!(switches.len(), n, "one switch per topology node");
+    drive(
+        source, topo, switches, place, cfg, tracer, metrics, faults, telemetry,
+    )
+}
 
-    let mut stats = StatsCollector::new(cfg.stats_interval);
-    let mut delays = DelayHistogram::new();
-    let mut drops_buf: Vec<Dropped> = Vec::new();
+/// The pre-unification topology loop: a full scan of every node's link,
+/// wire and pending message per event, then a dequeue attempt at every
+/// node — kept, without tracing, as the differential-test oracle for
+/// [`crate::engine`]'s loop and for the indexed calendar that is meant
+/// to replace its scan. Compiled only with the `reference` cargo feature.
+#[cfg(feature = "reference")]
+pub mod reference {
+    use super::*;
+    use crate::engine::next_arrival;
+    use crate::latency::DelayHistogram;
+    use crate::packet::{DropReason, Dropped};
+    use crate::stats::StatsCollector;
+    use std::collections::VecDeque;
 
-    // Data plane state.
-    let mut in_flight: Vec<Option<(SimTime, Packet)>> = (0..n).map(|_| None).collect();
-    let mut wires: Vec<VecDeque<(SimTime, Packet)>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
-
-    // Control plane state.
-    let mut control_next: Option<SimTime> = cfg.control_period.map(|p| SimTime::ZERO + p);
-    let mut refresh_next: Option<SimTime> = cfg.pushback.map(|p| SimTime::ZERO + p.refresh);
-    let mut msgs: Vec<(SimTime, u64, usize, AggLimit)> = Vec::new();
-    let mut msg_seq = 0u64;
-    let mut policers: Vec<Vec<Policer>> = (0..n).map(|_| Vec::new()).collect();
-    let mut fwd: Vec<Vec<(u32, u64)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut limits_buf: Vec<AggLimit> = Vec::new();
-    let mut shares_buf: Vec<(usize, u64)> = Vec::new();
-
-    // Accounting.
-    let mut now = SimTime::ZERO;
-    let (mut arrivals, mut departures, mut total_drops) = (0u64, 0u64, 0u64);
-    let mut node_drops = vec![0u64; n];
-    let mut hops = 0u64;
-    let mut pushback_installs = 0u64;
-    let mut node_first_limit: Vec<Option<SimTime>> = vec![None; n];
-    let mut control_ticks = 0u64;
-    let mut stats_bucket = 0u64;
-
-    // Ingress through the node's pushback policers, then the switch.
-    macro_rules! ingress_at {
-        ($node:expr, $pkt:expr) => {{
-            let node: usize = $node;
-            let pkt: Packet = $pkt;
-            let policed = match match_policer(&mut policers[node], u32::from(pkt.dst)) {
-                Some(p) => !p.tb.conforms(pkt.size, now),
-                None => false,
-            };
-            if policed {
-                let d = Dropped {
-                    packet: pkt,
-                    reason: DropReason::Policer,
-                };
-                stats.on_drop(&d, now);
-                node_drops[node] += 1;
-                total_drops += 1;
-                if tracer.enabled() {
-                    tracer.record(
-                        now.as_nanos(),
-                        &Event::Drop {
-                            queue: None,
-                            class: d.packet.class.0,
-                            size: d.packet.size,
-                            reason: DropReason::Policer.name(),
-                        },
-                    );
-                }
-            } else {
-                drops_buf.clear();
-                switches[node].ingress(pkt, now, &mut drops_buf);
-                for d in &drops_buf {
-                    stats.on_drop(d, now);
-                    if tracer.enabled() {
-                        tracer.record(
-                            now.as_nanos(),
-                            &Event::Drop {
-                                queue: None,
-                                class: d.packet.class.0,
-                                size: d.packet.size,
-                                reason: d.reason.name(),
-                            },
-                        );
-                    }
-                }
-                node_drops[node] += drops_buf.len() as u64;
-                total_drops += drops_buf.len() as u64;
-            }
-        }};
+    /// The event kinds in tie-break priority order.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        Tx(usize),
+        Deliver(usize),
+        Control,
+        Msg(usize),
+        Refresh,
+        Arrival,
     }
 
-    loop {
-        // Control-plane events (ticks, refreshes, in-flight messages)
-        // must not keep a drained topology alive — same gate as the
-        // single engine, extended to wires.
-        let has_work = pending.is_some()
-            || in_flight.iter().any(|f| f.is_some())
-            || wires.iter().any(|w| !w.is_empty())
-            || switches.iter().any(|s| s.backlog_pkts() > 0);
+    /// Runs `source` through the topology with the scan loop. Must stay
+    /// result-identical to [`run_topology`].
+    pub fn run_topology_reference(
+        topo: &Topology,
+        switches: &mut [Box<dyn Switch>],
+        source: &mut dyn PacketSource,
+        place: &mut dyn FnMut(&Packet) -> usize,
+        cfg: &TopologyConfig,
+    ) -> TopologyRunResult {
+        let n = topo.num_nodes();
+        assert_eq!(switches.len(), n, "one switch per topology node");
 
-        // Earliest event; scanning in `Ev` priority order with a strict
-        // `<` makes the first candidate win ties.
-        let mut next: Option<(Ev, SimTime)> = None;
-        let mut consider = |ev: Ev, t: SimTime| {
-            if next.as_ref().is_none_or(|&(_, bt)| t < bt) {
-                next = Some((ev, t));
-            }
-        };
-        for (i, f) in in_flight.iter().enumerate() {
-            if let Some((t, _)) = f {
-                consider(Ev::Tx(i), *t);
-            }
-        }
-        for (i, w) in wires.iter().enumerate() {
-            if let Some((t, _)) = w.front() {
-                consider(Ev::Deliver(i), *t);
-            }
-        }
-        if has_work {
-            if let Some(t) = control_next {
-                consider(Ev::Control, t);
-            }
-            for (k, (t, _, _, _)) in msgs.iter().enumerate() {
-                consider(Ev::Msg(k), *t);
-            }
-            if let Some(t) = refresh_next {
-                consider(Ev::Refresh, t);
-            }
-        }
-        if let Some(p) = &pending {
-            consider(Ev::Arrival, p.arrival);
-        }
-        let Some((ev, t)) = next else {
-            break;
-        };
-        debug_assert!(t >= now, "event time went backwards");
-        now = t;
+        let mut stats = StatsCollector::new(cfg.stats_interval);
+        let mut delays = DelayHistogram::new();
+        let mut drops_buf: Vec<Dropped> = Vec::new();
 
-        let bucket = now.bucket(cfg.stats_interval);
-        if bucket != stats_bucket {
-            stats_bucket = bucket;
-            if tracer.enabled() {
-                tracer.record(
-                    bucket * cfg.stats_interval.as_nanos(),
-                    &Event::StatsTick { bucket },
-                );
-            }
-        }
+        let mut in_flight: Vec<Option<(SimTime, Packet)>> = (0..n).map(|_| None).collect();
+        let mut wires: Vec<VecDeque<(SimTime, Packet)>> = (0..n).map(|_| VecDeque::new()).collect();
+        let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
 
-        match ev {
-            Ev::Tx(i) => {
-                let (_, pkt) = in_flight[i].take().expect("Tx implies in-flight");
-                if i == topo.root {
-                    stats.on_depart(&pkt, now);
-                    delays.record(pkt.class, now.saturating_since(pkt.arrival));
-                    departures += 1;
-                    if tracer.enabled() {
-                        tracer.record(
-                            now.as_nanos(),
-                            &Event::Depart {
-                                class: pkt.class.0,
-                                size: pkt.size,
-                            },
-                        );
-                    }
+        let mut control_next: Option<SimTime> = cfg.control_period.map(|p| SimTime::ZERO + p);
+        let mut refresh_next: Option<SimTime> = cfg.pushback.map(|p| SimTime::ZERO + p.refresh);
+        let mut msgs: Vec<(SimTime, usize, AggLimit)> = Vec::new();
+        let mut policers: Vec<Vec<Policer>> = (0..n).map(|_| Vec::new()).collect();
+        let mut fwd: Vec<Vec<(u32, u64)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut limits_buf: Vec<AggLimit> = Vec::new();
+        let mut shares_buf: Vec<(usize, u64)> = Vec::new();
+        let mut contribs: Vec<u64> = Vec::new();
+
+        let mut now = SimTime::ZERO;
+        let (mut arrivals, mut departures, mut total_drops) = (0u64, 0u64, 0u64);
+        let mut node_drops = vec![0u64; n];
+        let mut hops = 0u64;
+        let mut pushback_installs = 0u64;
+        let mut node_first_limit: Vec<Option<SimTime>> = vec![None; n];
+
+        macro_rules! ingress_at {
+            ($node:expr, $pkt:expr) => {{
+                let node: usize = $node;
+                let pkt: Packet = $pkt;
+                let policed = match match_policer(&mut policers[node], u32::from(pkt.dst)) {
+                    Some(p) => !p.tb.conforms(pkt.size, now),
+                    None => false,
+                };
+                if policed {
+                    let d = Dropped {
+                        packet: pkt,
+                        reason: DropReason::Policer,
+                    };
+                    stats.on_drop(&d, now);
+                    node_drops[node] += 1;
+                    total_drops += 1;
                 } else {
-                    fwd_record(&mut fwd[i], u32::from(pkt.dst), pkt.size as u64);
-                    let deliver = now + topo.links[i].delay;
-                    wires[i].push_back((deliver, pkt));
-                }
-            }
-            Ev::Deliver(i) => {
-                let (_, pkt) = wires[i].pop_front().expect("Deliver implies a wire packet");
-                let parent = topo.parents[i].expect("only non-root links deliver");
-                hops += 1;
-                if tracer.enabled() {
-                    tracer.record(
-                        now.as_nanos(),
-                        &Event::Hop {
-                            node: parent,
-                            class: pkt.class.0,
-                            size: pkt.size,
-                        },
-                    );
-                }
-                ingress_at!(parent, pkt);
-            }
-            Ev::Control => {
-                let period = cfg.control_period.expect("Control implies a period");
-                for sw in switches.iter_mut() {
-                    sw.control_tick(now);
-                }
-                control_ticks += 1;
-                if tracer.enabled() {
-                    tracer.record(
-                        now.as_nanos(),
-                        &Event::ControlTick {
-                            tick: control_ticks,
-                        },
-                    );
-                }
-                control_next = Some(now + period);
-            }
-            Ev::Msg(k) => {
-                let (_, _, node, limit) = msgs.swap_remove(k);
-                let limit = narrowed(limit, &fwd[node]);
-                let plan = cfg.pushback.expect("Msg implies pushback");
-                match policers[node]
-                    .iter_mut()
-                    .find(|p| p.limit.addr == limit.addr && p.limit.len == limit.len)
-                {
-                    Some(p) => {
-                        p.limit.bps = limit.bps;
-                        p.tb.set_rate(Bandwidth::from_bps(limit.bps));
-                        p.last_update = now;
+                    drops_buf.clear();
+                    switches[node].ingress(pkt, now, &mut drops_buf);
+                    for d in &drops_buf {
+                        stats.on_drop(d, now);
                     }
-                    None => policers[node].push(Policer {
-                        limit,
-                        tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), plan.burst_bytes),
-                        last_update: now,
-                    }),
+                    node_drops[node] += drops_buf.len() as u64;
+                    total_drops += drops_buf.len() as u64;
                 }
-                pushback_installs += 1;
-                node_first_limit[node].get_or_insert(now);
-                if tracer.enabled() {
-                    tracer.record(
-                        now.as_nanos(),
-                        &Event::PushbackLimit {
-                            upstream: node,
-                            prefix: limit.addr,
-                            prefix_len: limit.len,
-                            bps: limit.bps,
-                        },
-                    );
+            }};
+        }
+
+        loop {
+            let has_work = pending.is_some()
+                || in_flight.iter().any(|f| f.is_some())
+                || wires.iter().any(|w| !w.is_empty())
+                || switches.iter().any(|s| s.backlog_pkts() > 0);
+
+            let mut next: Option<(Ev, SimTime)> = None;
+            let mut consider = |ev: Ev, t: SimTime| {
+                if next.as_ref().is_none_or(|&(_, bt)| t < bt) {
+                    next = Some((ev, t));
                 }
-                // Keep rippling upstream: split this node's allocation
-                // among its own children, one more link delay away.
-                divide(&topo.children[node], limit, &fwd, &mut shares_buf);
-                for &(child, bps) in shares_buf.iter() {
-                    msgs.push((
-                        now + topo.links[child].delay,
-                        msg_seq,
-                        child,
-                        AggLimit { bps, ..limit },
-                    ));
-                    msg_seq += 1;
+            };
+            for (i, f) in in_flight.iter().enumerate() {
+                if let Some((t, _)) = f {
+                    consider(Ev::Tx(i), *t);
                 }
             }
-            Ev::Refresh => {
-                let plan = cfg.pushback.expect("Refresh implies pushback");
-                limits_buf.clear();
-                switches[topo.root].pushback_limits(now, &mut limits_buf);
-                for limit in &limits_buf {
-                    divide(&topo.children[topo.root], *limit, &fwd, &mut shares_buf);
+            for (i, w) in wires.iter().enumerate() {
+                if let Some((t, _)) = w.front() {
+                    consider(Ev::Deliver(i), *t);
+                }
+            }
+            if has_work {
+                if let Some(t) = control_next {
+                    consider(Ev::Control, t);
+                }
+                for (k, (t, _, _)) in msgs.iter().enumerate() {
+                    consider(Ev::Msg(k), *t);
+                }
+                if let Some(t) = refresh_next {
+                    consider(Ev::Refresh, t);
+                }
+            }
+            if let Some(p) = &pending {
+                consider(Ev::Arrival, p.arrival);
+            }
+            let Some((ev, t)) = next else {
+                break;
+            };
+            debug_assert!(t >= now, "event time went backwards");
+            now = t;
+
+            match ev {
+                Ev::Tx(i) => {
+                    let (_, pkt) = in_flight[i].take().expect("Tx implies in-flight");
+                    if i == topo.root {
+                        stats.on_depart(&pkt, now);
+                        delays.record(pkt.class, now.saturating_since(pkt.arrival));
+                        departures += 1;
+                    } else {
+                        fwd_record(&mut fwd[i], u32::from(pkt.dst), pkt.size as u64);
+                        let deliver = now + topo.links[i].delay;
+                        wires[i].push_back((deliver, pkt));
+                    }
+                }
+                Ev::Deliver(i) => {
+                    let (_, pkt) = wires[i].pop_front().expect("Deliver implies a wire packet");
+                    let parent = topo.parents[i].expect("only non-root links deliver");
+                    hops += 1;
+                    ingress_at!(parent, pkt);
+                }
+                Ev::Control => {
+                    let period = cfg.control_period.expect("Control implies a period");
+                    for sw in switches.iter_mut() {
+                        sw.control_tick(now);
+                    }
+                    control_next = Some(now + period);
+                }
+                Ev::Msg(k) => {
+                    let (_, node, limit) = msgs.swap_remove(k);
+                    let limit = narrowed(limit, &fwd[node]);
+                    let plan = cfg.pushback.expect("Msg implies pushback");
+                    match policers[node]
+                        .iter_mut()
+                        .find(|p| p.limit.addr == limit.addr && p.limit.len == limit.len)
+                    {
+                        Some(p) => {
+                            p.limit.bps = limit.bps;
+                            p.tb.set_rate(Bandwidth::from_bps(limit.bps));
+                            p.last_update = now;
+                        }
+                        None => policers[node].push(Policer {
+                            limit,
+                            tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), plan.burst_bytes),
+                            last_update: now,
+                        }),
+                    }
+                    pushback_installs += 1;
+                    node_first_limit[node].get_or_insert(now);
+                    divide(
+                        &topo.children[node],
+                        limit,
+                        &fwd,
+                        &mut contribs,
+                        &mut shares_buf,
+                    );
                     for &(child, bps) in shares_buf.iter() {
                         msgs.push((
                             now + topo.links[child].delay,
-                            msg_seq,
                             child,
-                            AggLimit { bps, ..*limit },
+                            AggLimit { bps, ..limit },
                         ));
-                        msg_seq += 1;
                     }
                 }
-                // Age out policers for aggregates the root stopped
-                // limiting, and decay the forwarded-traffic windows so
-                // division/narrowing track the present.
-                let horizon = plan.refresh.as_nanos().saturating_mul(3);
-                for ps in policers.iter_mut() {
-                    ps.retain(|p| now.saturating_since(p.last_update).as_nanos() <= horizon);
-                }
-                for w in fwd.iter_mut() {
-                    for e in w.iter_mut() {
-                        e.1 /= 2;
+                Ev::Refresh => {
+                    let plan = cfg.pushback.expect("Refresh implies pushback");
+                    limits_buf.clear();
+                    switches[topo.root].pushback_limits(now, &mut limits_buf);
+                    for limit in &limits_buf {
+                        divide(
+                            &topo.children[topo.root],
+                            *limit,
+                            &fwd,
+                            &mut contribs,
+                            &mut shares_buf,
+                        );
+                        for &(child, bps) in shares_buf.iter() {
+                            msgs.push((
+                                now + topo.links[child].delay,
+                                child,
+                                AggLimit { bps, ..*limit },
+                            ));
+                        }
                     }
-                    w.retain(|e| e.1 > 0);
+                    let horizon = plan.refresh.as_nanos().saturating_mul(3);
+                    for ps in policers.iter_mut() {
+                        ps.retain(|p| now.saturating_since(p.last_update).as_nanos() <= horizon);
+                    }
+                    for w in fwd.iter_mut() {
+                        for e in w.iter_mut() {
+                            e.1 /= 2;
+                        }
+                        w.retain(|e| e.1 > 0);
+                    }
+                    refresh_next = Some(now + plan.refresh);
                 }
-                refresh_next = Some(now + plan.refresh);
+                Ev::Arrival => {
+                    let pkt = pending.take().expect("Arrival implies a pending packet");
+                    let leaf = topo.leaves[place(&pkt)];
+                    stats.on_arrival(&pkt);
+                    arrivals += 1;
+                    ingress_at!(leaf, pkt);
+                    pending = next_arrival(source, cfg.end_time);
+                }
             }
-            Ev::Arrival => {
-                let pkt = pending.take().expect("Arrival implies a pending packet");
-                let leaf = topo.leaves[place(&pkt)];
-                stats.on_arrival(&pkt);
-                arrivals += 1;
-                ingress_at!(leaf, pkt);
-                pending = next_arrival(source, cfg.end_time);
+
+            for i in 0..n {
+                if in_flight[i].is_none() {
+                    if let Some(pkt) = switches[i].dequeue(now) {
+                        let done = now + topo.links[i].bandwidth.tx_time(pkt.size);
+                        in_flight[i] = Some((done, pkt));
+                    }
+                }
             }
         }
 
-        // Whenever a link is idle and its switch has backlog, start the
-        // next transmission (every node, every event — exactly the
-        // single engine's post-event dequeue).
-        for i in 0..n {
-            if in_flight[i].is_none() {
-                if let Some(pkt) = switches[i].dequeue(now) {
-                    let done = now + topo.links[i].bandwidth.tx_time(pkt.size);
-                    in_flight[i] = Some((done, pkt));
-                }
-            }
+        let backlog_pkts = switches.iter().map(|s| s.backlog_pkts()).sum();
+        TopologyRunResult {
+            result: RunResult {
+                stats,
+                delays,
+                final_time: now,
+                arrivals,
+                departures,
+                drops: total_drops,
+            },
+            node_drops,
+            backlog_pkts,
+            hops,
+            pushback_installs,
+            node_first_limit,
         }
-    }
-
-    let backlog_pkts = switches.iter().map(|s| s.backlog_pkts()).sum();
-    TopologyRunResult {
-        result: RunResult {
-            stats,
-            delays,
-            final_time: now,
-            arrivals,
-            departures,
-            drops: total_drops,
-        },
-        node_drops,
-        backlog_pkts,
-        hops,
-        pushback_installs,
-        node_first_limit,
     }
 }
 
@@ -758,6 +827,7 @@ pub fn run_topology_traced<T: Tracer + ?Sized>(
 mod tests {
     use super::*;
     use crate::engine::{run, EngineConfig};
+    use crate::packet::Dropped;
     use crate::queue::FifoQueue;
     use crate::source::VecSource;
     use crate::switch::SingleQueueSwitch;
@@ -957,6 +1027,72 @@ mod tests {
         );
     }
 
+    /// Counts the control-plane calls a node receives.
+    struct Ticks {
+        inner: SingleQueueSwitch<FifoQueue>,
+        ran: u32,
+        missed: u32,
+    }
+    impl Switch for Ticks {
+        fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
+            self.inner.ingress(pkt, now, drops);
+        }
+        fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+            self.inner.dequeue(now)
+        }
+        fn backlog_pkts(&self) -> usize {
+            self.inner.backlog_pkts()
+        }
+        fn control_tick(&mut self, _now: SimTime) {
+            self.ran += 1;
+        }
+        fn control_missed(&mut self, _now: SimTime) {
+            self.missed += 1;
+        }
+    }
+
+    /// The fault plane decides each shared tick once, for every node.
+    #[test]
+    fn a_suppressed_control_tick_is_missed_at_every_node() {
+        use crate::fault::{FaultConfig, FaultInjector, FaultSchedule};
+        let topo = Topology::star(
+            2,
+            LinkSpec::new(mbps(12), SimDuration::from_micros(50)),
+            LinkSpec::new(mbps(10), SimDuration::ZERO),
+        );
+        let mut nodes: Vec<Ticks> = (0..3)
+            .map(|_| Ticks {
+                inner: SingleQueueSwitch::new(FifoQueue::new(100_000)),
+                ran: 0,
+                missed: 0,
+            })
+            .collect();
+        let mut switches: Vec<&mut dyn Switch> = nodes.iter_mut().map(|n| n as _).collect();
+        let faults = FaultInjector::new(FaultSchedule::new(FaultConfig {
+            ctrl_drop: 1.0,
+            ..FaultConfig::none(7)
+        }));
+        let mut src = VecSource::new(cbr_packets(500, 1_000, 1000)); // 0.5 s
+        let cfg = TopologyConfig::experiment(1, Some(SimDuration::from_millis(10)));
+        let res = run_topology_streamed(
+            &topo,
+            &mut switches,
+            &mut src,
+            &mut |p| p.seq as usize % 2,
+            &cfg,
+            &mut NoopTracer,
+            None,
+            Some(&faults),
+            None,
+        );
+        assert_eq!(res.result.arrivals, 500);
+        assert!(nodes[0].missed >= 50, "{}", nodes[0].missed);
+        for n in &nodes {
+            assert_eq!((n.ran, n.missed), (0, nodes[0].missed));
+        }
+        assert_eq!(u64::from(nodes[0].missed), faults.stats().ctrl_dropped);
+    }
+
     #[test]
     fn narrowing_shrinks_to_the_observed_prefix() {
         let wide = AggLimit {
@@ -990,14 +1126,14 @@ mod tests {
             bps: 1_000_000,
         };
         let fwd = vec![vec![(1, 900)], vec![(2, 100)]];
-        let mut out = Vec::new();
-        divide(&[0, 1], limit, &fwd, &mut out);
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        divide(&[0, 1], limit, &fwd, &mut scratch, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].1, 860_000); // 0.9*0.9 + 0.1/2
         assert_eq!(out[1].1, 140_000);
         // No observations: even split.
         let empty = vec![Vec::new(), Vec::new()];
-        divide(&[0, 1], limit, &empty, &mut out);
+        divide(&[0, 1], limit, &empty, &mut scratch, &mut out);
         assert_eq!(out[0].1, 500_000);
         assert_eq!(out[1].1, 500_000);
     }

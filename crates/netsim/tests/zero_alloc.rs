@@ -7,10 +7,12 @@
 //! counting global allocator.
 
 use accturbo_netsim::engine::{run, EngineConfig};
-use accturbo_netsim::topology::{run_topology, LinkSpec, Topology, TopologyConfig};
+use accturbo_netsim::topology::{
+    run_topology, AggLimit, LinkSpec, PushbackPlan, Topology, TopologyConfig,
+};
 use accturbo_netsim::{
-    Bandwidth, FifoQueue, Packet, ShardedEngine, SimDuration, SimTime, SingleQueueSwitch, Switch,
-    VecSource,
+    Bandwidth, Dropped, FifoQueue, Packet, ShardedEngine, SimDuration, SimTime, SingleQueueSwitch,
+    Switch, VecSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,41 +117,89 @@ fn threaded_stream_steady_state_does_not_allocate() {
     );
 }
 
-/// Allocation count of one 2-hop line-topology run over `n` packets.
-fn allocs_during_topology_run(n: u64) -> u64 {
+/// A bottleneck that asks its upstream to police all traffic to 1 Mbps.
+struct Limiting(SingleQueueSwitch<FifoQueue>);
+
+impl Switch for Limiting {
+    fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
+        self.0.ingress(pkt, now, drops);
+    }
+    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+        self.0.dequeue(now)
+    }
+    fn backlog_pkts(&self) -> usize {
+        self.0.backlog_pkts()
+    }
+    fn pushback_limits(&mut self, _now: SimTime, out: &mut Vec<AggLimit>) {
+        out.push(AggLimit {
+            addr: 0,
+            len: 0,
+            bps: 1_000_000,
+        });
+    }
+}
+
+/// Allocation count of one line-topology run over `n` packets: two hops
+/// without pushback; with it, three hops whose root requests a limit
+/// that is refreshed every millisecond and re-divided at every hop.
+fn allocs_during_topology_run(n: u64, pushback: bool) -> u64 {
     let packets: Vec<Packet> = (0..n)
         .map(|i| Packet::new(SimTime::from_nanos(i * 50_000)).with_size(1000))
         .collect();
     let mut src = VecSource::new(packets);
     let link = LinkSpec::new(Bandwidth::from_mbps(20), SimDuration::from_micros(10));
-    let topo = Topology::line(2, link, link);
+    let topo = Topology::line(if pushback { 3 } else { 2 }, link, link);
     let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
-        .map(|_| Box::new(SingleQueueSwitch::new(FifoQueue::new(20_000))) as Box<dyn Switch>)
+        .map(|i| {
+            let sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
+            if pushback && i == topo.root() {
+                Box::new(Limiting(sw)) as Box<dyn Switch>
+            } else {
+                Box::new(sw)
+            }
+        })
         .collect();
     let cfg = TopologyConfig {
         stats_interval: SimDuration::from_secs(10),
         control_period: Some(SimDuration::from_millis(10)),
         end_time: None,
-        pushback: None,
+        pushback: pushback.then(|| PushbackPlan::new(SimDuration::from_millis(1))),
     };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = run_topology(&topo, &mut switches, &mut src, &mut |_| 0, &cfg);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(out.result.arrivals, n, "workload must actually run");
+    if pushback {
+        assert!(out.node_drops[0] > 0, "the leaf policer must drop");
+    }
     after - before
 }
 
 #[test]
 fn topology_engine_steady_state_does_not_allocate() {
     let _guard = MEASURE.lock().unwrap();
-    let _ = allocs_during_topology_run(400);
-    let small = allocs_during_topology_run(2_000);
-    let large = allocs_during_topology_run(8_000);
+    let _ = allocs_during_topology_run(400, false);
+    let small = allocs_during_topology_run(2_000, false);
+    let large = allocs_during_topology_run(8_000, false);
     // Wires, in-flight slots and the drop buffer are all reused; only
     // warmup growth (stats buckets, buffer capacity) may allocate.
     assert!(
         large <= small + 64,
         "topology engine allocations scale with packet count: \
+         {small} allocs for 2k pkts, {large} for 8k"
+    );
+}
+
+#[test]
+fn pushback_steady_state_does_not_allocate() {
+    let _guard = MEASURE.lock().unwrap();
+    let _ = allocs_during_topology_run(400, true);
+    // 100 vs 400 refreshes, each dividing the limit at two hops.
+    let small = allocs_during_topology_run(2_000, true);
+    let large = allocs_during_topology_run(8_000, true);
+    assert!(
+        large <= small + 64,
+        "pushback allocations scale with packet count: \
          {small} allocs for 2k pkts, {large} for 8k"
     );
 }

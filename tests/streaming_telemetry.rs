@@ -122,9 +122,23 @@ fn telemetry_does_not_perturb_the_scenario() {
         assert_eq!(a.missed_ticks, b.missed_ticks, "{ctx}: missed ticks");
         assert_eq!(a.stale_ticks, b.stale_ticks, "{ctx}: stale ticks");
         assert_eq!(a.fallbacks, b.fallbacks, "{ctx}: fallbacks");
+        assert_eq!(a.hops, b.hops, "{ctx}: hops");
+        assert_eq!(a.pushback_installs, b.pushback_installs, "{ctx}: installs");
+        assert_eq!(
+            a.node_first_limit, b.node_first_limit,
+            "{ctx}: first limits"
+        );
     }
 
-    for defense in ["fifo", "acc", "accturbo", "jaqen"] {
+    // The single switch, then the tree rows: telemetry and the flight
+    // recorder hook into the same loop on any topology.
+    let rows = ["fifo", "acc", "accturbo", "jaqen"]
+        .map(|d| (d, None))
+        .into_iter()
+        .chain(["acc", "accturbo"].into_iter().flat_map(|d| {
+            ["topology=star:3", "topology=fattree:2:pushback=on"].map(|t| (d, Some(t)))
+        }));
+    for (defense, topology) in rows {
         for faults in [
             None,
             Some("faults=ctrl_drop:0.3+pkt_drop:0.05+link_flap:0.1"),
@@ -135,6 +149,7 @@ fn telemetry_does_not_perturb_the_scenario() {
                 "secs=6".to_string(),
                 "--quick".to_string(),
             ];
+            argv.extend(topology.map(str::to_string));
             argv.extend(faults.map(str::to_string));
             let spec = parse_run(&argv).unwrap().spec;
             let plain = spec.execute();

@@ -7,6 +7,9 @@
 //!   `ScenarioSpec::execute()` for the fig2 and fig6 workloads — the
 //!   differential that proves the topology layer composes the existing
 //!   engine rather than re-implementing it;
+//! * the engine's one loop equals the pre-unification scan loop
+//!   (`topology::reference`) on every shape × defense × pushback setting;
+//! * a faulted topology run conserves packets and repeats exactly;
 //! * the `topology` registry figure is deterministic at a fixed seed and
 //!   invariant under the worker count (`--jobs`).
 
@@ -111,6 +114,112 @@ fn execute_and_execute_topology_agree() {
     let b = spec.execute_topology();
     assert_eq!(format!("{:?}", a.result), format!("{:?}", b.result));
     assert_eq!(a.backlog_pkts, b.backlog_pkts);
+}
+
+/// The differential for the engine's one loop: every shape × defense ×
+/// pushback setting, run through `execute_topology()` and through the
+/// reference scan loop on identically built switches, must agree on the
+/// whole `RunResult` and the per-node record.
+#[test]
+fn every_shape_matches_the_reference_scan_loop() {
+    use accturbo_netsim::topology::reference::run_topology_reference;
+    use accturbo_netsim::{PushbackPlan, Switch, TopologyConfig};
+    use accturbo_traffic::LeafPlacement;
+
+    let flood: WorkloadSpec = "flood".parse().unwrap();
+    let mut installs = 0;
+    for shape in ["line:1", "line:3", "star:3", "fattree:2", "isp-edge"] {
+        for defense in ["fifo", "red", "acc", "accturbo", "jaqen"] {
+            for pushback in [false, true] {
+                let mut tspec: TopologySpec = shape.parse().unwrap();
+                tspec.pushback = pushback;
+                let spec = ScenarioSpec::new(flood.clone(), defense.parse().unwrap())
+                    .with_secs(8)
+                    .with_topology(tspec.clone());
+                let name = format!("{spec}");
+                let topo = tspec.build(spec.link_bps);
+                let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
+                    .map(|i| match i == topo.root() {
+                        true => spec.defense.build(spec.link_bps),
+                        false => spec::DefenseSpec::Fifo.build(tspec.uplink(spec.link_bps)),
+                    })
+                    .collect();
+                let mut src = spec.workload.build(spec.link_bps, spec.secs, spec.seed);
+                let placement = LeafPlacement::new(topo.leaves().len(), None);
+                let mut cfg = TopologyConfig::experiment(spec.secs, spec.effective_period());
+                if pushback {
+                    cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
+                }
+                let place = &mut |p: &_| placement.place(p);
+                let want = run_topology_reference(&topo, &mut switches, &mut *src, place, &cfg);
+                let got = spec.execute_topology();
+
+                assert_eq!(
+                    format!("{:?}", got.result),
+                    format!("{:?}", want.result),
+                    "{name}: RunResult diverged from the reference loop"
+                );
+                assert_eq!(got.node_drops, want.node_drops, "{name}: node drops");
+                assert_eq!(got.backlog_pkts, want.backlog_pkts, "{name}: backlog");
+                assert_eq!(got.hops, want.hops, "{name}: hops");
+                assert_eq!(
+                    got.pushback_installs, want.pushback_installs,
+                    "{name}: installs"
+                );
+                assert_eq!(
+                    got.node_first_limit, want.node_first_limit,
+                    "{name}: first limits"
+                );
+                installs += got.pushback_installs;
+            }
+        }
+    }
+    assert!(installs > 0, "the matrix must exercise pushback messages");
+}
+
+/// Faults compose with a tree: the same faulted sentence conserves
+/// packets, injects faults, and repeats exactly.
+#[test]
+fn faulted_topology_runs_conserve_and_repeat() {
+    for defense in ["acc", "accturbo"] {
+        let argv: Vec<String> = [
+            "workload=flood",
+            &format!("defense={defense}"),
+            "secs=10",
+            "topology=star:4:pushback=on",
+            "faults=ctrl_drop:0.5+pkt_drop:0.05+link_flap:0.1",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let spec = cli::parse_run(&argv).unwrap().spec;
+        let (a, b) = (spec.execute(), spec.execute());
+        let res = &a.result;
+        assert_eq!(
+            res.arrivals,
+            res.departures + res.drops + a.backlog_pkts as u64,
+            "{defense}: conservation violated"
+        );
+        let stats = a
+            .fault_stats
+            .as_ref()
+            .expect("a faulted run reports its faults");
+        assert!(stats.ctrl_dropped > 0 && stats.pkt_dropped > 0, "{stats:?}");
+        assert!(a.hops > 0);
+        assert_eq!(format!("{:?}", a.result), format!("{:?}", b.result));
+        assert_eq!(a.fault_stats, b.fault_stats);
+        assert_eq!(
+            (a.hops, a.pushback_installs, &a.node_first_limit),
+            (b.hops, b.pushback_installs, &b.node_first_limit)
+        );
+        let mut clean = spec.clone();
+        clean.faults = None;
+        assert_ne!(
+            format!("{:?}", clean.execute().result),
+            format!("{:?}", a.result),
+            "{defense}: the fault plane must reach the tree"
+        );
+    }
 }
 
 /// Same seed, same figure, twice: identical rendered report and result.
