@@ -36,7 +36,6 @@ struct SwitchMetrics {
     enqueues: CounterId,
     drops: CounterId,
     cluster_distance: HistogramId,
-    control_us: HistogramId,
     /// One `queue_depth_q{i}` gauge per queue, registered upfront so the
     /// control tick never formats metric names on the hot path.
     queue_depth: Vec<GaugeId>,
@@ -52,7 +51,7 @@ struct SwitchMetrics {
 
 impl SwitchMetrics {
     fn new(handle: MetricsHandle, num_queues: usize) -> Self {
-        let (enqueues, drops, cluster_distance, control_us, queue_depth, degrade_ids) = {
+        let (enqueues, drops, cluster_distance, queue_depth, degrade_ids) = {
             let mut r = handle.borrow_mut();
             (
                 r.counter("switch_enqueues"),
@@ -61,12 +60,6 @@ impl SwitchMetrics {
                     "cluster_distance",
                     &[
                         0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
-                    ],
-                ),
-                r.histogram(
-                    "control_loop_us",
-                    &[
-                        1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0,
                     ],
                 ),
                 (0..num_queues)
@@ -84,7 +77,6 @@ impl SwitchMetrics {
             enqueues,
             drops,
             cluster_distance,
-            control_us,
             queue_depth,
             degrade_missed: degrade_ids.0,
             degrade_stale: degrade_ids.1,
@@ -201,12 +193,14 @@ impl<'a> AccTurboSwitch<'a> {
     }
 
     /// Installs a metrics registry. The switch registers
-    /// `switch_enqueues` / `switch_drops` counters, `cluster_distance`
-    /// and `control_loop_us` histograms, and lazily one
+    /// `switch_enqueues` / `switch_drops` counters, a `cluster_distance`
+    /// histogram, and lazily one
     /// `switch_pkts_class_{c}` / `switch_drops_class_{c}` counter pair
     /// plus a `drop_ratio_class_{c}` gauge per packet class, along with
     /// per-queue depth gauges `queue_depth_q{i}` refreshed at each
-    /// control tick.
+    /// control tick. Every value is a function of the simulation alone
+    /// (wall-clock timing stays in [`set_timing`](Self::set_timing)), so
+    /// a telemetry sink streaming this registry repeats byte for byte.
     pub fn set_metrics(&mut self, handle: MetricsHandle) {
         self.metrics = Some(SwitchMetrics::new(handle, self.bank.num_queues()));
     }
@@ -409,7 +403,7 @@ impl Switch for AccTurboSwitch<'_> {
     fn control_tick(&mut self, now: SimTime) {
         // (i) poll cluster statistics, (ii) assess and rank, (iii) deploy
         // the new mapping — the three control-plane steps of §5.2.
-        let wall0 = (self.clock.enabled() || self.metrics.is_some()).then(Instant::now);
+        let wall0 = self.clock.enabled().then(Instant::now);
         let now_ns = now.as_nanos();
         self.clusterer.take_window_into(&mut self.window_scratch);
         self.sizes_scratch.clear();
@@ -468,26 +462,22 @@ impl Switch for AccTurboSwitch<'_> {
         }
         self.ticks += 1;
         if let Some(wall0) = wall0 {
-            let elapsed = wall0.elapsed();
-            if self.clock.enabled() {
-                self.clock.add(self.control_stage, elapsed);
+            self.clock.add(self.control_stage, wall0.elapsed());
+        }
+        if let Some(m) = &mut self.metrics {
+            let d = self.degradation.counters();
+            let mut r = m.handle.borrow_mut();
+            for (q, &id) in m.queue_depth.iter().enumerate() {
+                r.set(id, self.bank.len_pkts_at(q) as f64);
             }
-            if let Some(m) = &mut self.metrics {
-                let d = self.degradation.counters();
-                let mut r = m.handle.borrow_mut();
-                r.observe(m.control_us, elapsed.as_secs_f64() * 1e6);
-                for (q, &id) in m.queue_depth.iter().enumerate() {
-                    r.set(id, self.bank.len_pkts_at(q) as f64);
-                }
-                r.set(m.degrade_missed, d.total_missed as f64);
-                r.set(m.degrade_stale, d.total_stale as f64);
-                r.set(m.degrade_fallbacks, d.fallbacks as f64);
-                for &(pkts_id, drops_id, ratio_id) in m.per_class.values() {
-                    let pkts = r.counter_value(pkts_id);
-                    if pkts > 0 {
-                        let ratio = r.counter_value(drops_id) as f64 / pkts as f64;
-                        r.set(ratio_id, ratio);
-                    }
+            r.set(m.degrade_missed, d.total_missed as f64);
+            r.set(m.degrade_stale, d.total_stale as f64);
+            r.set(m.degrade_fallbacks, d.fallbacks as f64);
+            for &(pkts_id, drops_id, ratio_id) in m.per_class.values() {
+                let pkts = r.counter_value(pkts_id);
+                if pkts > 0 {
+                    let ratio = r.counter_value(drops_id) as f64 / pkts as f64;
+                    r.set(ratio_id, ratio);
                 }
             }
         }

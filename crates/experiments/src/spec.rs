@@ -1162,9 +1162,10 @@ pub enum TopologyShape {
     /// `line:N` — a chain of `N` switches (1–32); `line:1` is the
     /// single-switch model.
     Line(u32),
-    /// `star:N` — `N` edge switches (1–64) feeding one core.
+    /// `star:N` — `N` edge switches (1–1024) feeding one core.
     Star(u32),
-    /// `fattree:K` — `K²` edges, `K` aggregations (2–6), one core.
+    /// `fattree:K` — `K²` edges, `K` aggregations (2–16), one core
+    /// (`fattree:16` is 273 switches).
     FatTree(u32),
     /// `isp-edge` — the fixed asymmetric 4-edge / 2-regional / 1-core
     /// shape.
@@ -1285,11 +1286,11 @@ impl TopologySpec {
             TopologyShape::Line(n) if !(1..=32).contains(&n) => {
                 return Err(format!("line arity must be 1..=32, got {n}"));
             }
-            TopologyShape::Star(n) if !(1..=64).contains(&n) => {
-                return Err(format!("star arity must be 1..=64, got {n}"));
+            TopologyShape::Star(n) if !(1..=1024).contains(&n) => {
+                return Err(format!("star arity must be 1..=1024, got {n}"));
             }
-            TopologyShape::FatTree(k) if !(2..=6).contains(&k) => {
-                return Err(format!("fattree arity must be 2..=6, got {k}"));
+            TopologyShape::FatTree(k) if !(2..=16).contains(&k) => {
+                return Err(format!("fattree arity must be 2..=16, got {k}"));
             }
             _ => {}
         }
@@ -1846,6 +1847,8 @@ mod tests {
             "star:4",
             "star:4:attackers=0+2",
             "fattree:2",
+            "star:1024",
+            "fattree:16:pushback=on",
             "isp-edge",
             "line:3:delay=0.002:pushback=on:refresh=0.25",
             "star:8:uplink=12m:edges=same",
@@ -1865,9 +1868,9 @@ mod tests {
         assert!("line".parse::<TopologySpec>().is_err());
         assert!("line:0".parse::<TopologySpec>().is_err());
         assert!("line:33".parse::<TopologySpec>().is_err());
-        assert!("star:65".parse::<TopologySpec>().is_err());
+        assert!("star:1025".parse::<TopologySpec>().is_err());
         assert!("fattree:1".parse::<TopologySpec>().is_err());
-        assert!("fattree:7".parse::<TopologySpec>().is_err());
+        assert!("fattree:17".parse::<TopologySpec>().is_err());
         assert!("isp-edge:4".parse::<TopologySpec>().is_err());
         assert!("line:x".parse::<TopologySpec>().is_err());
         assert!("star:4:attackers=".parse::<TopologySpec>().is_err());

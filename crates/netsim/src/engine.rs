@@ -20,9 +20,21 @@
 //! 5. **Pushback refresh** — the root re-reads its aggregate limits.
 //! 6. **Packet arrival** — a leaf's data path runs (`ingress`).
 //!
-//! After every event, each node whose link is idle pulls its next packet
-//! (`dequeue`). A single switch has no deliveries and no pushback, so its
-//! order is the classic `Tx < Control < Arrival`.
+//! After every event, each *ready* node whose link is idle pulls its next
+//! packet (`dequeue`). The ready nodes are the ones the event may have
+//! let transmit: the node whose Tx completed, the parent on a delivery,
+//! the leaf on an arrival, the root on a pushback refresh, and every node
+//! on a control tick that runs or is suppressed. Any other node is busy
+//! or has nothing queued, and by the [`Switch::dequeue`] contract (the
+//! result depends on backlog alone) polling it would return `None`. A
+//! single switch has no deliveries and no pushback, so its order is the
+//! classic `Tx < Control < Arrival`.
+//!
+//! Per-node Tx and Deliver times live in an indexed binary min-heap
+//! (`calendar.rs`) keyed `(time, id)` with `Tx(node) = node` and
+//! `Deliver(node) = n + node`, so picking the next event and polling the
+//! ready set cost O(log n) per event on a tree of n nodes; only control
+//! ticks and pushback refreshes touch every node.
 //!
 //! The engine is synchronous and single-threaded: the workload is CPU-bound
 //! and determinism is a hard requirement for figure regeneration, so (per
@@ -33,6 +45,7 @@
 //! and the sharded engine ([`crate::shard::ShardedEngine`]) feeds it the
 //! sealed batches of its producer thread.
 
+use crate::calendar::Calendar;
 use crate::fault::{ControlAction, FaultInjector};
 use crate::latency::DelayHistogram;
 use crate::packet::{DropReason, Dropped, Packet};
@@ -333,16 +346,17 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
         )
     });
 
-    // Per node: the packet on its output link and when it finishes
-    // serializing (`SimTime::MAX` = idle), and the packets propagating
-    // on that link with the delivery time of the head. The drop buffer
-    // is the only per-event scratch; after warm-up the loop allocates
-    // nothing (locked down by the `zero_alloc` tests).
+    // Per node: the packet on its output link (`None` = idle) and the
+    // packets propagating on that link, each with its delivery time.
+    // The calendar holds the time of every node's next Tx completion and
+    // wire-head delivery. The drop buffer is the only per-event scratch;
+    // after warm-up the loop allocates nothing (locked down by the
+    // `zero_alloc` tests).
     let mut in_flight: Vec<Option<Packet>> = vec![None; n];
-    let mut tx_at = vec![SimTime::MAX; n];
     let mut wires: Vec<VecDeque<(SimTime, Packet)>> = vec![VecDeque::new(); n];
-    let mut wire_at = vec![SimTime::MAX; n];
-    let mut on_wire = 0usize;
+    let mut calendar = Calendar::new(2 * n);
+    let (tx_id, deliver_id) = (|i: usize| i, |i: usize| n + i);
+    let (mut busy, mut on_wire) = (0usize, 0usize);
     let mut pending: Option<Packet> = next_arrival(feed, cfg.end_time);
     let mut control_at = cfg
         .control_period
@@ -358,6 +372,14 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     // A control tick the injector postponed: when it finally fires it runs
     // unconditionally — a delayed tick can be late, but never lost twice.
     let mut control_delayed = false;
+
+    // Packets queued across every node, from the loop's own counts: every
+    // arrival has departed, dropped, or sits on a link or in a queue.
+    macro_rules! queued {
+        () => {
+            (arrivals - departures - total_drops) as usize - busy - on_wire
+        };
+    }
 
     // Ingress at `node` through its pushback policer, then the switch
     // (`via_feed`: through the feed, for arrivals); every drop is counted
@@ -402,19 +424,14 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     }
 
     loop {
-        let mut next: Option<(Slot, SimTime)> = None;
-        for (i, &t) in tx_at.iter().enumerate() {
-            offer(&mut next, Slot::Tx(i), t);
-        }
-        if on_wire > 0 {
-            for (i, &t) in wire_at.iter().enumerate() {
-                offer(&mut next, Slot::Deliver(i), t);
-            }
-        }
+        let mut next: Option<(Slot, SimTime)> = calendar.peek().map(|(id, t)| match id < n {
+            true => (Slot::Tx(id), t),
+            false => (Slot::Deliver(id - n), t),
+        });
         // Control-plane events only matter while there is still work, so
         // the loop exits once the source, the links and every switch are
         // drained (a control plane must not keep its own simulation alive).
-        if pending.is_some() || next.is_some() || backlog(nodes) > 0 {
+        if pending.is_some() || next.is_some() || queued!() > 0 {
             offer(&mut next, Slot::Control, control_at);
             if let Some(pb) = &pushback {
                 for (k, m) in pb.msgs.iter().enumerate() {
@@ -437,25 +454,32 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
         if bucket != stats_bucket {
             stats_bucket = bucket;
             let boundary_ns = bucket * cfg.stats_interval.as_nanos();
+            let backlog_pkts = queued!();
+            debug_assert_eq!(backlog_pkts, backlog(nodes), "the derived backlog");
             if tracer.enabled() {
                 tracer.record(boundary_ns, &Event::StatsTick { bucket });
             }
             if let (Some(m), Some(ids)) = (metrics, &ids) {
                 let mut r = m.borrow_mut();
-                r.set(ids.3, backlog(nodes) as f64);
+                r.set(ids.3, backlog_pkts as f64);
                 match telemetry.as_mut() {
-                    Some(t) => t.on_period(boundary_ns, backlog(nodes), Some(&r)),
+                    Some(t) => t.on_period(boundary_ns, backlog_pkts, Some(&r)),
                     None => r.snapshot(boundary_ns),
                 }
             } else if let Some(t) = telemetry.as_mut() {
-                t.on_period(boundary_ns, backlog(nodes), None);
+                t.on_period(boundary_ns, backlog_pkts, None);
             }
         }
 
-        match slot {
+        // The nodes this event may have let transmit — the ready set, in
+        // ascending order. Every other node is busy or has nothing
+        // queued, which `dequeue` cannot change (its result depends on
+        // backlog alone), so polling it would return `None`.
+        let ready = match slot {
             Slot::Tx(i) => {
                 let pkt = in_flight[i].take().expect("Tx implies in-flight");
-                tx_at[i] = SimTime::MAX;
+                calendar.remove(tx_id(i));
+                busy -= 1;
                 if i == root {
                     // The packet leaves the tree on the bottleneck link.
                     stats.on_depart(&pkt, now);
@@ -482,15 +506,19 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     }
                     let at = now + topo.link(i).delay;
                     if wires[i].is_empty() {
-                        wire_at[i] = at;
+                        calendar.set(deliver_id(i), at);
                     }
                     wires[i].push_back((at, pkt));
                     on_wire += 1;
                 }
+                i..i + 1
             }
             Slot::Deliver(i) => {
                 let (_, pkt) = wires[i].pop_front().expect("Deliver implies a wire packet");
-                wire_at[i] = wires[i].front().map_or(SimTime::MAX, |w| w.0);
+                match wires[i].front() {
+                    Some(&(at, _)) => calendar.set(deliver_id(i), at),
+                    None => calendar.remove(deliver_id(i)),
+                }
                 on_wire -= 1;
                 let parent = topo.parent(i).expect("only non-root links deliver");
                 hops += 1;
@@ -510,6 +538,7 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                         m.borrow_mut().inc(ids.2, drops_buf.len() as u64);
                     }
                 }
+                parent..parent + 1
             }
             Slot::Control => {
                 let period = cfg.control_period.expect("Control implies a period");
@@ -533,16 +562,19 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                             );
                         }
                         control_at = now + period;
+                        0..n
                     }
                     ControlAction::Skip => {
                         for sw in nodes.iter_mut() {
                             sw.control_missed(now);
                         }
                         control_at = now + period;
+                        0..n
                     }
                     ControlAction::Delay(d) => {
                         control_delayed = true;
                         control_at = now + d;
+                        0..0
                     }
                 }
             }
@@ -560,10 +592,12 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                         },
                     );
                 }
+                0..0
             }
             Slot::Refresh => {
                 let pb = pushback.as_mut().expect("Refresh implies pushback");
                 pb.refresh(topo, &mut *nodes[root], now);
+                root..root + 1
             }
             Slot::Arrival => {
                 let pkt = pending.take().expect("Arrival implies a pending packet");
@@ -583,17 +617,19 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     if !drops_buf.is_empty() {
                         r.inc(ids.2, drops_buf.len() as u64);
                     }
-                    r.observe(ids.4, backlog(nodes) as f64);
+                    r.observe(ids.4, queued!() as f64);
                 }
                 pending = next_arrival(feed, cfg.end_time);
+                leaf..leaf + 1
             }
-        }
+        };
 
-        // Whenever a link is idle and its switch has backlog, start the
-        // next transmission; the fault plane may stretch the bottleneck's.
-        for (i, sw) in nodes.iter_mut().enumerate() {
-            if tx_at[i] == SimTime::MAX {
-                if let Some(pkt) = sw.dequeue(now) {
+        // A ready node whose link is idle and whose switch has backlog
+        // starts its next transmission; the fault plane may stretch the
+        // bottleneck's.
+        for i in ready {
+            if in_flight[i].is_none() {
+                if let Some(pkt) = nodes[i].dequeue(now) {
                     let mut tx = topo.link(i).bandwidth.tx_time(pkt.size);
                     if let Some(f) = faults.filter(|_| i == root) {
                         let scale = f.link_scale(now);
@@ -603,11 +639,17 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                             );
                         }
                     }
-                    tx_at[i] = now + tx;
+                    calendar.set(tx_id(i), now + tx);
                     in_flight[i] = Some(pkt);
+                    busy += 1;
                 }
             }
         }
+        debug_assert!(
+            (0..n).all(|i| in_flight[i].is_some() || nodes[i].backlog_pkts() == 0),
+            "an idle node was left with backlog: `Switch::dequeue` must return \
+             `None` only when `backlog_pkts() == 0`, whatever `now` is"
+        );
     }
 
     // Final snapshot (or streamed final period) so short runs still

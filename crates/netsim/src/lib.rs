@@ -30,6 +30,7 @@
 #![deny(missing_docs)]
 
 mod arena;
+mod calendar;
 pub mod engine;
 pub mod fault;
 pub mod latency;

@@ -93,6 +93,15 @@ pub trait Switch {
     }
 
     /// Hands the next packet to the output link, if any.
+    ///
+    /// The engine relies on this contract: `dequeue` returns `None` only
+    /// when [`backlog_pkts`](Self::backlog_pkts) is 0, and whether it
+    /// returns a packet depends on the backlog, not on `now`. The event
+    /// loop polls a node only after an event that may have let it
+    /// transmit (its link went idle, a packet or a control tick reached
+    /// it), so a switch that holds packets back until some later time
+    /// would never be polled again; debug builds assert that no idle
+    /// node is left with a backlog.
     fn dequeue(&mut self, now: SimTime) -> Option<Packet>;
 
     /// Number of packets currently buffered.

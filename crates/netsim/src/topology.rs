@@ -562,8 +562,8 @@ pub fn run_topology_streamed<T: Tracer + ?Sized>(
 /// The pre-unification topology loop: a full scan of every node's link,
 /// wire and pending message per event, then a dequeue attempt at every
 /// node — kept, without tracing, as the differential-test oracle for
-/// [`crate::engine`]'s loop and for the indexed calendar that is meant
-/// to replace its scan. Compiled only with the `reference` cargo feature.
+/// [`crate::engine`]'s loop, whose indexed calendar and ready set
+/// replaced that scan. Compiled only with the `reference` cargo feature.
 #[cfg(feature = "reference")]
 pub mod reference {
     use super::*;

@@ -119,62 +119,78 @@ fn execute_and_execute_topology_agree() {
 /// The differential for the engine's one loop: every shape × defense ×
 /// pushback setting, run through `execute_topology()` and through the
 /// reference scan loop on identically built switches, must agree on the
-/// whole `RunResult` and the per-node record.
+/// whole `RunResult` and the per-node record. The widest cases (the old
+/// `star:64` and `fattree:6` caps, with pushback) exercise the calendar
+/// and the ready set with many nodes in flight at once.
 #[test]
 fn every_shape_matches_the_reference_scan_loop() {
+    let mut cases = Vec::new();
+    for shape in ["line:1", "line:3", "star:3", "fattree:2", "isp-edge"] {
+        for defense in ["fifo", "red", "acc", "accturbo", "jaqen"] {
+            for pushback in [false, true] {
+                cases.push((shape, defense, pushback));
+            }
+        }
+    }
+    for shape in ["star:64", "fattree:6"] {
+        for defense in ["fifo", "acc"] {
+            cases.push((shape, defense, true));
+        }
+    }
+    let installs: u64 = cases
+        .into_iter()
+        .map(|(shape, defense, pushback)| matches_the_reference(shape, defense, pushback))
+        .sum();
+    assert!(installs > 0, "the matrix must exercise pushback messages");
+}
+
+/// One case of the reference differential; returns the run's pushback
+/// installs.
+fn matches_the_reference(shape: &str, defense: &str, pushback: bool) -> u64 {
     use accturbo_netsim::topology::reference::run_topology_reference;
     use accturbo_netsim::{PushbackPlan, Switch, TopologyConfig};
     use accturbo_traffic::LeafPlacement;
 
-    let flood: WorkloadSpec = "flood".parse().unwrap();
-    let mut installs = 0;
-    for shape in ["line:1", "line:3", "star:3", "fattree:2", "isp-edge"] {
-        for defense in ["fifo", "red", "acc", "accturbo", "jaqen"] {
-            for pushback in [false, true] {
-                let mut tspec: TopologySpec = shape.parse().unwrap();
-                tspec.pushback = pushback;
-                let spec = ScenarioSpec::new(flood.clone(), defense.parse().unwrap())
-                    .with_secs(8)
-                    .with_topology(tspec.clone());
-                let name = format!("{spec}");
-                let topo = tspec.build(spec.link_bps);
-                let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
-                    .map(|i| match i == topo.root() {
-                        true => spec.defense.build(spec.link_bps),
-                        false => spec::DefenseSpec::Fifo.build(tspec.uplink(spec.link_bps)),
-                    })
-                    .collect();
-                let mut src = spec.workload.build(spec.link_bps, spec.secs, spec.seed);
-                let placement = LeafPlacement::new(topo.leaves().len(), None);
-                let mut cfg = TopologyConfig::experiment(spec.secs, spec.effective_period());
-                if pushback {
-                    cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
-                }
-                let place = &mut |p: &_| placement.place(p);
-                let want = run_topology_reference(&topo, &mut switches, &mut *src, place, &cfg);
-                let got = spec.execute_topology();
-
-                assert_eq!(
-                    format!("{:?}", got.result),
-                    format!("{:?}", want.result),
-                    "{name}: RunResult diverged from the reference loop"
-                );
-                assert_eq!(got.node_drops, want.node_drops, "{name}: node drops");
-                assert_eq!(got.backlog_pkts, want.backlog_pkts, "{name}: backlog");
-                assert_eq!(got.hops, want.hops, "{name}: hops");
-                assert_eq!(
-                    got.pushback_installs, want.pushback_installs,
-                    "{name}: installs"
-                );
-                assert_eq!(
-                    got.node_first_limit, want.node_first_limit,
-                    "{name}: first limits"
-                );
-                installs += got.pushback_installs;
-            }
-        }
+    let mut tspec: TopologySpec = shape.parse().unwrap();
+    tspec.pushback = pushback;
+    let spec = ScenarioSpec::new("flood".parse().unwrap(), defense.parse().unwrap())
+        .with_secs(8)
+        .with_topology(tspec.clone());
+    let name = format!("{spec}");
+    let topo = tspec.build(spec.link_bps);
+    let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
+        .map(|i| match i == topo.root() {
+            true => spec.defense.build(spec.link_bps),
+            false => spec::DefenseSpec::Fifo.build(tspec.uplink(spec.link_bps)),
+        })
+        .collect();
+    let mut src = spec.workload.build(spec.link_bps, spec.secs, spec.seed);
+    let placement = LeafPlacement::new(topo.leaves().len(), None);
+    let mut cfg = TopologyConfig::experiment(spec.secs, spec.effective_period());
+    if pushback {
+        cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
     }
-    assert!(installs > 0, "the matrix must exercise pushback messages");
+    let place = &mut |p: &_| placement.place(p);
+    let want = run_topology_reference(&topo, &mut switches, &mut *src, place, &cfg);
+    let got = spec.execute_topology();
+
+    assert_eq!(
+        format!("{:?}", got.result),
+        format!("{:?}", want.result),
+        "{name}: RunResult diverged from the reference loop"
+    );
+    assert_eq!(got.node_drops, want.node_drops, "{name}: node drops");
+    assert_eq!(got.backlog_pkts, want.backlog_pkts, "{name}: backlog");
+    assert_eq!(got.hops, want.hops, "{name}: hops");
+    assert_eq!(
+        got.pushback_installs, want.pushback_installs,
+        "{name}: installs"
+    );
+    assert_eq!(
+        got.node_first_limit, want.node_first_limit,
+        "{name}: first limits"
+    );
+    got.pushback_installs
 }
 
 /// Faults compose with a tree: the same faulted sentence conserves
