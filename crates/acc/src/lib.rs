@@ -13,14 +13,12 @@
 
 pub mod config;
 pub mod prefix;
-pub mod pushback;
 pub mod ratelimit;
 pub mod sessions;
 pub mod switch;
 
 pub use config::AccConfig;
 pub use prefix::{infer_aggregates, InferredAggregate, Prefix};
-pub use pushback::{run_pushback, run_pushback_traced, PushbackConfig, PushbackResult};
 pub use ratelimit::{excess_rate, water_fill, RateLimitPlan};
 pub use sessions::{Session, SessionConfig, SessionTable};
 pub use switch::AccSwitch;

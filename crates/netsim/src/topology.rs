@@ -213,21 +213,19 @@ pub struct PushbackPlan {
     /// Refresh period at the root (messages then ripple upstream at one
     /// link delay per hop).
     pub refresh: SimDuration,
-    /// Policer token-bucket depth, bytes.
-    pub burst_bytes: u64,
 }
 
 impl PushbackPlan {
-    /// A plan with the given refresh period and the classic-ACC 15 kB
-    /// policer burst.
+    /// A plan with the given refresh period.
     pub fn new(refresh: SimDuration) -> Self {
         assert!(!refresh.is_zero(), "pushback refresh must be positive");
-        PushbackPlan {
-            refresh,
-            burst_bytes: 15_000,
-        }
+        PushbackPlan { refresh }
     }
 }
+
+/// Token-bucket depth of every pushback policer, bytes: the classic-ACC
+/// 15 kB burst.
+const POLICER_BURST_BYTES: u64 = 15_000;
 
 /// Topology-engine configuration — the multi-node analogue of
 /// [`crate::engine::EngineConfig`] (the link rates live in the
@@ -347,8 +345,8 @@ fn narrowed(limit: AggLimit, fwd: &[(u32, u64)]) -> AggLimit {
 
 /// Divides `limit.bps` among `kids` in proportion to the bytes each
 /// forwarded inside the aggregate, with a 10% even-split floor so a
-/// currently-quiet upstream is never starved to zero — the same policy
-/// as the two-tier pushback (`accturbo-acc`), applied per hop.
+/// currently-quiet upstream is never starved to zero — the one division
+/// policy of every pushback run, applied at each hop.
 /// `contribs` is scratch, reused across calls.
 fn divide(
     kids: &[usize],
@@ -462,7 +460,7 @@ impl Pushback {
             }
             None => self.policers[node].push(Policer {
                 limit,
-                tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), self.plan.burst_bytes),
+                tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), POLICER_BURST_BYTES),
                 last_update: now,
             }),
         }
@@ -719,7 +717,6 @@ pub mod reference {
                 Ev::Msg(k) => {
                     let (_, node, limit) = msgs.swap_remove(k);
                     let limit = narrowed(limit, &fwd[node]);
-                    let plan = cfg.pushback.expect("Msg implies pushback");
                     match policers[node]
                         .iter_mut()
                         .find(|p| p.limit.addr == limit.addr && p.limit.len == limit.len)
@@ -731,7 +728,10 @@ pub mod reference {
                         }
                         None => policers[node].push(Policer {
                             limit,
-                            tb: TokenBucket::new(Bandwidth::from_bps(limit.bps), plan.burst_bytes),
+                            tb: TokenBucket::new(
+                                Bandwidth::from_bps(limit.bps),
+                                POLICER_BURST_BYTES,
+                            ),
                             last_update: now,
                         }),
                     }

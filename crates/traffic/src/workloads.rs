@@ -551,48 +551,46 @@ pub const PUSHBACK_CLEAN_BENIGN: ClassId = ClassId(2);
 /// The pushback scenario's attack class.
 pub const PUSHBACK_ATTACK: ClassId = ClassId(5);
 
-/// The pushback topology's per-upstream sources: upstream 0 carries a
-/// 4 Mbps benign CBR service plus a 40 Mbps UDP flood from t = 3 s;
-/// upstream 1 carries a clean 4 Mbps benign CBR service.
-pub fn pushback_upstreams(secs: u64, seed: u64) -> Vec<Box<dyn PacketSource>> {
+/// The pushback scenario as one stream: a 4 Mbps benign CBR service
+/// from 10.0.0.1 that shares its upstream with a 40 Mbps UDP flood from
+/// t = 3 s, and a clean 4 Mbps benign CBR service from 10.0.1.1. Which
+/// upstream each packet enters is the topology's placement.
+pub fn pushback(secs: u64, seed: u64) -> MergedSource {
     let end = SimTime::from_secs(secs);
-    let shared_benign = CbrSource::new(
-        FlowTemplate::udp(
+    let service = |src, dst, sport, class| -> Box<dyn PacketSource + Send> {
+        Box::new(CbrSource::new(
+            FlowTemplate::udp(src, dst, sport, 80, class),
+            4_000_000,
+            SimTime::ZERO,
+            end,
+        ))
+    };
+    let mut sources = vec![
+        service(
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(60, 1, 1, 1),
             5000,
-            80,
             PUSHBACK_SHARED_BENIGN,
         ),
-        4_000_000,
-        SimTime::ZERO,
-        end,
-    );
-    let attack = AttackSource::new(AttackConfig::new(
-        AttackVector::UdpFlood,
-        40_000_000,
-        SimTime::from_secs(3),
-        end,
-        PUSHBACK_ATTACK,
-        seed,
-    ));
-    let upstream0: Box<dyn PacketSource> = Box::new(MergedSource::new(vec![
-        Box::new(shared_benign),
-        Box::new(attack),
-    ]));
-    let clean_benign: Box<dyn PacketSource> = Box::new(CbrSource::new(
-        FlowTemplate::udp(
+        service(
             Ipv4Addr::new(10, 0, 1, 1),
             Ipv4Addr::new(61, 1, 1, 1),
             5001,
-            80,
             PUSHBACK_CLEAN_BENIGN,
         ),
-        4_000_000,
-        SimTime::ZERO,
-        end,
-    ));
-    vec![upstream0, clean_benign]
+    ];
+    let start = SimTime::from_secs(3);
+    push_live(&mut sources, start, end, || {
+        Box::new(AttackSource::new(AttackConfig::new(
+            AttackVector::UdpFlood,
+            40_000_000,
+            start,
+            end,
+            PUSHBACK_ATTACK,
+            seed,
+        )))
+    });
+    MergedSource::new(sources)
 }
 
 #[cfg(test)]
@@ -617,7 +615,8 @@ mod tests {
         for s in AdversarialScenario::ALL {
             assert!(count(adversarial(s, 8, 1)) > 0, "{}", s.name());
         }
-        assert_eq!(pushback_upstreams(5, 1).len(), 2);
+        assert!(count(pushback(5, 1)) > 0);
+        assert!(count(pushback(3, 1)) > 0);
     }
 
     #[test]

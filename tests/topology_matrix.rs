@@ -16,6 +16,7 @@
 use accturbo_experiments::cli::{self, Cli};
 use accturbo_experiments::spec::{self, ScenarioSpec, TopologySpec, WorkloadSpec};
 use accturbo_experiments::{topology, Scale};
+use accturbo_netsim::TopologyRunResult;
 
 const SHAPES: &[&str] = &["line:2", "star:3", "fattree:2", "isp-edge"];
 
@@ -121,7 +122,9 @@ fn execute_and_execute_topology_agree() {
 /// reference scan loop on identically built switches, must agree on the
 /// whole `RunResult` and the per-node record. The widest cases (the old
 /// `star:64` and `fattree:6` caps, with pushback) exercise the calendar
-/// and the ready set with many nodes in flight at once.
+/// and the ready set with many nodes in flight at once, and the
+/// `pushback` figure's tree (a RED-tuned ACC root over two FIFO edges
+/// with a placement of its own) checks heterogeneous switches.
 #[test]
 fn every_shape_matches_the_reference_scan_loop() {
     let mut cases = Vec::new();
@@ -137,10 +140,13 @@ fn every_shape_matches_the_reference_scan_loop() {
             cases.push((shape, defense, true));
         }
     }
-    let installs: u64 = cases
+    let mut installs: u64 = cases
         .into_iter()
         .map(|(shape, defense, pushback)| matches_the_reference(shape, defense, pushback))
         .sum();
+    for pushback in [false, true] {
+        installs += pushback_figure_matches_the_reference(pushback);
+    }
     assert!(installs > 0, "the matrix must exercise pushback messages");
 }
 
@@ -156,7 +162,6 @@ fn matches_the_reference(shape: &str, defense: &str, pushback: bool) -> u64 {
     let spec = ScenarioSpec::new("flood".parse().unwrap(), defense.parse().unwrap())
         .with_secs(8)
         .with_topology(tspec.clone());
-    let name = format!("{spec}");
     let topo = tspec.build(spec.link_bps);
     let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
         .map(|i| match i == topo.root() {
@@ -172,8 +177,32 @@ fn matches_the_reference(shape: &str, defense: &str, pushback: bool) -> u64 {
     }
     let place = &mut |p: &_| placement.place(p);
     let want = run_topology_reference(&topo, &mut switches, &mut *src, place, &cfg);
-    let got = spec.execute_topology();
+    assert_same_run(&format!("{spec}"), &spec.execute_topology(), &want)
+}
 
+/// The `pushback` figure's tree (8 s, canonical seed) against the
+/// reference loop; returns the run's pushback installs.
+fn pushback_figure_matches_the_reference(pushback: bool) -> u64 {
+    use accturbo_experiments::pushback::{place, run, tree, DEFAULT_SEED};
+    use accturbo_netsim::topology::reference::run_topology_reference;
+    use accturbo_obs::NoopTracer;
+    use accturbo_traffic::workloads;
+
+    let secs = 8;
+    let (topo, mut switches, cfg) = tree(pushback, secs);
+    let mut src = workloads::pushback(secs, DEFAULT_SEED);
+    let want = run_topology_reference(&topo, &mut switches, &mut src, &mut place, &cfg);
+    let got = run(pushback, secs, DEFAULT_SEED, &mut NoopTracer);
+    assert_same_run(
+        &format!("pushback figure, pushback={pushback}"),
+        &got,
+        &want,
+    )
+}
+
+/// Asserts that `got` equals the reference loop's `want`; returns the
+/// run's pushback installs.
+fn assert_same_run(name: &str, got: &TopologyRunResult, want: &TopologyRunResult) -> u64 {
     assert_eq!(
         format!("{:?}", got.result),
         format!("{:?}", want.result),
