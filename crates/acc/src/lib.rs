@@ -10,6 +10,7 @@
 //! against in Figs. 2 and 3.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod prefix;

@@ -28,6 +28,7 @@
 //! landscapes.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod corpus;
 pub mod genome;

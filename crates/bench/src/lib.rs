@@ -20,6 +20,7 @@
 //! CI catches breakage without paying for timing fidelity.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

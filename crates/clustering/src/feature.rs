@@ -116,14 +116,98 @@ pub enum FeatureKind {
     Nominal,
 }
 
-/// A feature together with the kind it is treated as.
+/// The header fields a feature can read, as one fixed array of words
+/// (the packet's fields in [`Feature`] order, addresses whole).
+const HEADER_WORDS: usize = 9;
+
+/// A packet's header words: source and destination address, source and
+/// destination port, TTL, IP length, protocol, fragment offset and IP
+/// identification.
+#[inline(always)]
+fn header_words(pkt: &Packet) -> [u32; HEADER_WORDS] {
+    [
+        u32::from(pkt.src),
+        u32::from(pkt.dst),
+        u32::from(pkt.sport),
+        u32::from(pkt.dport),
+        u32::from(pkt.ttl),
+        u32::from(pkt.ip_len),
+        u32::from(pkt.proto),
+        u32::from(pkt.frag_offset),
+        u32::from(pkt.ip_id),
+    ]
+}
+
+/// Where a feature sits in the [`header_words`]: its value is
+/// `(words[word] >> shift) & mask`. Computed once per spec, so a feature
+/// vector costs one pass of shifts and masks, with no per-feature
+/// dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    word: u8,
+    shift: u8,
+    mask: u32,
+}
+
+impl Step {
+    /// The step reading `feature`; panics on an IP byte index past 3.
+    fn of(feature: Feature) -> Self {
+        let whole = |word| Step {
+            word,
+            shift: 0,
+            mask: u32::MAX,
+        };
+        let byte = |word, i: u8| {
+            assert!(i < 4, "IP byte index out of range");
+            Step {
+                word,
+                shift: 8 * (3 - i),
+                mask: 0xFF,
+            }
+        };
+        match feature {
+            Feature::SrcIp => whole(0),
+            Feature::DstIp => whole(1),
+            Feature::SrcIpByte(i) => byte(0, i),
+            Feature::DstIpByte(i) => byte(1, i),
+            Feature::SrcPort => whole(2),
+            Feature::DstPort => whole(3),
+            Feature::Ttl => whole(4),
+            Feature::IpLen => whole(5),
+            Feature::Proto => whole(6),
+            Feature::FragOffset => whole(7),
+            Feature::IpId => whole(8),
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, words: &[u32; HEADER_WORDS]) -> u32 {
+        (words[usize::from(self.word)] >> self.shift) & self.mask
+    }
+}
+
+/// A feature together with the kind it is treated as. Two specs are
+/// equal when their `feature` and `kind` are.
+#[derive(Debug, Clone, Copy)]
 pub struct FeatureSpec {
     /// The header field.
     pub feature: Feature,
     /// Ordinal or nominal handling.
     pub kind: FeatureKind,
+    /// How to read `feature` from the header words; rewritten from
+    /// `feature` by [`FeatureSet::new`], so it lives in the spec list's
+    /// own allocation and can never disagree with the field inside a
+    /// set. A cache of `feature`, so equality ignores it.
+    step: Step,
 }
+
+impl PartialEq for FeatureSpec {
+    fn eq(&self, other: &Self) -> bool {
+        (self.feature, self.kind) == (other.feature, other.kind)
+    }
+}
+
+impl Eq for FeatureSpec {}
 
 impl FeatureSpec {
     /// A spec using the feature's natural kind.
@@ -131,6 +215,7 @@ impl FeatureSpec {
         FeatureSpec {
             feature,
             kind: feature.natural_kind(),
+            step: Step::of(feature),
         }
     }
 
@@ -140,6 +225,7 @@ impl FeatureSpec {
         FeatureSpec {
             feature,
             kind: FeatureKind::Ordinal,
+            step: Step::of(feature),
         }
     }
 }
@@ -152,8 +238,11 @@ pub struct FeatureSet {
 
 impl FeatureSet {
     /// Builds a feature set. Panics when empty.
-    pub fn new(specs: Vec<FeatureSpec>) -> Self {
+    pub fn new(mut specs: Vec<FeatureSpec>) -> Self {
         assert!(!specs.is_empty(), "feature set must be non-empty");
+        for spec in &mut specs {
+            spec.step = Step::of(spec.feature);
+        }
         FeatureSet { specs }
     }
 
@@ -212,10 +301,13 @@ impl FeatureSet {
         &self.specs
     }
 
-    /// Extracts the feature vector of `pkt` into `out` (cleared first).
+    /// Extracts the feature vector of `pkt` into `out` (cleared first):
+    /// [`Feature::extract`] of every spec, read through the per-spec
+    /// steps from one load of the packet's header words.
     pub fn extract_into(&self, pkt: &Packet, out: &mut Vec<u32>) {
+        let words = header_words(pkt);
         out.clear();
-        out.extend(self.specs.iter().map(|s| s.feature.extract(pkt)));
+        out.extend(self.specs.iter().map(|s| s.step.apply(&words)));
     }
 
     /// Extracts the feature vector of `pkt` as a fresh vector.
@@ -286,6 +378,64 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn ip_byte_index_bounds() {
         let _ = Feature::DstIpByte(4).extract(&pkt());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ip_byte_index_bounds_at_construction() {
+        let _ = FeatureSpec::ordinal(Feature::SrcIpByte(4));
+    }
+
+    /// Every variant, each byte index included.
+    fn every_feature() -> Vec<Feature> {
+        let mut all = vec![Feature::SrcIp, Feature::DstIp];
+        all.extend((0..4).map(Feature::SrcIpByte));
+        all.extend((0..4).map(Feature::DstIpByte));
+        all.extend([
+            Feature::SrcPort,
+            Feature::DstPort,
+            Feature::Ttl,
+            Feature::IpLen,
+            Feature::Proto,
+            Feature::FragOffset,
+            Feature::IpId,
+        ]);
+        all
+    }
+
+    #[test]
+    fn extraction_plan_matches_per_feature_extract() {
+        use accturbo_prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xFEA7);
+        let all = every_feature();
+        let natural = FeatureSet::new(all.iter().map(|&f| FeatureSpec::natural(f)).collect());
+        // A spec whose field was rewritten after construction reads the
+        // new field: the set recomputes every step.
+        let mut moved = FeatureSpec::ordinal(Feature::SrcIp);
+        moved.feature = Feature::IpId;
+        // Equality reads the fields, not the stale cached step.
+        assert_eq!(moved, FeatureSpec::ordinal(Feature::IpId));
+        let moved = FeatureSet::new(vec![moved]);
+        let mut out = Vec::new();
+        for _ in 0..2_000 {
+            let mut p = Packet::new(SimTime::ZERO)
+                .with_src(Ipv4Addr::from(rng.gen::<u32>()))
+                .with_dst(Ipv4Addr::from(rng.gen::<u32>()))
+                .with_ports(rng.gen(), rng.gen())
+                .with_proto(rng.gen())
+                .with_ttl(rng.gen());
+            p.ip_len = rng.gen();
+            p.ip_id = rng.gen();
+            p.frag_offset = rng.gen();
+            natural.extract_into(&p, &mut out);
+            let want: Vec<u32> = all.iter().map(|f| f.extract(&p)).collect();
+            assert_eq!(out, want, "{p:?}");
+            for &f in &all {
+                let single = FeatureSet::new(vec![FeatureSpec::ordinal(f)]);
+                assert_eq!(single.extract(&p), vec![f.extract(&p)], "{f}");
+            }
+            assert_eq!(moved.extract(&p), vec![u32::from(p.ip_id)]);
+        }
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //! range-based clusters.
 
 #![deny(missing_docs)]
+// `unsafe` is confined to the AVX2 kernel module; every block there
+// carries a `// SAFETY:` comment.
+#![deny(unsafe_code)]
 
 pub mod bloom;
 pub mod cluster;
 pub mod eval;
 pub mod feature;
 pub mod hybrid;
+#[allow(unsafe_code)]
+mod kernel;
 pub mod kmeans;
 pub mod online;
 

@@ -15,6 +15,9 @@
 
 use crate::cluster::{CenterCluster, Dim, NominalMode, RangeCluster};
 use crate::feature::{FeatureKind, FeatureSet};
+use crate::kernel::{
+    block_gaps, narrow_nearest, nearest_portable, Lane, LaneColumns, Lanes, Nearest,
+};
 use accturbo_netsim::Packet;
 use accturbo_obs::{Event, Tracer};
 
@@ -84,127 +87,6 @@ fn scan_anime(clusters: &[Option<Repr>], values: &[u32]) -> Option<(usize, f64)>
     best
 }
 
-/// Clusters per lane block. One block row is a `[L; LANES]` array, so the
-/// kernel's fixed-width inner loop spans whole SIMD registers (four SSE2
-/// registers of `i32`).
-const LANES: usize = 16;
-
-/// A lane element of the column store. Every range bound and feature
-/// value fits (the value-range contract of
-/// [`OnlineClusterer::assign_values`]), and so does every gap sum (the
-/// lane type is chosen at construction from the feature spaces), so the
-/// signed arithmetic below never wraps.
-trait Lane: Copy + Ord + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self> {
-    const ZERO: Self;
-    /// A feature value or range bound, below its feature's space.
-    fn of(v: u32) -> Self;
-    /// A (non-negative) gap sum as a Manhattan distance.
-    fn distance(self) -> u64;
-}
-
-impl Lane for i32 {
-    const ZERO: Self = 0;
-    fn of(v: u32) -> Self {
-        v as i32
-    }
-    fn distance(self) -> u64 {
-        self as u64
-    }
-}
-
-impl Lane for i64 {
-    const ZERO: Self = 0;
-    fn of(v: u32) -> Self {
-        i64::from(v)
-    }
-    fn distance(self) -> u64 {
-        self as u64
-    }
-}
-
-/// The ordinal Manhattan gap sums of the sixteen clusters of one lane
-/// block: `mins[f]` / `maxs[f]` are the block's lane rows of feature `f`.
-/// Of `min − v` and `v − max` at most one is positive (`min <= max`), so
-/// `max(min − v, v − max, 0)` is the gap to the nearest range edge. The
-/// body is fixed-width and branch-free: in signed lanes it lowers to
-/// whole-register subtract / compare / blend / add on baseline SSE2,
-/// which has no unsigned 32-bit min/max or saturating subtract.
-#[inline(always)]
-fn block_gaps<L: Lane>(mins: &[[L; LANES]], maxs: &[[L; LANES]], values: &[u32]) -> [L; LANES] {
-    let mut acc = [L::ZERO; LANES];
-    for ((mn, mx), &v) in mins.iter().zip(maxs).zip(values) {
-        let v = L::of(v);
-        for ((a, &lo), &hi) in acc.iter_mut().zip(mn).zip(mx) {
-            *a = *a + (lo - v).max(v - hi).max(L::ZERO);
-        }
-    }
-    acc
-}
-
-/// The Manhattan scan's column store: every range cluster's ordinal
-/// extents, feature-major in blocks of [`LANES`] clusters. Block `b`
-/// covers slots `b·LANES ..`; row `b·w + f` of `mins` / `maxs` holds
-/// feature `f`'s minima / maxima, one lane per slot. Nominal dimensions
-/// hold the sentinel `[0, space − 1]` (a zero gap for every in-range
-/// value), so the ordinal pass needs no per-dimension kind dispatch;
-/// their set membership is resolved in a second, bound-gated pass. Lanes
-/// of vacant and padding slots keep whatever in-range bounds they last
-/// held and are never read past the occupied prefix.
-#[derive(Debug, Clone)]
-struct Lanes<L> {
-    mins: Vec<[L; LANES]>,
-    maxs: Vec<[L; LANES]>,
-}
-
-impl<L: Lane> Lanes<L> {
-    fn new(rows: usize) -> Self {
-        Lanes {
-            mins: vec![[L::ZERO; LANES]; rows],
-            maxs: vec![[L::ZERO; LANES]; rows],
-        }
-    }
-
-    /// Writes slot `slot`'s per-feature `[lo, hi]` extents.
-    fn set_slot(&mut self, width: usize, slot: usize, extents: impl Iterator<Item = (u32, u32)>) {
-        let rows = (slot / LANES) * width..(slot / LANES + 1) * width;
-        let lane = slot % LANES;
-        let (mins, maxs) = (&mut self.mins[rows.clone()], &mut self.maxs[rows]);
-        for ((mn, mx), (lo, hi)) in mins.iter_mut().zip(maxs).zip(extents) {
-            mn[lane] = L::of(lo);
-            mx[lane] = L::of(hi);
-        }
-    }
-}
-
-/// [`Lanes`] in the lane type fixed at construction: `i32` is exact
-/// whenever `Σ_f (space_f − 1) <= i32::MAX` (every shipped profile:
-/// 198,900 for the simulation default), `i64` otherwise (full-address
-/// features).
-#[derive(Debug, Clone)]
-enum LaneColumns {
-    Narrow(Lanes<i32>),
-    Wide(Lanes<i64>),
-}
-
-impl LaneColumns {
-    fn new(features: &FeatureSet, num_clusters: usize) -> Self {
-        let rows = num_clusters.div_ceil(LANES) * features.len();
-        let max_gap_sum: u64 = features.specs().iter().map(|s| s.feature.space() - 1).sum();
-        if max_gap_sum <= i32::MAX as u64 {
-            LaneColumns::Narrow(Lanes::new(rows))
-        } else {
-            LaneColumns::Wide(Lanes::new(rows))
-        }
-    }
-
-    fn set_slot(&mut self, width: usize, slot: usize, extents: impl Iterator<Item = (u32, u32)>) {
-        match self {
-            LaneColumns::Narrow(lanes) => lanes.set_slot(width, slot, extents),
-            LaneColumns::Wide(lanes) => lanes.set_slot(width, slot, extents),
-        }
-    }
-}
-
 /// Per-slot window bookkeeping in three flat columns of `width`-long
 /// rows: row `k` of `lo` / `hi` is the per-feature min / max of every
 /// value *assigned* to slot `k` this window, row `k` of `rep` the last
@@ -247,27 +129,25 @@ impl Ledger {
         (lo[0] <= hi[0]).then_some((lo, hi))
     }
 
-    /// Widens row `k`'s range per feature to cover `values`.
-    fn widen(&mut self, k: usize, values: &[u32]) {
-        let row = self.row(k);
-        let (lo, hi) = (&mut self.lo[row.clone()], &mut self.hi[row]);
-        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(values) {
+    /// Records `values` as observed and assigned to slot `k`, in one
+    /// pass over the row: widens the observed ranges and slot `k`'s
+    /// window range to cover them and makes them the slot's
+    /// representative.
+    fn record(&mut self, k: usize, values: &[u32]) {
+        debug_assert!(k < self.slots);
+        let (row, observed) = (self.row(k), self.row(self.slots));
+        let (lo, obs_lo) = self.lo.split_at_mut(observed.start);
+        let (hi, obs_hi) = self.hi.split_at_mut(observed.start);
+        let slot = lo[row.clone()].iter_mut().zip(&mut hi[row.clone()]);
+        let seen = obs_lo.iter_mut().zip(obs_hi.iter_mut());
+        let rep = &mut self.rep[row];
+        for ((((l, h), (ol, oh)), r), &v) in slot.zip(seen).zip(rep).zip(values) {
             *l = (*l).min(v);
             *h = (*h).max(v);
+            *ol = (*ol).min(v);
+            *oh = (*oh).max(v);
+            *r = v;
         }
-    }
-
-    /// Widens the observed ranges to cover `values`.
-    fn observe(&mut self, values: &[u32]) {
-        self.widen(self.slots, values);
-    }
-
-    /// Records `values` as assigned to slot `k`: widens its window range
-    /// and makes it the slot's representative.
-    fn record(&mut self, k: usize, values: &[u32]) {
-        self.widen(k, values);
-        let row = self.row(k);
-        self.rep[row].copy_from_slice(values);
     }
 
     /// Per-feature `(lo, hi)` of every value observed since the last
@@ -522,13 +402,17 @@ pub struct OnlineClusterer {
     /// geometry mutation (seed, admit, merge, reset) with the same
     /// O(width) writes the mutation itself performs.
     lanes: LaneColumns,
-    /// Range slots fill lowest index first (`first_empty`), are re-seeded
-    /// in place (merges) and vacate all at once (resets), so the occupied
-    /// range slots are always exactly `0..live`: the scan's bound.
+    /// Range slots fill lowest index first, are re-seeded in place
+    /// (merges) and vacate all at once (resets), so the occupied range
+    /// slots are always exactly `0..live`: the scan's bound, and `live`
+    /// is the first empty range slot when below `num_clusters`.
     live: usize,
     /// Feature positions holding nominal (set-based) dimensions, in
     /// order — the second pass of the lane scan.
     nominal_dims: Vec<usize>,
+    /// The ordinal-only `i32`-lane scan, resolved from the CPU once at
+    /// construction (AVX2 or portable).
+    narrow: Nearest<i32>,
     /// Nearest-cluster scan kernel, resolved from `cfg.distance` once at
     /// construction (never consulted in Euclidean mode, which is
     /// center-based and has its own kernel).
@@ -590,6 +474,7 @@ impl OnlineClusterer {
             lanes,
             live: 0,
             nominal_dims,
+            narrow: narrow_nearest(),
             range_scan,
             range_merge_cost,
             use_reference,
@@ -828,7 +713,6 @@ impl OnlineClusterer {
             "feature vector arity mismatch"
         );
         self.debug_assert_in_range(values);
-        self.ledger.observe(values);
         let (idx, dist, action) = match self.cfg.distance {
             DistanceKind::Euclidean => self.assign_center(values),
             _ => self.assign_range(values),
@@ -869,35 +753,40 @@ impl OnlineClusterer {
     }
 
     /// The lane-blocked Manhattan scan: per block of sixteen clusters, a
-    /// branch-free fixed-width pass over the feature-major min/max lanes
-    /// ([`block_gaps`]), then an in-order argmin over the block's lanes
-    /// that runs the nominal set lookups only for clusters whose ordinal
-    /// gap is still below the running best. Winner and tie-break are
-    /// exactly those of [`scan_aos`](Self::scan_aos): a full ordinal gap
-    /// at or above the running bound is rejected precisely like a bounded
-    /// partial sum would be (the `manhattan_bounded` argument), the first
-    /// index attaining the minimum wins via the strict `d < bound`
-    /// comparison, and a zero distance ends the scan. `values` must obey
-    /// the contract of [`assign_values`](Self::assign_values).
+    /// branch-free fixed-width pass over the feature-major min/max lanes,
+    /// then the block's argmin. With only ordinal features the argmin is
+    /// branch-free too: the minimum over the live lanes and the first
+    /// lane equal to it, in AVX2 intrinsics for `i32` lanes when the CPU
+    /// has them and in the portable body otherwise. With nominal
+    /// features the portable gap pass is followed by an in-order pass
+    /// that runs the set lookups only for clusters whose ordinal gap is
+    /// still below the running best. Winner and
+    /// tie-break are exactly those of [`scan_aos`](Self::scan_aos): a
+    /// full ordinal gap at or above the running bound is rejected
+    /// precisely like a bounded partial sum would be (the
+    /// `manhattan_bounded` argument), the first index attaining the
+    /// minimum wins, and a zero distance ends the scan. `values` must
+    /// obey the contract of [`assign_values`](Self::assign_values).
     pub fn scan_soa(&self, values: &[u32]) -> Option<(usize, f64)> {
         debug_assert_eq!(self.cfg.distance, DistanceKind::Manhattan);
         self.debug_assert_in_range(values);
-        match &self.lanes {
-            LaneColumns::Narrow(lanes) => self.scan_lanes(lanes, values),
-            LaneColumns::Wide(lanes) => self.scan_lanes(lanes, values),
-        }
+        let (w, live) = (self.cfg.features.len(), self.live);
+        let best = match (&self.lanes, self.nominal_dims.is_empty()) {
+            (LaneColumns::Narrow(lanes), true) => (self.narrow)(lanes, w, live, values),
+            (LaneColumns::Wide(lanes), true) => nearest_portable(lanes, w, live, values),
+            (LaneColumns::Narrow(lanes), false) => self.scan_nominal(lanes, values),
+            (LaneColumns::Wide(lanes), false) => self.scan_nominal(lanes, values),
+        };
+        best.map(|(i, d)| (i, d as f64))
     }
 
-    fn scan_lanes<L: Lane>(&self, lanes: &Lanes<L>, values: &[u32]) -> Option<(usize, f64)> {
-        let w = self.cfg.features.len();
+    /// The lane scan with nominal dimensions: per block, the ordinal gap
+    /// sums, then an in-order pass that adds the set misses of each lane
+    /// still below the running best.
+    fn scan_nominal<L: Lane>(&self, lanes: &Lanes<L>, values: &[u32]) -> Option<(usize, u64)> {
         let mut best: Option<(usize, u64)> = None;
         let mut bound = u64::MAX;
-        let blocks = lanes.mins.chunks_exact(w).zip(lanes.maxs.chunks_exact(w));
-        for (b, (mins, maxs)) in blocks.enumerate() {
-            let base = b * LANES;
-            if base >= self.live {
-                break;
-            }
+        for (base, mins, maxs) in lanes.blocks(self.cfg.features.len(), self.live) {
             let gaps = block_gaps(mins, maxs, values);
             for (j, gap) in gaps.iter().enumerate().take(self.live - base) {
                 let mut d = gap.distance();
@@ -907,19 +796,17 @@ impl OnlineClusterer {
                     continue;
                 }
                 let i = base + j;
-                if !self.nominal_dims.is_empty() {
-                    let Some(Repr::Range(c)) = &self.clusters[i] else {
-                        unreachable!("occupied lane implies a range cluster")
+                let Some(Repr::Range(c)) = &self.clusters[i] else {
+                    unreachable!("occupied lane implies a range cluster")
+                };
+                let dims = c.dims();
+                for &k in &self.nominal_dims {
+                    let Dim::Set(set) = &dims[k] else {
+                        unreachable!("nominal_dims indexes set dimensions")
                     };
-                    let dims = c.dims();
-                    for &k in &self.nominal_dims {
-                        let Dim::Set(set) = &dims[k] else {
-                            unreachable!("nominal_dims indexes set dimensions")
-                        };
-                        d += u64::from(!set.contains(values[k]));
-                        if d >= bound {
-                            break;
-                        }
+                    d += u64::from(!set.contains(values[k]));
+                    if d >= bound {
+                        break;
                     }
                 }
                 if d < bound {
@@ -927,12 +814,12 @@ impl OnlineClusterer {
                     bound = d;
                     if d == 0 {
                         // Covered: no later cluster can beat a strict `< 0`.
-                        return Some((i, 0.0));
+                        return best;
                     }
                 }
             }
         }
-        best.map(|(i, d)| (i, d as f64))
+        best
     }
 
     /// The per-cluster (array-of-structs) scan the lane-blocked kernel
@@ -960,8 +847,9 @@ impl OnlineClusterer {
             Some((i, d)) if d <= 0.0 => (i, 0.0, AssignAction::Covered),
             // Not covered. An empty slot (initialization phase) always
             // wins: seeding costs nothing.
-            _ if self.first_empty().is_some() => {
-                let slot = self.first_empty().expect("just checked");
+            _ if self.live < self.clusters.len() => {
+                let slot = self.live;
+                debug_assert_eq!(Some(slot), self.first_empty());
                 self.clusters[slot] = Some(Repr::Range(RangeCluster::seed(
                     &self.cfg.features,
                     values,
@@ -1231,6 +1119,7 @@ impl OnlineClusterer {
 mod tests {
     use super::*;
     use crate::feature::{Feature, FeatureSet, FeatureSpec};
+    use crate::kernel::narrow_kernels;
     use accturbo_netsim::SimTime;
     use std::net::Ipv4Addr;
 
@@ -1661,7 +1550,7 @@ mod tests {
         let mut merges = 0;
         for (name, features, wide) in lane_profiles() {
             let stream = edge_stream(&features, 0x1A9E ^ features.len() as u64, 360);
-            for n in [1, 15, 16, 17, 33] {
+            for n in [1, 10, 15, 16, 17, 33] {
                 for search in [SearchKind::Fast, SearchKind::Exhaustive] {
                     for init in [InitMode::FromTraffic, InitMode::Anchors] {
                         let label = format!("{name}/n={n}/{search:?}/{init:?}");
@@ -1676,9 +1565,16 @@ mod tests {
                             slow.use_reference = true;
                             slow
                         };
+                        let detected = oc.narrow;
                         for (i, v) in stream.iter().enumerate() {
                             let lanes = oc.scan_soa(v);
                             assert_eq!(lanes, oc.scan_aos(v), "{label}: aos, vector {i}");
+                            // Every kernel the CPU runs, portable included.
+                            for (kernel, k) in narrow_kernels() {
+                                oc.narrow = k;
+                                assert_eq!(oc.scan_soa(v), lanes, "{label}: {kernel}, vector {i}");
+                            }
+                            oc.narrow = detected;
                             #[cfg(feature = "reference")]
                             assert_eq!(
                                 lanes,

@@ -14,6 +14,7 @@
 //!   §8.2.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod ideal;

@@ -31,16 +31,21 @@ fn count_allocation() {
 
 struct CountingAlloc;
 
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees are this allocator's.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
+        // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -14,6 +14,7 @@
 //! regression tests and the parallel-runner benches.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod adversarial;

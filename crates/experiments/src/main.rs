@@ -15,6 +15,8 @@
 //! this binary only wires stdout/stderr, the process exit code and the
 //! observability exports together.
 
+#![forbid(unsafe_code)]
+
 use accturbo_experiments::cli::{self, Cli, JobSpan};
 use accturbo_obs::{Event, Tracer as _};
 use std::process::ExitCode;

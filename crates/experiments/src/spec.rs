@@ -966,6 +966,16 @@ impl WorkloadSpec {
             _ => None,
         }
     }
+
+    /// The classes that are attack traffic, when not every class but
+    /// benign is: Fig. 2/3 number their benign aggregates 1–4 and the
+    /// attack 5. `None` means every class other than 0.
+    pub fn attack_classes(&self) -> Option<Vec<ClassId>> {
+        match self {
+            WorkloadSpec::Fig2 | WorkloadSpec::Fig3 => Some(vec![scenarios::ATTACK_CLASS]),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for WorkloadSpec {
@@ -1218,6 +1228,17 @@ impl TopologySpec {
             edges: EdgeDefense::Fifo,
             pushback: false,
             refresh: None,
+        }
+    }
+
+    /// The placement of `workload`'s packets on this tree's leaves: the
+    /// workload's attack classes confined to the `attackers` leaves,
+    /// every other class hashed over all of them.
+    pub fn placement(&self, workload: &WorkloadSpec) -> LeafPlacement {
+        let placement = LeafPlacement::new(self.leaf_count(), self.attackers.as_deref());
+        match workload.attack_classes() {
+            Some(classes) => placement.with_attack_classes(classes),
+            None => placement,
         }
     }
 
@@ -1677,7 +1698,7 @@ impl ScenarioSpec {
                 Some(inj) => Box::new(FaultedSource::new(src, inj.clone())),
                 None => src,
             };
-            let placement = LeafPlacement::new(topo.leaves().len(), tspec.attackers.as_deref());
+            let placement = tspec.placement(&self.workload);
             let place = &mut |p: &Packet| placement.place(p);
             let mut cfg = TopologyConfig::experiment(self.secs, self.effective_period());
             if tspec.pushback {
@@ -1919,6 +1940,46 @@ mod tests {
             out.result.departures + out.result.drops + out.backlog_pkts as u64,
             "packet conservation across the topology"
         );
+    }
+
+    #[test]
+    fn attackers_confine_only_the_workloads_attack_classes() {
+        // Fig. 2/3's benign aggregates 1–4 are one source address each;
+        // under `attackers=0` they keep their hashed leaves, which cover
+        // the whole star, while the attack aggregate 5 sits on leaf 0.
+        let topo: TopologySpec = "star:4:attackers=0".parse().unwrap();
+        let unconfined = LeafPlacement::new(4, None);
+        for workload in [WorkloadSpec::Fig2, WorkloadSpec::Fig3] {
+            let placement = topo.placement(&workload);
+            let mut src = workload.build(workload.default_link_bps(), 20, workload.default_seed());
+            let mut benign_leaves = [false; 4];
+            let mut attack = 0;
+            while let Some(p) = src.next_packet() {
+                let leaf = placement.place(&p);
+                if p.class == scenarios::ATTACK_CLASS {
+                    assert_eq!(leaf, 0, "{workload}: the attack leaked off leaf 0");
+                    attack += 1;
+                } else {
+                    assert_eq!(leaf, unconfined.place(&p), "{workload}: {} herded", p.class);
+                    benign_leaves[leaf] = true;
+                }
+            }
+            assert!(attack > 0, "{workload}: the attack ramps up within 20 s");
+            assert_eq!(
+                benign_leaves, [true; 4],
+                "{workload}: benign aggregates spread"
+            );
+        }
+        // Elsewhere every class but benign is attack traffic.
+        let flood = WorkloadSpec::Flood(FloodVariation::SingleFlow);
+        assert_eq!(flood.attack_classes(), None);
+        let placement = topo.placement(&flood);
+        let mut src = flood.build(flood.default_link_bps(), 10, flood.default_seed());
+        while let Some(p) = src.next_packet() {
+            if p.class.is_attack() {
+                assert_eq!(placement.place(&p), 0);
+            }
+        }
     }
 
     /// The natural control periods encode each figure's wiring.

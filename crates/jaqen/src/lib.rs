@@ -10,6 +10,7 @@
 //! signature dependence, threshold sensitivity, and reaction time.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod sketch;
 pub mod switch;

@@ -1,5 +1,7 @@
 //! The event loop's calendar of per-node events: an indexed binary
 //! min-heap over a fixed id space, each id scheduled at most once.
+//! [`MergedSource`](crate::MergedSource) keys its sources' next arrivals
+//! in one too, `(arrival, source index)`.
 //!
 //! `engine::drive` numbers a tree's per-node events `Tx(node) = node`
 //! and `Deliver(node) = n + node` and keys them `(time, id)`, so the

@@ -28,6 +28,7 @@
 //! same experiment twice produces bit-identical results.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod arena;
 mod calendar;

@@ -4,10 +4,9 @@
 //! [`PacketSource`]; the engine consumes a single source, so experiments
 //! compose background and attack generators with [`MergedSource`].
 
+use crate::calendar::Calendar;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A stream of packets in nondecreasing arrival-time order.
 pub trait PacketSource {
@@ -65,36 +64,17 @@ impl<I: Iterator<Item = Packet>> PacketSource for IterSource<I> {
     }
 }
 
-/// Heap entry: (arrival, source index, buffered packet).
-struct Head {
-    arrival: SimTime,
-    idx: usize,
-    pkt: Packet,
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.arrival == other.arrival && self.idx == other.idx
-    }
-}
-impl Eq for Head {}
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Tie-break on source index so merging is deterministic.
-        (self.arrival, self.idx).cmp(&(other.arrival, other.idx))
-    }
-}
-
 /// Merges several sources into one time-ordered stream and assigns each
 /// emitted packet a unique, monotonically increasing sequence number.
+///
+/// Each source's next packet waits in `heads`, and the source's index is
+/// scheduled in `calendar` at that packet's arrival. The calendar keys
+/// `(arrival, source index)`, so equal arrivals leave in source order
+/// and the merge is deterministic.
 pub struct MergedSource {
     sources: Vec<Box<dyn PacketSource + Send>>,
-    heads: BinaryHeap<Reverse<Head>>,
+    heads: Vec<Option<Packet>>,
+    calendar: Calendar,
     next_seq: u64,
     last_emitted: SimTime,
 }
@@ -104,38 +84,43 @@ impl MergedSource {
     /// itself is, and can feed the sharded engine's producer thread
     /// (`ShardedEngine::run_stream`).
     pub fn new(sources: Vec<Box<dyn PacketSource + Send>>) -> Self {
+        let n = sources.len();
         let mut merged = MergedSource {
             sources,
-            heads: BinaryHeap::new(),
+            heads: (0..n).map(|_| None).collect(),
+            calendar: Calendar::new(n),
             next_seq: 0,
             last_emitted: SimTime::ZERO,
         };
-        for idx in 0..merged.sources.len() {
+        for idx in 0..n {
             merged.refill(idx);
         }
         merged
     }
 
+    /// Buffers source `idx`'s next packet and schedules the source at its
+    /// arrival, or unschedules an exhausted source.
     fn refill(&mut self, idx: usize) {
-        if let Some(pkt) = self.sources[idx].next_packet() {
-            self.heads.push(Reverse(Head {
-                arrival: pkt.arrival,
-                idx,
-                pkt,
-            }));
+        match self.sources[idx].next_packet() {
+            Some(pkt) => {
+                self.calendar.set(idx, pkt.arrival);
+                self.heads[idx] = Some(pkt);
+            }
+            None => self.calendar.remove(idx),
         }
     }
 }
 
 impl PacketSource for MergedSource {
     fn next_packet(&mut self) -> Option<Packet> {
-        let Reverse(head) = self.heads.pop()?;
-        self.refill(head.idx);
-        let mut pkt = head.pkt;
+        let (idx, _) = self.calendar.peek()?;
+        let mut pkt = self.heads[idx]
+            .take()
+            .expect("a scheduled source has a head");
+        self.refill(idx);
         debug_assert!(
             pkt.arrival >= self.last_emitted,
-            "source {} emitted a packet out of order ({} < {})",
-            head.idx,
+            "source {idx} emitted a packet out of order ({} < {})",
             pkt.arrival,
             self.last_emitted,
         );
@@ -200,6 +185,38 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run().len(), 3);
+    }
+
+    #[test]
+    fn equal_arrivals_leave_in_source_order() {
+        // Every source emits at the same few instants; each packet is
+        // tagged with its source index in `ip_id`. At every instant the
+        // merge must emit source 0's packets first, then source 1's, …
+        // (a source's own packets keep their order).
+        let tagged = |src: u16, times_ms: &[u64]| -> Box<dyn PacketSource + Send> {
+            let mut pkts = pkts(times_ms);
+            for (k, p) in pkts.iter_mut().enumerate() {
+                p.ip_id = src;
+                p.ip_len = k as u16;
+            }
+            Box::new(VecSource::new(pkts))
+        };
+        let mut m = MergedSource::new(vec![
+            tagged(0, &[1, 1, 3]),
+            tagged(1, &[0, 1, 3, 3]),
+            tagged(2, &[1, 2, 3]),
+            tagged(3, &[]),
+            tagged(4, &[0, 3]),
+        ]);
+        let order: Vec<(u64, u16, u16)> = std::iter::from_fn(|| m.next_packet())
+            .map(|p| (p.arrival.as_nanos() / 1_000_000, p.ip_id, p.ip_len))
+            .collect();
+        let mut want = order.clone();
+        want.sort();
+        assert_eq!(order, want);
+        assert_eq!(order.len(), 12);
+        assert_eq!(order[0], (0, 1, 0));
+        assert_eq!(order[1], (0, 4, 0));
     }
 
     #[test]

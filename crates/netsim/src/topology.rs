@@ -298,15 +298,83 @@ struct Policer {
 /// fairness, never correctness.
 const FWD_CAP: usize = 512;
 
-fn fwd_record(fwd: &mut Vec<(u32, u64)>, dst: u32, bytes: u64) {
-    for e in fwd.iter_mut() {
-        if e.0 == dst {
-            e.1 += bytes;
-            return;
+/// Slots of a window's destination index: a power of two at least twice
+/// [`FWD_CAP`], so linear probes stay short.
+const FWD_INDEX_SLOTS: usize = 2 * FWD_CAP;
+
+/// One node's forwarded-traffic window: the `(dst, bytes)` entries in
+/// first-recorded order (what narrowing and division read), plus an
+/// open-addressed `dst → position` index so recording a forwarded
+/// packet costs O(1) instead of a scan of every entry.
+#[derive(Debug, Clone)]
+struct Forwarded {
+    entries: Vec<(u32, u64)>,
+    /// Per slot: 1 + the position in `entries` of the destination
+    /// hashed there (after linear probing), 0 when free. Sized once.
+    index: Vec<u16>,
+}
+
+impl Forwarded {
+    fn new() -> Self {
+        Forwarded {
+            entries: Vec::new(),
+            index: vec![0; FWD_INDEX_SLOTS],
         }
     }
-    if fwd.len() < FWD_CAP {
-        fwd.push((dst, bytes));
+
+    /// The index slot `dst` probes first (Fibonacci hashing).
+    fn home(dst: u32) -> usize {
+        (dst.wrapping_mul(0x9E37_79B9) >> (32 - FWD_INDEX_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The index slot holding `dst`, or the free slot it would take.
+    fn slot_of(&self, dst: u32) -> usize {
+        let mut slot = Self::home(dst);
+        while let Some(p) = self.index[slot].checked_sub(1) {
+            if self.entries[usize::from(p)].0 == dst {
+                break;
+            }
+            slot = (slot + 1) % FWD_INDEX_SLOTS;
+        }
+        slot
+    }
+
+    /// Adds `bytes` to `dst`'s entry; a new destination is appended
+    /// while the window holds fewer than [`FWD_CAP`] entries.
+    fn record(&mut self, dst: u32, bytes: u64) {
+        let slot = self.slot_of(dst);
+        match self.index[slot] {
+            0 if self.entries.len() < FWD_CAP => {
+                self.entries.push((dst, bytes));
+                self.index[slot] = self.entries.len() as u16;
+            }
+            0 => {}
+            p => self.entries[usize::from(p) - 1].1 += bytes,
+        }
+    }
+
+    /// Halves every entry and drops those that reach zero, keeping the
+    /// survivors' order; the index is rebuilt when any entry went.
+    fn decay(&mut self) {
+        let before = self.entries.len();
+        for e in self.entries.iter_mut() {
+            e.1 /= 2;
+        }
+        self.entries.retain(|e| e.1 > 0);
+        if self.entries.len() == before {
+            return;
+        }
+        self.index.fill(0);
+        for p in 0..self.entries.len() {
+            let slot = self.slot_of(self.entries[p].0);
+            self.index[slot] = p as u16 + 1;
+        }
+    }
+}
+
+impl AsRef<[(u32, u64)]> for Forwarded {
+    fn as_ref(&self) -> &[(u32, u64)] {
+        &self.entries
     }
 }
 
@@ -348,10 +416,10 @@ fn narrowed(limit: AggLimit, fwd: &[(u32, u64)]) -> AggLimit {
 /// currently-quiet upstream is never starved to zero — the one division
 /// policy of every pushback run, applied at each hop.
 /// `contribs` is scratch, reused across calls.
-fn divide(
+fn divide<W: AsRef<[(u32, u64)]>>(
     kids: &[usize],
     limit: AggLimit,
-    fwd: &[Vec<(u32, u64)>],
+    fwd: &[W],
     contribs: &mut Vec<u64>,
     out: &mut Vec<(usize, u64)>,
 ) {
@@ -363,6 +431,7 @@ fn divide(
     contribs.clear();
     contribs.extend(kids.iter().map(|&c| {
         fwd[c]
+            .as_ref()
             .iter()
             .filter(|(dst, _)| limit.contains(*dst))
             .map(|(_, b)| *b)
@@ -396,7 +465,7 @@ fn match_policer(policers: &mut [Policer], dst: u32) -> Option<&mut Policer> {
 pub(crate) struct Pushback {
     plan: PushbackPlan,
     policers: Vec<Vec<Policer>>,
-    fwd: Vec<Vec<(u32, u64)>>,
+    fwd: Vec<Forwarded>,
     /// In-flight messages `(delivery time, receiving node, limit)`. At
     /// equal delivery times the lower position fires first; delivery
     /// `swap_remove`s, so the order is deterministic but not send order.
@@ -417,7 +486,7 @@ impl Pushback {
         Pushback {
             plan,
             policers: (0..nodes).map(|_| Vec::new()).collect(),
-            fwd: (0..nodes).map(|_| Vec::new()).collect(),
+            fwd: (0..nodes).map(|_| Forwarded::new()).collect(),
             msgs: Vec::new(),
             refresh_at: SimTime::ZERO + plan.refresh,
             installs: 0,
@@ -441,7 +510,7 @@ impl Pushback {
     /// Records `pkt` leaving `node` toward its parent.
     #[inline]
     pub(crate) fn forwarded(&mut self, node: usize, pkt: &Packet) {
-        fwd_record(&mut self.fwd[node], u32::from(pkt.dst), pkt.size as u64);
+        self.fwd[node].record(u32::from(pkt.dst), pkt.size as u64);
     }
 
     /// Delivers message `k`: narrows the limit to what its node
@@ -450,7 +519,7 @@ impl Pushback {
     /// away. Returns the node and the limit it installed.
     pub(crate) fn deliver(&mut self, k: usize, topo: &Topology, now: SimTime) -> (usize, AggLimit) {
         let (_, node, limit) = self.msgs.swap_remove(k);
-        let limit = narrowed(limit, &self.fwd[node]);
+        let limit = narrowed(limit, &self.fwd[node].entries);
         let same = |p: &&mut Policer| p.limit.addr == limit.addr && p.limit.len == limit.len;
         match self.policers[node].iter_mut().find(same) {
             Some(p) => {
@@ -487,10 +556,7 @@ impl Pushback {
             ps.retain(|p| now.saturating_since(p.last_update).as_nanos() <= horizon);
         }
         for w in self.fwd.iter_mut() {
-            for e in w.iter_mut() {
-                e.1 /= 2;
-            }
-            w.retain(|e| e.1 > 0);
+            w.decay();
         }
         self.refresh_at = now + self.plan.refresh;
     }
@@ -580,6 +646,20 @@ pub mod reference {
         Msg(usize),
         Refresh,
         Arrival,
+    }
+
+    /// Adds `bytes` to `dst`'s entry of a node's forwarded window by a
+    /// scan of every entry — the linear window [`Forwarded`] indexes.
+    fn fwd_record(fwd: &mut Vec<(u32, u64)>, dst: u32, bytes: u64) {
+        for e in fwd.iter_mut() {
+            if e.0 == dst {
+                e.1 += bytes;
+                return;
+            }
+        }
+        if fwd.len() < FWD_CAP {
+            fwd.push((dst, bytes));
+        }
     }
 
     /// Runs `source` through the topology with the scan loop. Must stay
@@ -1132,10 +1212,63 @@ mod tests {
         assert_eq!(out[0].1, 860_000); // 0.9*0.9 + 0.1/2
         assert_eq!(out[1].1, 140_000);
         // No observations: even split.
-        let empty = vec![Vec::new(), Vec::new()];
+        let empty: Vec<Vec<(u32, u64)>> = vec![Vec::new(), Vec::new()];
         divide(&[0, 1], limit, &empty, &mut scratch, &mut out);
         assert_eq!(out[0].1, 500_000);
         assert_eq!(out[1].1, 500_000);
+    }
+
+    #[test]
+    fn forwarded_index_matches_a_linear_window_through_cap_and_decay() {
+        use accturbo_prng::{Rng, SeedableRng, StdRng};
+        // The oracle: the linear scan the index replaced.
+        fn linear_record(fwd: &mut Vec<(u32, u64)>, dst: u32, bytes: u64) {
+            if let Some(e) = fwd.iter_mut().find(|e| e.0 == dst) {
+                e.1 += bytes;
+            } else if fwd.len() < FWD_CAP {
+                fwd.push((dst, bytes));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xF0D);
+        for case in 0..6 {
+            // Destination pools below, at and far above the cap; the
+            // first all share one home slot, so every probe chain is long.
+            let pool: Vec<u32> = match case {
+                0 => (0u32..)
+                    .filter(|&d| Forwarded::home(d) == 0)
+                    .take(40)
+                    .collect(),
+                1 => (0..FWD_CAP as u32).map(|i| 0xC612_0000 + i).collect(),
+                _ => (0..(300 * case as u32)).map(|_| rng.gen()).collect(),
+            };
+            let mut fwd = Forwarded::new();
+            let mut linear = Vec::new();
+            for step in 0..20_000 {
+                let dst = pool[rng.gen_range(0..pool.len())];
+                let bytes = rng.gen_range(1..1_500u64);
+                fwd.record(dst, bytes);
+                linear_record(&mut linear, dst, bytes);
+                if step % 2_500 == 2_499 {
+                    fwd.decay();
+                    for e in linear.iter_mut() {
+                        e.1 /= 2;
+                    }
+                    linear.retain(|e| e.1 > 0);
+                }
+                if step % 997 == 0 || step % 2_500 == 2_499 {
+                    assert_eq!(fwd.entries, linear, "case {case} step {step}");
+                }
+            }
+            assert_eq!(fwd.entries, linear, "case {case}");
+            assert!(fwd.entries.len() <= FWD_CAP);
+            // Enough decays empty the window, and it refills from scratch.
+            for _ in 0..64 {
+                fwd.decay();
+            }
+            assert!(fwd.entries.is_empty() && fwd.index.iter().all(|&p| p == 0));
+            fwd.record(7, 1);
+            assert_eq!(fwd.entries, [(7, 1)]);
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! so this crate stays below `netsim` in the dependency graph.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod flight;

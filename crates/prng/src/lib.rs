@@ -12,6 +12,7 @@
 //! generator provides bit-for-bit across platforms.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Generator types (mirrors `rand::rngs`).
 pub mod rngs {

@@ -24,6 +24,7 @@
 //! delivery order, so a failing job cannot deadlock the pool.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

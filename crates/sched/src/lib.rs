@@ -8,6 +8,7 @@
 //! clustering + ranking + queues together is in `accturbo-core`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod controller;
 pub mod degrade;

@@ -12,6 +12,7 @@
 //! the canonical downstream path.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod reaction;
 pub mod report;

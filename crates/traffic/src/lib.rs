@@ -9,6 +9,7 @@
 //! deterministic given their seed.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod background;
 pub mod cbr;

@@ -6,10 +6,11 @@
 //! job count — and (b) flow-sticky, so a flow's packets share a path and
 //! per-leaf rate shaping makes sense. Hashing the source address gives
 //! both: benign flows spread across all leaves, while attack traffic
-//! (ground-truth `class != 0`) is confined to a configurable attacker
-//! subset, which is how the topology figure dials attack dispersion.
+//! (ground-truth `class != 0`, or the workload's own attack classes) is
+//! confined to a configurable attacker subset, which is how the topology
+//! figure dials attack dispersion.
 
-use accturbo_netsim::Packet;
+use accturbo_netsim::{ClassId, Packet};
 
 /// Maps packets to leaf ordinals (`0..leaves`) by source-address hash.
 #[derive(Debug, Clone)]
@@ -18,6 +19,9 @@ pub struct LeafPlacement {
     /// Leaf ordinals that host attack sources; empty = attackers spread
     /// over all leaves like everyone else.
     attackers: Vec<usize>,
+    /// The classes confined to `attackers`; `None` = every class but
+    /// benign.
+    attack_classes: Option<Vec<ClassId>>,
 }
 
 /// FNV-1a, the same cheap deterministic hash used by the sketch layers.
@@ -40,13 +44,32 @@ impl LeafPlacement {
         for &a in &attackers {
             assert!(a < leaves, "attacker leaf {a} out of range (< {leaves})");
         }
-        LeafPlacement { leaves, attackers }
+        LeafPlacement {
+            leaves,
+            attackers,
+            attack_classes: None,
+        }
+    }
+
+    /// Confines only `classes` to the attacker leaves, for workloads
+    /// whose benign traffic has classes other than 0 (Fig. 2/3's benign
+    /// aggregates are 1–4).
+    pub fn with_attack_classes(mut self, classes: Vec<ClassId>) -> Self {
+        self.attack_classes = Some(classes);
+        self
+    }
+
+    fn is_attack(&self, class: ClassId) -> bool {
+        match &self.attack_classes {
+            Some(classes) => classes.contains(&class),
+            None => class.is_attack(),
+        }
     }
 
     /// The leaf ordinal for `pkt`.
     pub fn place(&self, pkt: &Packet) -> usize {
         let h = fnv1a(u32::from(pkt.src));
-        if pkt.class.is_attack() && !self.attackers.is_empty() {
+        if !self.attackers.is_empty() && self.is_attack(pkt.class) {
             self.attackers[(h % self.attackers.len() as u64) as usize]
         } else {
             (h % self.leaves as u64) as usize
@@ -93,6 +116,19 @@ mod tests {
         for i in 0..255u8 {
             let leaf = p.place(&pkt([198, 18, i, 7], 1));
             assert!(leaf == 2 || leaf == 5, "attack leaked to leaf {leaf}");
+        }
+    }
+
+    #[test]
+    fn only_the_named_attack_classes_are_confined() {
+        let p = LeafPlacement::new(8, Some(&[2])).with_attack_classes(vec![ClassId(5)]);
+        let free = LeafPlacement::new(8, None);
+        for i in 0..255u8 {
+            let src = [198, 18, i, 7];
+            assert_eq!(p.place(&pkt(src, 5)), 2);
+            for benign in [0, 1, 4] {
+                assert_eq!(p.place(&pkt(src, benign)), free.place(&pkt(src, benign)));
+            }
         }
     }
 

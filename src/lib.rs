@@ -46,6 +46,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use accturbo_acc as acc;
 pub use accturbo_clustering as clustering;
