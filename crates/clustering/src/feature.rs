@@ -318,6 +318,93 @@ impl FeatureSet {
     }
 }
 
+/// Packets per column group of a [`FeatureBatch`]: the batch kernel
+/// reads one feature of eight packets as one `__m256i`.
+pub(crate) const BATCH_GROUP: usize = 8;
+
+/// The feature vectors of a run of packets, as
+/// [`OnlineClusterer::assign_batch`](crate::OnlineClusterer::assign_batch)
+/// reads them: one row per packet (its vector, as
+/// [`FeatureSet::extract_into`] writes it) for the in-order commit, and
+/// the same values in feature-major columns for the batch pass. Column
+/// `f` holds feature `f` of every packet, padded with zeros to a whole
+/// number of eight-packet groups. Each packet's byte count rides
+/// alongside. Buffers grow on first use and are reused by every later
+/// [`fill`](Self::fill).
+#[derive(Debug, Clone, Default)]
+pub struct FeatureBatch {
+    width: usize,
+    stride: usize,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    bytes: Vec<u32>,
+}
+
+impl FeatureBatch {
+    /// An empty batch; allocates nothing until the first fill.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replaces the batch with the feature vectors of `pkts` under
+    /// `features`.
+    pub fn fill(&mut self, features: &FeatureSet, pkts: &[Packet]) {
+        self.width = features.len();
+        self.stride = pkts.len().next_multiple_of(BATCH_GROUP);
+        self.rows.clear();
+        self.rows.resize(self.width * pkts.len(), 0);
+        self.cols.clear();
+        self.cols.resize(self.width * self.stride, 0);
+        self.bytes.clear();
+        let rows = self.rows.chunks_exact_mut(self.width);
+        for ((j, pkt), row) in pkts.iter().enumerate().zip(rows) {
+            let words = header_words(pkt);
+            let cols = self.cols.chunks_exact_mut(self.stride);
+            for ((spec, r), col) in features.specs.iter().zip(row).zip(cols) {
+                *r = spec.step.apply(&words);
+                col[j] = *r;
+            }
+            self.bytes.push(pkt.size);
+        }
+    }
+
+    /// Number of packets.
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// True when the batch holds no packets.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Features per packet.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Distance from one column to the next: [`len`](Self::len) rounded
+    /// up to a whole group.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The columns, `width × stride` values.
+    pub(crate) fn columns(&self) -> &[u32] {
+        &self.cols
+    }
+
+    /// Packet `j`'s feature vector.
+    pub(crate) fn row(&self, j: usize) -> &[u32] {
+        &self.rows[j * self.width..(j + 1) * self.width]
+    }
+
+    /// Packet `j`'s byte count.
+    pub(crate) fn bytes(&self, j: usize) -> u32 {
+        self.bytes[j]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,15 +1,18 @@
 //! The lane-blocked Manhattan kernels behind
-//! [`OnlineClusterer::scan_soa`](crate::OnlineClusterer::scan_soa): the
-//! column store of the range clusters' ordinal extents and the
-//! nearest-cluster scan over it, in a portable body and, on x86-64 CPUs
-//! with AVX2, in explicit `std::arch` intrinsics chosen at run time.
+//! [`OnlineClusterer::scan_soa`](crate::OnlineClusterer::scan_soa) and
+//! [`OnlineClusterer::assign_batch`](crate::OnlineClusterer::assign_batch):
+//! the column store of the range clusters' ordinal extents and the
+//! nearest-cluster scan over it, for one packet and as a packet-major
+//! pass over a batch, each in a portable body and, on x86-64 CPUs with
+//! AVX2, in explicit `std::arch` intrinsics chosen at run time.
 //!
 //! This is the crate's only module with `unsafe` code: the AVX2
 //! functions are compiled with `#[target_feature(enable = "avx2")]` and
-//! reached only through the [`Nearest`] that [`narrow_nearest`] returns
-//! after `is_x86_feature_detected!("avx2")` said yes.
+//! reached only through the function pointers [`narrow_nearest`] and
+//! [`batch_nearest`] return after `is_x86_feature_detected!("avx2")`
+//! said yes.
 
-use crate::feature::FeatureSet;
+use crate::feature::{FeatureSet, BATCH_GROUP};
 
 /// Clusters per lane block. One block row is a `[L; LANES]` array, so the
 /// kernel's fixed-width inner loop spans whole SIMD registers (two AVX2
@@ -112,6 +115,91 @@ pub(crate) fn nearest_portable<L: Lane>(
     best
 }
 
+/// The packet-major nearest-slot pass of a batch: for every packet `j`
+/// below `stride` (a whole number of [`BATCH_GROUP`]s), the first slot
+/// among the `live` attaining the minimum gap sum into `arg[j]` and that
+/// sum into `best[j]`. Packet `j`'s feature `f` is `cols[f·stride + j]`;
+/// padding packets are computed like real ones and ignored by the
+/// caller.
+pub(crate) type BatchNearest = fn(&Lanes<i32>, usize, usize, &[u32], usize, &mut [i32], &mut [u32]);
+
+/// Slot `slot`'s `(lo, hi)` on every feature, in feature order.
+fn slot_extents<L: Lane>(
+    lanes: &Lanes<L>,
+    width: usize,
+    slot: usize,
+) -> impl Iterator<Item = (L, L)> + '_ {
+    let rows = (slot / LANES) * width..(slot / LANES + 1) * width;
+    let lane = slot % LANES;
+    lanes.mins[rows.clone()]
+        .iter()
+        .zip(&lanes.maxs[rows])
+        .map(move |(mn, mx)| (mn[lane], mx[lane]))
+}
+
+/// Checks the shape contract of a [`BatchNearest`] call.
+fn check_batch_shape(
+    width: usize,
+    live: usize,
+    cols: &[u32],
+    stride: usize,
+    best: &[i32],
+    arg: &[u32],
+) {
+    assert!(live >= 1, "a batch pass needs a live slot");
+    assert!(stride.is_multiple_of(BATCH_GROUP), "whole groups only");
+    assert!(cols.len() >= width * stride && best.len() >= stride && arg.len() >= stride);
+}
+
+/// The portable [`BatchNearest`]: per group of eight packets, one
+/// cluster and one feature at a time, the gap sums of the group, then a
+/// vertical strict-less minimum that keeps the first slot on ties.
+pub(crate) fn batch_nearest_portable(
+    lanes: &Lanes<i32>,
+    width: usize,
+    live: usize,
+    cols: &[u32],
+    stride: usize,
+    best: &mut [i32],
+    arg: &mut [u32],
+) {
+    check_batch_shape(width, live, cols, stride, best, arg);
+    for j in (0..stride).step_by(BATCH_GROUP) {
+        let mut b = [i32::MAX; BATCH_GROUP];
+        let mut a = [0u32; BATCH_GROUP];
+        for slot in 0..live {
+            let mut acc = [0i32; BATCH_GROUP];
+            for (f, (lo, hi)) in slot_extents(lanes, width, slot).enumerate() {
+                let v = &cols[f * stride + j..][..BATCH_GROUP];
+                for (acc, &v) in acc.iter_mut().zip(v) {
+                    let v = v as i32;
+                    *acc += (lo - v).max(v - hi).max(0);
+                }
+            }
+            for ((b, a), &d) in b.iter_mut().zip(&mut a).zip(&acc) {
+                if d < *b {
+                    *b = d;
+                    *a = slot as u32;
+                }
+            }
+        }
+        best[j..j + BATCH_GROUP].copy_from_slice(&b);
+        arg[j..j + BATCH_GROUP].copy_from_slice(&a);
+    }
+}
+
+/// Slot `slot`'s Manhattan gap sum to `values`: one column of the batch
+/// pass, for one packet against the slot's current extents.
+pub(crate) fn slot_gap(lanes: &Lanes<i32>, width: usize, slot: usize, values: &[u32]) -> i32 {
+    slot_extents(lanes, width, slot)
+        .zip(values)
+        .map(|((lo, hi), &v)| {
+            let v = v as i32;
+            (lo - v).max(v - hi).max(0)
+        })
+        .sum()
+}
+
 /// The Manhattan scan's column store: every range cluster's ordinal
 /// extents, feature-major in blocks of [`LANES`] clusters. Block `b`
 /// covers slots `b·LANES ..`; row `b·w + f` of `mins` / `maxs` holds
@@ -206,6 +294,29 @@ pub(crate) fn narrow_nearest() -> Nearest<i32> {
     avx2_nearest().unwrap_or(nearest_portable::<i32>)
 }
 
+/// The [`BatchNearest`] this CPU runs fastest, resolved once per
+/// clusterer like [`narrow_nearest`].
+pub(crate) fn batch_nearest() -> BatchNearest {
+    avx2_batch_nearest().unwrap_or(batch_nearest_portable)
+}
+
+/// Every [`BatchNearest`] this CPU runs, named, for differential tests.
+#[cfg(test)]
+pub(crate) fn batch_kernels() -> Vec<(&'static str, BatchNearest)> {
+    let mut all: Vec<(&'static str, BatchNearest)> = vec![("portable", batch_nearest_portable)];
+    all.extend(avx2_batch_nearest().map(|k| ("avx2", k)));
+    all
+}
+
+/// The AVX2 [`BatchNearest`], when the CPU has AVX2.
+fn avx2_batch_nearest() -> Option<BatchNearest> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Some(avx2::batch_nearest);
+    }
+    None
+}
+
 /// Every `i32`-lane [`Nearest`] this CPU runs, named, for differential
 /// tests.
 #[cfg(test)]
@@ -232,7 +343,7 @@ fn avx2_nearest() -> Option<Nearest<i32>> {
 /// returns it only on a CPU with AVX2.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Lanes, LANES};
+    use super::{Lanes, BATCH_GROUP, LANES};
     use std::arch::x86_64::*;
 
     /// `acc + max(lo − v, v − hi, 0)` on eight lanes.
@@ -317,6 +428,77 @@ mod avx2 {
             }
         }
         best
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn batch_nearest_avx2(
+        lanes: &Lanes<i32>,
+        width: usize,
+        live: usize,
+        cols: &[u32],
+        stride: usize,
+        best: &mut [i32],
+        arg: &mut [u32],
+    ) {
+        super::check_batch_shape(width, live, cols, stride, best, arg);
+        let zero = _mm256_setzero_si256();
+        for j in (0..stride).step_by(BATCH_GROUP) {
+            let mut b = _mm256_set1_epi32(i32::MAX);
+            let mut a = zero;
+            for (base, mins, maxs) in lanes.blocks(width, live) {
+                for lane in 0..LANES.min(live - base) {
+                    let mut acc = zero;
+                    for (f, (mn, mx)) in mins.iter().zip(maxs).enumerate() {
+                        // SAFETY: `f < width` and `j + 8 <= stride`, and
+                        // `check_batch_shape` asserted `cols.len() >=
+                        // width · stride`, so the eight `u32` read at
+                        // `f · stride + j` are in bounds.
+                        let v =
+                            unsafe { _mm256_loadu_si256(cols.as_ptr().add(f * stride + j).cast()) };
+                        // With `lo <= hi`, `max(lo, v) − min(hi, v)` is
+                        // the gap to the nearest range edge.
+                        let (lo, hi) = (_mm256_set1_epi32(mn[lane]), _mm256_set1_epi32(mx[lane]));
+                        let gap =
+                            _mm256_sub_epi32(_mm256_max_epi32(lo, v), _mm256_min_epi32(hi, v));
+                        acc = _mm256_add_epi32(acc, gap);
+                    }
+                    // Strictly less: an equal sum keeps the earlier slot.
+                    let nearer = _mm256_cmpgt_epi32(b, acc);
+                    b = _mm256_min_epi32(b, acc);
+                    a = _mm256_blendv_epi8(a, _mm256_set1_epi32((base + lane) as i32), nearer);
+                }
+            }
+            let (b_out, a_out): (&mut [i32; BATCH_GROUP], &mut [u32; BATCH_GROUP]) = (
+                (&mut best[j..j + BATCH_GROUP])
+                    .try_into()
+                    .expect("a whole group"),
+                (&mut arg[j..j + BATCH_GROUP])
+                    .try_into()
+                    .expect("a whole group"),
+            );
+            // SAFETY: `b_out` and `a_out` are `[_; 8]` of 32-bit
+            // elements, so each 32-byte unaligned store writes exactly
+            // one of them.
+            unsafe {
+                _mm256_storeu_si256(b_out.as_mut_ptr().cast(), b);
+                _mm256_storeu_si256(a_out.as_mut_ptr().cast(), a);
+            }
+        }
+    }
+
+    /// [`super::batch_nearest_portable`] in AVX2.
+    pub(super) fn batch_nearest(
+        lanes: &Lanes<i32>,
+        width: usize,
+        live: usize,
+        cols: &[u32],
+        stride: usize,
+        best: &mut [i32],
+        arg: &mut [u32],
+    ) {
+        // SAFETY: this shim is handed out only by `avx2_batch_nearest`,
+        // after `is_x86_feature_detected!("avx2")` returned true.
+        unsafe { batch_nearest_avx2(lanes, width, live, cols, stride, best, arg) }
     }
 
     /// [`super::nearest_portable`] for `i32` lanes.
@@ -413,6 +595,77 @@ mod tests {
     }
 
     #[test]
+    fn every_batch_kernel_and_the_slot_gap_match_a_naive_scan() {
+        let profiles = [
+            FeatureSet::simulation_default(),
+            FeatureSet::hardware_dst_bytes(),
+            FeatureSet::new(vec![FeatureSpec::ordinal(Feature::Ttl)]),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xBA7C);
+        for features in &profiles {
+            let spaces: Vec<u64> = features.specs().iter().map(|s| s.feature.space()).collect();
+            let w = spaces.len();
+            for n in [1, 10, 16, 17, 33] {
+                let mut cols = LaneColumns::new(features, n);
+                let mut geometry: Vec<Vec<(u32, u32)>> = Vec::new();
+                for slot in 0..n {
+                    let spans: Vec<(u32, u32)> = spaces
+                        .iter()
+                        .map(|&s| {
+                            let (a, b) = (edgy(&mut rng, s), edgy(&mut rng, s));
+                            (a.min(b), a.max(b))
+                        })
+                        .collect();
+                    cols.set_slot(w, slot, spans.iter().copied());
+                    geometry.push(spans);
+                }
+                for _ in 0..20 {
+                    let len = rng.gen_range(1..=40usize);
+                    let stride = len.next_multiple_of(BATCH_GROUP);
+                    let mut batch = vec![0u32; w * stride];
+                    let rows: Vec<Vec<u32>> = (0..len)
+                        .map(|_| spaces.iter().map(|&s| edgy(&mut rng, s)).collect())
+                        .collect();
+                    for (j, row) in rows.iter().enumerate() {
+                        for (f, &v) in row.iter().enumerate() {
+                            batch[f * stride + j] = v;
+                        }
+                    }
+                    let naive = |geometry: &[Vec<(u32, u32)>], row: &[u32]| {
+                        let gaps: Vec<u64> = geometry.iter().map(|g| naive_gap(g, row)).collect();
+                        let min = *gaps.iter().min().unwrap();
+                        (
+                            min as i32,
+                            gaps.iter().position(|&g| g == min).unwrap() as u32,
+                        )
+                    };
+                    let want: Vec<(i32, u32)> = rows.iter().map(|r| naive(&geometry, r)).collect();
+                    let LaneColumns::Narrow(lanes) = &cols else {
+                        panic!("every profile here fits i32 lanes");
+                    };
+                    for (name, kernel) in batch_kernels() {
+                        let (mut best, mut arg) = (vec![0; stride], vec![0; stride]);
+                        kernel(lanes, w, n, &batch, stride, &mut best, &mut arg);
+                        let got: Vec<(i32, u32)> = best.into_iter().zip(arg).take(len).collect();
+                        assert_eq!(got, want, "{name}: n={n} len={len}");
+                    }
+                    let LaneColumns::Narrow(lanes) = &cols else {
+                        unreachable!()
+                    };
+                    for (row, slot) in rows.iter().zip((0..n).cycle()) {
+                        let want = naive_gap(&geometry[slot], row) as i32;
+                        assert_eq!(
+                            slot_gap(lanes, w, slot, row),
+                            want,
+                            "slot_gap: n={n} slot={slot}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn the_detected_kernel_is_avx2_exactly_when_the_cpu_has_it() {
         #[cfg(target_arch = "x86_64")]
         let has = std::arch::is_x86_feature_detected!("avx2");
@@ -420,5 +673,6 @@ mod tests {
         let has = false;
         assert_eq!(avx2_nearest().is_some(), has);
         assert_eq!(narrow_kernels().len(), 1 + usize::from(has));
+        assert_eq!(batch_kernels().len(), 1 + usize::from(has));
     }
 }

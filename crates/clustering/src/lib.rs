@@ -29,7 +29,7 @@ pub mod online;
 pub use bloom::BloomFilter;
 pub use cluster::{CenterCluster, Dim, NominalMode, NominalSet, RangeCluster};
 pub use eval::{ClusterEval, QualitySummary, WindowedEval};
-pub use feature::{Feature, FeatureKind, FeatureSet, FeatureSpec};
+pub use feature::{Feature, FeatureBatch, FeatureKind, FeatureSet, FeatureSpec};
 pub use hybrid::HybridClusterer;
 pub use kmeans::{kmeans, nearest, KMeansFit};
 pub use online::{

@@ -14,9 +14,10 @@
 //! Euclidean on center-based clusters — the design space of §4.2.
 
 use crate::cluster::{CenterCluster, Dim, NominalMode, RangeCluster};
-use crate::feature::{FeatureKind, FeatureSet};
+use crate::feature::{FeatureBatch, FeatureKind, FeatureSet};
 use crate::kernel::{
-    block_gaps, narrow_nearest, nearest_portable, Lane, LaneColumns, Lanes, Nearest,
+    batch_nearest, block_gaps, narrow_nearest, nearest_portable, slot_gap, BatchNearest, Lane,
+    LaneColumns, Lanes, Nearest,
 };
 use accturbo_netsim::Packet;
 use accturbo_obs::{Event, Tracer};
@@ -99,6 +100,15 @@ fn scan_anime(clusters: &[Option<Repr>], values: &[u32]) -> Option<(usize, f64)>
 /// columns keep every block of the default profile below 1 KiB; a
 /// single interleaved buffer measured about 5% slower per packet on the
 /// CICDDoS attack day (DESIGN.md §14).
+///
+/// The observed row is not written per packet. Every assigned value is
+/// recorded in exactly one slot's window row, and only a reset clears
+/// the window rows, so the range observed since the last reset is always
+/// their union: [`derive_observed`] folds them into the last row at the
+/// reset that reads it. Widening one shared row on every packet made the
+/// whole stream one serial dependency chain.
+///
+/// [`derive_observed`]: Ledger::derive_observed
 #[derive(Debug, Clone)]
 struct Ledger {
     width: usize,
@@ -129,29 +139,45 @@ impl Ledger {
         (lo[0] <= hi[0]).then_some((lo, hi))
     }
 
-    /// Records `values` as observed and assigned to slot `k`, in one
-    /// pass over the row: widens the observed ranges and slot `k`'s
-    /// window range to cover them and makes them the slot's
-    /// representative.
+    /// Records `values` as assigned to slot `k`, in one pass over the
+    /// row: widens slot `k`'s window range to cover them and makes them
+    /// the slot's representative.
     fn record(&mut self, k: usize, values: &[u32]) {
         debug_assert!(k < self.slots);
-        let (row, observed) = (self.row(k), self.row(self.slots));
-        let (lo, obs_lo) = self.lo.split_at_mut(observed.start);
-        let (hi, obs_hi) = self.hi.split_at_mut(observed.start);
-        let slot = lo[row.clone()].iter_mut().zip(&mut hi[row.clone()]);
-        let seen = obs_lo.iter_mut().zip(obs_hi.iter_mut());
-        let rep = &mut self.rep[row];
-        for ((((l, h), (ol, oh)), r), &v) in slot.zip(seen).zip(rep).zip(values) {
+        let row = self.row(k);
+        let slot = self.lo[row.clone()]
+            .iter_mut()
+            .zip(&mut self.hi[row.clone()]);
+        for (((l, h), r), &v) in slot.zip(&mut self.rep[row]).zip(values) {
             *l = (*l).min(v);
             *h = (*h).max(v);
-            *ol = (*ol).min(v);
-            *oh = (*oh).max(v);
             *r = v;
         }
     }
 
+    /// Writes the union of the slot window rows into the observed row:
+    /// the range of every value assigned since the last reset.
+    fn derive_observed(&mut self) {
+        let observed = self.row(self.slots);
+        let (lo, obs_lo) = self.lo.split_at_mut(observed.start);
+        let (hi, obs_hi) = self.hi.split_at_mut(observed.start);
+        obs_lo.fill(u32::MAX);
+        obs_hi.fill(0);
+        for (lo, hi) in lo.chunks_exact(self.width).zip(hi.chunks_exact(self.width)) {
+            for ((ol, oh), (&l, &h)) in obs_lo
+                .iter_mut()
+                .zip(obs_hi.iter_mut())
+                .zip(lo.iter().zip(hi))
+            {
+                *ol = (*ol).min(l);
+                *oh = (*oh).max(h);
+            }
+        }
+    }
+
     /// Per-feature `(lo, hi)` of every value observed since the last
-    /// reset; `None` before the first.
+    /// reset, as of the last [`derive_observed`](Self::derive_observed);
+    /// `None` when nothing was.
     fn observed(&self) -> Option<(&[u32], &[u32])> {
         self.range(self.slots)
     }
@@ -168,16 +194,12 @@ impl Ledger {
         Some(&self.rep[self.row(k)])
     }
 
+    /// Clears every slot's window range, and with them the observed
+    /// range, their union.
     fn clear_windows(&mut self) {
         let end = self.slots * self.width;
         self.lo[..end].fill(u32::MAX);
         self.hi[..end].fill(0);
-    }
-
-    fn clear_observed(&mut self) {
-        let row = self.row(self.slots);
-        self.lo[row.clone()].fill(u32::MAX);
-        self.hi[row].fill(0);
     }
 }
 
@@ -370,7 +392,8 @@ pub struct OnlineClusterer {
     /// The per-packet bookkeeping, in flat columns (see [`Ledger`]):
     ///
     /// * Per-feature (min, max) of every value observed since the last
-    ///   reset. Under anchor initialization, the next reset spreads the
+    ///   reset, derived at the reset from the window ranges below.
+    ///   Under anchor initialization, the next reset spreads the
     ///   anchors of *idle* slots over these ranges, so the anchor grid
     ///   adapts to the value ranges traffic actually uses (declared
     ///   field widths like ip.len's 16 bits are mostly unused; see
@@ -413,6 +436,15 @@ pub struct OnlineClusterer {
     /// The ordinal-only `i32`-lane scan, resolved from the CPU once at
     /// construction (AVX2 or portable).
     narrow: Nearest<i32>,
+    /// The batch pass of [`assign_batch`](Self::assign_batch), resolved
+    /// like `narrow`.
+    batch_kernel: BatchNearest,
+    /// Per-packet nearest distance and slot of the batch in flight, and
+    /// the slots admissions have grown since its batch pass; grown on the
+    /// first batch, so construction allocates nothing here.
+    batch_best: Vec<i32>,
+    batch_arg: Vec<u32>,
+    batch_grown: Vec<usize>,
     /// Nearest-cluster scan kernel, resolved from `cfg.distance` once at
     /// construction (never consulted in Euclidean mode, which is
     /// center-based and has its own kernel).
@@ -475,6 +507,10 @@ impl OnlineClusterer {
             live: 0,
             nominal_dims,
             narrow: narrow_nearest(),
+            batch_kernel: batch_nearest(),
+            batch_best: Vec::new(),
+            batch_arg: Vec::new(),
+            batch_grown: Vec::new(),
             range_scan,
             range_merge_cost,
             use_reference,
@@ -545,7 +581,7 @@ impl OnlineClusterer {
                 out.clear();
                 for (f, dim) in c.dims().iter().enumerate() {
                     out.push(match dim {
-                        Dim::Range { min, max } => min / 2 + max / 2,
+                        Dim::Range { min, max } => min + (max - min) / 2,
                         // Sets have no midpoint; fall back to the anchor
                         // coordinate for this feature.
                         Dim::Set(_) => self.anchor_coord(k, f, self.ledger.observed()),
@@ -587,6 +623,9 @@ impl OnlineClusterer {
                 self.clusters.iter_mut().for_each(|c| *c = None);
             }
             InitMode::Anchors => {
+                // The anchors spread over the ranges observed since the
+                // last reset.
+                self.ledger.derive_observed();
                 let mut point = std::mem::take(&mut self.point_scratch);
                 for k in 0..self.cfg.num_clusters {
                     // Active slots re-seed at their representative; idle
@@ -693,6 +732,92 @@ impl OnlineClusterer {
         self.assign_values_inner(values, bytes).0
     }
 
+    /// Assigns every packet of `batch`, in order, and writes their
+    /// cluster indices into `out` (cleared first): exactly
+    /// [`assign_values`](Self::assign_values) on each packet's feature
+    /// vector and byte count in turn, with the same clusters, counters,
+    /// window ranges and geometry afterwards. The values obey the same
+    /// contract.
+    ///
+    /// On the deployable configuration (Manhattan distance, fast search,
+    /// ordinal features in `i32` lanes) with every slot occupied, only
+    /// admitting a packet changes geometry, so the batch is first
+    /// classified against the frozen geometry in one packet-major pass
+    /// (eight packets per vector, one cluster and one feature at a time,
+    /// a vertical minimum with the first slot kept on ties). The commit
+    /// then walks the batch in order. A packet first re-checks the slots
+    /// admissions have grown since the pass (growth only shrinks a slot's
+    /// distances and leaves the others' alone, so the nearest slot is
+    /// the pass's, or a grown slot strictly nearer, or equally near with
+    /// a lower index). A zero distance is covered; otherwise the packet
+    /// is admitted within the slot's budget. A batch with no growth pays
+    /// nothing for the re-check, and one where every packet grows a slot
+    /// pays at most a scalar scan per packet. Any other configuration (seeding, merges,
+    /// nominal sets, `i64` lanes, Anime or Euclidean distance, forced
+    /// reference kernels) runs `assign_values` per packet.
+    pub fn assign_batch(&mut self, batch: &FeatureBatch, out: &mut Vec<u32>) {
+        out.clear();
+        let frozen = !self.use_reference
+            && self.cfg.distance == DistanceKind::Manhattan
+            && self.cfg.search == SearchKind::Fast
+            && self.nominal_dims.is_empty()
+            && self.live == self.cfg.num_clusters;
+        let lanes = match &self.lanes {
+            LaneColumns::Narrow(lanes) if frozen => lanes,
+            _ => {
+                for j in 0..batch.len() {
+                    out.push(self.assign_values(batch.row(j), batch.bytes(j)) as u32);
+                }
+                return;
+            }
+        };
+        let (w, n, stride) = (batch.width(), batch.len(), batch.stride());
+        assert_eq!(w, self.cfg.features.len(), "feature vector arity mismatch");
+        let cols = batch.columns();
+        let (mut best, mut arg, mut grown) = (
+            std::mem::take(&mut self.batch_best),
+            std::mem::take(&mut self.batch_arg),
+            std::mem::take(&mut self.batch_grown),
+        );
+        best.resize(stride, 0);
+        arg.resize(stride, 0);
+        grown.clear();
+        (self.batch_kernel)(lanes, w, self.live, cols, stride, &mut best, &mut arg);
+        for j in 0..n {
+            let values = batch.row(j);
+            self.debug_assert_in_range(values);
+            let (mut i, mut d) = (arg[j] as usize, best[j]);
+            if !grown.is_empty() {
+                let LaneColumns::Narrow(lanes) = &self.lanes else {
+                    unreachable!("the lane type is fixed at construction")
+                };
+                for &c in &grown {
+                    let dc = slot_gap(lanes, w, c, values);
+                    if (dc, c) < (d, i) {
+                        (d, i) = (dc, c);
+                    }
+                }
+            }
+            let d = d as u64;
+            if d > 0 && self.budget[i] >= d {
+                self.budget[i] -= d;
+                let Some(Repr::Range(c)) = self.clusters[i].as_mut() else {
+                    unreachable!("every slot is occupied")
+                };
+                c.admit(values);
+                self.sync_lanes(i);
+                if !grown.contains(&i) {
+                    grown.push(i);
+                }
+            }
+            self.count(i, values, batch.bytes(j));
+            out.push(i as u32);
+        }
+        self.batch_best = best;
+        self.batch_arg = arg;
+        self.batch_grown = grown;
+    }
+
     /// Debug-build check of the value-range contract of
     /// [`assign_values`](Self::assign_values).
     fn debug_assert_in_range(&self, values: &[u32]) {
@@ -717,12 +842,18 @@ impl OnlineClusterer {
             DistanceKind::Euclidean => self.assign_center(values),
             _ => self.assign_range(values),
         };
+        self.count(idx, values, bytes);
+        (idx, dist, action)
+    }
+
+    /// Books `values` (`bytes` of payload) to slot `idx`: the ledger and
+    /// the window and total counters.
+    fn count(&mut self, idx: usize, values: &[u32], bytes: u32) {
         self.ledger.record(idx, values);
         self.window[idx].pkts += 1;
         self.window[idx].bytes += bytes as u64;
         self.totals[idx].pkts += 1;
         self.totals[idx].bytes += bytes as u64;
-        (idx, dist, action)
     }
 
     /// The original generic scan: per-cluster dispatch on
@@ -1109,9 +1240,9 @@ impl OnlineClusterer {
     /// semantics, so priority mappings computed from the previous window
     /// remain meaningful.
     pub fn reset_clusters(&mut self) {
+        // Clearing the window ranges also starts a fresh observation
+        // window for the next re-anchoring.
         self.init_clusters();
-        // Start a fresh observation window for the next re-anchoring.
-        self.ledger.clear_observed();
     }
 }
 
@@ -1119,7 +1250,7 @@ impl OnlineClusterer {
 mod tests {
     use super::*;
     use crate::feature::{Feature, FeatureSet, FeatureSpec};
-    use crate::kernel::narrow_kernels;
+    use crate::kernel::{batch_kernels, narrow_kernels};
     use accturbo_netsim::SimTime;
     use std::net::Ipv4Addr;
 
@@ -1652,6 +1783,379 @@ mod tests {
         let mut oc = OnlineClusterer::new(cfg(2, DistanceKind::Manhattan, SearchKind::Fast));
         // DstIpByte(3) spans 0..256.
         oc.assign_values(&[256, 80], 100);
+    }
+
+    #[test]
+    fn midpoints_stay_inside_odd_and_singleton_ranges() {
+        // `min / 2 + max / 2` put a singleton at an odd value one below
+        // itself, and any odd-bounded range one below its midpoint.
+        let c = cfg(1, DistanceKind::Manhattan, SearchKind::Fast)
+            .with_init(InitMode::Anchors)
+            .with_rep(RepMode::RangeMidpoint);
+        let mut oc = OnlineClusterer::new(c);
+        let spans: [((u32, u32), (u32, u32)); 6] = [
+            ((7, 7), (1001, 1001)),
+            ((3, 9), (1, 65535)),
+            ((3, 8), (0, 65535)),
+            ((0, 255), (65535, 65535)),
+            ((255, 255), (1, 3)),
+            ((1, 255), (32767, 32769)),
+        ];
+        let mut point = Vec::new();
+        for ((a_lo, a_hi), (p_lo, p_hi)) in spans {
+            oc.seed_slot(0, &[a_lo, p_lo]);
+            let Some(Repr::Range(r)) = oc.clusters[0].as_mut() else {
+                panic!("range slot")
+            };
+            r.admit(&[a_hi, p_hi]);
+            assert!(oc.midpoint_into(0, &mut point));
+            let want = |lo: u32, hi: u32| ((u64::from(lo) + u64::from(hi)) / 2) as u32;
+            assert_eq!(
+                point,
+                [want(a_lo, a_hi), want(p_lo, p_hi)],
+                "{a_lo}..{a_hi} / {p_lo}..{p_hi}"
+            );
+        }
+        // End to end: a packet on a cluster's own range re-seeds it there.
+        let c = cfg(4, DistanceKind::Manhattan, SearchKind::Fast)
+            .with_init(InitMode::Anchors)
+            .with_rep(RepMode::RangeMidpoint);
+        let mut oc = OnlineClusterer::new(c);
+        for i in 0..400u32 {
+            let p = varied_pkt(i);
+            let k = oc.assign(&p);
+            if i % 50 == 49 {
+                let before: Vec<Option<Vec<(u32, u32)>>> = (0..4)
+                    .map(|k| match oc.repr(k) {
+                        Some(Repr::Range(r)) => Some(
+                            r.dims()
+                                .iter()
+                                .map(|d| match d {
+                                    Dim::Range { min, max } => (*min, *max),
+                                    Dim::Set(_) => unreachable!("ordinal profile"),
+                                })
+                                .collect(),
+                        ),
+                        _ => None,
+                    })
+                    .collect();
+                let active: Vec<bool> = (0..4).map(|k| oc.ledger.window(k).is_some()).collect();
+                oc.reset_clusters();
+                for (k, (spans, active)) in before.iter().zip(active).enumerate() {
+                    let (Some(spans), true) = (spans, active) else {
+                        continue;
+                    };
+                    let Some(Repr::Range(r)) = oc.repr(k) else {
+                        panic!("re-seeded")
+                    };
+                    for (d, &(lo, hi)) in r.dims().iter().zip(spans) {
+                        let Dim::Range { min, max } = d else {
+                            unreachable!()
+                        };
+                        assert_eq!(min, max, "a re-seed is a singleton");
+                        assert!(
+                            (lo..=hi).contains(min),
+                            "slot {k}: {min} outside {lo}..={hi}"
+                        );
+                    }
+                }
+            }
+            let _ = k;
+        }
+    }
+
+    #[test]
+    fn the_derived_observed_range_is_the_running_union_of_assignments() {
+        // Every distance, search, init and nominal store: after every
+        // assignment, the observed range derived from the window rows
+        // equals a naive running min/max over every vector assigned
+        // since the last reset.
+        let bloom = NominalMode::Bloom {
+            bits: 256,
+            hashes: 3,
+        };
+        let mut merges = 0;
+        for (features, nominal) in [
+            (FeatureSet::simulation_default(), NominalMode::Exact),
+            (FeatureSet::hardware_fig6(), NominalMode::Exact),
+            (FeatureSet::hardware_fig6(), bloom),
+        ] {
+            let stream = edge_stream(&features, 0x0B5E ^ features.len() as u64, 500);
+            for distance in [
+                DistanceKind::Manhattan,
+                DistanceKind::Anime,
+                DistanceKind::Euclidean,
+            ] {
+                for search in [SearchKind::Fast, SearchKind::Exhaustive] {
+                    if search == SearchKind::Exhaustive && !matches!(nominal, NominalMode::Exact) {
+                        continue; // merges require exact sets
+                    }
+                    for init in [InitMode::FromTraffic, InitMode::Anchors] {
+                        let label = format!(
+                            "{}/{nominal:?}/{distance:?}/{search:?}/{init:?}",
+                            features.len()
+                        );
+                        let mut c = cfg(5, distance, search).with_init(init);
+                        c.features = features.clone();
+                        c.nominal = nominal.clone();
+                        c.update_budget = Some(4096);
+                        let mut oc = OnlineClusterer::new(c);
+                        let w = features.len();
+                        let (mut lo, mut hi) = (vec![u32::MAX; w], vec![0u32; w]);
+                        for (i, v) in stream.iter().enumerate() {
+                            let (_, _, action) = oc.assign_values_inner(v, 100);
+                            merges += usize::from(matches!(action, AssignAction::Merged { .. }));
+                            for f in 0..w {
+                                lo[f] = lo[f].min(v[f]);
+                                hi[f] = hi[f].max(v[f]);
+                            }
+                            oc.ledger.derive_observed();
+                            assert_eq!(
+                                oc.ledger.observed(),
+                                Some((&lo[..], &hi[..])),
+                                "{label}: vector {i}"
+                            );
+                            if i % 150 == 149 {
+                                oc.reset_clusters();
+                                oc.ledger.derive_observed();
+                                assert_eq!(oc.ledger.observed(), None, "{label}: reset");
+                                lo.fill(u32::MAX);
+                                hi.fill(0);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(merges > 0, "exhaustive runs must exercise merges");
+    }
+
+    /// A seeded packet stream: every header field near one of six hot
+    /// spots (often exactly on it, so packets are covered and clusters
+    /// revisited), at an edge of its space, or uniform.
+    fn hot_packets(seed: u64, len: usize) -> Vec<Packet> {
+        use accturbo_prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        // src, dst, sport, dport, ttl, ip_len, proto
+        let spaces: [u64; 7] = [1 << 32, 1 << 32, 1 << 16, 1 << 16, 1 << 8, 1 << 16, 1 << 8];
+        let hot: Vec<[u64; 7]> = (0..6)
+            .map(|_| spaces.map(|s| rng.gen_range(0..s)))
+            .collect();
+        (0..len)
+            .map(|i| {
+                let h = hot[rng.gen_range(0..hot.len())];
+                let mut w = [0u64; 7];
+                for (f, (&s, &c)) in spaces.iter().zip(&h).enumerate() {
+                    w[f] = match rng.gen_range(0u8..12) {
+                        0 => 0,
+                        1 => s - 1,
+                        2..=6 => c,
+                        7..=10 => (c + rng.gen_range(0..=3u64)).min(s - 1),
+                        _ => rng.gen_range(0..s),
+                    };
+                }
+                let mut p = Packet::new(SimTime::from_micros(i as u64))
+                    .with_src(Ipv4Addr::from(w[0] as u32))
+                    .with_dst(Ipv4Addr::from(w[1] as u32))
+                    .with_ports(w[2] as u16, w[3] as u16)
+                    .with_ttl(w[4] as u8)
+                    .with_proto(w[6] as u8)
+                    .with_size(64 + (i as u32 * 37) % 1400);
+                p.ip_len = w[5] as u16;
+                p
+            })
+            .collect()
+    }
+
+    /// Runs `pkts` through two clusterers built from `c`, one per packet
+    /// and one in random batches of 1..=256 through `kernel`, with a
+    /// reset at random batch boundaries, and asserts that both agree on
+    /// every cluster index, counter, cost and cluster shape. Returns the
+    /// number of admissions that grew a cluster before the end of their
+    /// batch.
+    fn batch_matches_per_packet(
+        label: &str,
+        c: &ClusteringConfig,
+        pkts: &[Packet],
+        kernel: BatchNearest,
+        seed: u64,
+    ) -> usize {
+        use accturbo_prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scalar = OnlineClusterer::new(c.clone());
+        let mut batched = scalar.clone();
+        batched.batch_kernel = kernel;
+        let (mut batch, mut out, mut values) = (FeatureBatch::new(), Vec::new(), Vec::new());
+        let (mut rest, mut mid_batch_growth) = (pkts, 0);
+        while !rest.is_empty() {
+            let len: usize = match rng.gen_range(0u8..4) {
+                0 => rng.gen_range(1..=16),
+                _ => rng.gen_range(1..=256),
+            };
+            let (run, tail) = rest.split_at(len.min(rest.len()));
+            batch.fill(&c.features, run);
+            batched.assign_batch(&batch, &mut out);
+            for (j, p) in run.iter().enumerate() {
+                c.features.extract_into(p, &mut values);
+                assert_eq!(batch.row(j), values, "{label}: packet {j}'s row");
+                let (want, _, action) = scalar.assign_values_inner(&values, p.size);
+                assert_eq!(
+                    out[j] as usize,
+                    want,
+                    "{label}: packet {j} of {}",
+                    run.len()
+                );
+                let grew = matches!(action, AssignAction::Expanded { grew: true });
+                mid_batch_growth += usize::from(grew && j + 1 < run.len());
+            }
+            assert_eq!(out.len(), run.len(), "{label}");
+            assert_eq!(batched.totals(), scalar.totals(), "{label}");
+            for k in 0..c.num_clusters {
+                assert_eq!(batched.cost(k), scalar.cost(k), "{label}: slot {k}");
+                assert_eq!(
+                    format!("{:?}", batched.repr(k)),
+                    format!("{:?}", scalar.repr(k)),
+                    "{label}: slot {k}"
+                );
+            }
+            assert_eq!(batched.budget, scalar.budget, "{label}");
+            if rng.gen_range(0u8..4) == 0 {
+                assert_eq!(batched.take_window(), scalar.take_window(), "{label}");
+                batched.reset_clusters();
+                scalar.reset_clusters();
+            }
+            rest = tail;
+        }
+        mid_batch_growth
+    }
+
+    #[test]
+    fn batches_match_per_packet_assignment_on_the_frozen_path() {
+        // The deployable configuration: Manhattan, fast search, ordinal
+        // features in `i32` lanes, every slot occupied from the start.
+        // Budgets from none to unlimited; cluster counts around the
+        // 16-lane block; every batch kernel the CPU runs.
+        for (name, features) in [
+            ("sim", FeatureSet::simulation_default()),
+            ("dst4", FeatureSet::hardware_dst_bytes()),
+        ] {
+            let pkts = hot_packets(0xBA7C ^ features.len() as u64, 1500);
+            for n in [1, 10, 16, 17, 33] {
+                for budget in [None, Some(0), Some(64), Some(256)] {
+                    let mut c = cfg(n, DistanceKind::Manhattan, SearchKind::Fast)
+                        .with_init(InitMode::Anchors)
+                        .with_update_budget(budget);
+                    c.features = features.clone();
+                    for (kernel, k) in batch_kernels() {
+                        let label = format!("{name}/n={n}/{budget:?}/{kernel}");
+                        let grown = batch_matches_per_packet(&label, &c, &pkts, k, n as u64);
+                        if budget != Some(0) {
+                            assert!(grown > 0, "{label}: no growth inside a batch");
+                        } else {
+                            assert_eq!(grown, 0, "{label}: a zero budget never grows");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batches_match_per_packet_assignment_on_the_fallback_paths() {
+        // Seeding (traffic init), merges, nominal sets (exact and Bloom),
+        // `i64` lanes, the Anime and Euclidean distances, and rep modes:
+        // each runs per packet inside the batch, or switches to the
+        // frozen pass once every slot is seeded.
+        let bloom = NominalMode::Bloom {
+            bits: 512,
+            hashes: 3,
+        };
+        let manhattan = |n, search, features: FeatureSet| {
+            let mut c = cfg(n, DistanceKind::Manhattan, search).with_update_budget(Some(256));
+            c.features = features;
+            c
+        };
+        let mut cases: Vec<(&str, ClusteringConfig)> = vec![
+            (
+                "traffic-init",
+                manhattan(10, SearchKind::Fast, FeatureSet::simulation_default()),
+            ),
+            (
+                "exhaustive",
+                manhattan(10, SearchKind::Exhaustive, FeatureSet::simulation_default())
+                    .with_init(InitMode::Anchors),
+            ),
+            (
+                "fig6-exact",
+                manhattan(4, SearchKind::Fast, FeatureSet::hardware_fig6())
+                    .with_init(InitMode::Anchors),
+            ),
+            (
+                "i64-lanes",
+                manhattan(
+                    10,
+                    SearchKind::Fast,
+                    FeatureSet::new(vec![
+                        FeatureSpec::ordinal(Feature::DstIp),
+                        FeatureSpec::natural(Feature::SrcPort),
+                    ]),
+                )
+                .with_init(InitMode::Anchors),
+            ),
+            (
+                "midpoint",
+                manhattan(10, SearchKind::Fast, FeatureSet::simulation_default())
+                    .with_init(InitMode::Anchors)
+                    .with_rep(RepMode::RangeMidpoint),
+            ),
+        ];
+        let mut fig6_bloom = manhattan(4, SearchKind::Fast, FeatureSet::hardware_fig6());
+        fig6_bloom.nominal = bloom;
+        cases.push(("fig6-bloom", fig6_bloom.with_init(InitMode::Anchors)));
+        for distance in [DistanceKind::Anime, DistanceKind::Euclidean] {
+            for init in [InitMode::FromTraffic, InitMode::Anchors] {
+                let mut c = cfg(10, distance, SearchKind::Fast).with_init(init);
+                c.features = FeatureSet::hardware_dst_bytes();
+                cases.push((
+                    if distance == DistanceKind::Anime {
+                        "anime"
+                    } else {
+                        "euclidean"
+                    },
+                    c,
+                ));
+            }
+        }
+        for (name, c) in &cases {
+            let pkts = hot_packets(0xFA11 ^ c.features.len() as u64, 1200);
+            for (kernel, k) in batch_kernels() {
+                let label = format!("{name}/{kernel}");
+                batch_matches_per_packet(&label, c, &pkts, k, 7);
+            }
+        }
+    }
+
+    /// With the `reference` feature, a clusterer forced onto the
+    /// reference scan takes the per-packet path inside every batch and
+    /// still agrees with the plain per-packet clusterer.
+    #[cfg(feature = "reference")]
+    #[test]
+    fn batches_on_forced_reference_kernels_match_per_packet_assignment() {
+        let mut c = cfg(10, DistanceKind::Manhattan, SearchKind::Fast).with_init(InitMode::Anchors);
+        c.features = FeatureSet::simulation_default();
+        c.update_budget = Some(256);
+        let pkts = hot_packets(0x2EF, 1000);
+        let mut scalar = OnlineClusterer::new(c.clone());
+        let mut batched = scalar.clone();
+        batched.use_reference = true;
+        let (mut batch, mut out) = (FeatureBatch::new(), Vec::new());
+        for run in pkts.chunks(97) {
+            batch.fill(&c.features, run);
+            batched.assign_batch(&batch, &mut out);
+            let want: Vec<u32> = run.iter().map(|p| scalar.assign(p) as u32).collect();
+            assert_eq!(out, want);
+            assert_eq!(batched.totals(), scalar.totals());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! actually overflows, starting with those in the most-suspect queues.
 
 use crate::config::AccTurboConfig;
-use accturbo_clustering::{OnlineClusterer, WindowStats};
+use accturbo_clustering::{FeatureBatch, OnlineClusterer, WindowStats};
 use accturbo_netsim::{
     Dropped, FaultInjector, FeatureExtractor, Packet, PriorityBank, QueueDiscipline, SimTime,
     Switch,
@@ -106,6 +106,9 @@ impl SwitchMetrics {
 /// A full ACC-Turbo switch.
 pub struct AccTurboSwitch<'a> {
     clusterer: OnlineClusterer,
+    /// Feature columns of the arrivals classified ahead (see
+    /// [`Switch::classify_ahead`]); empty until the first batch.
+    batch: FeatureBatch,
     controller: Controller,
     bank: PriorityBank,
     cluster_to_queue: Vec<usize>,
@@ -155,6 +158,7 @@ impl<'a> AccTurboSwitch<'a> {
         let control_stage = clock.stage("control_tick");
         AccTurboSwitch {
             clusterer,
+            batch: FeatureBatch::new(),
             controller,
             bank,
             cluster_to_queue,
@@ -380,6 +384,36 @@ impl Switch for AccTurboSwitch<'_> {
             return;
         }
         self.ingress(pkt, now, drops);
+    }
+
+    fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
+        // A tap, tracer, metrics or stage clock observes each packet at
+        // its ingress, so instrumented runs keep the per-packet path.
+        if self.tap.is_some()
+            || self.tracer.is_some()
+            || self.metrics.is_some()
+            || self.clock.enabled()
+        {
+            return false;
+        }
+        self.batch.fill(&self.clusterer.config().features, pkts);
+        self.clusterer.assign_batch(&self.batch, tickets);
+        // The mapping changes only at control ticks, which no batch
+        // crosses: the queue is known now.
+        for t in tickets.iter_mut() {
+            *t = self.cluster_to_queue[*t as usize] as u32;
+        }
+        true
+    }
+
+    fn ingress_classified(
+        &mut self,
+        pkt: Packet,
+        queue: u32,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    ) {
+        self.bank.enqueue_to(queue as usize, pkt, now, drops);
     }
 
     fn feature_extractor(&self) -> Option<FeatureExtractor> {

@@ -14,13 +14,16 @@
 //! continuously instead of in |queues| steps.
 
 use crate::config::AccTurboConfig;
-use accturbo_clustering::{OnlineClusterer, WindowStats};
+use accturbo_clustering::{FeatureBatch, OnlineClusterer, WindowStats};
 use accturbo_netsim::{Dropped, Packet, SimTime, Switch};
 use accturbo_sched::{RankingAlgorithm, SpPifo};
 
 /// ACC-Turbo with per-packet ranks over an SP-PIFO scheduler.
 pub struct RankedAccTurboSwitch {
     clusterer: OnlineClusterer,
+    /// Feature columns of the arrivals classified ahead; empty until the
+    /// first batch.
+    batch: FeatureBatch,
     ranking: RankingAlgorithm,
     scheduler: SpPifo,
     /// Rank of each cluster, refreshed every control tick from the
@@ -45,6 +48,7 @@ impl RankedAccTurboSwitch {
         let n = cfg.clustering.num_clusters;
         RankedAccTurboSwitch {
             clusterer: OnlineClusterer::new(cfg.clustering),
+            batch: FeatureBatch::new(),
             ranking: cfg.ranking,
             scheduler: SpPifo::new(cfg.num_queues, cfg.queue_capacity_bytes),
             cluster_rank: vec![0; n],
@@ -70,6 +74,23 @@ impl Switch for RankedAccTurboSwitch {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
         let cluster = self.clusterer.assign(&pkt);
         let rank = self.cluster_rank[cluster];
+        self.scheduler.enqueue_ranked(pkt, rank, now, drops);
+    }
+
+    fn classify_ahead(&mut self, pkts: &[Packet], clusters: &mut Vec<u32>) -> bool {
+        self.batch.fill(&self.clusterer.config().features, pkts);
+        self.clusterer.assign_batch(&self.batch, clusters);
+        true
+    }
+
+    fn ingress_classified(
+        &mut self,
+        pkt: Packet,
+        cluster: u32,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    ) {
+        let rank = self.cluster_rank[cluster as usize];
         self.scheduler.enqueue_ranked(pkt, rank, now, drops);
     }
 

@@ -102,6 +102,54 @@ fn switch_steady_state_does_not_allocate() {
     );
 }
 
+/// Allocation count of driving `n` packets through `sw` the way the
+/// engine's classify-ahead lookahead does: each run of 200 arrivals
+/// (one control period) classified in one `classify_ahead` call, then
+/// enqueued one by one through `ingress_classified`, then a control
+/// tick.
+fn allocs_during_lookahead(sw: &mut AccTurboSwitch<'static>, n: u64) -> u64 {
+    let mut drops = Vec::with_capacity(64);
+    let mut run: Vec<Packet> = Vec::with_capacity(200);
+    let mut tickets: Vec<u32> = Vec::with_capacity(256);
+    let before = allocations();
+    for start in (0..n).step_by(200) {
+        run.clear();
+        run.extend((start..n.min(start + 200)).map(pkt));
+        assert!(
+            sw.classify_ahead(&run, &mut tickets),
+            "an uninstrumented switch classifies ahead"
+        );
+        for (p, &queue) in run.iter().zip(&tickets) {
+            let now = p.arrival;
+            sw.ingress_classified(p.clone(), queue, now, &mut drops);
+            let _ = sw.dequeue(now);
+        }
+        sw.control_tick(SimTime::from_nanos((start + 199) * 1_000));
+        drops.clear();
+    }
+    allocations() - before
+}
+
+#[test]
+fn lookahead_steady_state_does_not_allocate() {
+    // The simulation profile takes the clusterer's batch pass; the
+    // hardware profile (nominal ports) its per-packet fallback.
+    for cfg in [
+        AccTurboConfig::simulation(FeatureSet::simulation_default()),
+        AccTurboConfig::hardware(FeatureSet::hardware_fig6()),
+    ] {
+        let mut sw = AccTurboSwitch::new(cfg.with_queue_capacity(1_000_000));
+        let _ = allocs_during_lookahead(&mut sw, 1_000); // warmup
+        let small = allocs_during_lookahead(&mut sw, 2_000);
+        let large = allocs_during_lookahead(&mut sw, 8_000);
+        assert!(
+            large <= small + 64,
+            "lookahead allocations scale with packet count: {small} allocs for 2k pkts, \
+             {large} for 8k"
+        );
+    }
+}
+
 /// Allocation count of running `build` (the value is dropped outside the
 /// counted span).
 fn allocs_of<T>(build: impl FnOnce() -> T) -> (u64, T) {

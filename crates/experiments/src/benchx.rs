@@ -18,7 +18,9 @@ use crate::spec::{AccTurboSpec, FeatureProfile};
 use crate::{figure_spec, Scale};
 use accturbo_bench::{Harness, Stats};
 use accturbo_clustering::online::reference::force_reference_kernels;
-use accturbo_clustering::{ClusteringConfig, FeatureSet, OnlineClusterer, WindowStats};
+use accturbo_clustering::{
+    ClusteringConfig, FeatureBatch, FeatureSet, OnlineClusterer, WindowStats,
+};
 use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
@@ -121,7 +123,11 @@ pub fn is_registered(name: &str) -> bool {
     }
     matches!(
         name,
-        "engine_step" | "cluster_scan_soa" | "cluster_update" | "sppifo_enqueue"
+        "engine_step"
+            | "cluster_scan_soa"
+            | "cluster_update"
+            | "cluster_assign_batch"
+            | "sppifo_enqueue"
     )
 }
 
@@ -353,6 +359,68 @@ fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
     row("cluster_update".into(), &fast, Some(&reference))
 }
 
+/// Packets per batch of the `cluster_assign_batch` row: the engine's
+/// classify-ahead lookahead cap.
+const ASSIGN_BATCH: usize = 256;
+
+/// Batched cluster-assignment throughput: [`OnlineClusterer::assign_batch`]
+/// over runs of 256 packets (features extracted into the batch's
+/// columns, then the frozen-geometry pass and the in-order commit),
+/// versus (reference) per-packet `assign` over the same packets. The
+/// 12-feature simulation profile with 10 anchored clusters, the
+/// configuration that takes the batch pass; a window poll and reset
+/// every 2048 packets as in `cluster_update`. Both sides must end with
+/// the same cluster totals.
+fn bench_cluster_assign_batch(h: &Harness, n: u64) -> BenchRow {
+    let packets = engine_workload(n);
+    let features = FeatureSet::simulation_default();
+    let cfg = ClusteringConfig::deployable(10, features.clone());
+    let mut window: Vec<WindowStats> = Vec::new();
+    let mut totals: Vec<Vec<WindowStats>> = Vec::new();
+    let (mut batch, mut out) = (FeatureBatch::new(), Vec::new());
+    let fast = h
+        .run_batched(
+            "cluster_assign_batch/batch",
+            Some(n),
+            || OnlineClusterer::new(cfg.clone()),
+            |mut c| {
+                for (i, run) in packets.chunks(ASSIGN_BATCH).enumerate() {
+                    batch.fill(&features, run);
+                    c.assign_batch(&batch, &mut out);
+                    accturbo_bench::black_box(&out);
+                    if i % 8 == 7 {
+                        c.take_window_into(&mut window);
+                        c.reset_clusters();
+                    }
+                }
+                totals.push(c.totals().to_vec());
+            },
+        )
+        .expect("unfiltered");
+    let reference = h
+        .run_batched(
+            "cluster_assign_batch/assign (per packet)",
+            Some(n),
+            || OnlineClusterer::new(cfg.clone()),
+            |mut c| {
+                for (i, pkt) in packets.iter().enumerate() {
+                    accturbo_bench::black_box(c.assign(pkt));
+                    if i % 2048 == 2047 {
+                        c.take_window_into(&mut window);
+                        c.reset_clusters();
+                    }
+                }
+                totals.push(c.totals().to_vec());
+            },
+        )
+        .expect("unfiltered");
+    assert!(
+        totals.windows(2).all(|w| w[0] == w[1]),
+        "batched and per-packet assignment disagree"
+    );
+    row("cluster_assign_batch".into(), &fast, Some(&reference))
+}
+
 /// Nearest-cluster scan throughput on a realistically grown geometry:
 /// the lane-blocked column scan (`scan_soa`, the live Manhattan kernel)
 /// versus the per-cluster array-of-structs scan it replaced
@@ -540,6 +608,7 @@ pub fn run_rows(h: &Harness, n: u64, shards: &[usize]) -> Vec<BenchRow> {
     }
     rows.push(bench_cluster_scan_soa(h, n));
     rows.push(bench_cluster_update(h, n));
+    rows.push(bench_cluster_assign_batch(h, n));
     rows.push(bench_sppifo_enqueue(h, n));
     rows
 }

@@ -243,10 +243,15 @@ pub fn run_streamed<T: Tracer + ?Sized>(
 ///
 /// A plain [`PacketSource`] ingresses through [`Switch::ingress`]; the
 /// sharded feed (`shard.rs`) delivers its precomputed feature row through
-/// [`Switch::ingress_featured`]. The loop always ingresses the pending
-/// packet before it pulls again, so a feed may keep the coordinates of
-/// its last-pulled packet until then.
+/// [`Switch::ingress_featured`]. Unless the feed allows
+/// [`PULL_AHEAD`](Self::PULL_AHEAD), the loop always ingresses the
+/// pending packet before it pulls again, so a feed may keep the
+/// coordinates of its last-pulled packet until then.
 pub(crate) trait ArrivalFeed {
+    /// Whether the loop may pull packets ahead of the pending one's
+    /// ingress, for the classify-ahead lookahead ([`Lookahead`]).
+    const PULL_AHEAD: bool = false;
+
     /// The next packet in arrival order, or `None` once the feed is
     /// exhausted.
     fn pull(&mut self) -> Option<Packet>;
@@ -263,6 +268,8 @@ pub(crate) trait ArrivalFeed {
 }
 
 impl ArrivalFeed for dyn PacketSource + '_ {
+    const PULL_AHEAD: bool = true;
+
     #[inline]
     fn pull(&mut self) -> Option<Packet> {
         self.next_packet()
@@ -277,6 +284,113 @@ impl ArrivalFeed for dyn PacketSource + '_ {
         drops: &mut Vec<Dropped>,
     ) {
         switch.ingress(pkt, now, drops);
+    }
+}
+
+/// Arrivals per classify-ahead batch, at most: enough to amortize the
+/// batch pass over many packets, few enough that the batch's feature
+/// columns stay in L1.
+const LOOKAHEAD: usize = 256;
+
+/// The classify-ahead lookahead (DESIGN.md §8): at the first arrival
+/// event after a control tick, the loop pulls the arrivals that precede
+/// the next tick (up to [`LOOKAHEAD`] of them) and the leaf switch
+/// classifies them all in one [`Switch::classify_ahead`] call; each is
+/// then handed over at its own arrival event through
+/// [`Switch::ingress_classified`].
+///
+/// That is exact because nothing but arrivals reaches the leaf's
+/// classifier between two control ticks, and control ticks fire before
+/// arrivals at equal times, so no batch holds a packet at or past the
+/// next tick. The lookahead runs only with one leaf, no pushback (whose
+/// policers drop before ingress), no fault plane (whose source-side
+/// decisions share an injector with the loop) and a feed that can pull
+/// ahead; the switch may decline a batch, after which every packet takes
+/// the per-packet path.
+struct Lookahead {
+    /// Whether batches are formed.
+    on: bool,
+    /// The batch in flight, and its tickets (empty when declined).
+    pkts: Vec<Packet>,
+    tickets: Vec<u32>,
+    /// The next batch packet to become the pending arrival.
+    next: usize,
+    /// A packet pulled while filling that arrives at or past the next
+    /// control tick: the pending arrival once the batch is spent.
+    held: Option<Packet>,
+    /// The feed returned `None` (exhausted, or truncated at the end
+    /// time): it is never pulled again.
+    done: bool,
+}
+
+impl Lookahead {
+    fn new(on: bool) -> Self {
+        Lookahead {
+            on,
+            pkts: Vec::new(),
+            tickets: Vec::new(),
+            next: 0,
+            held: None,
+            done: false,
+        }
+    }
+
+    /// The next pending arrival and its ticket, if it was classified
+    /// ahead: from the batch, then the held packet, then the feed.
+    /// Without batches this is [`next_arrival`].
+    fn pull<F: ArrivalFeed + ?Sized>(
+        &mut self,
+        feed: &mut F,
+        end: Option<SimTime>,
+    ) -> (Option<Packet>, Option<u32>) {
+        if let Some(pkt) = self.pkts.get(self.next) {
+            let ticket = self.tickets.get(self.next).copied();
+            self.next += 1;
+            return (Some(pkt.clone()), ticket);
+        }
+        if let Some(pkt) = self.held.take() {
+            return (Some(pkt), None);
+        }
+        if self.done {
+            return (None, None);
+        }
+        (next_arrival(feed, end), None)
+    }
+
+    /// Starts a batch at `first`, whose arrival event is firing: pulls
+    /// the arrivals before `horizon` (the next control tick) that fit,
+    /// through the same truncating [`next_arrival`], and has `switch`
+    /// classify them all. Returns `first`'s ticket; on a decline, turns
+    /// the lookahead off and returns `None`.
+    fn fill<F: ArrivalFeed + ?Sized>(
+        &mut self,
+        first: &Packet,
+        feed: &mut F,
+        end: Option<SimTime>,
+        horizon: SimTime,
+        switch: &mut dyn Switch,
+    ) -> Option<u32> {
+        self.pkts.clear();
+        self.pkts.push(first.clone());
+        self.next = 1;
+        while self.pkts.len() < LOOKAHEAD {
+            match next_arrival(feed, end) {
+                Some(pkt) if pkt.arrival < horizon => self.pkts.push(pkt),
+                Some(pkt) => {
+                    self.held = Some(pkt);
+                    break;
+                }
+                None => {
+                    self.done = true;
+                    break;
+                }
+            }
+        }
+        if !switch.classify_ahead(&self.pkts, &mut self.tickets) {
+            self.on = false;
+            self.tickets.clear();
+        }
+        self.tickets.first().copied()
     }
 }
 
@@ -358,6 +472,11 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     let (tx_id, deliver_id) = (|i: usize| i, |i: usize| n + i);
     let (mut busy, mut on_wire) = (0usize, 0usize);
     let mut pending: Option<Packet> = next_arrival(feed, cfg.end_time);
+    // The pending arrival's ticket, when it was classified ahead.
+    let mut ticket: Option<u32> = None;
+    let mut ahead = Lookahead::new(
+        F::PULL_AHEAD && leaves.len() == 1 && cfg.pushback.is_none() && faults.is_none(),
+    );
     let mut control_at = cfg
         .control_period
         .map_or(SimTime::MAX, |p| SimTime::ZERO + p);
@@ -382,10 +501,11 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     }
 
     // Ingress at `node` through its pushback policer, then the switch
-    // (`via_feed`: through the feed, for arrivals); every drop is counted
-    // at the node, in the stats, the telemetry and the trace.
+    // (`$ingress`, with the packet bound to `$p`, pushing its drops into
+    // `drops_buf`); every drop is counted at the node, in the stats, the
+    // telemetry and the trace.
     macro_rules! ingress_at {
-        ($node:expr, $pkt:expr, $via_feed:expr) => {{
+        ($node:expr, $pkt:expr, |$p:ident| $ingress:expr) => {{
             let (node, pkt): (usize, Packet) = ($node, $pkt);
             drops_buf.clear();
             if pushback
@@ -396,10 +516,9 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     packet: pkt,
                     reason: DropReason::Policer,
                 });
-            } else if $via_feed {
-                feed.ingress(&mut *nodes[node], pkt, now, &mut drops_buf);
             } else {
-                nodes[node].ingress(pkt, now, &mut drops_buf);
+                let $p = pkt;
+                $ingress;
             }
             for d in &drops_buf {
                 stats.on_drop(d, now);
@@ -532,7 +651,11 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                         },
                     );
                 }
-                ingress_at!(parent, pkt, false);
+                ingress_at!(parent, pkt, |p| nodes[parent].ingress(
+                    p,
+                    now,
+                    &mut drops_buf
+                ));
                 if let (Some(m), Some(ids)) = (metrics, &ids) {
                     if !drops_buf.is_empty() {
                         m.borrow_mut().inc(ids.2, drops_buf.len() as u64);
@@ -605,12 +728,19 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     [only] => *only,
                     _ => leaves[place(&pkt)],
                 };
+                if ticket.is_none() && ahead.on {
+                    let sw = &mut *nodes[leaf];
+                    ticket = ahead.fill(&pkt, feed, cfg.end_time, control_at, sw);
+                }
                 stats.on_arrival(&pkt);
                 arrivals += 1;
                 if let Some(t) = telemetry.as_mut() {
                     t.on_arrival(now.as_nanos(), flow_key(&pkt), pkt.class.0, pkt.size);
                 }
-                ingress_at!(leaf, pkt, true);
+                ingress_at!(leaf, pkt, |p| match ticket.take() {
+                    Some(t) => nodes[leaf].ingress_classified(p, t, now, &mut drops_buf),
+                    None => feed.ingress(&mut *nodes[leaf], p, now, &mut drops_buf),
+                });
                 if let (Some(m), Some(ids)) = (metrics, &ids) {
                     let mut r = m.borrow_mut();
                     r.inc(ids.0, 1);
@@ -619,7 +749,7 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     }
                     r.observe(ids.4, queued!() as f64);
                 }
-                pending = next_arrival(feed, cfg.end_time);
+                (pending, ticket) = ahead.pull(feed, cfg.end_time);
                 leaf..leaf + 1
             }
         };

@@ -92,6 +92,38 @@ pub trait Switch {
         None
     }
 
+    /// Classifies a run of upcoming arrivals ahead of their events, in
+    /// arrival order, writing one ticket per packet into `tickets`
+    /// (cleared first); returns `false`, leaving every state untouched,
+    /// when the switch cannot (the default). The engine then hands each
+    /// packet over at its arrival event through
+    /// [`ingress_classified`](Self::ingress_classified) with its ticket.
+    ///
+    /// The engine calls this only when classification depends on the
+    /// arrival stream and the control ticks alone: the packets all
+    /// arrive before the next control tick, nothing else reaches the
+    /// switch's ingress meanwhile, and no fault plane runs. A switch
+    /// must return `false` whenever classifying ahead would be
+    /// observable, for example through a per-packet observer.
+    fn classify_ahead(&mut self, _pkts: &[Packet], _tickets: &mut Vec<u32>) -> bool {
+        false
+    }
+
+    /// [`ingress`](Self::ingress) of a packet that
+    /// [`classify_ahead`](Self::classify_ahead) classified into `ticket`:
+    /// only the part of ingress that classification does not cover. Must
+    /// be observably identical to plain `ingress` at this point of the
+    /// run; the default ignores the ticket and delegates.
+    fn ingress_classified(
+        &mut self,
+        pkt: Packet,
+        _ticket: u32,
+        now: SimTime,
+        drops: &mut Vec<Dropped>,
+    ) {
+        self.ingress(pkt, now, drops);
+    }
+
     /// Hands the next packet to the output link, if any.
     ///
     /// The engine relies on this contract: `dequeue` returns `None` only

@@ -83,6 +83,73 @@ fn engine_steady_state_does_not_allocate() {
     );
 }
 
+/// A FIFO that classifies ahead: every packet gets ticket 0, and the
+/// batches it accepted are counted.
+struct Ahead {
+    inner: SingleQueueSwitch<FifoQueue>,
+    batches: u64,
+}
+
+impl Switch for Ahead {
+    fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
+        self.inner.ingress(pkt, now, drops);
+    }
+    fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
+        tickets.clear();
+        tickets.resize(pkts.len(), 0);
+        self.batches += 1;
+        true
+    }
+    fn ingress_classified(&mut self, pkt: Packet, _: u32, now: SimTime, d: &mut Vec<Dropped>) {
+        self.inner.ingress(pkt, now, d);
+    }
+    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+        self.inner.dequeue(now)
+    }
+    fn backlog_pkts(&self) -> usize {
+        self.inner.backlog_pkts()
+    }
+}
+
+/// [`allocs_during_run`] on a switch that classifies ahead: the engine
+/// batches the 200 arrivals of each control period.
+fn allocs_during_lookahead_run(n: u64) -> u64 {
+    let packets: Vec<Packet> = (0..n)
+        .map(|i| Packet::new(SimTime::from_nanos(i * 50_000)).with_size(1000))
+        .collect();
+    let mut src = VecSource::new(packets);
+    let mut sw = Ahead {
+        inner: SingleQueueSwitch::new(FifoQueue::new(20_000)),
+        batches: 0,
+    };
+    let cfg = EngineConfig::new(Bandwidth::from_mbps(20))
+        .with_stats_interval(SimDuration::from_secs(10))
+        .with_control_period(SimDuration::from_millis(10));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let res = run(&mut src, &mut sw, &cfg);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(res.arrivals, n, "workload must actually run");
+    assert!(
+        sw.batches >= n / 200,
+        "the lookahead must run: {} batches",
+        sw.batches
+    );
+    after - before
+}
+
+#[test]
+fn lookahead_steady_state_does_not_allocate() {
+    let _guard = MEASURE.lock().unwrap();
+    let _ = allocs_during_lookahead_run(400);
+    let small = allocs_during_lookahead_run(2_000);
+    let large = allocs_during_lookahead_run(8_000);
+    assert!(
+        large <= small + 64,
+        "lookahead allocations scale with packet count: {small} allocs for 2k pkts, \
+         {large} for 8k"
+    );
+}
+
 /// Allocation count of one threaded stream-mode run (`run_stream`, 4
 /// shards) over `n` packets of four interleaved flows. The producer
 /// thread, both channels and the batch-buffer pool are a fixed cost; the
