@@ -13,7 +13,7 @@ fn main() {
     let h = Harness::from_args();
     let n: u64 = if h.smoke() { 4_000 } else { 20_000 };
     benchx::check_golden_identity().expect("optimized and reference kernels must agree");
-    for row in benchx::run_rows(&h, n, benchx::DEFAULT_SHARDS) {
+    for row in benchx::run_rows(&h, n) {
         if let Some(s) = row.speedup {
             println!("{:<40} speedup {s:.2}x vs reference", row.name);
         }

@@ -14,8 +14,7 @@
 use crate::config::AccTurboConfig;
 use accturbo_clustering::{FeatureBatch, OnlineClusterer, WindowStats};
 use accturbo_netsim::{
-    Dropped, FaultInjector, FeatureExtractor, Packet, PriorityBank, QueueDiscipline, SimTime,
-    Switch,
+    Dropped, FaultInjector, Packet, PriorityBank, QueueDiscipline, SimTime, Switch,
 };
 use accturbo_obs::{
     CounterId, Event, GaugeId, HistogramId, MetricsHandle, StageClock, StageId, Tracer,
@@ -362,30 +361,6 @@ impl Switch for AccTurboSwitch<'_> {
         }
     }
 
-    fn ingress_featured(
-        &mut self,
-        pkt: Packet,
-        features: &[u32],
-        now: SimTime,
-        drops: &mut Vec<Dropped>,
-    ) {
-        // Same gate as `ingress`'s fast path. `assign_values(features, ..)`
-        // is exactly `assign(&pkt)` with the (pure) extraction hoisted out
-        // — the sharded engine did it once while filling the arena column.
-        // Instrumented runs fall back to plain ingress so tracing and
-        // metrics observe the per-packet extraction they expect.
-        if self.tracer.is_none() && self.metrics.is_none() && !self.clock.enabled() {
-            let cluster = self.clusterer.assign_values(features, pkt.size);
-            let queue = self.cluster_to_queue[cluster];
-            if let Some(tap) = &mut self.tap {
-                tap(&pkt, cluster, queue);
-            }
-            self.bank.enqueue_to(queue, pkt, now, drops);
-            return;
-        }
-        self.ingress(pkt, now, drops);
-    }
-
     fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
         // A tap, tracer, metrics or stage clock observes each packet at
         // its ingress, so instrumented runs keep the per-packet path.
@@ -414,16 +389,6 @@ impl Switch for AccTurboSwitch<'_> {
         drops: &mut Vec<Dropped>,
     ) {
         self.bank.enqueue_to(queue as usize, pkt, now, drops);
-    }
-
-    fn feature_extractor(&self) -> Option<FeatureExtractor> {
-        let features = self.clusterer.config().features.clone();
-        Some(FeatureExtractor::new(
-            features.len(),
-            std::sync::Arc::new(move |pkt: &Packet, out: &mut Vec<u32>| {
-                features.extract_into(pkt, out)
-            }),
-        ))
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {

@@ -24,8 +24,8 @@ use accturbo_clustering::{
 use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
-    run, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource, ShardedEngine,
-    SimDuration, SimTime, VecSource, MAX_SHARDS,
+    run, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource, SimDuration,
+    SimTime, ThreadedSource, VecSource,
 };
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use accturbo_sched::SpPifo;
@@ -35,9 +35,6 @@ use std::net::Ipv4Addr;
 /// Figures re-run under both kernel paths for the byte-identity gate.
 const IDENTITY_FIGURES: &[&str] = &["fig2", "fig6", "fig9"];
 
-/// Shard counts exported by default (`--shards` overrides).
-pub const DEFAULT_SHARDS: &[usize] = &[2, 4, 8];
-
 /// Parsed `xp bench-export` arguments.
 #[derive(Debug, PartialEq, Eq)]
 pub struct BenchArgs {
@@ -46,9 +43,6 @@ pub struct BenchArgs {
     pub smoke: bool,
     /// `--out PATH` (default `BENCH_datapath.json`).
     pub out: String,
-    /// `--shards N[,M…]`: shard counts for the `engine_step_threaded@N`
-    /// rows (default [`DEFAULT_SHARDS`]), each in `1..=MAX_SHARDS`.
-    pub shards: Vec<usize>,
 }
 
 /// Parses the arguments following `xp bench-export`.
@@ -56,7 +50,6 @@ pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs {
         smoke: false,
         out: "BENCH_datapath.json".to_string(),
-        shards: DEFAULT_SHARDS.to_vec(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -67,21 +60,6 @@ pub fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
                     .next()
                     .ok_or_else(|| "--out requires a PATH argument".to_string())?
                     .clone();
-            }
-            "--shards" => {
-                let list = it
-                    .next()
-                    .ok_or("--shards requires a count list, e.g. `--shards 2,4,8`")?;
-                parsed.shards = list
-                    .split(',')
-                    .map(|t| match t.parse::<usize>() {
-                        Ok(n) if n > MAX_SHARDS => Err(format!(
-                            "shard count {n} exceeds the maximum of {MAX_SHARDS}"
-                        )),
-                        Ok(n) if n >= 1 => Ok(n),
-                        _ => Err(format!("`{t}` is not a shard count")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
             }
             other => return Err(format!("unknown bench-export option `{other}`")),
         }
@@ -108,22 +86,15 @@ pub struct BenchRow {
 }
 
 /// The bench registry: every row name this module can produce from live
-/// code. `engine_step_threaded@N` resolves for any shard count in
-/// `1..=MAX_SHARDS` (the count parameterizes
-/// [`bench_engine_step_threaded`]).
-/// The JSON writer refuses rows outside this set, and the repo's
+/// code. The JSON writer refuses rows outside this set, and the repo's
 /// consistency test resolves every committed `BENCH_datapath.json` row
 /// against it — a row from a deleted (or never-landed) bench cannot
 /// survive in the archive.
 pub fn is_registered(name: &str) -> bool {
-    if let Some(n) = name.strip_prefix("engine_step_threaded@") {
-        return n
-            .parse::<usize>()
-            .is_ok_and(|n| (1..=MAX_SHARDS).contains(&n));
-    }
     matches!(
         name,
         "engine_step"
+            | "engine_step_threaded"
             | "cluster_scan_soa"
             | "cluster_update"
             | "cluster_assign_batch"
@@ -282,37 +253,36 @@ fn merged_source(per_source: &[Vec<Packet>]) -> MergedSource {
 /// [`bench_engine_step_threaded`]).
 const THREADED_SCALE: u64 = 10;
 
-/// Threaded stream-mode throughput at `shards` shards: the pre-merged
-/// 512-way [`merged_source`] handed to `ShardedEngine::run_stream`,
-/// whose producer thread pulls it, partitions it by flow and extracts
-/// features while the calling thread runs the event loop — versus
-/// (reference) the serial `run` over the same merge with the same live
-/// kernels, the path the pipeline takes the generation work off. On a
-/// 1-core host the two threads share the core, so the row only shows
-/// wall-clock scaling where `host_cores` > 1.
+/// Threaded throughput: the pre-merged 512-way [`merged_source`] behind
+/// a [`ThreadedSource`], whose producer thread pulls it while the calling
+/// thread runs the event loop — versus (reference) the serial `run` over
+/// the same merge with the same live kernels, the path the producer
+/// takes the generation work off. On a 1-core host the two threads
+/// share the core, so the row only shows wall-clock scaling where
+/// `host_cores` > 1.
 ///
 /// Runs [`THREADED_SCALE`] × `n` packets: each run starts a fresh
 /// producer thread and batch-buffer pool, whose first fills page in
-/// about 16k packets' worth of arena, so an `n`-packet run would time
+/// about 16k packets' worth of buffers, so an `n`-packet run would time
 /// mostly that warm-up instead of the steady state a long run sees.
-fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
+fn bench_engine_step_threaded(h: &Harness, n: u64) -> BenchRow {
     let per_source = threaded_workload(n * THREADED_SCALE);
     let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
     let cfg = engine_cfg();
     let fast = h
         .run_batched(
-            &format!("engine_step_threaded@{shards}/accturbo"),
+            "engine_step_threaded/accturbo",
             Some(elements),
             || (merged_source(&per_source), threaded_switch()),
             |(src, mut sw)| {
-                let res = ShardedEngine::new(shards).run_stream(Box::new(src), &mut sw, &cfg);
+                let res = run(&mut ThreadedSource::new(Box::new(src)), &mut sw, &cfg);
                 assert_eq!(res.arrivals, elements);
             },
         )
         .expect("unfiltered");
     let serial = h
         .run_batched(
-            &format!("engine_step_threaded@{shards}/accturbo (serial)"),
+            "engine_step_threaded/accturbo (serial)",
             Some(elements),
             || (merged_source(&per_source), threaded_switch()),
             |(mut src, mut sw)| {
@@ -321,11 +291,7 @@ fn bench_engine_step_threaded(h: &Harness, n: u64, shards: usize) -> BenchRow {
             },
         )
         .expect("unfiltered");
-    row(
-        format!("engine_step_threaded@{shards}"),
-        &fast,
-        Some(&serial),
-    )
+    row("engine_step_threaded".to_string(), &fast, Some(&serial))
 }
 
 /// Cluster-update throughput: `assign` over the fig6 hardware profile
@@ -532,7 +498,7 @@ pub fn check_golden_identity() -> Result<(), String> {
 }
 
 /// The host's core count, recorded in the export so trajectory rows are
-/// comparable across machines (a sharded speedup on one core is pure
+/// comparable across machines (a threaded speedup on one core is pure
 /// algorithm; on many cores it could hide thread parallelism).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -598,19 +564,18 @@ pub fn to_json(smoke: bool, cores: usize, rows: &[BenchRow]) -> Result<String, S
 }
 
 /// Runs the datapath benches on `h` with `n` packets each — the serial
-/// engine step, one threaded engine step per count in `shards`, the
-/// cluster kernels, and the SP-PIFO enqueue — returning
-/// the export rows (shared with the `fastpath` bench binary).
-pub fn run_rows(h: &Harness, n: u64, shards: &[usize]) -> Vec<BenchRow> {
-    let mut rows = vec![bench_engine_step(h, n)];
-    for &s in shards {
-        rows.push(bench_engine_step_threaded(h, n, s));
-    }
-    rows.push(bench_cluster_scan_soa(h, n));
-    rows.push(bench_cluster_update(h, n));
-    rows.push(bench_cluster_assign_batch(h, n));
-    rows.push(bench_sppifo_enqueue(h, n));
-    rows
+/// and threaded engine steps, the cluster kernels, and the SP-PIFO
+/// enqueue — returning the export rows (shared with the `fastpath` bench
+/// binary).
+pub fn run_rows(h: &Harness, n: u64) -> Vec<BenchRow> {
+    vec![
+        bench_engine_step(h, n),
+        bench_engine_step_threaded(h, n),
+        bench_cluster_scan_soa(h, n),
+        bench_cluster_update(h, n),
+        bench_cluster_assign_batch(h, n),
+        bench_sppifo_enqueue(h, n),
+    ]
 }
 
 /// The `xp bench-export` entry point: identity gate, datapath benches,
@@ -620,7 +585,7 @@ pub fn run_export(args: &BenchArgs) -> Result<String, String> {
     check_golden_identity()?;
     let h = Harness::new(args.smoke, Vec::new());
     let n: u64 = if args.smoke { 4_000 } else { 20_000 };
-    let rows = run_rows(&h, n, &args.shards);
+    let rows = run_rows(&h, n);
     let json = to_json(args.smoke, host_cores(), &rows)?;
     std::fs::write(&args.out, &json).map_err(|e| format!("cannot write `{}`: {e}", args.out))?;
     for r in &rows {
@@ -655,11 +620,9 @@ mod tests {
         let d = parse_args(&[]).unwrap();
         assert!(!d.smoke);
         assert_eq!(d.out, "BENCH_datapath.json");
-        assert_eq!(d.shards, DEFAULT_SHARDS);
-        let p = parse_args(&args(&["--smoke", "--out", "x.json", "--shards", "2,16"])).unwrap();
+        let p = parse_args(&args(&["--smoke", "--out", "x.json"])).unwrap();
         assert!(p.smoke);
         assert_eq!(p.out, "x.json");
-        assert_eq!(p.shards, vec![2, 16]);
     }
 
     #[test]
@@ -670,21 +633,9 @@ mod tests {
         assert!(parse_args(&args(&["--frob"]))
             .unwrap_err()
             .contains("--frob"));
-        assert!(parse_args(&args(&["--shards", "0"]))
+        assert!(parse_args(&args(&["--shards", "2"]))
             .unwrap_err()
-            .contains("shard count"));
-        assert!(parse_args(&args(&["--shards", "2,x"]))
-            .unwrap_err()
-            .contains("shard count"));
-        let max = MAX_SHARDS.to_string();
-        assert_eq!(
-            parse_args(&args(&["--shards", &max])).unwrap().shards,
-            [MAX_SHARDS]
-        );
-        for huge in [(MAX_SHARDS + 1).to_string(), "100000000".to_string()] {
-            let err = parse_args(&args(&["--shards", &huge])).unwrap_err();
-            assert!(err.contains("exceeds the maximum"), "{err}");
-        }
+            .contains("--shards"));
     }
 
     #[test]
@@ -711,9 +662,7 @@ mod tests {
     fn registry_resolves_every_producible_row_and_nothing_else() {
         for name in [
             "engine_step",
-            "engine_step_threaded@1",
-            "engine_step_threaded@2",
-            "engine_step_threaded@256",
+            "engine_step_threaded",
             "cluster_scan_soa",
             "cluster_update",
             "sppifo_enqueue",
@@ -723,10 +672,8 @@ mod tests {
         for name in [
             "engine_step_sharded@2",
             "engine_step_sharded@8",
-            "engine_step_threaded@0",
-            "engine_step_threaded@257",
-            "engine_step_threaded@two",
-            "engine_step_threaded",
+            "engine_step_threaded@1",
+            "engine_step_threaded@2",
             "cluster_scan",
             "made_up_bench",
         ] {

@@ -13,7 +13,7 @@
 use crate::result::aggregate_csv;
 use crate::spec::{DefenseSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
 use crate::{figure_spec, FigureSpec, Scale, FIGURES};
-use accturbo_netsim::{SimDuration, MAX_SHARDS};
+use accturbo_netsim::SimDuration;
 use accturbo_obs::{
     shared_recorder, DatasetSink, FlightRecorder, FlowSampler, JsonlSink, Telemetry,
 };
@@ -54,26 +54,73 @@ pub struct Cli {
     pub flight_recorder: Option<String>,
 }
 
+/// The keys `xp run` accepts, each with its usage note, in usage order.
+/// The usage text and `parse_run`'s unknown-key error both list these.
+const RUN_KEYS: &[(&str, &str)] = &[
+    ("workload", "(required)"),
+    ("defense", "(default fifo)"),
+    ("link", "(10m/2.5g/bps)"),
+    ("secs", ""),
+    ("seed", ""),
+    ("period", "(250ms/1s)"),
+    (
+        "topology",
+        "(line:N/star:N/fattree:K/isp-edge with :delay= :uplink= :attackers= \
+         :edges=same :pushback=on :refresh=)",
+    ),
+    ("faults", "(KIND:VAL+KIND:VAL)"),
+    (
+        "shards",
+        "(a count above 1 generates the workload on a producer thread; same output)",
+    ),
+];
+
+/// Column where the usage text's descriptions start, and their width.
+const USAGE_INDENT: usize = 33;
+const USAGE_WIDTH: usize = 38;
+
+/// `head` followed by `text` word-wrapped into the usage text's
+/// description column.
+fn usage_entry(head: &str, text: &str) -> String {
+    let mut lines: Vec<String> = vec![String::new()];
+    for word in text.split_whitespace() {
+        let line = lines.last_mut().expect("never empty");
+        if !line.is_empty() && line.len() + 1 + word.len() > USAGE_WIDTH {
+            lines.push(word.to_string());
+        } else {
+            if !line.is_empty() {
+                line.push(' ');
+            }
+            line.push_str(word);
+        }
+    }
+    let pad = " ".repeat(USAGE_INDENT);
+    let mut out = format!("{head:<USAGE_INDENT$}");
+    out.push_str(&lines.join(&format!("\n{pad}")));
+    out
+}
+
 /// The usage text (`xp --help`).
 pub fn usage() -> String {
     let names: Vec<&str> = FIGURES.iter().map(|s| s.name).collect();
+    let keys: Vec<String> = RUN_KEYS
+        .iter()
+        .map(|(k, note)| format!("{k} {note}").trim_end().to_string())
+        .collect();
+    let run = usage_entry(
+        "    xp run KEY=VAL[,KEY=VAL...]",
+        &format!(
+            "run one declarative scenario: any workload x defense combination, \
+             not just the paper's. Keys: {}. Flags: --csv (panel only), --quick.",
+            keys.join(", ")
+        ),
+    );
     format!(
         "xp — regenerate the paper's tables and figures\n\
          \n\
          USAGE:\n\
          \x20   xp [FIGURE...] [OPTIONS]     run the named figures (default: all)\n\
-         \x20   xp run KEY=VAL[,KEY=VAL...]  run one declarative scenario: any\n\
-         \x20                                workload x defense combination, not\n\
-         \x20                                just the paper's. Keys: workload\n\
-         \x20                                (required), defense (default fifo),\n\
-         \x20                                link (10m/2.5g/bps), secs, seed,\n\
-         \x20                                period (250ms/1s), topology\n\
-         \x20                                (line:N/star:N/fattree:K/isp-edge\n\
-         \x20                                with :delay= :uplink= :attackers=\n\
-         \x20                                :edges=same :pushback=on :refresh=),\n\
-         \x20                                faults (KIND:VAL+KIND:VAL; single\n\
-         \x20                                switch only). Flags: --csv\n\
-         \x20                                (panel only), --quick.\n\
+         {run}\n\
          \x20                                e.g. xp run workload=fig2 defense=accturbo\n\
          \x20                                     xp run workload=flood:carpet \\\n\
          \x20                                            defense=accturbo:profile=hw:features=dst4\n\
@@ -529,6 +576,13 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
                 if seen_keys.iter().any(|k| k == key) {
                     return Err(format!("xp run: duplicate key `{key}`"));
                 }
+                if !RUN_KEYS.iter().any(|(k, _)| *k == key) {
+                    let valid: Vec<&str> = RUN_KEYS.iter().map(|(k, _)| *k).collect();
+                    return Err(format!(
+                        "xp run: unknown key `{key}`; valid keys: {}",
+                        valid.join(", ")
+                    ));
+                }
                 seen_keys.push(key.to_string());
                 match key {
                     "workload" => {
@@ -564,20 +618,10 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
                         if n == 0 {
                             return Err("xp run: shards must be at least 1".to_string());
                         }
-                        if n > MAX_SHARDS {
-                            return Err(format!(
-                                "xp run: shards={n} exceeds the maximum of {MAX_SHARDS}"
-                            ));
-                        }
                         shards = Some(n);
                     }
                     "faults" => fault_mix = parse_fault_mix("xp run: faults", val, '+')?,
-                    other => {
-                        return Err(format!(
-                            "xp run: unknown key `{other}`; valid keys: workload, defense, \
-                             link, secs, seed, period, topology, shards, faults"
-                        ));
-                    }
+                    other => unreachable!("`{other}` is in RUN_KEYS but has no arm"),
                 }
             }
         }
@@ -619,9 +663,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
         let fault_seed = spec.seed;
         spec = spec.with_faults(crate::robustness::config_from_mix(&fault_mix, fault_seed));
     }
-    let wants_telemetry = sink.is_some() || dataset.is_some() || flight_recorder.is_some();
-    spec.check(wants_telemetry)
-        .map_err(|e| format!("xp run: {e}"))?;
     Ok(RunCmd {
         spec,
         csv,
@@ -1381,36 +1422,66 @@ mod tests {
         let err = parse_run(&args(&["workload=fig2", "shards=0"])).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
 
-        let max = format!("shards={MAX_SHARDS}");
-        let cmd = parse_run(&args(&["workload=fig2", &max])).unwrap();
-        assert_eq!(cmd.spec.shards, MAX_SHARDS);
-        for huge in [
-            format!("shards={}", MAX_SHARDS + 1),
-            "shards=100000000".into(),
-        ] {
-            let err = parse_run(&args(&["workload=fig2", &huge])).unwrap_err();
-            assert!(err.contains("exceeds the maximum"), "{err}");
-        }
-
-        let err = parse_run(&args(&["workload=fig2", "shards=2", "topology=line:2"])).unwrap_err();
-        assert!(err.contains("drop shards= or topology="), "{err}");
-
-        let err = parse_run(&args(&[
+        // One producer thread whatever the count, so there is no upper
+        // bound, and the threaded feed combines with every other knob.
+        let cmd = parse_run(&args(&["workload=fig2", "shards=100000000"])).unwrap();
+        assert_eq!(cmd.spec.shards, 100_000_000);
+        let cmd = parse_run(&args(&[
             "workload=fig2",
             "shards=2",
+            "topology=fattree:4:pushback=on",
             "faults=ctrl_drop:0.5",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("drop shards= or faults="), "{err}");
-
-        let err = parse_run(&args(&[
-            "workload=fig2",
-            "shards=2",
             "--sink",
             "/tmp/x.jsonl",
         ]))
-        .unwrap_err();
-        assert!(err.contains("or shards="), "{err}");
+        .unwrap();
+        assert_eq!(cmd.spec.shards, 2);
+        assert!(cmd.spec.topology.is_some() && cmd.spec.faults.is_some());
+    }
+
+    #[test]
+    fn every_run_key_is_in_the_usage_text() {
+        let usage = usage();
+        let start = usage.find("xp run KEY=VAL").expect("the run entry");
+        let end = usage.find("xp search").expect("the search entry");
+        let run_entry = &usage[start..end];
+        assert!(
+            !run_entry.contains("single switch only"),
+            "faults run on every topology"
+        );
+        let sample = |key: &str| match key {
+            "workload" => "fig2",
+            "defense" => "acc",
+            "link" => "10m",
+            "secs" => "5",
+            "seed" => "7",
+            "period" => "250ms",
+            "topology" => "star:4",
+            "faults" => "ctrl_drop:0.1",
+            "shards" => "2",
+            other => panic!("no sample value for the run key `{other}`"),
+        };
+        let words: Vec<&str> = run_entry
+            .split(|c: char| c.is_whitespace() || c == ',' || c == '.')
+            .collect();
+        for (key, _) in RUN_KEYS {
+            assert!(
+                words.contains(key),
+                "`{key}` is missing from the `xp run` usage:\n{run_entry}"
+            );
+            let mut argv = vec![format!("{key}={}", sample(key))];
+            if *key != "workload" {
+                argv.push("workload=fig2".into());
+            }
+            parse_run(&argv).unwrap_or_else(|e| panic!("{key}: {e}"));
+        }
+        // Any other key is rejected, naming exactly the documented ones.
+        let err = parse_run(&args(&["workload=fig2", "feed=threaded"])).unwrap_err();
+        let valid: Vec<&str> = RUN_KEYS.iter().map(|(k, _)| *k).collect();
+        assert!(
+            err.ends_with(&format!("valid keys: {}", valid.join(", "))),
+            "{err}"
+        );
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //! the networking guides) an async runtime would buy nothing here.
 //!
 //! One loop, `drive`, serves every run: [`run`] and [`run_streamed`]
-//! give it a one-node tree, [`crate::topology::run_topology`] any tree,
-//! and the sharded engine ([`crate::shard::ShardedEngine`]) feeds it the
-//! sealed batches of its producer thread.
+//! give it a one-node tree, [`crate::topology::run_topology`] any tree.
+//! Any [`PacketSource`] feeds it, the threaded one
+//! ([`crate::shard::ThreadedSource`]) included.
 
 use crate::calendar::Calendar;
 use crate::fault::{ControlAction, FaultInjector};
@@ -237,56 +237,6 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     .result
 }
 
-/// Where the event loop's arrivals come from: the loop pulls the next
-/// packet, then hands it to its leaf's switch when its arrival event
-/// fires.
-///
-/// A plain [`PacketSource`] ingresses through [`Switch::ingress`]; the
-/// sharded feed (`shard.rs`) delivers its precomputed feature row through
-/// [`Switch::ingress_featured`]. Unless the feed allows
-/// [`PULL_AHEAD`](Self::PULL_AHEAD), the loop always ingresses the
-/// pending packet before it pulls again, so a feed may keep the
-/// coordinates of its last-pulled packet until then.
-pub(crate) trait ArrivalFeed {
-    /// Whether the loop may pull packets ahead of the pending one's
-    /// ingress, for the classify-ahead lookahead ([`Lookahead`]).
-    const PULL_AHEAD: bool = false;
-
-    /// The next packet in arrival order, or `None` once the feed is
-    /// exhausted.
-    fn pull(&mut self) -> Option<Packet>;
-
-    /// Hands `pkt` — the packet the last [`pull`](Self::pull) returned —
-    /// to `switch`.
-    fn ingress(
-        &mut self,
-        switch: &mut dyn Switch,
-        pkt: Packet,
-        now: SimTime,
-        drops: &mut Vec<Dropped>,
-    );
-}
-
-impl ArrivalFeed for dyn PacketSource + '_ {
-    const PULL_AHEAD: bool = true;
-
-    #[inline]
-    fn pull(&mut self) -> Option<Packet> {
-        self.next_packet()
-    }
-
-    #[inline]
-    fn ingress(
-        &mut self,
-        switch: &mut dyn Switch,
-        pkt: Packet,
-        now: SimTime,
-        drops: &mut Vec<Dropped>,
-    ) {
-        switch.ingress(pkt, now, drops);
-    }
-}
-
 /// Arrivals per classify-ahead batch, at most: enough to amortize the
 /// batch pass over many packets, few enough that the batch's feature
 /// columns stay in L1.
@@ -303,10 +253,9 @@ const LOOKAHEAD: usize = 256;
 /// classifier between two control ticks, and control ticks fire before
 /// arrivals at equal times, so no batch holds a packet at or past the
 /// next tick. The lookahead runs only with one leaf, no pushback (whose
-/// policers drop before ingress), no fault plane (whose source-side
-/// decisions share an injector with the loop) and a feed that can pull
-/// ahead; the switch may decline a batch, after which every packet takes
-/// the per-packet path.
+/// policers drop before ingress) and no fault plane (whose source-side
+/// decisions share an injector with the loop); the switch may decline a
+/// batch, after which every packet takes the per-packet path.
 struct Lookahead {
     /// Whether batches are formed.
     on: bool,
@@ -318,7 +267,7 @@ struct Lookahead {
     /// A packet pulled while filling that arrives at or past the next
     /// control tick: the pending arrival once the batch is spent.
     held: Option<Packet>,
-    /// The feed returned `None` (exhausted, or truncated at the end
+    /// The source returned `None` (exhausted, or truncated at the end
     /// time): it is never pulled again.
     done: bool,
 }
@@ -336,11 +285,16 @@ impl Lookahead {
     }
 
     /// The next pending arrival and its ticket, if it was classified
-    /// ahead: from the batch, then the held packet, then the feed.
+    /// ahead: from the batch, then the held packet, then the source.
     /// Without batches this is [`next_arrival`].
-    fn pull<F: ArrivalFeed + ?Sized>(
+    ///
+    /// Inlined like [`next_arrival`]: `drive` is instantiated in the
+    /// calling crates, where an out-of-line call per arrival cost the
+    /// serial benchmarks about 3%.
+    #[inline]
+    fn pull(
         &mut self,
-        feed: &mut F,
+        source: &mut dyn PacketSource,
         end: Option<SimTime>,
     ) -> (Option<Packet>, Option<u32>) {
         if let Some(pkt) = self.pkts.get(self.next) {
@@ -354,7 +308,7 @@ impl Lookahead {
         if self.done {
             return (None, None);
         }
-        (next_arrival(feed, end), None)
+        (next_arrival(source, end), None)
     }
 
     /// Starts a batch at `first`, whose arrival event is firing: pulls
@@ -362,10 +316,10 @@ impl Lookahead {
     /// through the same truncating [`next_arrival`], and has `switch`
     /// classify them all. Returns `first`'s ticket; on a decline, turns
     /// the lookahead off and returns `None`.
-    fn fill<F: ArrivalFeed + ?Sized>(
+    fn fill(
         &mut self,
         first: &Packet,
-        feed: &mut F,
+        source: &mut dyn PacketSource,
         end: Option<SimTime>,
         horizon: SimTime,
         switch: &mut dyn Switch,
@@ -374,7 +328,7 @@ impl Lookahead {
         self.pkts.push(first.clone());
         self.next = 1;
         while self.pkts.len() < LOOKAHEAD {
-            match next_arrival(feed, end) {
+            match next_arrival(source, end) {
                 Some(pkt) if pkt.arrival < horizon => self.pkts.push(pkt),
                 Some(pkt) => {
                     self.held = Some(pkt);
@@ -422,12 +376,12 @@ fn backlog(nodes: &[&mut dyn Switch]) -> usize {
     nodes.iter().map(|s| s.backlog_pkts()).sum()
 }
 
-/// The event loop: every run — one switch or a tree, serial or sharded
-/// — goes through here. `place` maps an arrival to a leaf ordinal; with
+/// The event loop: every run — one switch or a tree, from any source —
+/// goes through here. `place` maps an arrival to a leaf ordinal; with
 /// one leaf it is never called. The hooks are [`run_streamed`]'s.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
-    feed: &mut F,
+pub(crate) fn drive<T: Tracer + ?Sized>(
+    source: &mut dyn PacketSource,
     topo: &Topology,
     nodes: &mut [&mut dyn Switch],
     place: &mut dyn FnMut(&Packet) -> usize,
@@ -471,12 +425,10 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
     let mut calendar = Calendar::new(2 * n);
     let (tx_id, deliver_id) = (|i: usize| i, |i: usize| n + i);
     let (mut busy, mut on_wire) = (0usize, 0usize);
-    let mut pending: Option<Packet> = next_arrival(feed, cfg.end_time);
+    let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
     // The pending arrival's ticket, when it was classified ahead.
     let mut ticket: Option<u32> = None;
-    let mut ahead = Lookahead::new(
-        F::PULL_AHEAD && leaves.len() == 1 && cfg.pushback.is_none() && faults.is_none(),
-    );
+    let mut ahead = Lookahead::new(leaves.len() == 1 && cfg.pushback.is_none() && faults.is_none());
     let mut control_at = cfg
         .control_period
         .map_or(SimTime::MAX, |p| SimTime::ZERO + p);
@@ -730,7 +682,7 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                 };
                 if ticket.is_none() && ahead.on {
                     let sw = &mut *nodes[leaf];
-                    ticket = ahead.fill(&pkt, feed, cfg.end_time, control_at, sw);
+                    ticket = ahead.fill(&pkt, source, cfg.end_time, control_at, sw);
                 }
                 stats.on_arrival(&pkt);
                 arrivals += 1;
@@ -739,7 +691,7 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                 }
                 ingress_at!(leaf, pkt, |p| match ticket.take() {
                     Some(t) => nodes[leaf].ingress_classified(p, t, now, &mut drops_buf),
-                    None => feed.ingress(&mut *nodes[leaf], p, now, &mut drops_buf),
+                    None => nodes[leaf].ingress(p, now, &mut drops_buf),
                 });
                 if let (Some(m), Some(ids)) = (metrics, &ids) {
                     let mut r = m.borrow_mut();
@@ -749,7 +701,7 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
                     }
                     r.observe(ids.4, queued!() as f64);
                 }
-                (pending, ticket) = ahead.pull(feed, cfg.end_time);
+                (pending, ticket) = ahead.pull(source, cfg.end_time);
                 leaf..leaf + 1
             }
         };
@@ -819,12 +771,10 @@ pub(crate) fn drive<F: ArrivalFeed + ?Sized, T: Tracer + ?Sized>(
 
 /// The truncating pull: the first packet at or past the end time is
 /// consumed and discarded, and (because the loop then schedules no
-/// arrival) the feed is never pulled again.
-pub(crate) fn next_arrival<F: ArrivalFeed + ?Sized>(
-    feed: &mut F,
-    end: Option<SimTime>,
-) -> Option<Packet> {
-    let pkt = feed.pull()?;
+/// arrival) the source is never pulled again.
+#[inline]
+pub(crate) fn next_arrival(source: &mut dyn PacketSource, end: Option<SimTime>) -> Option<Packet> {
+    let pkt = source.next_packet()?;
     match end {
         Some(end) if pkt.arrival >= end => None,
         _ => Some(pkt),

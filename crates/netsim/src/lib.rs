@@ -19,7 +19,9 @@
 //! * [`packet`] — packets with full header state plus ground-truth labels.
 //! * [`queue`] — FIFO, RED, strict-priority banks, and rank-ordered PIFO.
 //! * [`rate`] — EWMA rate estimation and token-bucket policing.
-//! * [`source`] — workload streams and the k-way time-ordered merge.
+//! * [`source`] — workload streams and the k-way time-ordered merge;
+//!   [`shard`] — the threaded feed that generates a stream on a producer
+//!   thread.
 //! * [`switch`] / [`engine`] — the defended-switch abstraction and the
 //!   event loop that drives arrivals, transmissions, control ticks and
 //!   (on a tree) link deliveries and pushback messages.
@@ -30,7 +32,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod arena;
 mod calendar;
 pub mod engine;
 pub mod fault;
@@ -56,7 +57,7 @@ pub use latency::DelayHistogram;
 pub use packet::{ClassId, DropReason, Dropped, FiveTuple, Packet};
 pub use queue::{FifoQueue, PifoQueue, PriorityBank, QueueDiscipline, RedConfig, RedQueue};
 pub use rate::{EwmaRate, TokenBucket};
-pub use shard::{flow_shard, fnv1a64, ShardedEngine, MAX_SHARDS};
+pub use shard::{ShardedEngine, ThreadedSource};
 pub use source::{IterSource, MergedSource, PacketSource, VecSource};
 pub use stats::{Counts, StatsCollector};
 pub use switch::{FeatureExtractor, ProgramSwapSwitch, SingleQueueSwitch, Switch};

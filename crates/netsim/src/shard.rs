@@ -1,331 +1,199 @@
-//! The sharded deterministic datapath (DESIGN.md §14).
+//! The threaded feed (DESIGN.md §14): traffic generation on a producer
+//! thread, under the engine's one serial event loop.
 //!
-//! Scaling the packet rate cannot come from running the event loop on
-//! more cores — the loop's outputs are a serial total order that every
-//! golden and corpus differential depends on. What *can* leave the serial
-//! loop is everything upstream of it: workload generation and per-packet
-//! feature extraction. [`ShardedEngine::run_stream`] moves exactly that
-//! work onto a producer thread:
+//! The event loop cannot run on more cores — its outputs are a serial
+//! total order that every golden and corpus differential depends on. What
+//! *can* leave it is the workload generation upstream of it.
+//! [`ThreadedSource`] moves exactly that work onto a producer thread: the
+//! thread pulls the boxed workload source into `BATCH_PKTS`-packet
+//! batches and hands each batch whole to the consumer over a bounded
+//! channel; drained batches return through a second channel, so steady
+//! state allocates nothing.
 //!
-//! * A scoped producer thread pulls the pre-merged source, partitions
-//!   each packet across `N` shards by [`flow_shard`] (FNV-1a of the flow
-//!   five-tuple), and appends it to its shard's `PacketArena`,
-//!   precomputing the switch's classification features into the arena's
-//!   feature column.
-//! * A batch is **sealed** after `BATCH_PKTS` (4096) packets and crosses to
-//!   the consumer whole over a bounded channel; drained batches return
-//!   through a second channel, so steady state allocates nothing. Each
-//!   batch records the shard every pulled packet went to (its `route`
-//!   column), and the consumer replays that column with one cursor per
-//!   shard — which restores the source's own order exactly, so the output
-//!   is byte-identical to the serial engine for every shard count and
-//!   wherever a batch ends.
-//! * The calling thread runs the engine's one event loop
-//!   ([`engine::run`]'s), delivering each arrival through
-//!   [`Switch::ingress_featured`] with its precomputed feature row. The
-//!   switch never crosses threads.
+//! The consumer side is a plain [`PacketSource`] that yields the packets
+//! in the wrapped source's own order, so it slots in underneath whatever
+//! the serial path already does — the fault plane's `FaultedSource`, leaf
+//! placement, pushback, tracing, telemetry and the classify-ahead
+//! lookahead all run unchanged, with byte-identical output.
 //!
-//! The source moves to the producer and must therefore be `Send` — which
-//! the fault plane's `Rc`-shared [`FaultedSource`] is not; the scenario
-//! layer never shards a faulted run. Batches are sealed before
-//! consumption and cross threads whole, which is why this design pays off
-//! where the per-packet channel of the first sharding prototype (see
-//! DESIGN.md §14) lost to serial.
-//!
-//! [`FaultedSource`]: crate::fault::FaultedSource
-//! [`engine::run`]: crate::engine::run
+//! The feed never cuts the stream at the engine's end time: it hands
+//! over every packet the wrapped source yields, and the engine's
+//! truncating pull stays the only place that stops at the end. A feed
+//! that stopped early would show a wrapping `FaultedSource` one packet
+//! fewer than the serial run, and its fault counters would drift.
 
-use crate::arena::PacketArena;
-use crate::engine::{drive, ArrivalFeed, EngineConfig, RunResult};
-use crate::packet::{Dropped, Packet};
+use crate::engine::{run, EngineConfig, RunResult};
+use crate::packet::Packet;
 use crate::source::PacketSource;
-use crate::switch::{FeatureExtractor, Switch};
-use crate::time::SimTime;
-use accturbo_obs::NoopTracer;
+use crate::switch::Switch;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// The largest shard count [`ShardedEngine::new`] accepts. Every batch in
-/// the buffer pool holds one arena per shard, and a batch carries at most
-/// `BATCH_PKTS` packets, so more shards only add empty arenas; the
-/// bound also keeps a shard index within one byte of the route column.
-pub const MAX_SHARDS: usize = 256;
-
-const _: () = assert!(MAX_SHARDS <= u8::MAX as usize + 1);
-
-/// FNV-1a over a byte slice — the shard-partitioning hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The shard a packet's flow five-tuple maps to.
-pub fn flow_shard(p: &Packet, shards: usize) -> usize {
-    let s = p.src.octets();
-    let d = p.dst.octets();
-    let sp = p.sport.to_be_bytes();
-    let dp = p.dport.to_be_bytes();
-    let bytes = [
-        s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3], sp[0], sp[1], dp[0], dp[1], p.proto,
-    ];
-    (fnv1a64(&bytes) % shards as u64) as usize
-}
-
-/// Packets per sealed batch. The consumer replays each batch's route
-/// column in pull order, so where a batch ends cannot change the output;
-/// the bound only sets the hand-off granularity and caps resident memory.
+/// Packets per batch. Where a batch ends cannot change the output; the
+/// bound only sets the hand-off granularity and caps resident memory.
 const BATCH_PKTS: usize = 4096;
 
-/// Sealed batches the producer may queue ahead of the consumer.
+/// Full batches the producer may queue ahead of the consumer.
 const QUEUED_BATCHES: usize = 2;
 
 /// Batch buffers in circulation: the queued ones, one being filled and
 /// one being consumed.
 const POOL_BATCHES: usize = QUEUED_BATCHES + 2;
 
-/// One sealed batch: an arena per shard, each holding its packets in pull
-/// order, plus the shard each pulled packet went to.
-#[derive(Default)]
-struct Batch {
-    arenas: Vec<PacketArena>,
-    /// Shard index of every packet in the batch, in pull order.
-    route: Vec<u8>,
+/// A [`PacketSource`] whose packets are generated on a producer thread:
+/// the wrapped source's stream, in its own order, delivered in batches.
+///
+/// A panic on the producer is re-raised by the consumer once the stream
+/// reaches it; it never surfaces as a short stream.
+pub struct ThreadedSource {
+    /// The batch being consumed, and the next packet in it.
+    batch: Vec<Packet>,
+    pos: usize,
+    /// Full batches from the producer, drained ones back to it; `None`
+    /// once the stream has ended.
+    full: Option<Receiver<Vec<Packet>>>,
+    spent: Option<SyncSender<Vec<Packet>>>,
+    producer: Option<JoinHandle<()>>,
 }
 
-impl Batch {
-    fn new(shards: usize, feature_width: usize) -> Self {
-        Batch {
-            arenas: (0..shards)
-                .map(|_| PacketArena::new(feature_width))
-                .collect(),
-            route: Vec::with_capacity(BATCH_PKTS),
+impl ThreadedSource {
+    /// Starts a producer thread pulling `source`.
+    pub fn new(source: Box<dyn PacketSource + Send>) -> Self {
+        let (full_tx, full_rx) = sync_channel(QUEUED_BATCHES);
+        let (spent_tx, spent_rx) = sync_channel(POOL_BATCHES);
+        let producer = std::thread::spawn(move || produce(source, full_tx, spent_rx));
+        ThreadedSource {
+            batch: Vec::new(),
+            pos: 0,
+            full: Some(full_rx),
+            spent: Some(spent_tx),
+            producer: Some(producer),
         }
     }
 
-    fn clear(&mut self) {
-        self.arenas.iter_mut().for_each(PacketArena::clear);
-        self.route.clear();
+    /// Drops both channel ends, so a producer blocked on either wakes up
+    /// and exits, then joins it and returns its panic, if any.
+    fn stop(&mut self) -> std::thread::Result<()> {
+        self.full = None;
+        self.spent = None;
+        self.producer.take().map_or(Ok(()), JoinHandle::join)
     }
 }
 
-/// The producer stage: owns the pre-merged source and, on its own
-/// thread, partitions each packet by [`flow_shard`], fills the shard
-/// arenas (feature rows included) and seals count-bounded batches for
-/// the serial consumer.
-struct StreamProducer {
-    source: Box<dyn PacketSource + Send>,
-    shards: usize,
-    extractor: Option<FeatureExtractor>,
-    /// The engine's end time: the first packet at or past it is pulled,
-    /// discarded, and ends the stream — the serial engine's truncation.
-    end: Option<SimTime>,
-}
-
-impl StreamProducer {
-    /// Seals batches into `sealed` until the stream ends or the consumer
-    /// hangs up. Buffers come fresh until the pool is full, then back
-    /// from the consumer through `spent` in FIFO order — batch `k` always
-    /// reuses buffer `k mod POOL_BATCHES`, so the warm-up allocations are
-    /// a function of the traffic, not of thread timing.
-    fn run(mut self, sealed: SyncSender<Batch>, spent: Receiver<Batch>) {
-        let width = self.extractor.as_ref().map_or(0, |e| e.width());
-        let end = self.end;
-        let mut fresh = POOL_BATCHES;
-        loop {
-            let mut batch = if fresh > 0 {
-                fresh -= 1;
-                Batch::new(self.shards, width)
-            } else {
-                match spent.recv() {
-                    Ok(mut b) => {
-                        b.clear();
-                        b
-                    }
-                    Err(_) => return,
+/// The producer loop: fills batches from `source` until it is exhausted
+/// or the consumer hangs up. Buffers come fresh until the pool is full,
+/// then back from the consumer through `spent` in FIFO order — batch `k`
+/// always reuses buffer `k mod POOL_BATCHES`, so the warm-up allocations
+/// are a function of the traffic, not of thread timing.
+fn produce(
+    mut source: Box<dyn PacketSource + Send>,
+    full: SyncSender<Vec<Packet>>,
+    spent: Receiver<Vec<Packet>>,
+) {
+    let mut fresh = POOL_BATCHES;
+    loop {
+        let mut batch = if fresh > 0 {
+            fresh -= 1;
+            Vec::with_capacity(BATCH_PKTS)
+        } else {
+            match spent.recv() {
+                Ok(mut b) => {
+                    b.clear();
+                    b
                 }
-            };
-            let mut ended = false;
-            while batch.route.len() < BATCH_PKTS {
-                let Some(pkt) = self
-                    .source
-                    .next_packet()
-                    .filter(|p| end.is_none_or(|e| p.arrival < e))
-                else {
+                Err(_) => return,
+            }
+        };
+        let mut ended = false;
+        while batch.len() < BATCH_PKTS {
+            match source.next_packet() {
+                Some(pkt) => batch.push(pkt),
+                None => {
                     ended = true;
                     break;
-                };
-                let shard = flow_shard(&pkt, self.shards);
-                batch.route.push(shard as u8);
-                batch.arenas[shard].push(pkt, self.extractor.as_ref());
+                }
             }
-            if !batch.route.is_empty() && sealed.send(batch).is_err() {
-                return;
-            }
-            if ended {
-                return;
-            }
+        }
+        // A failed send means the consumer hung up.
+        if (!batch.is_empty() && full.send(batch).is_err()) || ended {
+            return;
         }
     }
 }
 
-/// The consumer side: replays each sealed batch's route column into the
-/// event loop, then returns the drained batch to the producer.
-struct ShardFeed {
-    batch: Batch,
-    /// Next position in `batch.route`.
-    pos: usize,
-    /// Next arena row per shard.
-    cursors: Vec<u32>,
-    /// Arena coordinates `(shard, row)` of the last-pulled packet.
-    last: (usize, usize),
-    sealed: Receiver<Batch>,
-    spent: SyncSender<Batch>,
-}
-
-impl ShardFeed {
-    fn new(shards: usize, sealed: Receiver<Batch>, spent: SyncSender<Batch>) -> Self {
-        ShardFeed {
-            batch: Batch::default(),
-            pos: 0,
-            cursors: vec![0; shards],
-            last: (0, 0),
-            sealed,
-            spent,
-        }
-    }
-
-    /// Replaces the drained batch with the next sealed one. Returns
-    /// `false` at end of stream — or after a producer panic, which
-    /// `run_stream` re-raises after the join.
-    fn refill(&mut self) -> bool {
-        let Ok(batch) = self.sealed.recv() else {
-            return false;
-        };
-        let drained = std::mem::replace(&mut self.batch, batch);
-        if !drained.arenas.is_empty() {
-            // The channel holds the whole pool, so this fails only once
-            // the producer has finished.
-            let _ = self.spent.try_send(drained);
-        }
-        self.pos = 0;
-        self.cursors.fill(0);
-        true
-    }
-}
-
-impl ArrivalFeed for ShardFeed {
+impl PacketSource for ThreadedSource {
     #[inline]
-    fn pull(&mut self) -> Option<Packet> {
+    fn next_packet(&mut self) -> Option<Packet> {
         loop {
-            if let Some(&shard) = self.batch.route.get(self.pos) {
+            if let Some(pkt) = self.batch.get(self.pos) {
                 self.pos += 1;
-                let shard = usize::from(shard);
-                let row = self.cursors[shard] as usize;
-                self.cursors[shard] += 1;
-                self.last = (shard, row);
-                return Some(self.batch.arenas[shard].packet(row).clone());
+                return Some(pkt.clone());
             }
-            if !self.refill() {
+            let next = self.full.as_ref()?.recv();
+            let Ok(batch) = next else {
+                // The producer has exited: at the end of the stream, or
+                // with a panic, which must not pass for the end.
+                if let Err(panic) = self.stop() {
+                    std::panic::resume_unwind(panic);
+                }
                 return None;
+            };
+            let drained = std::mem::replace(&mut self.batch, batch);
+            if drained.capacity() > 0 {
+                if let Some(spent) = &self.spent {
+                    // The channel holds the whole pool, so this fails
+                    // only once the producer has finished.
+                    let _ = spent.try_send(drained);
+                }
+            }
+            self.pos = 0;
+        }
+    }
+}
+
+impl Drop for ThreadedSource {
+    fn drop(&mut self) {
+        if let Err(panic) = self.stop() {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
             }
         }
     }
-
-    #[inline]
-    fn ingress(
-        &mut self,
-        switch: &mut dyn Switch,
-        pkt: Packet,
-        now: SimTime,
-        drops: &mut Vec<Dropped>,
-    ) {
-        let (shard, row) = self.last;
-        let features = self.batch.arenas[shard].features_row(row);
-        switch.ingress_featured(pkt, features, now, drops);
-    }
 }
 
-/// The sharded datapath: a producer thread feeding the engine's event
-/// loop with sealed shard batches.
+/// [`run`] over a [`ThreadedSource`], for callers that hand over a whole
+/// stream at once (the end-to-end benchmark package). The shard count
+/// changes nothing: one producer thread generates the whole stream.
 #[derive(Debug, Clone)]
-pub struct ShardedEngine {
-    shards: usize,
-}
+pub struct ShardedEngine(());
 
 impl ShardedEngine {
-    /// An engine with `shards` generation shards (`1` is valid and is the
-    /// plain batched datapath). Panics outside `1..=MAX_SHARDS`.
+    /// The threaded engine. `shards` must be at least 1.
     pub fn new(shards: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "shard count {shards} outside 1..={MAX_SHARDS}"
-        );
-        ShardedEngine { shards }
+        assert!(shards >= 1, "shard count must be at least 1");
+        ShardedEngine(())
     }
 
-    /// Runs a pre-merged `source` through `switch`, partitioning by flow
-    /// hash. Result-identical to `run(&mut source, switch, cfg)`.
-    ///
-    /// A two-stage pipeline: a scoped producer thread pulls `source`,
-    /// partitions and feature-extracts it into sealed batches, while the
-    /// calling thread runs the serial event loop — the switch never
-    /// crosses threads. A panic on the producer is re-raised here; it
-    /// never surfaces as a truncated result.
+    /// Runs `source` through `switch`, generating it on a producer
+    /// thread. Result-identical to `run(&mut source, switch, cfg)`.
     pub fn run_stream(
         &self,
         source: Box<dyn PacketSource + Send>,
         switch: &mut dyn Switch,
         cfg: &EngineConfig,
     ) -> RunResult {
-        let producer = StreamProducer {
-            source,
-            shards: self.shards,
-            extractor: switch.feature_extractor(),
-            end: cfg.end_time,
-        };
-        std::thread::scope(|scope| {
-            let (sealed_tx, sealed_rx) = sync_channel(QUEUED_BATCHES);
-            let (spent_tx, spent_rx) = sync_channel(POOL_BATCHES);
-            let handle = std::thread::Builder::new()
-                .name("shard-feed".into())
-                .spawn_scoped(scope, move || producer.run(sealed_tx, spent_rx))
-                .expect("cannot spawn the shard feed thread");
-            // The feed — and with it both channel ends — is dropped
-            // before the join (also while unwinding from a switch panic),
-            // so a producer blocked on either channel always wakes up and
-            // exits.
-            let result = {
-                let mut feed = ShardFeed::new(self.shards, sealed_rx, spent_tx);
-                let (topo, tcfg) = cfg.one_node();
-                let nodes = &mut [switch];
-                let (tracer, place) = (&mut NoopTracer, &mut |_: &Packet| 0);
-                drive(
-                    &mut feed, &topo, nodes, place, &tcfg, tracer, None, None, None,
-                )
-                .result
-            };
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-            result
-        })
+        run(&mut ThreadedSource::new(source), switch, cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::packet::Dropped;
     use crate::queue::FifoQueue;
     use crate::source::{IterSource, MergedSource, VecSource};
     use crate::switch::SingleQueueSwitch;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
     use crate::units::Bandwidth;
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -362,35 +230,24 @@ mod tests {
             .with_end_time(SimTime::from_millis(3))
     }
 
-    fn result_fingerprint(r: &RunResult) -> (u64, u64, u64, SimTime) {
-        (r.arrivals, r.departures, r.drops, r.final_time)
-    }
-
     #[test]
     fn run_stream_matches_serial_run() {
         let mut serial_src = MergedSource::new(sources(5));
         let mut serial_sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
         let serial = run(&mut serial_src, &mut serial_sw, &cfg());
-        for shards in [1, 2, 8] {
-            let mut sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
-            let src = Box::new(MergedSource::new(sources(5)));
-            let res = ShardedEngine::new(shards).run_stream(src, &mut sw, &cfg());
-            assert_eq!(
-                result_fingerprint(&serial),
-                result_fingerprint(&res),
-                "shards={shards}"
-            );
-        }
+        let mut sw = SingleQueueSwitch::new(FifoQueue::new(8_000));
+        let src = Box::new(MergedSource::new(sources(5)));
+        let res = ShardedEngine::new(2).run_stream(src, &mut sw, &cfg());
+        assert_eq!(format!("{serial:?}"), format!("{res:?}"));
     }
 
-    /// A switch that records the exact ingress stream (seq, arrival, and
-    /// the feature row it was handed) — the strongest identity probe.
+    /// A switch that records the exact ingress stream (seq and arrival).
     struct Recording {
         inner: SingleQueueSwitch<FifoQueue>,
-        seen: Vec<(u64, SimTime, Vec<u32>)>,
+        seen: Vec<(u64, SimTime)>,
         /// Holds the first ingress until the counter reaches the target:
-        /// the stream producer has run ahead as far as it can and is
-        /// parked on its full channel.
+        /// the producer has run ahead as far as it can and is parked on
+        /// its full channel.
         gate: Option<(Arc<AtomicU64>, u64)>,
     }
 
@@ -409,27 +266,8 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-            self.seen.push((pkt.seq, pkt.arrival, vec![pkt.size]));
+            self.seen.push((pkt.seq, pkt.arrival));
             self.inner.ingress(pkt, now, drops);
-        }
-        fn ingress_featured(
-            &mut self,
-            pkt: Packet,
-            features: &[u32],
-            now: SimTime,
-            drops: &mut Vec<Dropped>,
-        ) {
-            assert_eq!(features, [pkt.size], "precomputed row must match");
-            self.ingress(pkt, now, drops);
-        }
-        fn feature_extractor(&self) -> Option<FeatureExtractor> {
-            Some(FeatureExtractor::new(
-                1,
-                std::sync::Arc::new(|p: &Packet, out: &mut Vec<u32>| {
-                    out.clear();
-                    out.push(p.size);
-                }),
-            ))
         }
         fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
             self.inner.dequeue(now)
@@ -439,37 +277,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn featured_ingress_stream_is_identical_to_serial() {
-        let mut serial_sw = recording();
-        let mut serial_src = MergedSource::new(sources(6));
-        run(&mut serial_src, &mut serial_sw, &cfg());
-        for shards in [1, 2, 8] {
-            let mut sw = recording();
-            let src = Box::new(MergedSource::new(sources(6)));
-            ShardedEngine::new(shards).run_stream(src, &mut sw, &cfg());
-            assert_eq!(serial_sw.seen, sw.seen, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn fnv_partition_is_stable() {
-        // The partition function is part of the determinism contract:
-        // pin a few values so an accidental hash change cannot hide.
-        assert_eq!(fnv1a64(b""), FNV_OFFSET);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        let p = Packet::new(SimTime::ZERO)
-            .with_src(Ipv4Addr::new(10, 0, 0, 1))
-            .with_dst(Ipv4Addr::new(20, 0, 0, 2))
-            .with_ports(1234, 443)
-            .with_proto(6);
-        assert_eq!(flow_shard(&p, 8), flow_shard(&p.clone(), 8));
-    }
-
-    /// Packet `i` of the stream-mode probe: three packets per timestamp,
-    /// so equal arrival times straddle every batch boundary
-    /// (`BATCH_PKTS % 3 != 0`), spread over enough flows to fill every
-    /// shard.
+    /// Packet `i` of the stream probe: three packets per timestamp, so
+    /// equal arrival times straddle every batch boundary
+    /// (`BATCH_PKTS % 3 != 0`).
     fn stream_packet(i: u64) -> Packet {
         let mut p = Packet::new(SimTime::from_micros(i / 3 * 10))
             .with_size(200 + (i % 5) as u32 * 100)
@@ -499,11 +309,11 @@ mod tests {
         }
     }
 
-    /// Runs `source()` serially and through `run_stream` at several
-    /// shard counts, asserting the full `RunResult` and the recorded
-    /// ingress stream (seq, arrival, precomputed feature row) agree.
-    /// `gated` holds the consumer at its first packet until the producer
-    /// has filled the whole buffer pool and is parked on its full channel.
+    /// Runs `source()` serially and through a [`ThreadedSource`],
+    /// asserting the full `RunResult` and the recorded ingress stream
+    /// agree. `gated` holds the consumer at its first packet until the
+    /// producer has filled the whole buffer pool and is parked on its
+    /// full channel.
     fn assert_stream_identity<S, F>(source: F, cfg: &EngineConfig, gated: bool, label: &str)
     where
         S: PacketSource + Send + 'static,
@@ -512,35 +322,47 @@ mod tests {
         let mut serial_sw = recording();
         let serial = run(&mut source(), &mut serial_sw, cfg);
         assert!(serial.arrivals > 0, "{label}: the probe must carry traffic");
-        for shards in [1, 2, 3] {
-            let mut sw = recording();
-            let pulled = Arc::new(AtomicU64::new(0));
-            if gated {
-                sw.gate = Some((pulled.clone(), (POOL_BATCHES * BATCH_PKTS) as u64));
-            }
-            let src = Counted {
-                inner: source(),
-                pulled,
-            };
-            let res = ShardedEngine::new(shards).run_stream(Box::new(src), &mut sw, cfg);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{res:?}"),
-                "{label}: RunResult drifted at shards={shards}"
-            );
-            assert!(
-                serial_sw.seen == sw.seen,
-                "{label}: ingress stream drifted at shards={shards}"
-            );
+        let mut sw = recording();
+        let pulled = Arc::new(AtomicU64::new(0));
+        if gated {
+            sw.gate = Some((pulled.clone(), (POOL_BATCHES * BATCH_PKTS) as u64));
         }
+        let src = Counted {
+            inner: source(),
+            pulled,
+        };
+        let res = run(&mut ThreadedSource::new(Box::new(src)), &mut sw, cfg);
+        assert_eq!(
+            format!("{serial:?}"),
+            format!("{res:?}"),
+            "{label}: RunResult drifted"
+        );
+        assert!(serial_sw.seen == sw.seen, "{label}: ingress stream drifted");
     }
 
     #[test]
     fn stream_batch_boundaries_do_not_change_the_run() {
         let b = BATCH_PKTS as u64;
-        for n in [b, b + 1, 3 * b, 3 * b + 1, b - 1] {
+        for n in [b - 1, b, b + 1, 3 * b + 1] {
             let src = || VecSource::new((0..n).map(stream_packet).collect());
             assert_stream_identity(src, &stream_cfg(), false, &format!("{n} packets"));
+        }
+    }
+
+    #[test]
+    fn yields_the_whole_stream_in_order() {
+        // The feed itself never truncates: every packet of the wrapped
+        // source comes out, across batch boundaries, in its order.
+        let b = BATCH_PKTS as u64;
+        for n in [b - 1, b, b + 1] {
+            let mut feed = ThreadedSource::new(Box::new(VecSource::new(
+                (0..n).map(stream_packet).collect(),
+            )));
+            let seqs: Vec<u64> = std::iter::from_fn(|| feed.next_packet())
+                .map(|p| p.seq)
+                .collect();
+            assert_eq!(seqs, (0..n).collect::<Vec<_>>(), "{n} packets");
+            assert!(feed.next_packet().is_none(), "an ended feed stays ended");
         }
     }
 
@@ -548,7 +370,8 @@ mod tests {
     fn unbounded_stream_stops_at_the_end_time() {
         // Five batches before the end time, which falls on a three-packet
         // timestamp tie (all three must be cut). The consumer is gated
-        // until the producer has parked on its full channel.
+        // until the producer has parked on its full channel, and must
+        // release it when the run ends.
         let end = SimTime::from_micros(5 * BATCH_PKTS as u64 / 3 * 10);
         let cfg = stream_cfg().with_end_time(end);
         let src = || IterSource::new((0..).map(stream_packet));
@@ -570,6 +393,14 @@ mod tests {
         }
     }
 
+    fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+        panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn producer_panic_is_reraised_not_truncated() {
         let src = FailingSource {
@@ -578,18 +409,35 @@ mod tests {
         };
         let mut sw = recording();
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ShardedEngine::new(2).run_stream(Box::new(src), &mut sw, &stream_cfg())
+            run(
+                &mut ThreadedSource::new(Box::new(src)),
+                &mut sw,
+                &stream_cfg(),
+            )
         }));
         let panic = out.expect_err("a failed source must not yield a RunResult");
-        let msg = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or_default();
+        let msg = panic_message(&*panic);
         assert!(
             msg.contains("mid-stream"),
             "the source's own panic: {msg:?}"
         );
+    }
+
+    #[test]
+    fn producer_panic_is_reraised_on_drop() {
+        // The consumer stops pulling before the failure reaches it (in
+        // the producer's second batch); the panic still surfaces when the
+        // feed is dropped.
+        let src = FailingSource {
+            next: 0,
+            left: BATCH_PKTS as u64 + 10,
+        };
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut feed = ThreadedSource::new(Box::new(src));
+            assert!(feed.next_packet().is_some());
+        }));
+        let panic = out.expect_err("the producer's panic must not be swallowed");
+        assert!(panic_message(&*panic).contains("mid-stream"));
     }
 
     /// Panics on its `n`-th ingress.
@@ -615,7 +463,7 @@ mod tests {
     #[test]
     fn consumer_panic_releases_a_blocked_producer() {
         // The switch fails early in an endless stream: the producer is
-        // parked on its full channel and must be released, or the scope
+        // parked on its full channel and must be released, or the drop
         // never joins and this test hangs.
         let mut sw = FailingSwitch {
             inner: SingleQueueSwitch::new(FifoQueue::new(8_000)),
@@ -623,8 +471,13 @@ mod tests {
         };
         let src = IterSource::new((0..).map(stream_packet));
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ShardedEngine::new(2).run_stream(Box::new(src), &mut sw, &stream_cfg())
+            run(
+                &mut ThreadedSource::new(Box::new(src)),
+                &mut sw,
+                &stream_cfg(),
+            )
         }));
-        assert!(out.is_err(), "the switch panic must propagate");
+        let panic = out.expect_err("the switch panic must propagate");
+        assert!(panic_message(&*panic).contains("switch failed"));
     }
 }

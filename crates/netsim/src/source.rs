@@ -81,8 +81,8 @@ pub struct MergedSource {
 
 impl MergedSource {
     /// Builds a merge over `sources`. They must be `Send` so the merge
-    /// itself is, and can feed the sharded engine's producer thread
-    /// (`ShardedEngine::run_stream`).
+    /// itself is, and can be generated on a producer thread
+    /// ([`ThreadedSource`](crate::shard::ThreadedSource)).
     pub fn new(sources: Vec<Box<dyn PacketSource + Send>>) -> Self {
         let n = sources.len();
         let mut merged = MergedSource {

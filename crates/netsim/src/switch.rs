@@ -16,15 +16,13 @@ use std::sync::Arc;
 /// output vector with one packet's feature values.
 pub type ExtractFn = Arc<dyn Fn(&Packet, &mut Vec<u32>) + Send + Sync>;
 
-/// A pure per-packet feature extractor a switch can expose (see
-/// [`Switch::feature_extractor`]) so the sharded engine can precompute the
-/// classification features of every packet into its shard arena's
-/// feature column — on the producer thread, off the serial event loop.
+/// A pure per-packet feature extractor a switch can expose through
+/// [`Switch::feature_extractor`]. The engine no longer calls it; the
+/// type stays for switch wrappers that forward the hook.
 ///
 /// The closure must be a pure function of the packet: calling it twice on
 /// the same packet yields the same values, and extraction order carries no
-/// state. That is what makes precomputation byte-identical to extracting
-/// at ingress time.
+/// state.
 #[derive(Clone)]
 pub struct FeatureExtractor {
     width: usize,
@@ -66,10 +64,9 @@ pub trait Switch {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>);
 
     /// [`ingress`](Self::ingress) with the classification features already
-    /// extracted (by this switch's own [`feature_extractor`]). Must be
-    /// observably identical to plain `ingress`; the default simply ignores
-    /// the precomputed values and delegates, so switches without a
-    /// feature-based fast path are correct for free.
+    /// extracted by this switch's own [`feature_extractor`]. The engine
+    /// no longer calls it; the default ignores the values and delegates,
+    /// and a switch wrapper may forward it.
     ///
     /// [`feature_extractor`]: Self::feature_extractor
     fn ingress_featured(
@@ -83,11 +80,8 @@ pub trait Switch {
     }
 
     /// The pure feature extractor of this switch's classification stage,
-    /// if it has one. When `Some`, the sharded engine precomputes each
-    /// packet's feature row on its producer thread; it always delivers
-    /// packets via [`ingress_featured`](Self::ingress_featured), with an
-    /// empty row when this is `None` (the default), which the default
-    /// `ingress_featured` ignores.
+    /// if it has one (the default has none). The engine no longer calls
+    /// it; a switch wrapper may forward it.
     fn feature_extractor(&self) -> Option<FeatureExtractor> {
         None
     }

@@ -11,8 +11,8 @@ use accturbo_netsim::topology::{
     run_topology, AggLimit, LinkSpec, PushbackPlan, Topology, TopologyConfig,
 };
 use accturbo_netsim::{
-    Bandwidth, Dropped, FifoQueue, Packet, ShardedEngine, SimDuration, SimTime, SingleQueueSwitch,
-    Switch, VecSource,
+    Bandwidth, Dropped, FifoQueue, Packet, SimDuration, SimTime, SingleQueueSwitch, Switch,
+    ThreadedSource, VecSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,11 +150,11 @@ fn lookahead_steady_state_does_not_allocate() {
     );
 }
 
-/// Allocation count of one threaded stream-mode run (`run_stream`, 4
-/// shards) over `n` packets of four interleaved flows. The producer
-/// thread, both channels and the batch-buffer pool are a fixed cost; the
-/// pool's buffers are reused in a fixed rotation, so once every buffer
-/// has been filled once nothing grows with the packet count.
+/// Allocation count of one run over a `ThreadedSource` carrying `n`
+/// packets of four interleaved flows. The producer thread, both channels
+/// and the batch-buffer pool are a fixed cost; the pool's buffers are
+/// reused in a fixed rotation, so once every buffer has been filled once
+/// nothing grows with the packet count.
 fn allocs_during_stream_run(n: u64) -> u64 {
     let packets: Vec<Packet> = (0..n)
         .map(|i| {
@@ -169,7 +169,7 @@ fn allocs_during_stream_run(n: u64) -> u64 {
         .with_stats_interval(SimDuration::from_secs(10))
         .with_control_period(SimDuration::from_millis(10));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let res = ShardedEngine::new(4).run_stream(src, &mut sw, &cfg);
+    let res = run(&mut ThreadedSource::new(src), &mut sw, &cfg);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(res.arrivals, n, "workload must run");
     after - before

@@ -305,15 +305,16 @@ fn scenario_specs_round_trip_through_the_xp_run_sentence() {
         if rng.gen_bool(0.3) {
             spec = spec.with_period(ms(&mut rng, 10, 2000));
         }
+        // Topology, the threaded feed and the fault plane combine
+        // freely, so each is drawn on its own.
         if rng.gen_bool(0.4) {
             spec = spec.with_topology(random_topology(&mut rng));
-        } else if rng.gen_bool(0.3) {
-            // shards= and topology= are mutually exclusive in the CLI, so
-            // the sharded knob only rides on single-switch sentences.
+        }
+        if rng.gen_bool(0.3) {
             spec = spec.with_shards(rng.gen_range(2..=16));
-        } else if rng.gen_bool(0.4) {
-            // The fault plane rides only on serial single-switch
-            // sentences; `xp run` seeds it from the scenario seed.
+        }
+        if rng.gen_bool(0.4) {
+            // `xp run` seeds the fault plane from the scenario seed.
             let mut mix: Vec<(String, f64)> = Vec::new();
             for kind in robustness::FAULT_KINDS {
                 if rng.gen_bool(0.5) {
