@@ -9,7 +9,7 @@
 //! exactly-reproducible point that round-trips through the `pulse:`
 //! workload grammar as a one-line replayable spec.
 //!
-//! The optimizer ([`search`]) is a two-phase loop: seeded random
+//! The optimizer ([`search()`]) is a two-phase loop: seeded random
 //! exploration over the whole space, then batched simulated-annealing
 //! refinement around the incumbent. All PRNG draws happen on the
 //! calling thread in a fixed order and candidate batches are evaluated

@@ -2,18 +2,17 @@
 //! Observability): the plain `run` entry point monomorphizes
 //! `run_streamed` over `NoopTracer`, so the tracing branches must
 //! compile out of the hot path. This bench runs the Fig. 2 ACC-Turbo
-//! workload four ways on identical inputs:
+//! workload three ways on identical inputs:
 //!
-//! * `plain`    — `run` (the pre-observability datapath),
-//! * `noop`     — `run_streamed` with `NoopTracer` and no hooks,
-//!   spelled out at the call site,
-//! * `streamed` — `run_streamed` with telemetry disabled (`None`), the
-//!   path every figure run now takes,
-//! * `active`   — `run_streamed` with a live `RingTracer`, a metrics
+//! * `plain`  — `run` (the pre-observability datapath),
+//! * `noop`   — `run_streamed` with `NoopTracer` and no hooks, spelled
+//!   out at the call site: the path every figure run takes,
+//! * `active` — `run_streamed` with a live `RingTracer`, a metrics
 //!   registry on both engine and switch, and stage timing enabled.
 //!
-//! The budgets are **noop ≤ plain + 2%** and **streamed-disabled ≤
-//! plain + 2%** (medians over samples). The active row is
+//! The budget is **noop ≤ plain + 2%** (medians over samples). The two
+//! gated rows run interleaved sample by sample, so neither gains from
+//! running first on a machine whose speed drifts. The active row is
 //! informational: it is the price of full tracing, not a budget.
 
 use accturbo_bench::{black_box, fmt_ns, overhead_pct, Harness};
@@ -49,48 +48,28 @@ fn fresh() -> (MergedSource, AccTurboSwitch<'static>) {
 fn main() {
     let h = Harness::from_args().with_samples(21);
 
-    let plain = h.run_batched(
-        "obs_overhead/plain_run",
-        None,
+    let mut plain_run = |(mut src, mut sw): (MergedSource, AccTurboSwitch<'static>)| {
+        black_box(run(&mut src, &mut sw, &cfg()));
+    };
+    let mut noop_run = |(mut src, mut sw): (MergedSource, AccTurboSwitch<'static>)| {
+        black_box(run_streamed(
+            &mut src,
+            &mut sw,
+            &cfg(),
+            &mut NoopTracer,
+            None,
+            None,
+            None,
+        ));
+    };
+    let [plain, noop] = <[_; 2]>::try_from(h.run_interleaved(
         fresh,
-        |(mut src, mut sw)| {
-            black_box(run(&mut src, &mut sw, &cfg()));
-        },
-    );
-
-    let noop = h.run_batched(
-        "obs_overhead/noop_tracer",
-        None,
-        fresh,
-        |(mut src, mut sw)| {
-            black_box(run_streamed(
-                &mut src,
-                &mut sw,
-                &cfg(),
-                &mut NoopTracer,
-                None,
-                None,
-                None,
-            ));
-        },
-    );
-
-    let streamed = h.run_batched(
-        "obs_overhead/streamed_disabled",
-        None,
-        fresh,
-        |(mut src, mut sw)| {
-            black_box(run_streamed(
-                &mut src,
-                &mut sw,
-                &cfg(),
-                &mut NoopTracer,
-                None,
-                None,
-                None,
-            ));
-        },
-    );
+        &mut [
+            ("obs_overhead/plain_run", &mut plain_run),
+            ("obs_overhead/noop_tracer", &mut noop_run),
+        ],
+    ))
+    .expect("one entry per row");
 
     let _active = h.run_batched(
         "obs_overhead/active_tracing",
@@ -119,28 +98,19 @@ fn main() {
     );
 
     let mut failed = false;
-    if let Some(plain) = &plain {
-        for (label, row) in [
-            ("noop-instrumented", &noop),
-            ("streamed-disabled", &streamed),
-        ] {
-            let Some(row) = row else { continue };
-            let pct = overhead_pct(plain, row);
-            let verdict = if pct <= 2.0 { "PASS" } else { "FAIL" };
-            println!(
-                "\n{label} vs plain: {:+.2}% (budget +2.00%) ... {}",
-                pct, verdict
-            );
-            println!(
-                "  plain median {}, {label} median {}",
-                fmt_ns(plain.median_ns()),
-                fmt_ns(row.median_ns())
-            );
-            if h.smoke() {
-                println!("  (smoke mode: single iteration, percentage is noise)");
-            } else if pct > 2.0 {
-                failed = true;
-            }
+    if let (Some(plain), Some(noop)) = (&plain, &noop) {
+        let pct = overhead_pct(plain, noop);
+        let verdict = if pct <= 2.0 { "PASS" } else { "FAIL" };
+        println!("\nnoop-instrumented vs plain: {pct:+.2}% (budget +2.00%) ... {verdict}");
+        println!(
+            "  plain median {}, noop-instrumented median {}",
+            fmt_ns(plain.median_ns()),
+            fmt_ns(noop.median_ns())
+        );
+        if h.smoke() {
+            println!("  (smoke mode: single iteration, percentage is noise)");
+        } else if pct > 2.0 {
+            failed = true;
         }
     }
     // A loaded machine can push any single run past the budget; a

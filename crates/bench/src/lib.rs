@@ -172,38 +172,73 @@ impl Harness {
 
         // One calibration pass: warms caches and estimates the cost so
         // each sample aggregates enough iterations to be clock-readable.
-        let state = setup();
-        let t0 = Instant::now();
-        routine(state);
-        let one = t0.elapsed().max(Duration::from_nanos(1));
+        let (iters, samples) = self.plan(time_once(&mut setup, &mut routine));
+        let ns = (0..samples)
+            .map(|_| sample(iters, &mut setup, &mut routine))
+            .collect();
+        Some(self.finish(name, elements, ns, iters))
+    }
 
-        let (iters, samples) = if self.smoke {
-            (1u64, 1usize)
-        } else {
-            let iters = (self.target_sample.as_nanos() / one.as_nanos()).clamp(1, 1_000_000);
-            (iters as u64, self.samples)
-        };
-
-        let mut ns = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut total = Duration::ZERO;
-            for _ in 0..iters {
-                let state = setup();
-                let t = Instant::now();
-                routine(state);
-                total += t.elapsed();
-            }
-            ns.push(total.as_nanos() as f64 / iters as f64);
+    /// Benches `rows` that share one `setup` and are compared with each
+    /// other, interleaved sample by sample (row 0, row 1, …, row 0,
+    /// row 1, …): a machine that speeds up or slows down during the run
+    /// then shifts every row alike instead of favouring the row that
+    /// ran first. Every row runs the same iterations per sample, planned
+    /// from the slowest row's calibration pass. Returns one entry per
+    /// row, `None` where the name filter excludes it.
+    pub fn run_interleaved<T, S>(
+        &self,
+        mut setup: S,
+        rows: &mut [(&str, &mut dyn FnMut(T))],
+    ) -> Vec<Option<Stats>>
+    where
+        S: FnMut() -> T,
+    {
+        let picked: Vec<bool> = rows.iter().map(|(name, _)| self.selected(name)).collect();
+        let mut one = Duration::ZERO;
+        for ((_, routine), _) in rows.iter_mut().zip(&picked).filter(|(_, &p)| p) {
+            one = one.max(time_once(&mut setup, routine));
         }
-        ns.sort_by(f64::total_cmp);
+        let (iters, samples) = self.plan(one);
+        let mut ns = vec![Vec::new(); rows.len()];
+        for _ in 0..samples {
+            for (((_, routine), ns), _) in rows
+                .iter_mut()
+                .zip(&mut ns)
+                .zip(&picked)
+                .filter(|(_, &p)| p)
+            {
+                ns.push(sample(iters, &mut setup, routine));
+            }
+        }
+        rows.iter()
+            .zip(ns)
+            .zip(picked)
+            .map(|(((name, _), ns), p)| p.then(|| self.finish(name, None, ns, iters)))
+            .collect()
+    }
 
+    /// Iterations per sample and samples per bench for a routine whose
+    /// calibration pass took `one`.
+    fn plan(&self, one: Duration) -> (u64, usize) {
+        if self.smoke {
+            return (1, 1);
+        }
+        let one = one.max(Duration::from_nanos(1));
+        let iters = (self.target_sample.as_nanos() / one.as_nanos()).clamp(1, 1_000_000);
+        (iters as u64, self.samples)
+    }
+
+    /// Sorts the samples into a [`Stats`] and prints its report line.
+    fn finish(&self, name: &str, elements: Option<u64>, mut ns: Vec<f64>, iters: u64) -> Stats {
+        ns.sort_by(f64::total_cmp);
         let stats = Stats {
             name: name.to_string(),
             ns_per_iter: ns,
             elements,
         };
         self.report(&stats, iters);
-        Some(stats)
+        stats
     }
 
     fn report(&self, s: &Stats, iters: u64) {
@@ -230,9 +265,32 @@ impl Harness {
     }
 }
 
+/// Runs `routine` once on fresh state and returns its wall time.
+fn time_once<T>(setup: &mut impl FnMut() -> T, routine: &mut (impl FnMut(T) + ?Sized)) -> Duration {
+    let state = setup();
+    let t0 = Instant::now();
+    routine(state);
+    t0.elapsed()
+}
+
+/// One sample: the mean nanoseconds of `iters` timed iterations, each
+/// on fresh (untimed) `setup` state.
+fn sample<T>(
+    iters: u64,
+    setup: &mut impl FnMut() -> T,
+    routine: &mut (impl FnMut(T) + ?Sized),
+) -> f64 {
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        total += time_once(setup, routine);
+    }
+    total.as_nanos() as f64 / iters as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn median_of_odd_and_even_sample_counts() {
@@ -275,6 +333,33 @@ mod tests {
         let stats = h.run("count_calls", || calls += 1).unwrap();
         assert_eq!(calls, 2);
         assert_eq!(stats.ns_per_iter.len(), 1);
+    }
+
+    #[test]
+    fn interleaved_rows_alternate_sample_by_sample() {
+        let h = Harness::new(false, vec!["row_".into()]).with_samples(3);
+        let order = RefCell::new(Vec::new());
+        let mut a = |()| order.borrow_mut().push('a');
+        let mut b = |()| order.borrow_mut().push('b');
+        let mut c = |()| order.borrow_mut().push('c');
+        let stats = h.run_interleaved(
+            || (),
+            &mut [("row_a", &mut a), ("skipped", &mut c), ("row_b", &mut b)],
+        );
+        assert!(stats[1].is_none(), "the filter still applies");
+        let (a, b) = (stats[0].as_ref().unwrap(), stats[2].as_ref().unwrap());
+        assert_eq!((a.ns_per_iter.len(), b.ns_per_iter.len()), (3, 3));
+        // Calibration visits each row once, then every sample round runs
+        // the same iteration count of each row in turn.
+        let order = order.into_inner();
+        let iters = (order.len() - 2) / 6;
+        let round: Vec<char> = std::iter::repeat_n('a', iters)
+            .chain(std::iter::repeat_n('b', iters))
+            .collect();
+        assert_eq!(order[..2], ['a', 'b']);
+        for chunk in order[2..].chunks(2 * iters) {
+            assert_eq!(chunk, &round[..]);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::kernel::{
     LaneColumns, Lanes, Nearest,
 };
 use accturbo_netsim::Packet;
-use accturbo_obs::{Event, Tracer};
+use accturbo_obs::{Event, NoopTracer, Tracer};
 
 /// Reference (pre-specialization) kernel control, compiled only with the
 /// `reference` cargo feature. The differential tests and the
@@ -666,11 +666,7 @@ impl OnlineClusterer {
 
     /// Assigns `pkt` to a cluster and returns the cluster index.
     pub fn assign(&mut self, pkt: &Packet) -> usize {
-        let mut values = std::mem::take(&mut self.scratch);
-        self.cfg.features.extract_into(pkt, &mut values);
-        let idx = self.assign_values(&values, pkt.size);
-        self.scratch = values;
-        idx
+        self.assign_traced(pkt, &mut NoopTracer, 0).cluster
     }
 
     /// Like [`assign`](Self::assign), but emits `cluster_seed` /

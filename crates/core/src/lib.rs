@@ -24,6 +24,6 @@ pub mod resources;
 
 pub use config::AccTurboConfig;
 pub use ideal::IdealPifoSwitch;
-pub use pipeline::{AccTurboSwitch, ClassifyTap};
+pub use pipeline::AccTurboSwitch;
 pub use ranked::RankedAccTurboSwitch;
 pub use resources::{fits, max_clusters, usage, Target, Usage, TOFINO1, TOFINO2, TOFINO3};

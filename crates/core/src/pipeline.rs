@@ -17,17 +17,12 @@ use accturbo_netsim::{
     Dropped, FaultInjector, Packet, PriorityBank, QueueDiscipline, SimTime, Switch,
 };
 use accturbo_obs::{
-    CounterId, Event, GaugeId, HistogramId, MetricsHandle, StageClock, StageId, Tracer,
+    CounterId, Event, GaugeId, HistogramId, MetricsHandle, NoopTracer, StageClock, StageId, Tracer,
 };
 use accturbo_sched::{
     Controller, DegradationConfig, DegradationPolicy, DegradeAction, FallbackMode,
 };
 use std::time::Instant;
-
-/// Observer invoked on every classified packet: `(packet, cluster, queue)`.
-/// Used by the evaluation to compute purity/recall and scheduling scores
-/// without touching the data path.
-pub type ClassifyTap<'a> = Box<dyn FnMut(&Packet, usize, usize) + 'a>;
 
 /// Pre-registered metric ids for the switch's registry entries.
 struct SwitchMetrics {
@@ -128,7 +123,6 @@ pub struct AccTurboSwitch<'a> {
     stale_window: Vec<WindowStats>,
     stale_sizes: Vec<Option<f64>>,
     have_stale: bool,
-    tap: Option<ClassifyTap<'a>>,
     tracer: Option<Box<dyn Tracer + 'a>>,
     metrics: Option<SwitchMetrics>,
     clock: StageClock,
@@ -171,7 +165,6 @@ impl<'a> AccTurboSwitch<'a> {
             stale_window: Vec::new(),
             stale_sizes: Vec::new(),
             have_stale: false,
-            tap: None,
             tracer: None,
             metrics: None,
             clock,
@@ -179,11 +172,6 @@ impl<'a> AccTurboSwitch<'a> {
             enqueue_stage,
             control_stage,
         }
-    }
-
-    /// Installs a classification observer.
-    pub fn set_tap(&mut self, tap: ClassifyTap<'a>) {
-        self.tap = Some(tap);
     }
 
     /// Installs a trace sink: the switch emits `enqueue`, cluster
@@ -283,7 +271,7 @@ impl<'a> AccTurboSwitch<'a> {
                 tracer.record(
                     now_ns,
                     &Event::Degrade {
-                        action: action.name(),
+                        action: action.name().into(),
                         missed: self.degradation.consecutive_missed(),
                     },
                 );
@@ -294,35 +282,17 @@ impl<'a> AccTurboSwitch<'a> {
 
 impl Switch for AccTurboSwitch<'_> {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
-        // Fast path: no tracer, no metrics, no timing — identical to the
-        // uninstrumented switch.
-        if self.tracer.is_none() && self.metrics.is_none() && !self.clock.enabled() {
-            let cluster = self.clusterer.assign(&pkt);
-            let queue = self.cluster_to_queue[cluster];
-            if let Some(tap) = &mut self.tap {
-                tap(&pkt, cluster, queue);
-            }
-            self.bank.enqueue_to(queue, pkt, now, drops);
-            return;
-        }
-
         let now_ns = now.as_nanos();
         let t0 = self.clock.enabled().then(Instant::now);
         let assignment = match &mut self.tracer {
             Some(tracer) => self.clusterer.assign_traced(&pkt, tracer.as_mut(), now_ns),
-            None => accturbo_clustering::Assignment {
-                cluster: self.clusterer.assign(&pkt),
-                distance: 0.0,
-            },
+            None => self.clusterer.assign_traced(&pkt, &mut NoopTracer, now_ns),
         };
         if let Some(t0) = t0 {
             self.clock.add(self.classify_stage, t0.elapsed());
         }
         let cluster = assignment.cluster;
         let queue = self.cluster_to_queue[cluster];
-        if let Some(tap) = &mut self.tap {
-            tap(&pkt, cluster, queue);
-        }
         let (class, size) = (pkt.class.0, pkt.size);
         if let Some(tracer) = &mut self.tracer {
             if tracer.enabled() {
@@ -362,13 +332,9 @@ impl Switch for AccTurboSwitch<'_> {
     }
 
     fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
-        // A tap, tracer, metrics or stage clock observes each packet at
-        // its ingress, so instrumented runs keep the per-packet path.
-        if self.tap.is_some()
-            || self.tracer.is_some()
-            || self.metrics.is_some()
-            || self.clock.enabled()
-        {
+        // A tracer, metrics or stage clock observes each packet at its
+        // ingress, so instrumented runs keep the per-packet path.
+        if self.tracer.is_some() || self.metrics.is_some() || self.clock.enabled() {
             return false;
         }
         self.batch.fill(&self.clusterer.config().features, pkts);
@@ -433,20 +399,17 @@ impl Switch for AccTurboSwitch<'_> {
         if fresh {
             self.degradation.on_good_tick(now_ns);
         }
-        match &mut self.tracer {
-            Some(tracer) => self.controller.assign_queues_traced_into(
-                &self.window_scratch,
-                &self.sizes_scratch,
-                tracer.as_mut(),
-                now_ns,
-                &mut self.mapping_scratch,
-            ),
-            None => self.controller.assign_queues_into(
-                &self.window_scratch,
-                &self.sizes_scratch,
-                &mut self.mapping_scratch,
-            ),
+        let tracer: &mut dyn Tracer = match &mut self.tracer {
+            Some(tracer) => tracer.as_mut(),
+            None => &mut NoopTracer,
         };
+        self.controller.assign_queues_into(
+            &self.window_scratch,
+            &self.sizes_scratch,
+            tracer,
+            now_ns,
+            &mut self.mapping_scratch,
+        );
         std::mem::swap(&mut self.cluster_to_queue, &mut self.mapping_scratch);
         if let Some(action) = degrade {
             // Past the staleness bound the mapping just derived is built
@@ -553,21 +516,35 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_every_packet() {
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(0u32));
-        let seen2 = std::rc::Rc::clone(&seen);
+    fn tracer_sees_one_enqueue_per_packet() {
+        use accturbo_obs::{shared, RingTracer};
+
+        let tracer = shared(RingTracer::new(10_000));
         let mut sw = switch();
-        sw.set_tap(Box::new(move |_, cluster, queue| {
-            assert!(cluster < 4);
-            assert!(queue < 4);
-            *seen2.borrow_mut() += 1;
-        }));
+        sw.set_tracer(Box::new(std::rc::Rc::clone(&tracer)));
         let mut drops = Vec::new();
         for i in 0..50 {
-            sw.ingress(benign(i), SimTime::ZERO, &mut drops);
+            sw.ingress(benign(i), SimTime::from_nanos(u64::from(i)), &mut drops);
         }
         drop(sw);
-        assert_eq!(*seen.borrow(), 50);
+        let enqueues: Vec<u64> = tracer
+            .borrow()
+            .iter()
+            .filter_map(|(ts, e)| match *e {
+                Event::Enqueue {
+                    queue,
+                    cluster: Some(cluster),
+                    class: 0,
+                    size: 400,
+                } => {
+                    assert!(cluster < 4 && queue < 4);
+                    Some(*ts)
+                }
+                Event::Enqueue { .. } => panic!("enqueue without its cluster: {e:?}"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(enqueues, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

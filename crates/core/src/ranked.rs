@@ -7,7 +7,7 @@
 //! scheduler. [`RankedAccTurboSwitch`] implements that path: every packet
 //! is ranked by its cluster's last-polled score and scheduled by
 //! [`accturbo_sched::SpPifo`] (the strict-priority approximation of a
-//! PIFO, citing the paper's [24]).
+//! PIFO, citing the paper's \[24\]).
 //!
 //! Compared to the cluster→queue mapping, per-packet ranks react to score
 //! changes without waiting for a table update and grade priorities

@@ -24,7 +24,9 @@ use accturbo_netsim::SimDuration;
 use accturbo_sched::RankingAlgorithm;
 use accturbo_telemetry::{f, SchedulingScore};
 use accturbo_traffic::AttackVector;
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Control period for the §8 simulation experiments.
 const POLL: SimDuration = SimDuration::from_millis(50);
@@ -69,15 +71,12 @@ pub fn ranking_score(
     let cfg = day_spec(vec![vector], scale).cic_config(seed);
     let total = cfg.total_duration();
     let mut src = cfg.into_source();
-    let mut score = SchedulingScore::new();
+    let score = Rc::new(RefCell::new(SchedulingScore::new()));
     let mut sw = AccTurboSpec::simulation().with_ranking(ranking).build();
-    sw.set_tap(Box::new(|pkt, _cluster, queue| {
-        score.record(pkt.arrival, queue, pkt.class);
-    }));
+    sw.set_tracer(Box::new(Rc::clone(&score)));
     let secs = total.as_secs_f64().ceil() as u64;
     simulate(&mut src, &mut sw, link_bps, secs, Some(POLL));
-    drop(sw);
-    score.score()
+    score.take().score()
 }
 
 /// The regime where the ranking algorithm decides the outcome: a *tight*

@@ -91,15 +91,10 @@ pub fn accturbo_traced_run(
             } else {
                 0.0
             };
-            let leaked: &'static str = match name {
-                "classify" => "stage_classify_ns_per_call",
-                "enqueue" => "stage_enqueue_ns_per_call",
-                _ => "stage_control_tick_ns_per_call",
-            };
             t.record(
                 ts,
                 &Event::Custom {
-                    name: leaked,
+                    name: format!("stage_{name}_ns_per_call").into(),
                     value: per_call_ns,
                 },
             );

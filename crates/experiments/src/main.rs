@@ -55,7 +55,7 @@ fn export_observability(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
             tracer.borrow_mut().record(
                 span.started_at.as_nanos() as u64,
                 &Event::JobSpan {
-                    job: span.figure,
+                    job: span.figure.into(),
                     seed: span.seed,
                     worker: span.worker,
                     elapsed_ns: span.elapsed.as_nanos() as u64,

@@ -3,13 +3,13 @@
 //! Not a paper figure — a degradation report for the fault-injection
 //! layer. The Fig. 2 workload (four benign CBR aggregates plus the
 //! ramping attack) runs against ACC-Turbo while a seeded
-//! [`FaultSchedule`] perturbs the substrate: control ticks are dropped
-//! or delayed, cluster snapshots go stale, packets are corrupt-dropped
-//! or reordered, and the output link flaps. The sweep crosses fault
-//! intensity with the control-plane polling period and reports, per
-//! cell, the benign goodput retained relative to the fault-free
-//! baseline at the same period, alongside every injection and
-//! degradation counter.
+//! [`FaultSchedule`](accturbo_netsim::FaultSchedule) perturbs the
+//! substrate: control ticks are dropped or delayed, cluster snapshots go
+//! stale, packets are corrupt-dropped or reordered, and the output link
+//! flaps. The sweep crosses fault intensity with the control-plane
+//! polling period and reports, per cell, the benign goodput retained
+//! relative to the fault-free baseline at the same period, alongside
+//! every injection and degradation counter.
 //!
 //! The claim locked down by the golden: degradation is *graceful* —
 //! benign goodput decays boundedly with intensity, the

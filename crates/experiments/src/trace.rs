@@ -8,7 +8,7 @@
 //! possible, the original JSON passed through — and counted so the
 //! caller can print one warning at the end.
 
-use accturbo_obs::{raw_field, OwnedEvent};
+use accturbo_obs::{raw_field, Event};
 use std::io::{self, Write};
 
 /// Counters from one [`dump_to`] pass over a trace.
@@ -20,11 +20,11 @@ pub struct TraceStats {
     pub unknown: usize,
 }
 
-/// Renders one trace line: known events via [`OwnedEvent::pretty`],
+/// Renders one trace line: known events via [`Event::pretty`],
 /// everything else raw in the same column layout so mixed output stays
 /// scannable. Returns the text plus whether the line was unknown.
 pub fn render_line(line: &str) -> (String, bool) {
-    if let Some((ts, ev)) = OwnedEvent::parse_jsonl_line(line) {
+    if let Some((ts, ev)) = Event::parse_jsonl_line(line) {
         return (ev.pretty(ts), false);
     }
     // Future/unknown kind: salvage the timestamp and tag so the line

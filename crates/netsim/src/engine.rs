@@ -484,7 +484,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                             queue: None,
                             class: d.packet.class.0,
                             size: d.packet.size,
-                            reason: d.reason.name(),
+                            reason: d.reason.name().into(),
                         },
                     );
                 }
@@ -791,7 +791,7 @@ pub mod reference {
 
     /// Runs `source` through `switch` with the original per-iteration
     /// `Option`/`SimTime::MAX` sentinel min-scan. Must stay
-    /// result-identical to [`run`](super::run).
+    /// result-identical to [`super::run`].
     pub fn run_reference(
         source: &mut dyn PacketSource,
         switch: &mut dyn Switch,
@@ -951,7 +951,7 @@ mod tests {
 
     #[test]
     fn stats_ticks_precede_every_later_event_under_overload() {
-        use accturbo_obs::{shared, OwnedEvent, Registry, RingTracer};
+        use accturbo_obs::{shared, Event, Registry, RingTracer};
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -981,11 +981,11 @@ mod tests {
         let plain = run(&mut plain_src, &mut plain_sw, &cfg);
         assert_eq!(format!("{res:?}"), format!("{plain:?}"));
 
-        let events: Vec<(u64, OwnedEvent)> = tracer.borrow().iter().cloned().collect();
+        let events: Vec<(u64, Event<'static>)> = tracer.borrow().iter().cloned().collect();
         let interval = cfg.stats_interval.as_nanos();
         let ticks = events
             .iter()
-            .filter(|(_, e)| matches!(e, OwnedEvent::StatsTick { .. }))
+            .filter(|(_, e)| matches!(e, Event::StatsTick { .. }))
             .count();
         assert!(ticks >= 100, "the run must cross many buckets: {ticks}");
         assert!(
@@ -998,7 +998,7 @@ mod tests {
         let mut boundary = u64::MAX;
         for (t, e) in events.iter().rev() {
             match e {
-                OwnedEvent::StatsTick { bucket } => {
+                Event::StatsTick { bucket } => {
                     assert_eq!(*t, bucket * interval);
                     assert!(*t < boundary, "stats ticks out of order");
                     boundary = *t;

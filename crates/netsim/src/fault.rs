@@ -255,7 +255,13 @@ impl FaultSchedule {
             });
         }
         if tracer.enabled() {
-            tracer.record(at.as_nanos(), &Event::FaultInjected { kind, value });
+            tracer.record(
+                at.as_nanos(),
+                &Event::FaultInjected {
+                    kind: kind.into(),
+                    value,
+                },
+            );
         }
     }
 

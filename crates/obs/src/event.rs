@@ -1,18 +1,23 @@
 //! The structured trace-event vocabulary.
 //!
 //! Every datapath decision the ACC-Turbo pipeline makes maps to one
-//! variant here. [`Event`] borrows (so hot-path emission never
-//! allocates); [`OwnedEvent`] is the buffered form kept by ring tracers.
+//! variant here. An [`Event`] borrows its one slice-valued field and its
+//! job label, so hot-path emission never allocates; its names are
+//! `'static` strings, so [`Event::to_static`] buffers all but those two
+//! fields without copying.
 //!
 //! The JSONL schema is one object per line:
 //! `{"ts":<ns>,"ev":"<kind>", ...variant fields...}` — documented per
 //! variant below and in DESIGN.md §"Observability".
 
 use crate::json::{dotted, escape_json, raw_field};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// A borrowed trace event, cheap to construct on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A trace event. Emitters borrow (`Event<'a>`); tracers buffer the
+/// detached form (`Event<'static>`, see [`Event::to_static`]) and
+/// parsing yields it with owned strings.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event<'a> {
     /// A packet was accepted into priority queue `queue`
     /// (`{"queue":q,"cluster":c|null,"class":k,"size":b}`).
@@ -36,7 +41,7 @@ pub enum Event<'a> {
         /// Packet size in bytes.
         size: u32,
         /// Drop reason (tail drop, RED early, policer, ...).
-        reason: &'static str,
+        reason: Cow<'static, str>,
     },
     /// A packet finished transmission on the output link
     /// (`{"class":k,"size":b}`).
@@ -74,7 +79,7 @@ pub enum Event<'a> {
     /// (`{"mapping":[q0,q1,...]}`).
     PriorityRemap {
         /// `mapping[c]` is the queue now serving cluster `c`.
-        mapping: &'a [usize],
+        mapping: Cow<'a, [usize]>,
     },
     /// A control-plane tick ran (`{"tick":n}`).
     ControlTick {
@@ -111,7 +116,7 @@ pub enum Event<'a> {
     /// An ad-hoc named scalar (`{"name":"...","value":v}`).
     Custom {
         /// Event name.
-        name: &'static str,
+        name: Cow<'static, str>,
         /// Scalar payload.
         value: f64,
     },
@@ -121,7 +126,7 @@ pub enum Event<'a> {
     /// from the pool's launch).
     JobSpan {
         /// The job label (the figure's registry name).
-        job: &'a str,
+        job: Cow<'a, str>,
         /// The seed the figure ran at.
         seed: u64,
         /// The worker thread (0-based) that ran the job.
@@ -134,7 +139,7 @@ pub enum Event<'a> {
     /// `stale_snapshot`, `pkt_drop`, `pkt_reorder`, `link_flap`).
     FaultInjected {
         /// Fault kind tag.
-        kind: &'static str,
+        kind: Cow<'static, str>,
         /// Kind-specific magnitude (delay/jitter/window ns, or 0).
         value: f64,
     },
@@ -143,130 +148,8 @@ pub enum Event<'a> {
     /// `keep_last_good`, `fallback_fifo`, `fallback_strict`, `recover`).
     Degrade {
         /// The degradation decision taken.
-        action: &'static str,
+        action: Cow<'static, str>,
         /// Consecutive control ticks missed when the decision was made.
-        missed: u64,
-    },
-}
-
-/// The buffered (owning) form of [`Event`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedEvent {
-    /// See [`Event::Enqueue`].
-    Enqueue {
-        /// Destination priority queue.
-        queue: usize,
-        /// The classifying cluster, when known.
-        cluster: Option<usize>,
-        /// Ground-truth traffic class.
-        class: u16,
-        /// Packet size in bytes.
-        size: u32,
-    },
-    /// See [`Event::Drop`].
-    Drop {
-        /// The rejecting queue, when known.
-        queue: Option<usize>,
-        /// Ground-truth traffic class.
-        class: u16,
-        /// Packet size in bytes.
-        size: u32,
-        /// Drop reason.
-        reason: String,
-    },
-    /// See [`Event::Depart`].
-    Depart {
-        /// Ground-truth traffic class.
-        class: u16,
-        /// Packet size in bytes.
-        size: u32,
-    },
-    /// See [`Event::ClusterSeed`].
-    ClusterSeed {
-        /// The seeded slot.
-        cluster: usize,
-    },
-    /// See [`Event::ClusterAssign`].
-    ClusterAssign {
-        /// The chosen cluster.
-        cluster: usize,
-        /// Pre-admission distance.
-        distance: f64,
-        /// Whether the cluster grew.
-        expanded: bool,
-    },
-    /// See [`Event::ClusterMerge`].
-    ClusterMerge {
-        /// The absorbed slot.
-        from: usize,
-        /// The surviving slot.
-        into: usize,
-    },
-    /// See [`Event::PriorityRemap`].
-    PriorityRemap {
-        /// The deployed cluster → queue mapping.
-        mapping: Vec<usize>,
-    },
-    /// See [`Event::ControlTick`].
-    ControlTick {
-        /// Monotone tick counter.
-        tick: u64,
-    },
-    /// See [`Event::PushbackLimit`].
-    PushbackLimit {
-        /// Index of the upstream switch.
-        upstream: usize,
-        /// Policed prefix address.
-        prefix: u32,
-        /// Prefix length in bits.
-        prefix_len: u8,
-        /// Allocated rate, bits per second.
-        bps: u64,
-    },
-    /// See [`Event::Hop`].
-    Hop {
-        /// The switch the packet was delivered to.
-        node: usize,
-        /// Ground-truth traffic class.
-        class: u16,
-        /// Packet size in bytes.
-        size: u32,
-    },
-    /// See [`Event::StatsTick`].
-    StatsTick {
-        /// Index of the bucket that just began.
-        bucket: u64,
-    },
-    /// See [`Event::Custom`].
-    Custom {
-        /// Event name.
-        name: String,
-        /// Scalar payload.
-        value: f64,
-    },
-    /// See [`Event::JobSpan`].
-    JobSpan {
-        /// The job label (the figure's registry name).
-        job: String,
-        /// The seed the figure ran at.
-        seed: u64,
-        /// The worker thread that ran the job.
-        worker: usize,
-        /// Wall-clock nanoseconds the job took.
-        elapsed_ns: u64,
-    },
-    /// See [`Event::FaultInjected`].
-    FaultInjected {
-        /// Fault kind tag.
-        kind: String,
-        /// Kind-specific magnitude.
-        value: f64,
-    },
-    /// See [`Event::Degrade`].
-    Degrade {
-        /// The degradation decision taken.
-        action: String,
-        /// Consecutive control ticks missed at decision time.
         missed: u64,
     },
 }
@@ -293,16 +176,18 @@ impl Event<'_> {
         }
     }
 
-    /// Converts to the owning form (allocates only for `PriorityRemap`,
-    /// `Drop` and `Custom`).
-    pub fn to_owned(&self) -> OwnedEvent {
+    /// Detaches the event from the data it borrows, for buffering. Only
+    /// a `priority_remap` mapping and a `job_span` label are copied; the
+    /// `'static` names the other variants carry are shared, so buffering
+    /// them allocates nothing.
+    pub fn to_static(&self) -> Event<'static> {
         match *self {
             Event::Enqueue {
                 queue,
                 cluster,
                 class,
                 size,
-            } => OwnedEvent::Enqueue {
+            } => Event::Enqueue {
                 queue,
                 cluster,
                 class,
@@ -312,88 +197,65 @@ impl Event<'_> {
                 queue,
                 class,
                 size,
-                reason,
-            } => OwnedEvent::Drop {
+                ref reason,
+            } => Event::Drop {
                 queue,
                 class,
                 size,
-                reason: reason.to_string(),
+                reason: reason.clone(),
             },
-            Event::Depart { class, size } => OwnedEvent::Depart { class, size },
-            Event::ClusterSeed { cluster } => OwnedEvent::ClusterSeed { cluster },
+            Event::Depart { class, size } => Event::Depart { class, size },
+            Event::ClusterSeed { cluster } => Event::ClusterSeed { cluster },
             Event::ClusterAssign {
                 cluster,
                 distance,
                 expanded,
-            } => OwnedEvent::ClusterAssign {
+            } => Event::ClusterAssign {
                 cluster,
                 distance,
                 expanded,
             },
-            Event::ClusterMerge { from, into } => OwnedEvent::ClusterMerge { from, into },
-            Event::PriorityRemap { mapping } => OwnedEvent::PriorityRemap {
-                mapping: mapping.to_vec(),
+            Event::ClusterMerge { from, into } => Event::ClusterMerge { from, into },
+            Event::PriorityRemap { ref mapping } => Event::PriorityRemap {
+                mapping: Cow::Owned(mapping.to_vec()),
             },
-            Event::ControlTick { tick } => OwnedEvent::ControlTick { tick },
+            Event::ControlTick { tick } => Event::ControlTick { tick },
             Event::PushbackLimit {
                 upstream,
                 prefix,
                 prefix_len,
                 bps,
-            } => OwnedEvent::PushbackLimit {
+            } => Event::PushbackLimit {
                 upstream,
                 prefix,
                 prefix_len,
                 bps,
             },
-            Event::Hop { node, class, size } => OwnedEvent::Hop { node, class, size },
-            Event::StatsTick { bucket } => OwnedEvent::StatsTick { bucket },
-            Event::Custom { name, value } => OwnedEvent::Custom {
-                name: name.to_string(),
+            Event::Hop { node, class, size } => Event::Hop { node, class, size },
+            Event::StatsTick { bucket } => Event::StatsTick { bucket },
+            Event::Custom { ref name, value } => Event::Custom {
+                name: name.clone(),
                 value,
             },
             Event::JobSpan {
-                job,
+                ref job,
                 seed,
                 worker,
                 elapsed_ns,
-            } => OwnedEvent::JobSpan {
-                job: job.to_string(),
+            } => Event::JobSpan {
+                job: Cow::Owned(job.to_string()),
                 seed,
                 worker,
                 elapsed_ns,
             },
-            Event::FaultInjected { kind, value } => OwnedEvent::FaultInjected {
-                kind: kind.to_string(),
+            Event::FaultInjected { ref kind, value } => Event::FaultInjected {
+                kind: kind.clone(),
                 value,
             },
-            Event::Degrade { action, missed } => OwnedEvent::Degrade {
-                action: action.to_string(),
+            Event::Degrade { ref action, missed } => Event::Degrade {
+                action: action.clone(),
                 missed,
             },
-        }
-    }
-}
-
-impl OwnedEvent {
-    /// The event's kind tag, as written in the JSONL `"ev"` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OwnedEvent::Enqueue { .. } => "enqueue",
-            OwnedEvent::Drop { .. } => "drop",
-            OwnedEvent::Depart { .. } => "depart",
-            OwnedEvent::ClusterSeed { .. } => "cluster_seed",
-            OwnedEvent::ClusterAssign { .. } => "cluster_assign",
-            OwnedEvent::ClusterMerge { .. } => "cluster_merge",
-            OwnedEvent::PriorityRemap { .. } => "priority_remap",
-            OwnedEvent::ControlTick { .. } => "control_tick",
-            OwnedEvent::PushbackLimit { .. } => "pushback_limit",
-            OwnedEvent::Hop { .. } => "hop",
-            OwnedEvent::StatsTick { .. } => "stats_tick",
-            OwnedEvent::Custom { .. } => "custom",
-            OwnedEvent::JobSpan { .. } => "job_span",
-            OwnedEvent::FaultInjected { .. } => "fault",
-            OwnedEvent::Degrade { .. } => "degrade",
         }
     }
 
@@ -401,7 +263,7 @@ impl OwnedEvent {
     pub fn write_jsonl(&self, ts_ns: u64, out: &mut String) {
         let _ = write!(out, "{{\"ts\":{ts_ns},\"ev\":\"{}\"", self.kind());
         match self {
-            OwnedEvent::Enqueue {
+            Event::Enqueue {
                 queue,
                 cluster,
                 class,
@@ -416,7 +278,7 @@ impl OwnedEvent {
                 }
                 let _ = write!(out, ",\"class\":{class},\"size\":{size}");
             }
-            OwnedEvent::Drop {
+            Event::Drop {
                 queue,
                 class,
                 size,
@@ -433,13 +295,13 @@ impl OwnedEvent {
                 escape_json(reason, out);
                 out.push('"');
             }
-            OwnedEvent::Depart { class, size } => {
+            Event::Depart { class, size } => {
                 let _ = write!(out, ",\"class\":{class},\"size\":{size}");
             }
-            OwnedEvent::ClusterSeed { cluster } => {
+            Event::ClusterSeed { cluster } => {
                 let _ = write!(out, ",\"cluster\":{cluster}");
             }
-            OwnedEvent::ClusterAssign {
+            Event::ClusterAssign {
                 cluster,
                 distance,
                 expanded,
@@ -448,10 +310,10 @@ impl OwnedEvent {
                 crate::json_f64(*distance, out);
                 let _ = write!(out, ",\"expanded\":{expanded}");
             }
-            OwnedEvent::ClusterMerge { from, into } => {
+            Event::ClusterMerge { from, into } => {
                 let _ = write!(out, ",\"from\":{from},\"into\":{into}");
             }
-            OwnedEvent::PriorityRemap { mapping } => {
+            Event::PriorityRemap { mapping } => {
                 out.push_str(",\"mapping\":[");
                 for (i, q) in mapping.iter().enumerate() {
                     if i > 0 {
@@ -461,10 +323,10 @@ impl OwnedEvent {
                 }
                 out.push(']');
             }
-            OwnedEvent::ControlTick { tick } => {
+            Event::ControlTick { tick } => {
                 let _ = write!(out, ",\"tick\":{tick}");
             }
-            OwnedEvent::PushbackLimit {
+            Event::PushbackLimit {
                 upstream,
                 prefix,
                 prefix_len,
@@ -476,19 +338,19 @@ impl OwnedEvent {
                     dotted(*prefix)
                 );
             }
-            OwnedEvent::Hop { node, class, size } => {
+            Event::Hop { node, class, size } => {
                 let _ = write!(out, ",\"node\":{node},\"class\":{class},\"size\":{size}");
             }
-            OwnedEvent::StatsTick { bucket } => {
+            Event::StatsTick { bucket } => {
                 let _ = write!(out, ",\"bucket\":{bucket}");
             }
-            OwnedEvent::Custom { name, value } => {
+            Event::Custom { name, value } => {
                 out.push_str(",\"name\":\"");
                 escape_json(name, out);
                 out.push_str("\",\"value\":");
                 crate::json_f64(*value, out);
             }
-            OwnedEvent::JobSpan {
+            Event::JobSpan {
                 job,
                 seed,
                 worker,
@@ -501,13 +363,13 @@ impl OwnedEvent {
                     "\",\"seed\":{seed},\"worker\":{worker},\"elapsed_ns\":{elapsed_ns}"
                 );
             }
-            OwnedEvent::FaultInjected { kind, value } => {
+            Event::FaultInjected { kind, value } => {
                 out.push_str(",\"kind\":\"");
                 escape_json(kind, out);
                 out.push_str("\",\"value\":");
                 crate::json_f64(*value, out);
             }
-            OwnedEvent::Degrade { action, missed } => {
+            Event::Degrade { action, missed } => {
                 out.push_str(",\"action\":\"");
                 escape_json(action, out);
                 let _ = write!(out, "\",\"missed\":{missed}");
@@ -520,7 +382,7 @@ impl OwnedEvent {
     pub fn pretty(&self, ts_ns: u64) -> String {
         let t = ts_ns as f64 / 1e9;
         match self {
-            OwnedEvent::Enqueue {
+            Event::Enqueue {
                 queue,
                 cluster,
                 class,
@@ -531,7 +393,7 @@ impl OwnedEvent {
                 ),
                 None => format!("{t:>12.6}s  ENQUEUE   q{queue} (class {class}, {size} B)"),
             },
-            OwnedEvent::Drop {
+            Event::Drop {
                 queue,
                 class,
                 size,
@@ -542,13 +404,13 @@ impl OwnedEvent {
                 }
                 None => format!("{t:>12.6}s  DROP      (class {class}, {size} B, {reason})"),
             },
-            OwnedEvent::Depart { class, size } => {
+            Event::Depart { class, size } => {
                 format!("{t:>12.6}s  DEPART    (class {class}, {size} B)")
             }
-            OwnedEvent::ClusterSeed { cluster } => {
+            Event::ClusterSeed { cluster } => {
                 format!("{t:>12.6}s  SEED      cluster {cluster}")
             }
-            OwnedEvent::ClusterAssign {
+            Event::ClusterAssign {
                 cluster,
                 distance,
                 expanded,
@@ -556,16 +418,16 @@ impl OwnedEvent {
                 "{t:>12.6}s  ASSIGN    cluster {cluster} (distance {distance:.1}{})",
                 if *expanded { ", expanded" } else { "" }
             ),
-            OwnedEvent::ClusterMerge { from, into } => {
+            Event::ClusterMerge { from, into } => {
                 format!("{t:>12.6}s  MERGE     cluster {from} -> {into}")
             }
-            OwnedEvent::PriorityRemap { mapping } => {
+            Event::PriorityRemap { mapping } => {
                 format!("{t:>12.6}s  REMAP     cluster->queue {mapping:?}")
             }
-            OwnedEvent::ControlTick { tick } => {
+            Event::ControlTick { tick } => {
                 format!("{t:>12.6}s  TICK      #{tick}")
             }
-            OwnedEvent::PushbackLimit {
+            Event::PushbackLimit {
                 upstream,
                 prefix,
                 prefix_len,
@@ -574,16 +436,16 @@ impl OwnedEvent {
                 "{t:>12.6}s  PUSHBACK  upstream {upstream}: {}/{prefix_len} limited to {bps} bps",
                 dotted(*prefix)
             ),
-            OwnedEvent::Hop { node, class, size } => {
+            Event::Hop { node, class, size } => {
                 format!("{t:>12.6}s  HOP       -> node {node} class {class} size {size}")
             }
-            OwnedEvent::StatsTick { bucket } => {
+            Event::StatsTick { bucket } => {
                 format!("{t:>12.6}s  STATS     bucket {bucket}")
             }
-            OwnedEvent::Custom { name, value } => {
+            Event::Custom { name, value } => {
                 format!("{t:>12.6}s  CUSTOM    {name} = {value}")
             }
-            OwnedEvent::JobSpan {
+            Event::JobSpan {
                 job,
                 seed,
                 worker,
@@ -592,22 +454,22 @@ impl OwnedEvent {
                 "{t:>12.6}s  JOB       {job} (seed {seed}) on worker {worker}: {:.3}s",
                 *elapsed_ns as f64 / 1e9
             ),
-            OwnedEvent::FaultInjected { kind, value } => {
+            Event::FaultInjected { kind, value } => {
                 format!("{t:>12.6}s  FAULT     {kind} (value {value})")
             }
-            OwnedEvent::Degrade { action, missed } => {
+            Event::Degrade { action, missed } => {
                 format!("{t:>12.6}s  DEGRADE   {action} ({missed} ticks missed)")
             }
         }
     }
 
     /// Parses one JSONL line produced by
-    /// [`write_jsonl`](OwnedEvent::write_jsonl) back into `(ts_ns, event)`.
+    /// [`write_jsonl`](Event::write_jsonl) back into `(ts_ns, event)`.
     ///
     /// This is a schema-specific reader for the tracer's own flat output,
     /// not a general JSON parser; unknown kinds and malformed lines yield
     /// `None`.
-    pub fn parse_jsonl_line(line: &str) -> Option<(u64, OwnedEvent)> {
+    pub fn parse_jsonl_line(line: &str) -> Option<(u64, Event<'static>)> {
         let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
         let ts: u64 = raw_field(body, "ts")?.parse().ok()?;
         let num = |key: &str| raw_field(body, key)?.parse::<u64>().ok();
@@ -621,31 +483,31 @@ impl OwnedEvent {
         };
         let string = |key: &str| Some(raw_field(body, key)?.trim_matches('"').to_string());
         let ev = match raw_field(body, "ev")?.trim_matches('"') {
-            "enqueue" => OwnedEvent::Enqueue {
+            "enqueue" => Event::Enqueue {
                 queue: num("queue")? as usize,
                 cluster: opt("cluster")?,
                 class: num("class")? as u16,
                 size: num("size")? as u32,
             },
-            "drop" => OwnedEvent::Drop {
+            "drop" => Event::Drop {
                 queue: opt("queue")?,
                 class: num("class")? as u16,
                 size: num("size")? as u32,
-                reason: string("reason")?,
+                reason: string("reason")?.into(),
             },
-            "depart" => OwnedEvent::Depart {
+            "depart" => Event::Depart {
                 class: num("class")? as u16,
                 size: num("size")? as u32,
             },
-            "cluster_seed" => OwnedEvent::ClusterSeed {
+            "cluster_seed" => Event::ClusterSeed {
                 cluster: num("cluster")? as usize,
             },
-            "cluster_assign" => OwnedEvent::ClusterAssign {
+            "cluster_assign" => Event::ClusterAssign {
                 cluster: num("cluster")? as usize,
                 distance: raw_field(body, "distance")?.parse().ok()?,
                 expanded: raw_field(body, "expanded")? == "true",
             },
-            "cluster_merge" => OwnedEvent::ClusterMerge {
+            "cluster_merge" => Event::ClusterMerge {
                 from: num("from")? as usize,
                 into: num("into")? as usize,
             },
@@ -661,9 +523,11 @@ impl OwnedEvent {
                         .collect::<Result<Vec<_>, _>>()
                         .ok()?
                 };
-                OwnedEvent::PriorityRemap { mapping }
+                Event::PriorityRemap {
+                    mapping: mapping.into(),
+                }
             }
-            "control_tick" => OwnedEvent::ControlTick { tick: num("tick")? },
+            "control_tick" => Event::ControlTick { tick: num("tick")? },
             "pushback_limit" => {
                 let raw = string("prefix")?;
                 let (addr, len) = raw.split_once('/')?;
@@ -671,37 +535,37 @@ impl OwnedEvent {
                 for octet in addr.split('.') {
                     prefix = (prefix << 8) | octet.parse::<u32>().ok()?;
                 }
-                OwnedEvent::PushbackLimit {
+                Event::PushbackLimit {
                     upstream: num("upstream")? as usize,
                     prefix,
                     prefix_len: len.parse().ok()?,
                     bps: num("bps")?,
                 }
             }
-            "hop" => OwnedEvent::Hop {
+            "hop" => Event::Hop {
                 node: num("node")? as usize,
                 class: num("class")? as u16,
                 size: num("size")? as u32,
             },
-            "stats_tick" => OwnedEvent::StatsTick {
+            "stats_tick" => Event::StatsTick {
                 bucket: num("bucket")?,
             },
-            "custom" => OwnedEvent::Custom {
-                name: string("name")?,
+            "custom" => Event::Custom {
+                name: string("name")?.into(),
                 value: raw_field(body, "value")?.parse().ok()?,
             },
-            "job_span" => OwnedEvent::JobSpan {
-                job: string("job")?,
+            "job_span" => Event::JobSpan {
+                job: string("job")?.into(),
                 seed: num("seed")?,
                 worker: num("worker")? as usize,
                 elapsed_ns: num("elapsed_ns")?,
             },
-            "fault" => OwnedEvent::FaultInjected {
-                kind: string("kind")?,
+            "fault" => Event::FaultInjected {
+                kind: string("kind")?.into(),
                 value: raw_field(body, "value")?.parse().ok()?,
             },
-            "degrade" => OwnedEvent::Degrade {
-                action: string("action")?,
+            "degrade" => Event::Degrade {
+                action: string("action")?.into(),
                 missed: num("missed")?,
             },
             _ => return None,
@@ -716,6 +580,9 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_kind() {
+        // Borrowed from locals, as emitters borrow: `to_static` must copy.
+        let mapping = [0, 3, 1];
+        let job = String::from("fig2");
         let events = [
             Event::Enqueue {
                 queue: 2,
@@ -733,7 +600,7 @@ mod tests {
                 queue: None,
                 class: 3,
                 size: 900,
-                reason: "red_early",
+                reason: "red_early".into(),
             },
             Event::Depart { class: 2, size: 40 },
             Event::ClusterSeed { cluster: 4 },
@@ -744,7 +611,7 @@ mod tests {
             },
             Event::ClusterMerge { from: 3, into: 0 },
             Event::PriorityRemap {
-                mapping: &[0, 3, 1],
+                mapping: mapping[..].into(),
             },
             Event::ControlTick { tick: 9 },
             Event::PushbackLimit {
@@ -760,41 +627,49 @@ mod tests {
             },
             Event::StatsTick { bucket: 5 },
             Event::Custom {
-                name: "x",
+                name: "x".into(),
                 value: 1.5,
             },
             Event::JobSpan {
-                job: "fig2",
+                job: job.as_str().into(),
                 seed: 2022,
                 worker: 3,
                 elapsed_ns: 1_234_567,
             },
             Event::FaultInjected {
-                kind: "ctrl_delay",
+                kind: "ctrl_delay".into(),
                 value: 2_500_000.0,
             },
             Event::Degrade {
-                action: "fallback_fifo",
+                action: "fallback_fifo".into(),
                 missed: 4,
             },
         ];
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(Event::kind).collect();
+        assert_eq!(kinds.len(), 15, "every variant is covered");
         for (i, ev) in events.iter().enumerate() {
-            let owned = ev.to_owned();
+            let owned: Event<'static> = ev.to_static();
             let mut line = String::new();
-            owned.write_jsonl(i as u64 * 10, &mut line);
+            ev.write_jsonl(i as u64 * 10, &mut line);
             let (ts, parsed) =
-                OwnedEvent::parse_jsonl_line(&line).unwrap_or_else(|| panic!("line {i}: {line}"));
+                Event::parse_jsonl_line(&line).unwrap_or_else(|| panic!("line {i}: {line}"));
             assert_eq!(ts, i as u64 * 10);
-            assert_eq!(parsed, owned, "event {i}");
+            assert_eq!(&owned, ev, "event {i}");
+            assert_eq!(&parsed, ev, "event {i}");
+            for other in [&owned, &parsed] {
+                let mut other_line = String::new();
+                other.write_jsonl(ts, &mut other_line);
+                assert_eq!(other_line, line, "event {i}");
+            }
         }
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(OwnedEvent::parse_jsonl_line("").is_none());
-        assert!(OwnedEvent::parse_jsonl_line("not json").is_none());
-        assert!(OwnedEvent::parse_jsonl_line("{\"ts\":1,\"ev\":\"nope\"}").is_none());
-        assert!(OwnedEvent::parse_jsonl_line("{\"ts\":1,\"ev\":\"enqueue\"}").is_none());
+        assert!(Event::parse_jsonl_line("").is_none());
+        assert!(Event::parse_jsonl_line("not json").is_none());
+        assert!(Event::parse_jsonl_line("{\"ts\":1,\"ev\":\"nope\"}").is_none());
+        assert!(Event::parse_jsonl_line("{\"ts\":1,\"ev\":\"enqueue\"}").is_none());
     }
 
     #[test]
@@ -806,7 +681,6 @@ mod tests {
             class: 1,
             size: 1500,
         }
-        .to_owned()
         .write_jsonl(1_500_000, &mut out);
         assert_eq!(
             out,
@@ -818,9 +692,8 @@ mod tests {
             queue: None,
             class: 0,
             size: 64,
-            reason: "tail_drop",
+            reason: "tail_drop".into(),
         }
-        .to_owned()
         .write_jsonl(0, &mut out);
         assert_eq!(
             out,
@@ -829,9 +702,8 @@ mod tests {
 
         out.clear();
         Event::PriorityRemap {
-            mapping: &[0, 3, 1],
+            mapping: [0, 3, 1][..].into(),
         }
-        .to_owned()
         .write_jsonl(42, &mut out);
         assert_eq!(
             out,
@@ -848,7 +720,6 @@ mod tests {
             prefix_len: 24,
             bps: 1_000_000,
         }
-        .to_owned()
         .write_jsonl(9, &mut out);
         assert!(out.contains("\"prefix\":\"198.18.5.0/24\""), "{out}");
     }
@@ -856,22 +727,17 @@ mod tests {
     #[test]
     fn kinds_are_stable() {
         assert_eq!(Event::ControlTick { tick: 1 }.kind(), "control_tick");
-        assert_eq!(
-            Event::ControlTick { tick: 1 }.to_owned().kind(),
-            "control_tick"
-        );
         let hop = Event::Hop {
             node: 3,
             class: 1,
             size: 64,
         };
         assert_eq!(hop.kind(), "hop");
-        assert_eq!(hop.to_owned().kind(), "hop");
     }
 
     #[test]
     fn pretty_lines_are_single_line() {
-        let ev = Event::ClusterMerge { from: 1, into: 0 }.to_owned();
+        let ev = Event::ClusterMerge { from: 1, into: 0 };
         let line = ev.pretty(2_000_000_000);
         assert!(line.contains("MERGE"));
         assert!(!line.contains('\n'));

@@ -11,7 +11,7 @@
 //! post-trigger aftermath) as one JSONL window. Re-triggers while a
 //! window is draining coalesce into it. A clean run emits nothing.
 
-use crate::event::{Event, OwnedEvent};
+use crate::event::Event;
 use crate::sink::Sink;
 use crate::tracer::Tracer;
 use std::cell::RefCell;
@@ -23,11 +23,11 @@ use std::rc::Rc;
 /// tracer can — including shared between the engine and a switch via
 /// [`SharedFlightRecorder`].
 pub struct FlightRecorder {
-    ring: VecDeque<(u64, OwnedEvent)>,
+    ring: VecDeque<(u64, Event<'static>)>,
     capacity: usize,
     post_window: usize,
     /// `(trigger ts, reason, events still to record before dumping)`.
-    pending: Option<(u64, String, usize)>,
+    pending: Option<(u64, &'static str, usize)>,
     sink: Box<dyn Sink>,
     windows: u64,
     triggers: u64,
@@ -60,10 +60,10 @@ impl FlightRecorder {
     /// Arms a window dump (e.g. from the pulse-onset heuristic). No-op
     /// while a previous window is still draining — the anomalies
     /// coalesce into one window.
-    pub fn trigger(&mut self, ts_ns: u64, reason: &str) {
+    pub fn trigger(&mut self, ts_ns: u64, reason: &'static str) {
         self.triggers += 1;
         if self.pending.is_none() {
-            self.pending = Some((ts_ns, reason.to_string(), self.post_window));
+            self.pending = Some((ts_ns, reason, self.post_window));
         }
     }
 
@@ -103,7 +103,7 @@ impl FlightRecorder {
             self.line,
             "{{\"ts\":{ts},\"ev\":\"flight_window\",\"trigger\":\"",
         );
-        crate::json::escape_json(&reason, &mut self.line);
+        crate::json::escape_json(reason, &mut self.line);
         let _ = write!(self.line, "\",\"events\":{}}}", self.ring.len());
         let header = std::mem::take(&mut self.line);
         self.sink.emit(&header);
@@ -129,7 +129,7 @@ impl Tracer for FlightRecorder {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back((ts_ns, event.to_owned()));
+        self.ring.push_back((ts_ns, event.to_static()));
         self.total_recorded += 1;
         match &mut self.pending {
             None => {
@@ -206,7 +206,7 @@ mod tests {
         rec.record(
             50,
             &Event::FaultInjected {
-                kind: "ctrl_drop",
+                kind: "ctrl_drop".into(),
                 value: 0.0,
             },
         );
@@ -230,14 +230,14 @@ mod tests {
         rec.record(
             0,
             &Event::FaultInjected {
-                kind: "a",
+                kind: "a".into(),
                 value: 0.0,
             },
         );
         rec.record(
             1,
             &Event::Degrade {
-                action: "fallback_fifo",
+                action: "fallback_fifo".into(),
                 missed: 3,
             },
         );
@@ -284,7 +284,7 @@ mod tests {
         a.record(
             0,
             &Event::FaultInjected {
-                kind: "x",
+                kind: "x".into(),
                 value: 1.0,
             },
         );

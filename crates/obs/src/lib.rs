@@ -51,7 +51,7 @@ pub mod span;
 pub mod stream;
 pub mod tracer;
 
-pub use event::{Event, OwnedEvent};
+pub use event::Event;
 pub use flight::{shared_recorder, FlightRecorder, SharedFlightRecorder};
 pub use json::{escape_json, json_f64, raw_field};
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsHandle, Registry};

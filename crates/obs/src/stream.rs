@@ -8,7 +8,7 @@
 //! bundles the whole streaming configuration for one run: the output
 //! sink, the aggregator, an optional reservoir [`FlowSampler`] feeding
 //! a [`DatasetSink`] at end of run, an optional shared
-//! [`FlightRecorder`], and a pulse-onset heuristic that arms the
+//! [`FlightRecorder`](crate::FlightRecorder), and a pulse-onset heuristic that arms the
 //! recorder when per-period drops jump.
 //!
 //! Line shapes emitted each period at time `ts`:

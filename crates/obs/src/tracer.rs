@@ -2,7 +2,7 @@
 //! (the default — compiles to nothing) and [`RingTracer`] (a bounded
 //! in-memory ring buffer with JSONL export).
 
-use crate::event::{Event, OwnedEvent};
+use crate::event::Event;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -44,7 +44,7 @@ impl Tracer for NoopTracer {
 /// note truncation honestly.
 #[derive(Debug, Clone)]
 pub struct RingTracer {
-    buf: VecDeque<(u64, OwnedEvent)>,
+    buf: VecDeque<(u64, Event<'static>)>,
     capacity: usize,
     total: u64,
 }
@@ -76,7 +76,7 @@ impl RingTracer {
     }
 
     /// Iterates over the buffered `(ts_ns, event)` pairs, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(u64, OwnedEvent)> {
+    pub fn iter(&self) -> impl Iterator<Item = &(u64, Event<'static>)> {
         self.buf.iter()
     }
 
@@ -110,7 +110,7 @@ impl Tracer for RingTracer {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
-        self.buf.push_back((ts_ns, event.to_owned()));
+        self.buf.push_back((ts_ns, event.to_static()));
         self.total += 1;
     }
 }
@@ -158,7 +158,7 @@ mod tests {
         let ticks: Vec<u64> = t
             .iter()
             .map(|(_, ev)| match ev {
-                OwnedEvent::ControlTick { tick } => *tick,
+                Event::ControlTick { tick } => *tick,
                 _ => unreachable!(),
             })
             .collect();

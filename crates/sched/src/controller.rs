@@ -9,7 +9,7 @@
 
 use crate::rank::RankingAlgorithm;
 use accturbo_clustering::WindowStats;
-use accturbo_obs::{Event, Tracer};
+use accturbo_obs::{Event, NoopTracer, Tracer};
 use std::collections::HashMap;
 
 /// Derives cluster → queue mappings from polled statistics.
@@ -66,66 +66,21 @@ impl Controller {
     /// `stats[i]` and `sizes[i]` describe cluster `i` (`sizes[i] = None`
     /// for empty slots). Returns one queue index per cluster.
     pub fn assign_queues(&self, stats: &[WindowStats], sizes: &[Option<f64>]) -> Vec<usize> {
-        let mut order = Vec::new();
-        let mut scores = Vec::new();
         let mut queues = Vec::new();
-        fill_queues(
-            self.ranking,
-            self.num_queues,
-            &self.pinned,
-            stats,
-            sizes,
-            &mut order,
-            &mut scores,
-            &mut queues,
-        );
+        self.clone()
+            .assign_queues_into(stats, sizes, &mut NoopTracer, 0, &mut queues);
         queues
     }
 
     /// Allocation-free variant of [`assign_queues`](Self::assign_queues):
     /// writes the mapping into `out` (cleared first), reusing internal
-    /// scratch buffers across calls. Produces exactly the same mapping.
-    pub fn assign_queues_into(
-        &mut self,
-        stats: &[WindowStats],
-        sizes: &[Option<f64>],
-        out: &mut Vec<usize>,
-    ) {
-        let mut order = std::mem::take(&mut self.scratch_order);
-        let mut scores = std::mem::take(&mut self.scratch_scores);
-        fill_queues(
-            self.ranking,
-            self.num_queues,
-            &self.pinned,
-            stats,
-            sizes,
-            &mut order,
-            &mut scores,
-            out,
-        );
-        self.scratch_order = order;
-        self.scratch_scores = scores;
-    }
-
-    /// Like [`assign_queues`](Self::assign_queues), but emits a
-    /// `priority_remap` trace event at `now_ns` carrying the new mapping.
-    pub fn assign_queues_traced<T: Tracer + ?Sized>(
-        &self,
-        stats: &[WindowStats],
-        sizes: &[Option<f64>],
-        tracer: &mut T,
-        now_ns: u64,
-    ) -> Vec<usize> {
-        let queues = self.assign_queues(stats, sizes);
-        if tracer.enabled() {
-            tracer.record(now_ns, &Event::PriorityRemap { mapping: &queues });
-        }
-        queues
-    }
-
-    /// Traced counterpart of
-    /// [`assign_queues_into`](Self::assign_queues_into).
-    pub fn assign_queues_traced_into<T: Tracer + ?Sized>(
+    /// scratch buffers across calls, and emits a `priority_remap` trace
+    /// event at `now_ns` carrying it.
+    ///
+    /// Clusters are ranked by ascending score (stable tie-break on
+    /// index), the ranks spread proportionally over the queues, and
+    /// operator pins applied last.
+    pub fn assign_queues_into<T: Tracer + ?Sized>(
         &mut self,
         stats: &[WindowStats],
         sizes: &[Option<f64>],
@@ -133,51 +88,38 @@ impl Controller {
         now_ns: u64,
         out: &mut Vec<usize>,
     ) {
-        self.assign_queues_into(stats, sizes, out);
-        if tracer.enabled() {
-            tracer.record(now_ns, &Event::PriorityRemap { mapping: out });
+        assert_eq!(stats.len(), sizes.len(), "stats/sizes arity mismatch");
+        let n = stats.len();
+        let (order, scores) = (&mut self.scratch_order, &mut self.scratch_scores);
+        order.clear();
+        order.extend(0..n);
+        scores.clear();
+        scores.extend((0..n).map(|i| self.ranking.score(&stats[i], sizes[i])));
+        // Ascending score: best behaved first. Stable tie-break on index.
+        order.sort_by(|&a, &b| {
+            scores[a]
+                .partial_cmp(&scores[b])
+                .expect("scores are finite")
+                .then(a.cmp(&b))
+        });
+        out.clear();
+        out.resize(n, 0);
+        for (rank, &cluster) in order.iter().enumerate() {
+            // Spread ranks over the queues proportionally.
+            out[cluster] = rank * self.num_queues / n.max(1);
         }
-    }
-}
-
-/// The shared mapping kernel: ranks clusters by ascending score (stable
-/// tie-break on index), spreads ranks rank-proportionally over the
-/// queues, then applies operator pins. All output buffers are cleared
-/// and refilled, never reallocated once warm.
-#[allow(clippy::too_many_arguments)]
-fn fill_queues(
-    ranking: RankingAlgorithm,
-    num_queues: usize,
-    pinned: &HashMap<usize, usize>,
-    stats: &[WindowStats],
-    sizes: &[Option<f64>],
-    order: &mut Vec<usize>,
-    scores: &mut Vec<f64>,
-    queues: &mut Vec<usize>,
-) {
-    assert_eq!(stats.len(), sizes.len(), "stats/sizes arity mismatch");
-    let n = stats.len();
-    order.clear();
-    order.extend(0..n);
-    scores.clear();
-    scores.extend((0..n).map(|i| ranking.score(&stats[i], sizes[i])));
-    // Ascending score: best behaved first. Stable tie-break on index.
-    order.sort_by(|&a, &b| {
-        scores[a]
-            .partial_cmp(&scores[b])
-            .expect("scores are finite")
-            .then(a.cmp(&b))
-    });
-
-    queues.clear();
-    queues.resize(n, 0usize);
-    for (rank, &cluster) in order.iter().enumerate() {
-        // Spread ranks over the queues proportionally.
-        queues[cluster] = rank * num_queues / n.max(1);
-    }
-    for (&cluster, &queue) in pinned {
-        if cluster < n {
-            queues[cluster] = queue;
+        for (&cluster, &queue) in &self.pinned {
+            if cluster < n {
+                out[cluster] = queue;
+            }
+        }
+        if tracer.enabled() {
+            tracer.record(
+                now_ns,
+                &Event::PriorityRemap {
+                    mapping: out.as_slice().into(),
+                },
+            );
         }
     }
 }
@@ -264,7 +206,7 @@ mod tests {
             ]);
             let sizes = vec![Some(1.0), Some(2.0), Some(0.5), None];
             let expected = c.assign_queues(&s, &sizes);
-            c.assign_queues_into(&s, &sizes, &mut out);
+            c.assign_queues_into(&s, &sizes, &mut NoopTracer, 0, &mut out);
             assert_eq!(out, expected, "round {round}");
         }
     }
@@ -272,11 +214,12 @@ mod tests {
     #[test]
     fn traced_assignment_records_the_mapping() {
         use accturbo_obs::RingTracer;
-        let c = Controller::new(RankingAlgorithm::Throughput, 4);
+        let mut c = Controller::new(RankingAlgorithm::Throughput, 4);
         let s = stats(&[(10, 1_000), (10, 100_000), (10, 10_000), (10, 500)]);
         let sizes = vec![Some(1.0); 4];
         let mut t = RingTracer::new(8);
-        let q = c.assign_queues_traced(&s, &sizes, &mut t, 7);
+        let mut q = Vec::new();
+        c.assign_queues_into(&s, &sizes, &mut t, 7, &mut q);
         assert_eq!(q, c.assign_queues(&s, &sizes));
         let jsonl = t.to_jsonl();
         assert_eq!(

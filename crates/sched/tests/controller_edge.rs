@@ -4,6 +4,7 @@
 //! output) on those inputs.
 
 use accturbo_clustering::WindowStats;
+use accturbo_obs::NoopTracer;
 use accturbo_sched::{Controller, RankingAlgorithm};
 
 fn all_rankings() -> [RankingAlgorithm; 4] {
@@ -25,7 +26,7 @@ fn empty_cluster_view_maps_to_nothing() {
         // The into-variant must also clear stale output from a previous
         // period, not leave the old mapping in place.
         let mut out = vec![3, 1, 4, 1, 5];
-        c.assign_queues_into(&[], &[], &mut out);
+        c.assign_queues_into(&[], &[], &mut NoopTracer, 0, &mut out);
         assert!(out.is_empty(), "stale mapping survived an empty poll");
     }
 }

@@ -7,6 +7,7 @@
 //! benign's mean queue index is strictly lower than malicious's.
 
 use accturbo_netsim::{ClassId, SimDuration, SimTime};
+use accturbo_obs::{Event, Tracer};
 
 /// Accumulates per-interval priority averages per traffic kind.
 #[derive(Debug, Clone)]
@@ -85,6 +86,21 @@ impl SchedulingScore {
 impl Default for SchedulingScore {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Scores the switch's `enqueue` events: each packet at its trace
+/// timestamp (on a single switch, its arrival), with the queue it was
+/// given. Install it behind `Rc<RefCell<_>>` as the switch's tracer.
+impl Tracer for SchedulingScore {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+        if let Event::Enqueue { queue, class, .. } = *event {
+            SchedulingScore::record(self, SimTime::from_nanos(ts_ns), queue, ClassId(class));
+        }
     }
 }
 

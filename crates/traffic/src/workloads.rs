@@ -471,7 +471,7 @@ fn pulse_segment(
 
 /// The parameterized pulse-wave workload: background at
 /// [`EXPERIMENT_BACKGROUND_BPS`] plus the pulse train `cfg` describes.
-/// Ramps are discretized into [`PULSE_RAMP_STEPS`] equal-duration rate
+/// Ramps are discretized into `PULSE_RAMP_STEPS` equal-duration rate
 /// steps at the midpoint rate of each linear segment. Seed discipline:
 /// the background derives from `seed`, pulse `i`'s segment `j` from
 /// `seed + 1 + 8·i + j` — byte-stable for a given `(cfg, secs, seed)`.

@@ -16,7 +16,9 @@ use accturbo::netsim::{
     run, run_streamed, Bandwidth, ClassId, EngineConfig, MergedSource, PacketSource, SimDuration,
     SimTime,
 };
-use accturbo::obs::{raw_field, MetricsHandle, NoopTracer, Registry, Sink, Telemetry};
+use accturbo::obs::{
+    raw_field, Event, MetricsHandle, NoopTracer, Registry, Sink, Telemetry, Tracer,
+};
 use accturbo::sched::RankingAlgorithm;
 use accturbo::traffic::{
     AttackConfig, AttackSource, AttackVector, BackgroundConfig, BackgroundSource, CbrSource,
@@ -30,6 +32,8 @@ const LINK_BPS: u64 = 18_000_000;
 const SECS: u64 = 30;
 /// The backup service's destination /24 — what the operator recognizes.
 const BACKUP_NET: [u8; 3] = [203, 7, 44];
+/// The backup's packet size, which background traffic rarely hits exactly.
+const BACKUP_SIZE: u32 = 1200;
 
 fn workload() -> MergedSource {
     let end = SimTime::from_secs(SECS);
@@ -56,7 +60,7 @@ fn workload() -> MergedSource {
             443,
             ClassId::BENIGN,
         )
-        .with_size(1200),
+        .with_size(BACKUP_SIZE),
         11_000_000,
         SimTime::ZERO,
         end,
@@ -88,20 +92,39 @@ fn engine(secs: u64) -> EngineConfig {
         .with_end_time(SimTime::from_secs(secs))
 }
 
-/// Warm up the defense and find which cluster slot carries the backup's
-/// /24 — what the operator reads off the console's range dump.
+/// Counts, per cluster, the switch's `enqueue` events for benign
+/// packets of the backup's size.
+struct BackupCounts([u64; 10]);
+
+impl Tracer for BackupCounts {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, _ts_ns: u64, event: &Event<'_>) {
+        if let Event::Enqueue {
+            cluster: Some(cluster),
+            class: 0,
+            size: BACKUP_SIZE,
+            ..
+        } = *event
+        {
+            self.0[cluster] += 1;
+        }
+    }
+}
+
+/// Warm up the defense and find which cluster slot carries the backup
+/// transfer — what the operator reads off the console's trace.
 fn find_backup_cluster() -> usize {
     let mut source = workload();
-    let mut counts = [0u64; 10];
+    let counts = Rc::new(RefCell::new(BackupCounts([0; 10])));
     let mut sw = switch();
-    sw.set_tap(Box::new(|pkt, cluster, _queue| {
-        if pkt.dst.octets()[..3] == BACKUP_NET {
-            counts[cluster] += 1;
-        }
-    }));
+    sw.set_tracer(Box::new(Rc::clone(&counts)));
     run(&mut source, &mut sw, &engine(10));
-    drop(sw);
+    let counts = counts.borrow();
     counts
+        .0
         .iter()
         .enumerate()
         .max_by_key(|(_, &c)| c)

@@ -7,8 +7,8 @@
 //! on ranked ACC-Turbo, both must produce the same run result, cluster
 //! totals, mapping and tick count, with control ticks landing exactly on
 //! arrival times, an end time cutting a batch in the middle, and no
-//! control plane at all. A switch with a classification tap must decline
-//! every batch and still match.
+//! control plane at all. A traced switch must decline every batch and
+//! still match.
 
 use accturbo::clustering::FeatureSet;
 use accturbo::core::{AccTurboConfig, AccTurboSwitch, RankedAccTurboSwitch};
@@ -17,6 +17,7 @@ use accturbo::netsim::{
     run, Bandwidth, ClassId, Dropped, EngineConfig, Packet, PacketSource, SimDuration, SimTime,
     Switch, VecSource,
 };
+use accturbo::obs::{Event, Tracer};
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -237,21 +238,38 @@ fn ranked_acc_turbo_matches_the_per_packet_oracle() {
     }
 }
 
+/// Records each `enqueue` event as `(ts, cluster, queue)`.
+#[derive(Default)]
+struct Enqueues(Vec<(u64, usize, usize)>);
+
+impl Tracer for Enqueues {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+        if let Event::Enqueue {
+            queue,
+            cluster: Some(cluster),
+            ..
+        } = *event
+        {
+            self.0.push((ts_ns, cluster, queue));
+        }
+    }
+}
+
 #[test]
-fn a_tapped_switch_declines_every_batch_and_matches_the_oracle() {
+fn a_traced_switch_declines_every_batch_and_matches_the_oracle() {
     let pkts = workload(0x7A9, 4_000);
     let (_, cfg) = configs().swap_remove(0);
-    type Seen = Rc<RefCell<Vec<(u64, usize, usize)>>>;
+    type Seen = Rc<RefCell<Enqueues>>;
     let build = |seen: &Seen| {
-        let seen = Rc::clone(seen);
         let mut sw = AccTurboSwitch::new(
             AccTurboConfig::simulation(FeatureSet::simulation_default())
                 .with_queue_capacity(16 * 1024),
         );
-        sw.set_tap(Box::new(move |p, cluster, queue| {
-            seen.borrow_mut()
-                .push((p.arrival.as_nanos(), cluster, queue))
-        }));
+        sw.set_tracer(Box::new(Rc::clone(seen)));
         sw
     };
     let (ahead_seen, oracle_seen): (Seen, Seen) = Default::default();
@@ -262,14 +280,20 @@ fn a_tapped_switch_declines_every_batch_and_matches_the_oracle() {
     };
     let got = run(&mut VecSource::new(pkts.clone()), &mut ahead, &cfg);
     let mut oracle = build(&oracle_seen);
-    let want = run_reference(&mut VecSource::new(pkts), &mut oracle, &cfg);
+    let want = run_reference(&mut VecSource::new(pkts.clone()), &mut oracle, &cfg);
     assert_eq!(format!("{got:?}"), format!("{want:?}"));
     assert_eq!(turbo_state(&ahead.inner), turbo_state(&oracle));
     assert_eq!(
         *counts.borrow(),
         (0, 0),
-        "a tap must keep the per-packet path"
+        "a tracer must keep the per-packet path"
     );
-    assert_eq!(ahead_seen.borrow().len() as u64, got.arrivals);
-    assert_eq!(*ahead_seen.borrow(), *oracle_seen.borrow());
+    let seen = &ahead_seen.borrow().0;
+    assert_eq!(seen.len() as u64, got.arrivals);
+    assert_eq!(*seen, oracle_seen.borrow().0);
+    // Each event is stamped with its packet's arrival.
+    assert!(seen
+        .iter()
+        .zip(&pkts)
+        .all(|(&(ts, _, _), p)| ts == p.arrival.as_nanos()));
 }
