@@ -1,20 +1,21 @@
 //! `xp bench-export` — the datapath throughput baseline (DESIGN.md §8).
 //!
-//! Measures packets/second through the three hot kernels of the fast
-//! path — the engine event loop stepping a full ACC-Turbo switch (serial
-//! and threaded stream-mode), the online cluster update, and
-//! the SP-PIFO ranked enqueue — and, where a pre-optimization path is
-//! kept under the `reference` feature, the same workload through that
-//! path, recording the speedup. Results are
-//! written as machine-readable JSON (`BENCH_datapath.json` by default)
-//! so CI can archive the baseline per commit.
+//! Measures packets/second through the hot kernels of the fast path —
+//! the engine event loop stepping a full ACC-Turbo switch (serial and
+//! threaded stream-mode), the online cluster update, the SP-PIFO ranked
+//! enqueue and batched workload generation — and, where a slower path
+//! is kept (the pre-optimization kernels under the `reference` feature,
+//! per-packet generation), the same workload through that path,
+//! recording the speedup. Results are written as machine-readable JSON
+//! (`BENCH_datapath.json` by default) so CI can archive the baseline
+//! per commit.
 //!
 //! The export refuses to report a speedup it cannot trust: before
 //! timing anything it re-runs a subset of the paper figures with the
 //! reference kernels forced on and asserts the rendered reports and
 //! golden serializations are byte-identical to the optimized path.
 
-use crate::spec::{AccTurboSpec, FeatureProfile};
+use crate::spec::{AccTurboSpec, FeatureProfile, WorkloadSpec};
 use crate::{figure_spec, Scale};
 use accturbo_bench::{Harness, Stats};
 use accturbo_clustering::online::reference::force_reference_kernels;
@@ -24,7 +25,7 @@ use accturbo_clustering::{
 use accturbo_core::AccTurboSwitch;
 use accturbo_netsim::engine::reference::run_reference;
 use accturbo_netsim::{
-    run, Bandwidth, ClassId, EngineConfig, MergedSource, Packet, PacketSource, SimDuration,
+    run, Bandwidth, ClassId, EngineConfig, Filled, MergedSource, Packet, PacketSource, SimDuration,
     SimTime, ThreadedSource, VecSource,
 };
 use accturbo_prng::{Rng, SeedableRng, StdRng};
@@ -99,6 +100,7 @@ pub fn is_registered(name: &str) -> bool {
             | "cluster_update"
             | "cluster_assign_batch"
             | "sppifo_enqueue"
+            | "source_fill"
     )
 }
 
@@ -292,6 +294,55 @@ fn bench_engine_step_threaded(h: &Harness, n: u64) -> BenchRow {
         )
         .expect("unfiltered");
     row("engine_step_threaded".to_string(), &fast, Some(&serial))
+}
+
+/// Packets drained per `source_fill` iteration, per bench packet: the
+/// day's 4 s background lead-in and its first attack episodes.
+const SOURCE_FILL_SCALE: u64 = 50;
+
+/// Generation throughput: the cicday day's `MergedSource` (the
+/// background generator and one per attack episode) drained by `fill`
+/// in batches of 256, the engine's lookahead, versus (reference) one
+/// `next_packet` call per packet. Both yield the same packets
+/// (`tests/source_fill.rs`). The two rows are timed interleaved, sample
+/// by sample, so a host that speeds up or slows down shifts both.
+fn bench_source_fill(h: &Harness, n: u64) -> BenchRow {
+    let spec: WorkloadSpec = "cicday".parse().expect("the canonical day parses");
+    let elements = n * SOURCE_FILL_SCALE;
+    let mut batched = |mut src: MergedSource| {
+        let mut out = Vec::with_capacity(256);
+        let mut left = elements as usize;
+        while left > 0 {
+            out.clear();
+            let filled = src.fill(&mut out, left.min(256), SimTime::MAX);
+            assert!(filled == Filled::Full, "the day outlasts the bench");
+            left -= out.len();
+            std::hint::black_box(&out);
+        }
+    };
+    let mut per_packet = |mut src: MergedSource| {
+        for _ in 0..elements {
+            let pkt = src.next_packet().expect("the day outlasts the bench");
+            std::hint::black_box(&pkt);
+        }
+    };
+    let [fast, reference] = <[_; 2]>::try_from(h.run_interleaved(
+        || spec.cic_config(spec.default_seed()).into_source(),
+        &mut [
+            ("source_fill/cicday", &mut batched),
+            ("source_fill/cicday (next_packet)", &mut per_packet),
+        ],
+    ))
+    .expect("one entry per row");
+    let with_elements = |s: Option<Stats>| Stats {
+        elements: Some(elements),
+        ..s.expect("unfiltered")
+    };
+    row(
+        "source_fill".into(),
+        &with_elements(fast),
+        Some(&with_elements(reference)),
+    )
 }
 
 /// Cluster-update throughput: `assign` over the fig6 hardware profile
@@ -575,6 +626,7 @@ pub fn run_rows(h: &Harness, n: u64) -> Vec<BenchRow> {
         bench_cluster_update(h, n),
         bench_cluster_assign_batch(h, n),
         bench_sppifo_enqueue(h, n),
+        bench_source_fill(h, n),
     ]
 }
 
@@ -666,6 +718,7 @@ mod tests {
             "cluster_scan_soa",
             "cluster_update",
             "sppifo_enqueue",
+            "source_fill",
         ] {
             assert!(is_registered(name), "{name} must resolve");
         }

@@ -44,6 +44,18 @@ impl Calendar {
         self.heap.first().map(|&id| (id, self.at[id]))
     }
 
+    /// The second-earliest scheduled id and its time, under the same
+    /// `(time, id)` order: the earlier of the root's two children.
+    #[inline]
+    pub(crate) fn runner_up(&self) -> Option<(usize, SimTime)> {
+        let a = *self.heap.get(1)?;
+        let id = match self.heap.get(2) {
+            Some(&b) if self.before(b, a) => b,
+            _ => a,
+        };
+        Some((id, self.at[id]))
+    }
+
     /// Schedules `id` at `t`, moving it if it is already scheduled.
     pub(crate) fn set(&mut self, id: usize, t: SimTime) {
         let old = std::mem::replace(&mut self.at[id], t);
@@ -125,14 +137,16 @@ mod tests {
     use super::*;
     use accturbo_prng::{Rng, SeedableRng, StdRng};
 
-    /// The naive oracle: the lowest `(time, id)` over a flat slot scan.
-    fn scan_min(slots: &[Option<SimTime>]) -> Option<(usize, SimTime)> {
-        slots
+    /// The naive oracle: the scheduled `(time, id)` pairs of a flat slot
+    /// scan, sorted; the first is the minimum, the second the runner-up.
+    fn sorted_scan(slots: &[Option<SimTime>]) -> Vec<(usize, SimTime)> {
+        let mut scheduled: Vec<(SimTime, usize)> = slots
             .iter()
             .enumerate()
             .filter_map(|(id, t)| t.map(|t| (t, id)))
-            .min()
-            .map(|(t, id)| (id, t))
+            .collect();
+        scheduled.sort();
+        scheduled.into_iter().map(|(t, id)| (id, t)).collect()
     }
 
     #[test]
@@ -186,10 +200,16 @@ mod tests {
                         }
                     }
                 }
+                let sorted = sorted_scan(&slots);
                 assert_eq!(
                     cal.peek(),
-                    scan_min(&slots),
+                    sorted.first().copied(),
                     "case {case} step {step}: calendar and scan disagree"
+                );
+                assert_eq!(
+                    cal.runner_up(),
+                    sorted.get(1).copied(),
+                    "case {case} step {step}: runner-up and scan disagree"
                 );
             }
         }

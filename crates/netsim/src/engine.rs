@@ -49,7 +49,7 @@ use crate::calendar::Calendar;
 use crate::fault::{ControlAction, FaultInjector};
 use crate::latency::DelayHistogram;
 use crate::packet::{DropReason, Dropped, Packet};
-use crate::source::PacketSource;
+use crate::source::{Filled, PacketSource};
 use crate::stats::StatsCollector;
 use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
@@ -237,33 +237,42 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     .result
 }
 
-/// Arrivals per classify-ahead batch, at most: enough to amortize the
-/// batch pass over many packets, few enough that the batch's feature
-/// columns stay in L1.
+/// Arrivals per batch, at most: enough to amortize the source pull and
+/// the batch classification over many packets, few enough that the
+/// batch's feature columns stay in L1.
 const LOOKAHEAD: usize = 256;
 
-/// The classify-ahead lookahead (DESIGN.md §8): at the first arrival
-/// event after a control tick, the loop pulls the arrivals that precede
-/// the next tick (up to [`LOOKAHEAD`] of them) and the leaf switch
-/// classifies them all in one [`Switch::classify_ahead`] call; each is
-/// then handed over at its own arrival event through
+/// Arrival batching (DESIGN.md §8): at the first arrival event after a
+/// control tick (or after the previous batch is spent), the loop pulls
+/// the arrivals that precede the next tick, up to [`LOOKAHEAD`] of them,
+/// in one [`PacketSource::fill`] call. When the leaf switch can, it
+/// classifies them all in one [`Switch::classify_ahead`] call, and each
+/// is then handed over at its own arrival event through
 /// [`Switch::ingress_classified`].
 ///
-/// That is exact because nothing but arrivals reaches the leaf's
-/// classifier between two control ticks, and control ticks fire before
-/// arrivals at equal times, so no batch holds a packet at or past the
-/// next tick. The lookahead runs only with one leaf, no pushback (whose
-/// policers drop before ingress) and no fault plane (whose source-side
-/// decisions share an injector with the loop); the switch may decline a
-/// batch, after which every packet takes the per-packet path.
+/// Buffering is exact whenever the source's stream does not depend on
+/// the run, which holds for every source but the fault plane's
+/// (`FaultedSource` shares its injector with the loop, so pulling ahead
+/// would reorder the draws). Classifying ahead is exact because nothing
+/// but arrivals reaches the leaf's classifier between two control ticks,
+/// and control ticks fire before arrivals at equal times, so no batch
+/// holds a packet at or past the next tick. It needs one leaf and no
+/// pushback (whose policers drop before ingress); the switch may decline
+/// a batch, after which the run stays buffered but classifies per
+/// packet.
 struct Lookahead {
-    /// Whether batches are formed.
+    /// Whether batches are formed (no fault plane).
     on: bool,
-    /// The batch in flight, and its tickets (empty when declined).
+    /// Whether the leaf classifies each batch: one leaf, no pushback,
+    /// and no batch declined yet.
+    classify: bool,
+    /// The batch in flight, and its tickets (empty when unclassified).
     pkts: Vec<Packet>,
     tickets: Vec<u32>,
     /// The next batch packet to become the pending arrival.
     next: usize,
+    /// Whether the pending arrival is the batch's packet `next - 1`.
+    in_batch: bool,
     /// A packet pulled while filling that arrives at or past the next
     /// control tick: the pending arrival once the batch is spent.
     held: Option<Packet>,
@@ -273,49 +282,57 @@ struct Lookahead {
 }
 
 impl Lookahead {
-    fn new(on: bool) -> Self {
+    fn new(on: bool, classify: bool) -> Self {
         Lookahead {
             on,
+            classify: on && classify,
             pkts: Vec::new(),
             tickets: Vec::new(),
             next: 0,
+            in_batch: false,
             held: None,
             done: false,
         }
     }
 
-    /// The next pending arrival and its ticket, if it was classified
-    /// ahead: from the batch, then the held packet, then the source.
-    /// Without batches this is [`next_arrival`].
+    /// The next pending arrival: from the batch, then the held packet,
+    /// then the source. Without batches this is [`next_arrival`].
     ///
     /// Inlined like [`next_arrival`]: `drive` is instantiated in the
     /// calling crates, where an out-of-line call per arrival cost the
     /// serial benchmarks about 3%.
     #[inline]
-    fn pull(
-        &mut self,
-        source: &mut dyn PacketSource,
-        end: Option<SimTime>,
-    ) -> (Option<Packet>, Option<u32>) {
+    fn pull(&mut self, source: &mut dyn PacketSource, end: Option<SimTime>) -> Option<Packet> {
         if let Some(pkt) = self.pkts.get(self.next) {
-            let ticket = self.tickets.get(self.next).copied();
             self.next += 1;
-            return (Some(pkt.clone()), ticket);
+            self.in_batch = true;
+            return Some(pkt.clone());
         }
+        self.in_batch = false;
         if let Some(pkt) = self.held.take() {
-            return (Some(pkt), None);
+            return Some(pkt);
         }
         if self.done {
-            return (None, None);
+            return None;
         }
-        (next_arrival(source, end), None)
+        next_arrival(source, end)
     }
 
-    /// Starts a batch at `first`, whose arrival event is firing: pulls
-    /// the arrivals before `horizon` (the next control tick) that fit,
-    /// through the same truncating [`next_arrival`], and has `switch`
-    /// classify them all. Returns `first`'s ticket; on a decline, turns
-    /// the lookahead off and returns `None`.
+    /// The pending arrival's ticket, if its batch was classified.
+    #[inline]
+    fn ticket(&self) -> Option<u32> {
+        match self.in_batch {
+            true => self.tickets.get(self.next - 1).copied(),
+            false => None,
+        }
+    }
+
+    /// Starts a batch at `first`, whose arrival event is firing: fills
+    /// it with the arrivals before `horizon` (the next control tick) and
+    /// the end time, and has `switch` classify them all if it may. A
+    /// packet at or past the end time is discarded and ends the source,
+    /// exactly as [`next_arrival`] does; one before it is held. On a
+    /// decline, stops classifying.
     fn fill(
         &mut self,
         first: &Packet,
@@ -323,28 +340,22 @@ impl Lookahead {
         end: Option<SimTime>,
         horizon: SimTime,
         switch: &mut dyn Switch,
-    ) -> Option<u32> {
+    ) {
         self.pkts.clear();
         self.pkts.push(first.clone());
         self.next = 1;
-        while self.pkts.len() < LOOKAHEAD {
-            match next_arrival(source, end) {
-                Some(pkt) if pkt.arrival < horizon => self.pkts.push(pkt),
-                Some(pkt) => {
-                    self.held = Some(pkt);
-                    break;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
+        self.in_batch = true;
+        let end_at = end.unwrap_or(SimTime::MAX);
+        match source.fill(&mut self.pkts, LOOKAHEAD, horizon.min(end_at)) {
+            Filled::Full => {}
+            Filled::Held(pkt) if pkt.arrival < end_at => self.held = Some(pkt),
+            Filled::Held(_) | Filled::Done => self.done = true,
         }
-        if !switch.classify_ahead(&self.pkts, &mut self.tickets) {
-            self.on = false;
+        self.tickets.clear();
+        if self.classify && !switch.classify_ahead(&self.pkts, &mut self.tickets) {
+            self.classify = false;
             self.tickets.clear();
         }
-        self.tickets.first().copied()
     }
 }
 
@@ -426,9 +437,10 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
     let (tx_id, deliver_id) = (|i: usize| i, |i: usize| n + i);
     let (mut busy, mut on_wire) = (0usize, 0usize);
     let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
-    // The pending arrival's ticket, when it was classified ahead.
-    let mut ticket: Option<u32> = None;
-    let mut ahead = Lookahead::new(leaves.len() == 1 && cfg.pushback.is_none() && faults.is_none());
+    let mut ahead = Lookahead::new(
+        faults.is_none(),
+        leaves.len() == 1 && cfg.pushback.is_none(),
+    );
     let mut control_at = cfg
         .control_period
         .map_or(SimTime::MAX, |p| SimTime::ZERO + p);
@@ -680,16 +692,16 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     [only] => *only,
                     _ => leaves[place(&pkt)],
                 };
-                if ticket.is_none() && ahead.on {
+                if ahead.on && !ahead.in_batch {
                     let sw = &mut *nodes[leaf];
-                    ticket = ahead.fill(&pkt, source, cfg.end_time, control_at, sw);
+                    ahead.fill(&pkt, source, cfg.end_time, control_at, sw);
                 }
                 stats.on_arrival(&pkt);
                 arrivals += 1;
                 if let Some(t) = telemetry.as_mut() {
                     t.on_arrival(now.as_nanos(), flow_key(&pkt), pkt.class.0, pkt.size);
                 }
-                ingress_at!(leaf, pkt, |p| match ticket.take() {
+                ingress_at!(leaf, pkt, |p| match ahead.ticket() {
                     Some(t) => nodes[leaf].ingress_classified(p, t, now, &mut drops_buf),
                     None => nodes[leaf].ingress(p, now, &mut drops_buf),
                 });
@@ -701,7 +713,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     }
                     r.observe(ids.4, queued!() as f64);
                 }
-                (pending, ticket) = ahead.pull(source, cfg.end_time);
+                pending = ahead.pull(source, cfg.end_time);
                 leaf..leaf + 1
             }
         };
@@ -1106,6 +1118,71 @@ mod tests {
             EngineConfig::new(Bandwidth::from_mbps(100)).with_end_time(SimTime::from_millis(100));
         let res = run(&mut src, &mut sw, &cfg);
         assert_eq!(res.arrivals, 100);
+    }
+
+    /// Counts every pull from the source it wraps, and the pulls that
+    /// yield a packet at or past `end`.
+    struct PullCounter {
+        inner: VecSource,
+        end: SimTime,
+        pulls: u64,
+        past_end: u64,
+    }
+
+    impl PacketSource for PullCounter {
+        fn next_packet(&mut self) -> Option<Packet> {
+            self.pulls += 1;
+            let pkt = self.inner.next_packet()?;
+            self.past_end += u64::from(pkt.arrival >= self.end);
+            Some(pkt)
+        }
+    }
+
+    #[test]
+    fn batched_and_per_packet_runs_pull_one_packet_past_the_end() {
+        // 50 arrivals per millisecond. With 1 ms ticks a batch ends at
+        // every tick, with 7 ms ticks also at the 256-packet cap, and
+        // without ticks only at the cap; the end time falls inside a
+        // batch, and then exactly on an arrival.
+        use crate::fault::{FaultInjector, FaultedSource};
+        for end_ns in [61_234_567, 61_220_000] {
+            let end = SimTime::from_nanos(end_ns);
+            for period_ms in [Some(1), Some(7), None] {
+                let mut cfg = EngineConfig::new(Bandwidth::from_mbps(50))
+                    .with_stats_interval(SimDuration::from_millis(20))
+                    .with_end_time(end);
+                if let Some(p) = period_ms {
+                    cfg = cfg.with_control_period(SimDuration::from_millis(p));
+                }
+                let counter = || PullCounter {
+                    inner: VecSource::new(cbr_packets(5_000, 20, 500)),
+                    end,
+                    pulls: 0,
+                    past_end: 0,
+                };
+                let mut batched = counter();
+                let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
+                let a = run(&mut batched, &mut sw, &cfg);
+
+                let faults = FaultInjector::noop();
+                let mut per_packet = FaultedSource::new(counter(), faults.clone());
+                let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
+                let b = run_streamed(
+                    &mut per_packet,
+                    &mut sw,
+                    &cfg,
+                    &mut NoopTracer,
+                    None,
+                    Some(&faults),
+                    None,
+                );
+                let label = format!("end {end_ns} ns, period {period_ms:?} ms");
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+                assert_eq!(batched.past_end, 1, "{label}: batched run");
+                assert_eq!(batched.pulls, a.arrivals + 1, "{label}: batched run");
+                assert_eq!(per_packet.injected(), a.arrivals + 1, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use packet::{ClassId, DropReason, Dropped, FiveTuple, Packet};
 pub use queue::{FifoQueue, PifoQueue, PriorityBank, QueueDiscipline, RedConfig, RedQueue};
 pub use rate::{EwmaRate, TokenBucket};
 pub use shard::{ShardedEngine, ThreadedSource};
-pub use source::{IterSource, MergedSource, PacketSource, VecSource};
+pub use source::{Filled, IterSource, MergedSource, PacketSource, VecSource};
 pub use stats::{Counts, StatsCollector};
 pub use switch::{FeatureExtractor, ProgramSwapSwitch, SingleQueueSwitch, Switch};
 pub use time::{SimDuration, SimTime};

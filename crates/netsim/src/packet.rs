@@ -91,6 +91,7 @@ pub struct Packet {
 impl Packet {
     /// A builder-style constructor with neutral defaults: a 1000-byte benign
     /// UDP packet at t=0 from 10.0.0.1:1000 to 10.0.1.1:80.
+    #[inline]
     pub fn new(arrival: SimTime) -> Self {
         Packet {
             arrival,
@@ -111,6 +112,7 @@ impl Packet {
     }
 
     /// Sets the wire size and keeps `ip_len` consistent with it.
+    #[inline]
     pub fn with_size(mut self, size: u32) -> Self {
         self.size = size;
         self.ip_len = size.min(u16::MAX as u32) as u16;
@@ -118,18 +120,21 @@ impl Packet {
     }
 
     /// Sets the source address.
+    #[inline]
     pub fn with_src(mut self, src: Ipv4Addr) -> Self {
         self.src = src;
         self
     }
 
     /// Sets the destination address.
+    #[inline]
     pub fn with_dst(mut self, dst: Ipv4Addr) -> Self {
         self.dst = dst;
         self
     }
 
     /// Sets the transport ports.
+    #[inline]
     pub fn with_ports(mut self, sport: u16, dport: u16) -> Self {
         self.sport = sport;
         self.dport = dport;
@@ -137,18 +142,21 @@ impl Packet {
     }
 
     /// Sets the IP protocol.
+    #[inline]
     pub fn with_proto(mut self, proto: u8) -> Self {
         self.proto = proto;
         self
     }
 
     /// Sets the TTL.
+    #[inline]
     pub fn with_ttl(mut self, ttl: u8) -> Self {
         self.ttl = ttl;
         self
     }
 
     /// Sets the ground-truth class.
+    #[inline]
     pub fn with_class(mut self, class: ClassId) -> Self {
         self.class = class;
         self

@@ -5,16 +5,16 @@
 //! total order that every golden and corpus differential depends on. What
 //! *can* leave it is the workload generation upstream of it.
 //! [`ThreadedSource`] moves exactly that work onto a producer thread: the
-//! thread pulls the boxed workload source into `BATCH_PKTS`-packet
-//! batches and hands each batch whole to the consumer over a bounded
-//! channel; drained batches return through a second channel, so steady
-//! state allocates nothing.
+//! thread fills each `BATCH_PKTS`-packet batch from the boxed workload
+//! source with one [`PacketSource::fill`] call and hands it whole to the
+//! consumer over a bounded channel; drained batches return through a
+//! second channel, so steady state allocates nothing.
 //!
 //! The consumer side is a plain [`PacketSource`] that yields the packets
 //! in the wrapped source's own order, so it slots in underneath whatever
 //! the serial path already does — the fault plane's `FaultedSource`, leaf
-//! placement, pushback, tracing, telemetry and the classify-ahead
-//! lookahead all run unchanged, with byte-identical output.
+//! placement, pushback, tracing, telemetry and the engine's arrival
+//! batching all run unchanged, with byte-identical output.
 //!
 //! The feed never cuts the stream at the engine's end time: it hands
 //! over every packet the wrapped source yields, and the engine's
@@ -24,8 +24,9 @@
 
 use crate::engine::{run, EngineConfig, RunResult};
 use crate::packet::Packet;
-use crate::source::PacketSource;
+use crate::source::{Filled, PacketSource};
 use crate::switch::Switch;
+use crate::time::SimTime;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
@@ -104,16 +105,15 @@ fn produce(
                 Err(_) => return,
             }
         };
-        let mut ended = false;
-        while batch.len() < BATCH_PKTS {
-            match source.next_packet() {
-                Some(pkt) => batch.push(pkt),
-                None => {
-                    ended = true;
-                    break;
-                }
+        let ended = loop {
+            match source.fill(&mut batch, BATCH_PKTS, SimTime::MAX) {
+                Filled::Full => break false,
+                Filled::Done => break true,
+                // Only a packet stamped `SimTime::MAX` is held back; it
+                // belongs to the stream like any other.
+                Filled::Held(pkt) => batch.push(pkt),
             }
-        }
+        };
         // A failed send means the consumer hung up.
         if (!batch.is_empty() && full.send(batch).is_err()) || ended {
             return;

@@ -93,12 +93,15 @@ pub trait Switch {
     /// packet over at its arrival event through
     /// [`ingress_classified`](Self::ingress_classified) with its ticket.
     ///
-    /// The engine calls this only when classification depends on the
-    /// arrival stream and the control ticks alone: the packets all
-    /// arrive before the next control tick, nothing else reaches the
-    /// switch's ingress meanwhile, and no fault plane runs. A switch
-    /// must return `false` whenever classifying ahead would be
-    /// observable, for example through a per-packet observer.
+    /// The engine pulls arrivals in batches whenever no fault plane runs
+    /// (on any switch and any tree), but offers a batch here only when
+    /// classification depends on the arrival stream and the control
+    /// ticks alone: one leaf and no pushback, so nothing but these
+    /// arrivals reaches the switch's ingress meanwhile, and every packet
+    /// arrives before the next control tick. A switch must return
+    /// `false` whenever classifying ahead would be observable, for
+    /// example through a per-packet observer; the engine then stops
+    /// classifying ahead for the rest of the run, but keeps batching.
     fn classify_ahead(&mut self, _pkts: &[Packet], _tickets: &mut Vec<u32>) -> bool {
         false
     }

@@ -11,8 +11,8 @@ use accturbo_netsim::topology::{
     run_topology, AggLimit, LinkSpec, PushbackPlan, Topology, TopologyConfig,
 };
 use accturbo_netsim::{
-    Bandwidth, Dropped, FifoQueue, Packet, SimDuration, SimTime, SingleQueueSwitch, Switch,
-    ThreadedSource, VecSource,
+    Bandwidth, Dropped, FifoQueue, Filled, Packet, PacketSource, SimDuration, SimTime,
+    SingleQueueSwitch, Switch, ThreadedSource, VecSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,14 +49,40 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// other's deltas.
 static MEASURE: Mutex<()> = Mutex::new(());
 
+/// A source that counts the batches the engine pulls from it.
+struct Batched {
+    inner: VecSource,
+    fills: u64,
+}
+
+impl Batched {
+    fn new(packets: Vec<Packet>) -> Self {
+        Batched {
+            inner: VecSource::new(packets),
+            fills: 0,
+        }
+    }
+}
+
+impl PacketSource for Batched {
+    fn next_packet(&mut self) -> Option<Packet> {
+        self.inner.next_packet()
+    }
+    fn fill(&mut self, out: &mut Vec<Packet>, max: usize, until: SimTime) -> Filled {
+        self.fills += 1;
+        self.inner.fill(out, max, until)
+    }
+}
+
 /// Allocation count of one engine run over `n` overload packets (workload
 /// construction excluded; a wide stats interval keeps the bucket vectors
-/// from dominating).
+/// from dominating). A FIFO classifies nothing ahead, but the engine
+/// still pulls its arrivals in batches, one per control period.
 fn allocs_during_run(n: u64) -> u64 {
     let packets: Vec<Packet> = (0..n)
         .map(|i| Packet::new(SimTime::from_nanos(i * 50_000)).with_size(1000))
         .collect();
-    let mut src = VecSource::new(packets);
+    let mut src = Batched::new(packets);
     let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
     let cfg = EngineConfig::new(Bandwidth::from_mbps(20))
         .with_stats_interval(SimDuration::from_secs(10))
@@ -65,6 +91,11 @@ fn allocs_during_run(n: u64) -> u64 {
     let res = run(&mut src, &mut sw, &cfg);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(res.arrivals, n, "workload must actually run");
+    assert!(
+        src.fills >= n / 200,
+        "the arrivals must be batched: {} batches",
+        src.fills
+    );
     after - before
 }
 
@@ -211,16 +242,32 @@ impl Switch for Limiting {
     }
 }
 
+/// The link of every topology run.
+fn tree_link() -> LinkSpec {
+    LinkSpec::new(Bandwidth::from_mbps(20), SimDuration::from_micros(10))
+}
+
 /// Allocation count of one line-topology run over `n` packets: two hops
 /// without pushback; with it, three hops whose root requests a limit
 /// that is refreshed every millisecond and re-divided at every hop.
-fn allocs_during_topology_run(n: u64, pushback: bool) -> u64 {
+fn allocs_during_line_run(n: u64, pushback: bool) -> u64 {
+    let topo = Topology::line(if pushback { 3 } else { 2 }, tree_link(), tree_link());
+    allocs_during_topology_run(n, &topo, pushback)
+}
+
+/// Allocation count of one run over `n` packets on `topo`, spread over
+/// its leaves by source address; with `pushback`, the root requests a
+/// limit that is refreshed every millisecond and divided down the tree.
+fn allocs_during_topology_run(n: u64, topo: &Topology, pushback: bool) -> u64 {
+    let leaves = topo.leaves().len();
     let packets: Vec<Packet> = (0..n)
-        .map(|i| Packet::new(SimTime::from_nanos(i * 50_000)).with_size(1000))
+        .map(|i| {
+            Packet::new(SimTime::from_nanos(i * 50_000))
+                .with_size(1000)
+                .with_src([10, (i % 251) as u8, 0, 1].into())
+        })
         .collect();
-    let mut src = VecSource::new(packets);
-    let link = LinkSpec::new(Bandwidth::from_mbps(20), SimDuration::from_micros(10));
-    let topo = Topology::line(if pushback { 3 } else { 2 }, link, link);
+    let mut src = Batched::new(packets);
     let mut switches: Vec<Box<dyn Switch>> = (0..topo.num_nodes())
         .map(|i| {
             let sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
@@ -237,12 +284,17 @@ fn allocs_during_topology_run(n: u64, pushback: bool) -> u64 {
         end_time: None,
         pushback: pushback.then(|| PushbackPlan::new(SimDuration::from_millis(1))),
     };
+    let mut place = |p: &Packet| usize::from(p.src.octets()[1]) % leaves;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = run_topology(&topo, &mut switches, &mut src, &mut |_| 0, &cfg);
+    let out = run_topology(topo, &mut switches, &mut src, &mut place, &cfg);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(out.result.arrivals, n, "workload must actually run");
+    assert!(src.fills >= n / 200, "the arrivals must be batched");
     if pushback {
-        assert!(out.node_drops[0] > 0, "the leaf policer must drop");
+        assert!(
+            topo.leaves().iter().any(|&l| out.node_drops[l] > 0),
+            "a leaf policer must drop"
+        );
     }
     after - before
 }
@@ -250,9 +302,9 @@ fn allocs_during_topology_run(n: u64, pushback: bool) -> u64 {
 #[test]
 fn topology_engine_steady_state_does_not_allocate() {
     let _guard = MEASURE.lock().unwrap();
-    let _ = allocs_during_topology_run(400, false);
-    let small = allocs_during_topology_run(2_000, false);
-    let large = allocs_during_topology_run(8_000, false);
+    let _ = allocs_during_line_run(400, false);
+    let small = allocs_during_line_run(2_000, false);
+    let large = allocs_during_line_run(8_000, false);
     // Wires, in-flight slots and the drop buffer are all reused; only
     // warmup growth (stats buckets, buffer capacity) may allocate.
     assert!(
@@ -265,13 +317,29 @@ fn topology_engine_steady_state_does_not_allocate() {
 #[test]
 fn pushback_steady_state_does_not_allocate() {
     let _guard = MEASURE.lock().unwrap();
-    let _ = allocs_during_topology_run(400, true);
+    let _ = allocs_during_line_run(400, true);
     // 100 vs 400 refreshes, each dividing the limit at two hops.
-    let small = allocs_during_topology_run(2_000, true);
-    let large = allocs_during_topology_run(8_000, true);
+    let small = allocs_during_line_run(2_000, true);
+    let large = allocs_during_line_run(8_000, true);
     assert!(
         large <= small + 64,
         "pushback allocations scale with packet count: \
+         {small} allocs for 2k pkts, {large} for 8k"
+    );
+}
+
+#[test]
+fn fattree_pushback_steady_state_does_not_allocate() {
+    // `fattree:4:pushback=on`: 16 edges, 4 aggregations and the core,
+    // the arrivals spread over every edge.
+    let _guard = MEASURE.lock().unwrap();
+    let topo = Topology::fattree(4, tree_link(), tree_link());
+    let _ = allocs_during_topology_run(400, &topo, true);
+    let small = allocs_during_topology_run(2_000, &topo, true);
+    let large = allocs_during_topology_run(8_000, &topo, true);
+    assert!(
+        large <= small + 64,
+        "fat-tree pushback allocations scale with packet count: \
          {small} allocs for 2k pkts, {large} for 8k"
     );
 }

@@ -244,7 +244,11 @@ pub struct AttackSource {
     cfg: AttackConfig,
     rng: StdRng,
     next: SimTime,
-    mean_size: f64,
+    /// The pacing gap: the configured aggregate rate at the vector's mean
+    /// size (per-packet sizes jitter around it).
+    gap: SimDuration,
+    /// The packet size of a single-flow attack: the mean size.
+    flow_size: u32,
     ip_id: u16,
 }
 
@@ -271,11 +275,13 @@ impl AttackSource {
             AttackVector::IcmpFlood => 64.0,
         };
         let next = cfg.start;
+        let gap_ns = mean_size * 8.0 * 1e9 / cfg.rate_bps as f64;
         AttackSource {
             cfg,
             rng,
             next,
-            mean_size,
+            gap: SimDuration::from_nanos(gap_ns.max(1.0) as u64),
+            flow_size: mean_size as u32,
             ip_id: 0,
         }
     }
@@ -377,7 +383,7 @@ impl PacketSource for AttackSource {
         }
         let (size, src, sport) = if self.cfg.single_flow {
             (
-                self.mean_size as u32,
+                self.flow_size,
                 if self.cfg.source_spoofing {
                     self.sample_src()
                 } else {
@@ -423,10 +429,7 @@ impl PacketSource for AttackSource {
         pkt.tcp_flags = tcp_flags;
         pkt.ip_id = self.ip_id;
         self.ip_id = self.ip_id.wrapping_add(1);
-        // Pace to the configured aggregate rate using the vector's mean
-        // size (per-packet sizes jitter around it).
-        let gap_ns = self.mean_size * 8.0 * 1e9 / self.cfg.rate_bps as f64;
-        self.next += SimDuration::from_nanos(gap_ns.max(1.0) as u64);
+        self.next += self.gap;
         Some(pkt)
     }
 }
