@@ -7,8 +7,9 @@
 //! * `plain`  — `run` (the pre-observability datapath),
 //! * `noop`   — `run_streamed` with `NoopTracer` and no hooks, spelled
 //!   out at the call site: the path every figure run takes,
-//! * `active` — `run_streamed` with a live `RingTracer`, a metrics
-//!   registry on both engine and switch, and stage timing enabled.
+//! * `active` — `run_streamed` with a live `RingTracer`, a telemetry
+//!   bundle whose registry both engine and switch update, and stage
+//!   timing enabled.
 //!
 //! The budget is **noop ≤ plain + 2%** (medians over samples). The two
 //! gated rows run interleaved sample by sample, so neither gains from
@@ -21,9 +22,8 @@ use accturbo_core::{AccTurboConfig, AccTurboSwitch};
 use accturbo_netsim::{
     run, run_streamed, Bandwidth, EngineConfig, MergedSource, SimDuration, SimTime,
 };
-use accturbo_obs::{shared, NoopTracer, Registry, RingTracer};
+use accturbo_obs::{shared, NoopTracer, RingTracer, Telemetry};
 use accturbo_traffic::scenarios;
-use std::cell::RefCell;
 use std::rc::Rc;
 
 const LINK: u64 = 10_000_000;
@@ -59,7 +59,6 @@ fn main() {
             &mut NoopTracer,
             None,
             None,
-            None,
         ));
     };
     let [plain, noop] = <[_; 2]>::try_from(h.run_interleaved(
@@ -77,22 +76,21 @@ fn main() {
         || {
             let (src, mut sw) = fresh();
             let tracer = shared(RingTracer::new(1_000_000));
-            let metrics = Rc::new(RefCell::new(Registry::new()));
+            let tel = Telemetry::new();
             sw.set_tracer(Box::new(Rc::clone(&tracer)));
-            sw.set_metrics(Rc::clone(&metrics));
+            sw.set_metrics(tel.metrics());
             sw.set_timing(true);
-            (src, sw, tracer, metrics)
+            (src, sw, tracer, tel)
         },
-        |(mut src, mut sw, tracer, metrics)| {
+        |(mut src, mut sw, tracer, mut tel)| {
             let mut engine_tracer = Rc::clone(&tracer);
             black_box(run_streamed(
                 &mut src,
                 &mut sw,
                 &cfg(),
                 &mut engine_tracer,
-                Some(&metrics),
                 None,
-                None,
+                Some(&mut tel),
             ));
         },
     );

@@ -119,6 +119,31 @@ fn row(name: String, fast: &Stats, reference: Option<&Stats>) -> BenchRow {
     }
 }
 
+/// Times a fast row and its reference row on `h`, interleaved sample by
+/// sample ([`Harness::run_interleaved`]): a host that speeds up or slows
+/// down during the run shifts both rows alike instead of landing in the
+/// recorded speedup. `elements` packets per iteration.
+fn paired_row<'a, T>(
+    h: &Harness,
+    name: &str,
+    elements: u64,
+    setup: impl FnMut() -> T,
+    fast: (&str, &'a mut dyn FnMut(T)),
+    reference: (&str, &'a mut dyn FnMut(T)),
+) -> BenchRow {
+    let [fast, reference] = <[_; 2]>::try_from(h.run_interleaved(setup, &mut [fast, reference]))
+        .expect("one entry per row");
+    let with_elements = |s: Option<Stats>| Stats {
+        elements: Some(elements),
+        ..s.expect("unfiltered")
+    };
+    row(
+        name.into(),
+        &with_elements(fast),
+        Some(&with_elements(reference)),
+    )
+}
+
 /// The synthetic overload workload shared by the engine benches: a
 /// carpet of diverse benign flows with a high-rate single-flow attack on
 /// top, arriving well above the drain rate so classify, enqueue, drop
@@ -171,35 +196,32 @@ fn engine_cfg() -> EngineConfig {
 
 /// Engine-step throughput: the calendar loop driving the full ACC-Turbo
 /// switch, versus (reference) the sentinel min-scan loop driving the
-/// generic per-packet-dispatch kernels.
+/// generic per-packet-dispatch kernels. A clusterer picks its kernels
+/// when built, so each iteration's setup builds one switch per row; the
+/// timed routine drops the other row's switch, microseconds against
+/// milliseconds of stepping.
 fn bench_engine_step(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let cfg = engine_cfg();
-    let fast = h
-        .run_batched(
-            "engine_step/accturbo",
-            Some(n),
-            || (VecSource::new(packets.clone()), engine_switch()),
-            |(mut src, mut sw)| {
-                let res = run(&mut src, &mut sw, &cfg);
-                assert_eq!(res.arrivals, n);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(true);
-    let reference = h
-        .run_batched(
-            "engine_step/accturbo (reference)",
-            Some(n),
-            || (VecSource::new(packets.clone()), engine_switch()),
-            |(mut src, mut sw)| {
-                let res = run_reference(&mut src, &mut sw, &cfg);
-                assert_eq!(res.arrivals, n);
-            },
-        )
-        .expect("unfiltered");
-    force_reference_kernels(false);
-    row("engine_step".into(), &fast, Some(&reference))
+    let setup = || {
+        let fast = engine_switch();
+        force_reference_kernels(true);
+        let reference = engine_switch();
+        force_reference_kernels(false);
+        (VecSource::new(packets.clone()), fast, reference)
+    };
+    let mut fast = |(mut src, mut sw, _)| assert_eq!(run(&mut src, &mut sw, &cfg).arrivals, n);
+    let mut reference = |(mut src, _, mut sw)| {
+        assert_eq!(run_reference(&mut src, &mut sw, &cfg).arrivals, n);
+    };
+    paired_row(
+        h,
+        "engine_step",
+        n,
+        setup,
+        ("engine_step/accturbo", &mut fast),
+        ("engine_step/accturbo (reference)", &mut reference),
+    )
 }
 
 /// Source count for the threaded engine rows: enough independent
@@ -271,29 +293,21 @@ fn bench_engine_step_threaded(h: &Harness, n: u64) -> BenchRow {
     let per_source = threaded_workload(n * THREADED_SCALE);
     let elements: u64 = per_source.iter().map(|v| v.len() as u64).sum();
     let cfg = engine_cfg();
-    let fast = h
-        .run_batched(
-            "engine_step_threaded/accturbo",
-            Some(elements),
-            || (merged_source(&per_source), threaded_switch()),
-            |(src, mut sw)| {
-                let res = run(&mut ThreadedSource::new(Box::new(src)), &mut sw, &cfg);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    let serial = h
-        .run_batched(
-            "engine_step_threaded/accturbo (serial)",
-            Some(elements),
-            || (merged_source(&per_source), threaded_switch()),
-            |(mut src, mut sw)| {
-                let res = run(&mut src, &mut sw, &cfg);
-                assert_eq!(res.arrivals, elements);
-            },
-        )
-        .expect("unfiltered");
-    row("engine_step_threaded".to_string(), &fast, Some(&serial))
+    let mut threaded = |(src, mut sw)| {
+        let res = run(&mut ThreadedSource::new(Box::new(src)), &mut sw, &cfg);
+        assert_eq!(res.arrivals, elements);
+    };
+    let mut serial = |(mut src, mut sw)| {
+        assert_eq!(run(&mut src, &mut sw, &cfg).arrivals, elements);
+    };
+    paired_row(
+        h,
+        "engine_step_threaded",
+        elements,
+        || (merged_source(&per_source), threaded_switch()),
+        ("engine_step_threaded/accturbo", &mut threaded),
+        ("engine_step_threaded/accturbo (serial)", &mut serial),
+    )
 }
 
 /// Packets drained per `source_fill` iteration, per bench packet: the
@@ -326,54 +340,50 @@ fn bench_source_fill(h: &Harness, n: u64) -> BenchRow {
             std::hint::black_box(&pkt);
         }
     };
-    let [fast, reference] = <[_; 2]>::try_from(h.run_interleaved(
+    paired_row(
+        h,
+        "source_fill",
+        elements,
         || spec.cic_config(spec.default_seed()).into_source(),
-        &mut [
-            ("source_fill/cicday", &mut batched),
-            ("source_fill/cicday (next_packet)", &mut per_packet),
-        ],
-    ))
-    .expect("one entry per row");
-    let with_elements = |s: Option<Stats>| Stats {
-        elements: Some(elements),
-        ..s.expect("unfiltered")
-    };
-    row(
-        "source_fill".into(),
-        &with_elements(fast),
-        Some(&with_elements(reference)),
+        ("source_fill/cicday", &mut batched),
+        ("source_fill/cicday (next_packet)", &mut per_packet),
     )
 }
 
 /// Cluster-update throughput: `assign` over the fig6 hardware profile
 /// (10 clusters), with a window poll + reset every 2048 packets, versus
-/// the reference per-cluster-dispatch full-distance scan.
+/// the reference per-cluster-dispatch full-distance scan. Built like
+/// `engine_step`'s switches: one clusterer per row per iteration.
 fn bench_cluster_update(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let cfg = ClusteringConfig::deployable(10, FeatureSet::hardware_fig6());
-    let mut window: Vec<WindowStats> = Vec::new();
-    let mut run_once = |name: &str| {
-        h.run_batched(
-            name,
-            Some(n),
-            || OnlineClusterer::new(cfg.clone()),
-            |mut c| {
-                for (i, pkt) in packets.iter().enumerate() {
-                    accturbo_bench::black_box(c.assign(pkt));
-                    if i % 2048 == 2047 {
-                        c.take_window_into(&mut window);
-                        c.reset_clusters();
-                    }
-                }
-            },
-        )
-        .expect("unfiltered")
+    let setup = || {
+        let fast = OnlineClusterer::new(cfg.clone());
+        force_reference_kernels(true);
+        let reference = OnlineClusterer::new(cfg.clone());
+        force_reference_kernels(false);
+        (fast, reference)
     };
-    let fast = run_once("cluster_update/assign");
-    force_reference_kernels(true);
-    let reference = run_once("cluster_update/assign (reference)");
-    force_reference_kernels(false);
-    row("cluster_update".into(), &fast, Some(&reference))
+    let assign_all = |mut c: OnlineClusterer, window: &mut Vec<WindowStats>| {
+        for (i, pkt) in packets.iter().enumerate() {
+            accturbo_bench::black_box(c.assign(pkt));
+            if i % 2048 == 2047 {
+                c.take_window_into(window);
+                c.reset_clusters();
+            }
+        }
+    };
+    let (mut fast_window, mut ref_window) = (Vec::new(), Vec::new());
+    let mut fast = |(c, _)| assign_all(c, &mut fast_window);
+    let mut reference = |(_, c)| assign_all(c, &mut ref_window);
+    paired_row(
+        h,
+        "cluster_update",
+        n,
+        setup,
+        ("cluster_update/assign", &mut fast),
+        ("cluster_update/assign (reference)", &mut reference),
+    )
 }
 
 /// Packets per batch of the `cluster_assign_batch` row: the engine's
@@ -392,50 +402,47 @@ fn bench_cluster_assign_batch(h: &Harness, n: u64) -> BenchRow {
     let packets = engine_workload(n);
     let features = FeatureSet::simulation_default();
     let cfg = ClusteringConfig::deployable(10, features.clone());
-    let mut window: Vec<WindowStats> = Vec::new();
-    let mut totals: Vec<Vec<WindowStats>> = Vec::new();
+    let (mut batch_window, mut packet_window) = (Vec::new(), Vec::new());
+    let (mut batch_totals, mut packet_totals) = (Vec::new(), Vec::new());
     let (mut batch, mut out) = (FeatureBatch::new(), Vec::new());
-    let fast = h
-        .run_batched(
-            "cluster_assign_batch/batch",
-            Some(n),
-            || OnlineClusterer::new(cfg.clone()),
-            |mut c| {
-                for (i, run) in packets.chunks(ASSIGN_BATCH).enumerate() {
-                    batch.fill(&features, run);
-                    c.assign_batch(&batch, &mut out);
-                    accturbo_bench::black_box(&out);
-                    if i % 8 == 7 {
-                        c.take_window_into(&mut window);
-                        c.reset_clusters();
-                    }
-                }
-                totals.push(c.totals().to_vec());
-            },
-        )
-        .expect("unfiltered");
-    let reference = h
-        .run_batched(
-            "cluster_assign_batch/assign (per packet)",
-            Some(n),
-            || OnlineClusterer::new(cfg.clone()),
-            |mut c| {
-                for (i, pkt) in packets.iter().enumerate() {
-                    accturbo_bench::black_box(c.assign(pkt));
-                    if i % 2048 == 2047 {
-                        c.take_window_into(&mut window);
-                        c.reset_clusters();
-                    }
-                }
-                totals.push(c.totals().to_vec());
-            },
-        )
-        .expect("unfiltered");
+    let mut batched = |mut c: OnlineClusterer| {
+        for (i, run) in packets.chunks(ASSIGN_BATCH).enumerate() {
+            batch.fill(&features, run);
+            c.assign_batch(&batch, &mut out);
+            accturbo_bench::black_box(&out);
+            if i % 8 == 7 {
+                c.take_window_into(&mut batch_window);
+                c.reset_clusters();
+            }
+        }
+        batch_totals.push(c.totals().to_vec());
+    };
+    let mut per_packet = |mut c: OnlineClusterer| {
+        for (i, pkt) in packets.iter().enumerate() {
+            accturbo_bench::black_box(c.assign(pkt));
+            if i % 2048 == 2047 {
+                c.take_window_into(&mut packet_window);
+                c.reset_clusters();
+            }
+        }
+        packet_totals.push(c.totals().to_vec());
+    };
+    let row = paired_row(
+        h,
+        "cluster_assign_batch",
+        n,
+        || OnlineClusterer::new(cfg.clone()),
+        ("cluster_assign_batch/batch", &mut batched),
+        ("cluster_assign_batch/assign (per packet)", &mut per_packet),
+    );
     assert!(
-        totals.windows(2).all(|w| w[0] == w[1]),
+        batch_totals
+            .iter()
+            .chain(&packet_totals)
+            .all(|t| *t == batch_totals[0]),
         "batched and per-packet assignment disagree"
     );
-    row("cluster_assign_batch".into(), &fast, Some(&reference))
+    row
 }
 
 /// Nearest-cluster scan throughput on a realistically grown geometry:
@@ -462,31 +469,24 @@ fn bench_cluster_scan_soa(h: &Harness, n: u64) -> BenchRow {
             v
         })
         .collect();
-    let fast = h
-        .run_batched(
-            "cluster_scan_soa/scan",
-            Some(n),
-            || (),
-            |()| {
-                for v in &vectors {
-                    accturbo_bench::black_box(clusterer.scan_soa(v));
-                }
-            },
-        )
-        .expect("unfiltered");
-    let reference = h
-        .run_batched(
-            "cluster_scan_soa/scan (aos)",
-            Some(n),
-            || (),
-            |()| {
-                for v in &vectors {
-                    accturbo_bench::black_box(clusterer.scan_aos(v));
-                }
-            },
-        )
-        .expect("unfiltered");
-    row("cluster_scan_soa".into(), &fast, Some(&reference))
+    let mut soa = |()| {
+        for v in &vectors {
+            accturbo_bench::black_box(clusterer.scan_soa(v));
+        }
+    };
+    let mut aos = |()| {
+        for v in &vectors {
+            accturbo_bench::black_box(clusterer.scan_aos(v));
+        }
+    };
+    paired_row(
+        h,
+        "cluster_scan_soa",
+        n,
+        || (),
+        ("cluster_scan_soa/scan", &mut soa),
+        ("cluster_scan_soa/scan (aos)", &mut aos),
+    )
 }
 
 /// SP-PIFO ranked-enqueue throughput (drained interleaved, so the bench

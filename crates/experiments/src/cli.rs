@@ -14,9 +14,7 @@ use crate::result::aggregate_csv;
 use crate::spec::{DefenseSpec, ScenarioSpec, TopologySpec, WorkloadSpec};
 use crate::{figure_spec, FigureSpec, Scale, FIGURES};
 use accturbo_netsim::SimDuration;
-use accturbo_obs::{
-    shared_recorder, DatasetSink, FlightRecorder, FlowSampler, JsonlSink, Telemetry,
-};
+use accturbo_obs::{DatasetSink, FlightRecorder, FlowSampler, JsonlSink, Telemetry};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -34,24 +32,52 @@ pub struct Cli {
     /// Explicit seeds (`--seeds a,b,c`). Empty means each figure runs
     /// once at its canonical [`FigureSpec::default_seed`].
     pub seeds: Vec<u64>,
-    /// `--trace PATH`: JSONL trace export of the instrumented Fig. 2
-    /// scenario, plus the run's job spans.
-    pub trace: Option<String>,
-    /// `--metrics PATH`: JSONL metrics export of the same scenario.
-    pub metrics: Option<String>,
     /// `--faults KIND:VAL,...`: custom fault mix. Non-empty switches the
     /// run to the robustness scenario under exactly this mix (baseline +
     /// faulted cell) instead of the generic figure fan-out.
     pub faults: Vec<(String, f64)>,
-    /// `--sink PATH`: stream the Fig. 2 ACC-Turbo scenario's per-period
-    /// telemetry (period lines + metric aggregates) to a JSONL file.
+    /// The exports of the Fig. 2 ACC-Turbo scenario run alongside the
+    /// figures; the trace also gets the figure jobs' spans.
+    pub outputs: Outputs,
+}
+
+/// A run's export paths: the path-valued flags figure mode and `xp run`
+/// share. Each one attaches its output to the run's
+/// [`Telemetry`] bundle ([`build_telemetry`]).
+#[derive(Debug, Default)]
+pub struct Outputs {
+    /// `--trace PATH`: stream every traced event (engine, switch, fault
+    /// plane) to a JSONL file.
+    pub trace: Option<String>,
+    /// `--sink PATH`: stream per-period telemetry (period lines + metric
+    /// aggregates) to a JSONL file.
     pub sink: Option<String>,
-    /// `--dataset PATH`: export that run's reservoir-sampled flow
-    /// records as a labeled dataset (CSV or JSONL by extension).
+    /// `--dataset PATH`: export sampled flow records as a labeled
+    /// dataset (CSV or JSONL by extension).
     pub dataset: Option<String>,
-    /// `--flight-recorder PATH`: arm a flight recorder on the same run
-    /// and write any dumped incident windows (JSONL) to PATH.
+    /// `--flight-recorder PATH`: dump incident windows (JSONL) to PATH.
     pub flight_recorder: Option<String>,
+}
+
+impl Outputs {
+    /// Whether any export was requested.
+    pub fn any(&self) -> bool {
+        self.trace.is_some()
+            || self.sink.is_some()
+            || self.dataset.is_some()
+            || self.flight_recorder.is_some()
+    }
+
+    /// The path a flag sets, or `None` when `flag` is not a path flag.
+    fn slot(&mut self, flag: &str) -> Option<&mut Option<String>> {
+        match flag {
+            "--trace" => Some(&mut self.trace),
+            "--sink" => Some(&mut self.sink),
+            "--dataset" => Some(&mut self.dataset),
+            "--flight-recorder" => Some(&mut self.flight_recorder),
+            _ => None,
+        }
+    }
 }
 
 /// The keys `xp run` accepts, each with its usage note, in usage order.
@@ -165,10 +191,9 @@ pub fn usage() -> String {
          \x20                                append a mean/min/max aggregate\n\
          \x20                                (default: each figure's canonical seed)\n\
          \x20   --trace PATH                 also run the Fig. 2 ACC-Turbo scenario\n\
-         \x20                                with event tracing and write the JSONL\n\
-         \x20                                trace (plus this run's job spans) to PATH\n\
-         \x20   --metrics PATH               write the same run's per-interval\n\
-         \x20                                metrics snapshots (JSONL) to PATH\n\
+         \x20                                and stream its event trace (plus the\n\
+         \x20                                figure jobs' spans) to a JSONL file\n\
+         \x20                                (also an `xp run` flag)\n\
          \x20   --sink PATH                  stream the same scenario's per-period\n\
          \x20                                telemetry (period lines + counter\n\
          \x20                                deltas/gauges/histogram merges) to a\n\
@@ -234,15 +259,18 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         targets: Vec::new(),
         jobs: accturbo_runner::default_threads(),
         seeds: Vec::new(),
-        trace: None,
-        metrics: None,
         faults: Vec::new(),
-        sink: None,
-        dataset: None,
-        flight_recorder: None,
+        outputs: Outputs::default(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if let Some(path) = cli.outputs.slot(arg) {
+            let val = it
+                .next()
+                .ok_or_else(|| format!("{arg} requires a PATH argument"))?;
+            *path = Some(val.clone());
+            continue;
+        }
         match arg.as_str() {
             "--quick" | "--smoke" => cli.scale = Scale::Quick,
             "--faults" => {
@@ -282,41 +310,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                     seeds.push(seed);
                 }
                 cli.seeds = seeds;
-            }
-            "--trace" => {
-                cli.trace = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace requires a PATH argument".to_string())?
-                        .clone(),
-                );
-            }
-            "--metrics" => {
-                cli.metrics = Some(
-                    it.next()
-                        .ok_or_else(|| "--metrics requires a PATH argument".to_string())?
-                        .clone(),
-                );
-            }
-            "--sink" => {
-                cli.sink = Some(
-                    it.next()
-                        .ok_or_else(|| "--sink requires a PATH argument".to_string())?
-                        .clone(),
-                );
-            }
-            "--dataset" => {
-                cli.dataset = Some(
-                    it.next()
-                        .ok_or_else(|| "--dataset requires a PATH argument".to_string())?
-                        .clone(),
-                );
-            }
-            "--flight-recorder" => {
-                cli.flight_recorder = Some(
-                    it.next()
-                        .ok_or_else(|| "--flight-recorder requires a PATH argument".to_string())?
-                        .clone(),
-                );
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown option `{flag}`"));
@@ -468,20 +461,8 @@ pub struct RunCmd {
     pub spec: ScenarioSpec,
     /// `--csv`: emit only the per-second panel, no header or summary.
     pub csv: bool,
-    /// `--sink PATH`: stream per-period telemetry to a JSONL file.
-    pub sink: Option<String>,
-    /// `--dataset PATH`: export sampled flow records as a labeled
-    /// dataset (CSV or JSONL by extension).
-    pub dataset: Option<String>,
-    /// `--flight-recorder PATH`: dump incident windows (JSONL) to PATH.
-    pub flight_recorder: Option<String>,
-}
-
-impl RunCmd {
-    /// Whether any streaming-telemetry output was requested.
-    pub fn wants_telemetry(&self) -> bool {
-        self.sink.is_some() || self.dataset.is_some() || self.flight_recorder.is_some()
-    }
+    /// The run's exports.
+    pub outputs: Outputs,
 }
 
 /// Parses a bandwidth value: plain bps, or with a `k`/`m`/`g` suffix
@@ -512,7 +493,7 @@ fn parse_period(v: &str) -> Result<SimDuration, String> {
 
 /// Parses `xp run` arguments: `key=value` pairs (comma- or
 /// space-separated) plus the `--csv` / `--quick` flags and the
-/// path-valued `--sink` / `--dataset` / `--flight-recorder` flags.
+/// path-valued [`Outputs`] flags.
 pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     let mut workload: Option<WorkloadSpec> = None;
     let mut defense = DefenseSpec::Fifo;
@@ -525,9 +506,7 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     let mut topology: Option<TopologySpec> = None;
     let mut shards: Option<usize> = None;
     let mut fault_mix: Vec<(String, f64)> = Vec::new();
-    let mut sink: Option<String> = None;
-    let mut dataset: Option<String> = None;
-    let mut flight_recorder: Option<String> = None;
+    let mut outputs = Outputs::default();
 
     // Path-valued flags take their value from the *next whole argument*
     // and must be peeled off before the key=value tokenizer splits
@@ -536,17 +515,12 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        if matches!(flag, "--sink" | "--dataset" | "--flight-recorder") {
+        if let Some(path) = outputs.slot(flag) {
             let val = args
                 .get(i + 1)
                 .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("xp run: {flag} requires a PATH argument"))?
-                .clone();
-            match flag {
-                "--sink" => sink = Some(val),
-                "--dataset" => dataset = Some(val),
-                _ => flight_recorder = Some(val),
-            }
+                .ok_or_else(|| format!("xp run: {flag} requires a PATH argument"))?;
+            *path = Some(val.clone());
             i += 2;
         } else {
             rest.push(&args[i]);
@@ -663,13 +637,7 @@ pub fn parse_run(args: &[String]) -> Result<RunCmd, String> {
         let fault_seed = spec.seed;
         spec = spec.with_faults(crate::robustness::config_from_mix(&fault_mix, fault_seed));
     }
-    Ok(RunCmd {
-        spec,
-        csv,
-        sink,
-        dataset,
-        flight_recorder,
-    })
+    Ok(RunCmd { spec, csv, outputs })
 }
 
 /// Default capacities for CLI-constructed telemetry: the reservoir keeps
@@ -683,30 +651,32 @@ const RECORDER_POST: usize = 64;
 /// Builds the [`Telemetry`] bundle for the given output paths, or `None`
 /// when no path was requested. The sampler is seeded from the scenario
 /// seed so dataset exports are reproducible.
-pub fn build_telemetry(
-    sink: Option<&str>,
-    dataset: Option<&str>,
-    flight_recorder: Option<&str>,
-    seed: u64,
-) -> Result<Option<Telemetry>, String> {
-    if sink.is_none() && dataset.is_none() && flight_recorder.is_none() {
+pub fn build_telemetry(outputs: &Outputs, seed: u64) -> Result<Option<Telemetry>, String> {
+    if !outputs.any() {
         return Ok(None);
     }
     let mut t = Telemetry::new();
-    if let Some(path) = sink {
+    if let Some(path) = &outputs.trace {
+        let s = JsonlSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+        t = t.with_trace(Box::new(s));
+    }
+    if let Some(path) = &outputs.sink {
         let s = JsonlSink::create(path).map_err(|e| format!("--sink {path}: {e}"))?;
         t = t.with_sink(Box::new(s));
     }
-    if let Some(path) = dataset {
+    if let Some(path) = &outputs.dataset {
         let d = DatasetSink::create(path).map_err(|e| format!("--dataset {path}: {e}"))?;
         t = t
             .with_flow_sampler(FlowSampler::new(SAMPLER_FLOWS, seed))
             .with_dataset(d);
     }
-    if let Some(path) = flight_recorder {
+    if let Some(path) = &outputs.flight_recorder {
         let s = JsonlSink::create(path).map_err(|e| format!("--flight-recorder {path}: {e}"))?;
-        let rec = FlightRecorder::new(RECORDER_EVENTS, RECORDER_POST, Box::new(s));
-        t = t.with_recorder(shared_recorder(rec));
+        t = t.with_recorder(FlightRecorder::new(
+            RECORDER_EVENTS,
+            RECORDER_POST,
+            Box::new(s),
+        ));
     }
     Ok(Some(t))
 }
@@ -716,21 +686,14 @@ pub fn build_telemetry(
 /// the Fig. 2/3 family, attack/benign throughput otherwise), and a
 /// summary whose share/droprate means match the corresponding figure's
 /// golden summary entries. `--csv` keeps only the panel. When any
-/// `--sink` / `--dataset` / `--flight-recorder` path was given, the run
-/// goes through the streaming engine and the summary gains a
-/// `telemetry.*` section.
+/// [`Outputs`] path was given, the run carries a [`Telemetry`] bundle
+/// and the summary gains a `telemetry.*` section.
 pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
-    use crate::common::{share_panel, share_series, throughput_panel};
-    use accturbo_netsim::ClassId;
+    use crate::common::{share_panel, summary_means, throughput_panel};
     use accturbo_telemetry::f;
 
     let spec = &cmd.spec;
-    let mut telemetry = build_telemetry(
-        cmd.sink.as_deref(),
-        cmd.dataset.as_deref(),
-        cmd.flight_recorder.as_deref(),
-        spec.seed,
-    )?;
+    let mut telemetry = build_telemetry(&cmd.outputs, spec.seed)?;
     let outcome = spec.execute_streamed(telemetry.as_mut());
     let res = &outcome.result;
     let secs = spec.secs;
@@ -756,34 +719,9 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
     }
 
     let _ = writeln!(out, "# summary");
-    let n = secs.max(1) as f64;
-    match share_classes {
-        Some(classes) => {
-            let shares = share_series(res, spec.link_bps, &classes, secs);
-            for (i, &c) in classes.iter().enumerate() {
-                let mean = shares.iter().map(|row| row[i]).sum::<f64>() / n;
-                let _ = writeln!(out, "agg{}.mean_share,{}", c.0, f(mean));
-            }
-            let droprate = (0..secs as usize)
-                .map(|t| res.stats.drop_rate(t))
-                .sum::<f64>()
-                / n;
-            let _ = writeln!(out, "mean_droprate,{}", f(droprate));
-        }
-        None => {
-            let attack = (0..secs as usize)
-                .map(|t| res.stats.attack_throughput_bps(t))
-                .sum::<f64>()
-                / n
-                / 1e6;
-            let benign = (0..secs as usize)
-                .map(|t| res.stats.throughput_bps(t, ClassId::BENIGN))
-                .sum::<f64>()
-                / n
-                / 1e6;
-            let _ = writeln!(out, "mean_attack_gbps,{}", f(attack));
-            let _ = writeln!(out, "mean_benign_gbps,{}", f(benign));
-        }
+    let shares = share_classes.as_deref().map(|c| (spec.link_bps, c));
+    for (key, value) in summary_means(res, shares, secs) {
+        let _ = writeln!(out, "{key},{}", f(value));
     }
     let _ = writeln!(out, "benign_drop_pct,{}", f(res.stats.benign_drop_pct()));
     let _ = writeln!(out, "attack_drop_pct,{}", f(res.stats.attack_drop_pct()));
@@ -828,15 +766,19 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
         let _ = writeln!(out, "degradation.fallbacks,{}", outcome.fallbacks);
     }
     if let Some(tel) = &telemetry {
+        let outputs = &cmd.outputs;
         let _ = writeln!(out, "telemetry.periods,{}", tel.periods());
-        if cmd.sink.is_some() {
+        if outputs.trace.is_some() {
+            let _ = writeln!(out, "telemetry.trace_lines,{}", tel.trace_lines());
+        }
+        if outputs.sink.is_some() {
             let _ = writeln!(out, "telemetry.sink_lines,{}", tel.sink_lines());
         }
-        if cmd.dataset.is_some() {
+        if outputs.dataset.is_some() {
             let _ = writeln!(out, "telemetry.flows_seen,{}", tel.flows_seen());
             let _ = writeln!(out, "telemetry.dataset_rows,{}", tel.dataset_rows());
         }
-        if cmd.flight_recorder.is_some() {
+        if outputs.flight_recorder.is_some() {
             let _ = writeln!(out, "telemetry.flight_windows,{}", tel.recorder_windows());
         }
         if tel.pulse_onsets() > 0 {
@@ -1114,7 +1056,7 @@ mod tests {
         assert_eq!(cli.targets.len(), FIGURES.len());
         assert!(cli.seeds.is_empty());
         assert!(cli.jobs >= 1);
-        assert!(cli.trace.is_none() && cli.metrics.is_none());
+        assert!(!cli.outputs.any());
     }
 
     #[test]
@@ -1191,14 +1133,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_require_paths() {
-        assert!(parse(&args(&["--trace"])).unwrap_err().contains("--trace"));
-        assert!(parse(&args(&["--metrics"]))
+    fn output_flags_require_paths() {
+        for flag in ["--trace", "--sink", "--dataset", "--flight-recorder"] {
+            assert!(parse(&args(&[flag])).unwrap_err().contains(flag));
+        }
+        let cli = parse(&args(&["--trace", "t.jsonl", "--sink", "s.jsonl"])).unwrap();
+        assert_eq!(cli.outputs.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(cli.outputs.sink.as_deref(), Some("s.jsonl"));
+        assert!(parse(&args(&["--metrics", "m.jsonl"]))
             .unwrap_err()
-            .contains("--metrics"));
-        let cli = parse(&args(&["--trace", "t.jsonl", "--metrics", "m.jsonl"])).unwrap();
-        assert_eq!(cli.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(cli.metrics.as_deref(), Some("m.jsonl"));
+            .contains("unknown option `--metrics`"));
     }
 
     #[test]
@@ -1563,6 +1507,8 @@ mod tests {
         let cmd = parse_run(&args(&[
             "workload=fig2",
             "defense=accturbo",
+            "--trace",
+            "tr,1.jsonl",
             "--sink",
             "out dir/t.jsonl",
             "--dataset",
@@ -1571,17 +1517,19 @@ mod tests {
             "fr.jsonl",
         ]))
         .unwrap();
-        assert_eq!(cmd.sink.as_deref(), Some("out dir/t.jsonl"));
-        assert_eq!(cmd.dataset.as_deref(), Some("flows,v1.csv"));
-        assert_eq!(cmd.flight_recorder.as_deref(), Some("fr.jsonl"));
-        assert!(cmd.wants_telemetry());
+        let o = &cmd.outputs;
+        assert_eq!(o.trace.as_deref(), Some("tr,1.jsonl"));
+        assert_eq!(o.sink.as_deref(), Some("out dir/t.jsonl"));
+        assert_eq!(o.dataset.as_deref(), Some("flows,v1.csv"));
+        assert_eq!(o.flight_recorder.as_deref(), Some("fr.jsonl"));
+        assert!(o.any());
 
         let err = parse_run(&args(&["workload=fig2", "--sink"])).unwrap_err();
         assert!(err.contains("--sink"), "{err}");
-        let err = parse_run(&args(&["workload=fig2", "--dataset", "--csv"])).unwrap_err();
-        assert!(err.contains("--dataset"), "{err}");
+        let err = parse_run(&args(&["workload=fig2", "--trace", "--csv"])).unwrap_err();
+        assert!(err.contains("--trace"), "{err}");
         let plain = parse_run(&args(&["workload=fig2"])).unwrap();
-        assert!(!plain.wants_telemetry());
+        assert!(!plain.outputs.any());
     }
 
     #[test]

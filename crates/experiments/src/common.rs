@@ -78,21 +78,53 @@ pub fn simulate(
 ) -> RunResult {
     let cfg = EngineConfig::experiment(link_bps, secs, control_period);
     let noop = forced_noop_faults();
-    run_streamed(
-        source,
-        switch,
-        &cfg,
-        &mut NoopTracer,
-        None,
-        noop.as_ref(),
-        None,
-    )
+    run_streamed(source, switch, &cfg, &mut NoopTracer, noop.as_ref(), None)
+}
+
+/// The summary means of a run's panel, as `(key, value)` pairs in
+/// report order. With `shares = Some((link_bps, classes))` (a
+/// bandwidth-share panel): each class's mean share of the link, then
+/// the mean drop rate. Otherwise (an attack/benign throughput panel):
+/// the mean delivered attack and benign rates at the paper's axis scale
+/// (sim Mbps == paper Gbps). The figures' golden summaries and `xp
+/// run`'s summary both come from here.
+pub fn summary_means(
+    res: &RunResult,
+    shares: Option<(u64, &[ClassId])>,
+    secs: u64,
+) -> Vec<(String, f64)> {
+    let mean = |per_sec: &dyn Fn(usize) -> f64| {
+        (0..secs as usize).map(per_sec).sum::<f64>() / secs.max(1) as f64
+    };
+    match shares {
+        Some((link_bps, classes)) => {
+            let series = share_series(res, link_bps, classes, secs);
+            let mut out: Vec<(String, f64)> = classes
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (format!("agg{}.mean_share", c.0), mean(&|t| series[t][i])))
+                .collect();
+            out.push(("mean_droprate".into(), mean(&|t| res.stats.drop_rate(t))));
+            out
+        }
+        None => vec![
+            (
+                "mean_attack_gbps".into(),
+                mean(&|t| res.stats.attack_throughput_bps(t)) / 1e6,
+            ),
+            (
+                "mean_benign_gbps".into(),
+                mean(&|t| res.stats.throughput_bps(t, ClassId::BENIGN)) / 1e6,
+            ),
+        ],
+    }
 }
 
 /// Pushes the structural summary of a bandwidth-share panel into a
 /// [`FigureResult`]: per-class mean share and the mean drop rate over
-/// the run. Together with the `rendered_fnv` digest this pins the
-/// panel's series against silent drift while staying compact.
+/// the run ([`summary_means`]). Together with the `rendered_fnv` digest
+/// this pins the panel's series against silent drift while staying
+/// compact.
 pub fn push_share_summary(
     r: &mut FigureResult,
     prefix: &str,
@@ -101,35 +133,18 @@ pub fn push_share_summary(
     classes: &[ClassId],
     secs: u64,
 ) {
-    let shares = share_series(res, link_bps, classes, secs);
-    for (i, &c) in classes.iter().enumerate() {
-        let mean = shares.iter().map(|row| row[i]).sum::<f64>() / secs.max(1) as f64;
-        r.num(&format!("{prefix}.agg{}.mean_share", c.0), mean);
+    for (key, value) in summary_means(res, Some((link_bps, classes)), secs) {
+        r.num(&format!("{prefix}.{key}"), value);
     }
-    let droprate = (0..secs as usize)
-        .map(|t| res.stats.drop_rate(t))
-        .sum::<f64>()
-        / secs.max(1) as f64;
-    r.num(&format!("{prefix}.mean_droprate"), droprate);
 }
 
 /// Pushes the structural summary of an attack/benign throughput panel
-/// (Figs. 6 and 7): mean delivered rate of each side over the run, at
-/// the paper's axis scale (sim Mbps == paper Gbps).
+/// (Figs. 6 and 7): mean delivered rate of each side over the run
+/// ([`summary_means`]).
 pub fn push_throughput_summary(r: &mut FigureResult, prefix: &str, res: &RunResult, secs: u64) {
-    let n = secs.max(1) as f64;
-    let attack = (0..secs as usize)
-        .map(|t| res.stats.attack_throughput_bps(t))
-        .sum::<f64>()
-        / n
-        / 1e6;
-    let benign = (0..secs as usize)
-        .map(|t| res.stats.throughput_bps(t, ClassId::BENIGN))
-        .sum::<f64>()
-        / n
-        / 1e6;
-    r.num(&format!("{prefix}.mean_attack_gbps"), attack);
-    r.num(&format!("{prefix}.mean_benign_gbps"), benign);
+    for (key, value) in summary_means(res, None, secs) {
+        r.num(&format!("{prefix}.{key}"), value);
+    }
 }
 
 /// Renders the Figs. 2/3 per-second bandwidth-share CSV panel: shares

@@ -16,7 +16,7 @@ use crate::common::{delay_text, push_share_summary, share_panel, Scale, LINK_10G
 use crate::result::FigureResult;
 use crate::spec::{DefenseSpec, ScenarioSpec, WorkloadSpec};
 use crate::Figure;
-use accturbo_netsim::{run_streamed, ClassId, EngineConfig, RunResult, SimDuration};
+use accturbo_netsim::{ClassId, RunResult, SimDuration};
 use accturbo_traffic::scenarios;
 use std::fmt::Write as _;
 
@@ -44,63 +44,6 @@ fn acc_run(k: SimDuration, secs: u64, seed: u64) -> RunResult {
 
 fn accturbo_run(secs: u64, seed: u64) -> RunResult {
     run(DefenseSpec::accturbo(), secs, seed)
-}
-
-/// The Fig. 2d ACC-Turbo run with full observability: every engine and
-/// switch decision traced into one ring, engine + switch metrics in one
-/// registry. Returns `(result, tracer, metrics)` — what the `xp`
-/// `--trace`/`--metrics` flags export.
-pub fn accturbo_traced_run(
-    scale: Scale,
-) -> (
-    RunResult,
-    accturbo_obs::SharedTracer,
-    accturbo_obs::MetricsHandle,
-) {
-    use accturbo_obs::{shared, Registry, RingTracer};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let secs = scale.secs(scenarios::RUN_SECS, 2);
-    let tracer = shared(RingTracer::new(2_000_000));
-    let metrics: accturbo_obs::MetricsHandle = Rc::new(RefCell::new(Registry::new()));
-    let mut src = scenarios::fig2_source(LINK, DEFAULT_SEED);
-    let mut sw = crate::spec::AccTurboSpec::simulation().build();
-    sw.set_tracer(Box::new(Rc::clone(&tracer)));
-    sw.set_metrics(Rc::clone(&metrics));
-    sw.set_timing(true);
-    let mut engine_tracer = Rc::clone(&tracer);
-    let cfg = EngineConfig::experiment(LINK, secs, Some(SimDuration::from_millis(250)));
-    let res = run_streamed(
-        &mut src,
-        &mut sw,
-        &cfg,
-        &mut engine_tracer,
-        Some(&metrics),
-        None,
-        None,
-    );
-    // Export the hot-path stage timings as custom events at end-of-run.
-    {
-        let mut t = tracer.borrow_mut();
-        let ts = res.final_time.as_nanos();
-        for (name, total, calls) in sw.stage_clock().report() {
-            use accturbo_obs::{Event, Tracer as _};
-            let per_call_ns = if calls > 0 {
-                total.as_nanos() as f64 / calls as f64
-            } else {
-                0.0
-            };
-            t.record(
-                ts,
-                &Event::Custom {
-                    name: format!("stage_{name}_ns_per_call").into(),
-                    value: per_call_ns,
-                },
-            );
-        }
-    }
-    (res, tracer, metrics)
 }
 
 fn panel(out: &mut String, title: &str, res: &RunResult, secs: u64) {

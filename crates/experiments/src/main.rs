@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! xp [FIGURE...] [--quick] [--jobs N] [--seeds A,B,C]
-//!    [--trace PATH] [--metrics PATH]
+//!    [--trace PATH] [--sink PATH] [--dataset PATH] [--flight-recorder PATH]
 //! xp run KEY=VAL[,KEY=VAL...] [--csv] [--quick]   # one ad-hoc scenario
+//!    [--trace PATH] [--sink PATH] [--dataset PATH] [--flight-recorder PATH]
 //! xp search defense=SPEC [--budget N] [--seed N] [--top N]
 //!    [--jobs N] [--out PATH] [--quick]   # adversarial worst-case search
 //! xp trace PATH        # pretty-print a JSONL trace
@@ -13,7 +14,7 @@
 //!
 //! All parsing and orchestration lives in `accturbo_experiments::cli`;
 //! this binary only wires stdout/stderr, the process exit code and the
-//! observability exports together.
+//! figure mode's exports together.
 
 #![forbid(unsafe_code)]
 
@@ -43,14 +44,23 @@ fn dump_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the instrumented Fig. 2 ACC-Turbo scenario and writes the
-/// requested JSONL exports. The figure run's own job spans are appended
-/// to the trace so a parallel `xp all --jobs N --trace …` shows where
-/// every figure ran and for how long.
-fn export_observability(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
+/// Runs the Fig. 2 ACC-Turbo scenario with the requested exports
+/// (`--trace` / `--sink` / `--dataset` / `--flight-recorder`) alongside
+/// a figure run, through the same [`cli::build_telemetry`] bundle as
+/// `xp run`. The figure jobs' spans open the trace, so a parallel
+/// `xp all --jobs N --trace …` shows where every figure ran and for how
+/// long.
+fn export(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
     eprintln!("running the instrumented Fig. 2 ACC-Turbo scenario ...");
-    let (_, tracer, metrics) = accturbo_experiments::fig2::accturbo_traced_run(cli.scale);
-    if let Some(path) = &cli.trace {
+    let mut argv: Vec<String> = vec!["workload=fig2".into(), "defense=accturbo".into()];
+    if cli.scale == accturbo_experiments::Scale::Quick {
+        argv.push("--quick".into());
+    }
+    let spec = cli::parse_run(&argv)?.spec;
+    let outputs = &cli.outputs;
+    let mut tel = cli::build_telemetry(outputs, spec.seed)?
+        .expect("export is only called when an output path is set");
+    if let Some(tracer) = tel.tracer().filter(|_| outputs.trace.is_some()) {
         for span in spans {
             tracer.borrow_mut().record(
                 span.started_at.as_nanos() as u64,
@@ -62,59 +72,26 @@ fn export_observability(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
                 },
             );
         }
-        let t = tracer.borrow();
-        t.write_jsonl_to(std::path::Path::new(path))
-            .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-        eprintln!(
-            "wrote {} events ({} recorded in total) to {path}",
-            t.len(),
-            t.total_recorded()
-        );
     }
-    if let Some(path) = &cli.metrics {
-        let m = metrics.borrow();
-        m.write_jsonl_to(std::path::Path::new(path))
-            .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
-        eprintln!("wrote {} metric snapshots to {path}", m.snapshot_count());
-    }
-    Ok(())
-}
-
-/// Runs the Fig. 2 ACC-Turbo scenario through the streaming engine and
-/// writes whichever of `--sink` / `--dataset` / `--flight-recorder` was
-/// requested alongside a figure run. Mirrors [`export_observability`]
-/// but with bounded-memory streaming outputs instead of accumulating
-/// in-process buffers.
-fn export_streaming(cli: &Cli) -> Result<(), String> {
-    eprintln!("running the streamed Fig. 2 ACC-Turbo scenario ...");
-    let mut argv: Vec<String> = vec!["workload=fig2".into(), "defense=accturbo".into()];
-    if cli.scale == accturbo_experiments::Scale::Quick {
-        argv.push("--quick".into());
-    }
-    let spec = cli::parse_run(&argv)?.spec;
-    let mut tel = cli::build_telemetry(
-        cli.sink.as_deref(),
-        cli.dataset.as_deref(),
-        cli.flight_recorder.as_deref(),
-        spec.seed,
-    )?
-    .expect("export_streaming is only called when a telemetry flag is set");
     let _ = spec.execute_streamed(Some(&mut tel));
-    if let Some(path) = &cli.sink {
+    if let Some(path) = &outputs.trace {
+        eprintln!("wrote {} trace events to {path}", tel.trace_lines());
+    }
+    if let Some(path) = &outputs.sink {
         eprintln!(
             "wrote {} telemetry lines ({} periods) to {path}",
             tel.sink_lines(),
             tel.periods()
         );
     }
-    if let Some(path) = &cli.dataset {
+    if let Some(path) = &outputs.dataset {
         eprintln!(
             "wrote {} labeled flow records ({} flows seen) to {path}",
             tel.dataset_rows(),
             tel.flows_seen()
         );
     }
-    if let Some(path) = &cli.flight_recorder {
+    if let Some(path) = &outputs.flight_recorder {
         eprintln!(
             "wrote {} flight window(s) to {path}",
             tel.recorder_windows()
@@ -192,14 +169,8 @@ fn main() -> ExitCode {
 
     let spans = cli::run_figures(&cli, |block| print!("{block}"));
 
-    if cli.trace.is_some() || cli.metrics.is_some() {
-        if let Err(e) = export_observability(&cli, &spans) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if cli.sink.is_some() || cli.dataset.is_some() || cli.flight_recorder.is_some() {
-        if let Err(e) = export_streaming(&cli) {
+    if cli.outputs.any() {
+        if let Err(e) = export(&cli, &spans) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }

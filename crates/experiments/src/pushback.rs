@@ -102,7 +102,6 @@ pub fn run<T: Tracer + ?Sized>(
         &mut place,
         &cfg,
         tracer,
-        None,
         faults.as_ref(),
         None,
     )

@@ -36,13 +36,11 @@ use accturbo_netsim::{
     RedConfig, RedQueue, RunResult, SimDuration, SimTime, SingleQueueSwitch, Switch,
     ThreadedSource, Topology, TopologyConfig, TopologyRunResult,
 };
-use accturbo_obs::{MetricsHandle, NoopTracer, Registry, Telemetry};
+use accturbo_obs::{NoopTracer, Telemetry};
 use accturbo_sched::{DegradationCounters, RankingAlgorithm};
 use accturbo_traffic::workloads::{self, AdversarialScenario, FloodVariation, PulseAttackConfig};
 use accturbo_traffic::{scenarios, AttackVector, CicDdosConfig, LeafPlacement};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 use std::str::FromStr;
 
 /// Renders a duration as seconds — integer when whole, decimal
@@ -1584,13 +1582,13 @@ impl ScenarioSpec {
     /// placement) and an ACC-Turbo bottleneck; ACC-Turbo also reports
     /// its degradation counters.
     ///
-    /// With `telemetry`, the engine gets a fresh metrics registry so the
-    /// aggregation stage has per-period counters/gauges/histograms to
-    /// delta; an ACC-Turbo bottleneck shares that registry (control-loop
-    /// timing, queue depths, degradation gauges) and — when the bundle
-    /// carries a flight recorder — the recorder as its tracer, so switch
-    /// and engine events land in one incident timeline. Without it the
-    /// run is byte-identical to the plain engine paths the figures use.
+    /// With `telemetry`, the engine and an ACC-Turbo bottleneck share the
+    /// bundle's registry (engine counters, queue depths, degradation
+    /// gauges), so the aggregation stage has per-period values to delta,
+    /// and the bundle's one tracer (with a trace or a flight recorder)
+    /// goes to the engine, an ACC-Turbo bottleneck and the fault plane,
+    /// so their events land in one timeline. Without it the run is
+    /// byte-identical to the plain engine paths the figures use.
     pub fn execute_streamed(&self, telemetry: Option<&mut Telemetry>) -> ScenarioOutcome {
         let (t, fault_stats, degradation) = self.run(telemetry);
         ScenarioOutcome {
@@ -1614,15 +1612,15 @@ impl ScenarioSpec {
         let line1 = || TopologySpec::new(TopologyShape::Line(1));
         let tspec = self.topology.clone().unwrap_or_else(line1);
         let topo = tspec.build(self.link_bps);
-        let faults = self
-            .faults
-            .as_ref()
-            .map(|fc| FaultInjector::new(FaultSchedule::new(fc.clone())));
+        let tracer = telemetry.as_ref().and_then(|t| t.tracer());
+        let faults = self.faults.as_ref().map(|fc| {
+            let mut inj = FaultInjector::new(FaultSchedule::new(fc.clone()));
+            if let Some(t) = &tracer {
+                inj.set_tracer(t.clone());
+            }
+            inj
+        });
         let engine_faults = faults.clone().or_else(forced_noop_faults);
-        let metrics: Option<MetricsHandle> = telemetry
-            .is_some()
-            .then(|| Rc::new(RefCell::new(Registry::new())));
-        let recorder = telemetry.as_ref().and_then(|t| t.recorder_handle());
         // ACC-Turbo stays concrete: its metrics/tracer/fault setters and
         // degradation counters are not on the `Switch` trait.
         let mut turbo = match &self.defense {
@@ -1630,11 +1628,11 @@ impl ScenarioSpec {
             _ => None,
         };
         if let Some(sw) = &mut turbo {
-            if let Some(m) = &metrics {
-                sw.set_metrics(Rc::clone(m));
+            if let Some(t) = &telemetry {
+                sw.set_metrics(t.metrics());
             }
-            if let Some(rec) = &recorder {
-                sw.set_tracer(Box::new(rec.clone()));
+            if let Some(t) = &tracer {
+                sw.set_tracer(Box::new(t.clone()));
             }
             if let Some(inj) = &faults {
                 sw.set_faults(inj.clone());
@@ -1674,15 +1672,15 @@ impl ScenarioSpec {
         if tspec.pushback {
             cfg = cfg.with_pushback(PushbackPlan::new(tspec.refresh()));
         }
-        let (m, f) = (metrics.as_ref(), engine_faults.as_ref());
+        let f = engine_faults.as_ref();
         let (topo, nodes, src) = (&topo, &mut nodes[..], &mut *src);
-        let t = match recorder {
-            Some(mut rec) => {
-                run_topology_streamed(topo, nodes, src, place, &cfg, &mut rec, m, f, telemetry)
+        let t = match tracer {
+            Some(mut t) => {
+                run_topology_streamed(topo, nodes, src, place, &cfg, &mut t, f, telemetry)
             }
             None => {
-                let tracer = &mut NoopTracer;
-                run_topology_streamed(topo, nodes, src, place, &cfg, tracer, m, f, telemetry)
+                let noop = &mut NoopTracer;
+                run_topology_streamed(topo, nodes, src, place, &cfg, noop, f, telemetry)
             }
         };
         let degradation = turbo.map_or_else(Default::default, |sw| sw.degradation().counters());

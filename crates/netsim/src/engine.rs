@@ -55,7 +55,7 @@ use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkSpec, Pushback, Topology, TopologyConfig, TopologyRunResult};
 use crate::units::Bandwidth;
-use accturbo_obs::{Event, FlowKey, MetricsHandle, NoopTracer, Telemetry, Tracer};
+use accturbo_obs::{Event, FlowKey, NoopTracer, Telemetry, Tracer};
 use std::collections::VecDeque;
 
 /// Engine configuration.
@@ -154,7 +154,7 @@ pub fn run(
 ) -> RunResult {
     // NoopTracer monomorphizes: the tracing branches compile out of this
     // path entirely (verified by the `obs_overhead` bench).
-    run_streamed(source, switch, cfg, &mut NoopTracer, None, None, None)
+    run_streamed(source, switch, cfg, &mut NoopTracer, None, None)
 }
 
 /// The flow identity the streaming sampler keys on, taken from a packet.
@@ -170,23 +170,17 @@ fn flow_key(p: &Packet) -> FlowKey {
 }
 
 /// Runs `source` through `switch` under `cfg` with every hook the
-/// engine has: a tracer, engine metrics, a fault plane and a
-/// streaming-telemetry bundle. Each is optional; with `NoopTracer` and
-/// `None` everywhere this is [`run`].
+/// engine has: a tracer, a fault plane and a streaming-telemetry
+/// bundle. Each is optional; with `NoopTracer` and `None` everywhere
+/// this is [`run`].
 ///
 /// **Events.** Trace events emitted here: `depart` and `drop` per
 /// packet, `control_tick` per control-plane tick, and `stats_tick` at
 /// every stats-interval boundary (on a tree also `hop` per link crossing
 /// and `pushback_limit` per message). Switch-internal events (enqueue,
 /// cluster decisions, priority remaps) are emitted by the switch itself
-/// when its own tracer is installed — share one `SharedTracer` across
-/// both to get a single interleaved timeline.
-///
-/// **Metrics.** When `metrics` is given, the engine registers
-/// `engine_arrivals` / `engine_departures` / `engine_drops` counters, a
-/// `backlog_pkts` gauge, and a `queue_depth_pkts` histogram, and
-/// snapshots the whole registry at every stats-interval boundary (plus
-/// once at the end).
+/// when its own tracer is installed — give both the bundle's
+/// [`Telemetry::tracer`] to get a single interleaved timeline.
 ///
 /// **Faults** (DESIGN.md §9). When `faults` is given, the injector is
 /// consulted at the engine's two substrate decision points: each
@@ -197,16 +191,17 @@ fn flow_key(p: &Packet) -> FlowKey {
 /// [`crate::fault::FaultedSource`], outside the engine.
 ///
 /// **Telemetry** (DESIGN.md §11). When `telemetry` is given, the engine
-/// replaces the registry's accumulate-and-dump snapshots with
-/// streaming: at every stats-interval boundary (and once at the end) it
-/// calls [`Telemetry::on_period`] with the live registry, which emits
+/// registers `engine_arrivals` / `engine_departures` / `engine_drops`
+/// counters, a `backlog_pkts` gauge, and a `queue_depth_pkts` histogram
+/// in the bundle's registry ([`Telemetry::metrics`]), feeds the
+/// reservoir flow sampler from arrivals/drops, and at every
+/// stats-interval boundary (and once at the end, via
+/// [`Telemetry::finish`]) calls [`Telemetry::on_period`], which streams
 /// per-period counter deltas / gauge last-values / histogram merges to
-/// the bundle's sink, feeds the reservoir flow sampler from
-/// arrivals/drops, runs the pulse-onset heuristic, and — via
-/// [`Telemetry::finish`] — exports the labeled dataset.
-/// `Registry::snapshot` is never called on this path, so telemetry
-/// memory stays bounded by the sink/ring/reservoir capacities for
-/// arbitrarily long runs.
+/// the bundle's sink, runs the pulse-onset heuristic, and at the end
+/// exports the labeled dataset. Nothing accumulates per period, so
+/// telemetry memory stays bounded by the sink/ring/reservoir capacities
+/// for arbitrarily long runs.
 ///
 /// With `faults == None` and `telemetry == None` every injection point
 /// and hook is a not-taken branch on unchanged state: the run is
@@ -217,7 +212,6 @@ pub fn run_streamed<T: Tracer + ?Sized>(
     switch: &mut dyn Switch,
     cfg: &EngineConfig,
     tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
     faults: Option<&FaultInjector>,
     telemetry: Option<&mut Telemetry>,
 ) -> RunResult {
@@ -230,7 +224,6 @@ pub fn run_streamed<T: Tracer + ?Sized>(
         &mut |_| 0,
         &tcfg,
         tracer,
-        metrics,
         faults,
         telemetry,
     )
@@ -398,7 +391,6 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
     place: &mut dyn FnMut(&Packet) -> usize,
     cfg: &TopologyConfig,
     tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
     faults: Option<&FaultInjector>,
     mut telemetry: Option<&mut Telemetry>,
 ) -> TopologyRunResult {
@@ -409,20 +401,24 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
     let mut delays = DelayHistogram::new();
     let mut drops_buf: Vec<Dropped> = Vec::new();
 
-    let ids = metrics.map(|m| {
-        let mut r = m.borrow_mut();
-        (
-            r.counter("engine_arrivals"),
-            r.counter("engine_departures"),
-            r.counter("engine_drops"),
-            r.gauge("backlog_pkts"),
-            r.histogram(
-                "queue_depth_pkts",
-                &[
-                    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-                ],
-            ),
-        )
+    let metrics = telemetry.as_ref().map(|t| {
+        let m = t.metrics();
+        let ids = {
+            let mut r = m.borrow_mut();
+            (
+                r.counter("engine_arrivals"),
+                r.counter("engine_departures"),
+                r.counter("engine_drops"),
+                r.gauge("backlog_pkts"),
+                r.histogram(
+                    "queue_depth_pkts",
+                    &[
+                        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+                    ],
+                ),
+            )
+        };
+        (m, ids)
     });
 
     // Per node: the packet on its output link (`None` = idle) and the
@@ -532,7 +528,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
         debug_assert!(t >= now, "event time went backwards");
         now = t;
 
-        // Stats-interval boundary: note the tick and snapshot metrics.
+        // Stats-interval boundary: note the tick and stream the period.
         let bucket = now.bucket(cfg.stats_interval);
         if bucket != stats_bucket {
             stats_bucket = bucket;
@@ -542,15 +538,9 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
             if tracer.enabled() {
                 tracer.record(boundary_ns, &Event::StatsTick { bucket });
             }
-            if let (Some(m), Some(ids)) = (metrics, &ids) {
-                let mut r = m.borrow_mut();
-                r.set(ids.3, backlog_pkts as f64);
-                match telemetry.as_mut() {
-                    Some(t) => t.on_period(boundary_ns, backlog_pkts, Some(&r)),
-                    None => r.snapshot(boundary_ns),
-                }
-            } else if let Some(t) = telemetry.as_mut() {
-                t.on_period(boundary_ns, backlog_pkts, None);
+            if let (Some(t), Some((m, ids))) = (telemetry.as_mut(), &metrics) {
+                m.borrow_mut().set(ids.3, backlog_pkts as f64);
+                t.on_period(boundary_ns, backlog_pkts);
             }
         }
 
@@ -577,7 +567,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                             },
                         );
                     }
-                    if let (Some(m), Some(ids)) = (metrics, &ids) {
+                    if let Some((m, ids)) = &metrics {
                         m.borrow_mut().inc(ids.1, 1);
                     }
                     if let Some(t) = telemetry.as_mut() {
@@ -620,7 +610,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     now,
                     &mut drops_buf
                 ));
-                if let (Some(m), Some(ids)) = (metrics, &ids) {
+                if let Some((m, ids)) = &metrics {
                     if !drops_buf.is_empty() {
                         m.borrow_mut().inc(ids.2, drops_buf.len() as u64);
                     }
@@ -705,7 +695,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     Some(t) => nodes[leaf].ingress_classified(p, t, now, &mut drops_buf),
                     None => nodes[leaf].ingress(p, now, &mut drops_buf),
                 });
-                if let (Some(m), Some(ids)) = (metrics, &ids) {
+                if let Some((m, ids)) = &metrics {
                     let mut r = m.borrow_mut();
                     r.inc(ids.0, 1);
                     if !drops_buf.is_empty() {
@@ -746,18 +736,11 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
         );
     }
 
-    // Final snapshot (or streamed final period) so short runs still
-    // export at least one.
+    // The streamed final period, so short runs still export one.
     let backlog_pkts = backlog(nodes);
-    if let (Some(m), Some(ids)) = (metrics, &ids) {
-        let mut r = m.borrow_mut();
-        r.set(ids.3, backlog_pkts as f64);
-        match telemetry.as_mut() {
-            Some(t) => t.finish(now.as_nanos(), backlog_pkts, Some(&r)),
-            None => r.snapshot(now.as_nanos()),
-        }
-    } else if let Some(t) = telemetry.as_mut() {
-        t.finish(now.as_nanos(), backlog_pkts, None);
+    if let (Some(t), Some((m, ids))) = (telemetry, &metrics) {
+        m.borrow_mut().set(ids.3, backlog_pkts as f64);
+        t.finish(now.as_nanos(), backlog_pkts);
     }
 
     let (pushback_installs, node_first_limit) = match pushback {
@@ -912,10 +895,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_traces_and_snapshots() {
-        use accturbo_obs::{shared, Registry, RingTracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+    fn instrumented_run_traces_and_streams_periods() {
+        use accturbo_obs::{shared, RingSink, RingTracer};
 
         // Same overload scenario as `overloaded_link_drops_the_excess`:
         // both departs and drops occur, and the run spans many stats
@@ -925,16 +906,8 @@ mod tests {
         let cfg = EngineConfig::new(Bandwidth::from_mbps(10))
             .with_stats_interval(SimDuration::from_millis(20));
         let mut tracer = shared(RingTracer::new(100_000));
-        let metrics = Rc::new(RefCell::new(Registry::new()));
-        let res = run_streamed(
-            &mut src,
-            &mut sw,
-            &cfg,
-            &mut tracer,
-            Some(&metrics),
-            None,
-            None,
-        );
+        let mut tel = Telemetry::new().with_sink(Box::new(RingSink::new(64)));
+        let res = run_streamed(&mut src, &mut sw, &cfg, &mut tracer, None, Some(&mut tel));
 
         let t = tracer.borrow();
         let departs = t.iter().filter(|(_, e)| e.kind() == "depart").count() as u64;
@@ -945,6 +918,7 @@ mod tests {
         assert!(ticks > 0, "run must cross stats-interval boundaries");
 
         // Re-registering returns the existing ids.
+        let metrics = tel.metrics();
         let mut r = metrics.borrow_mut();
         let (ia, id, ix) = (
             r.counter("engine_arrivals"),
@@ -957,15 +931,13 @@ mod tests {
         assert_eq!(arr, res.arrivals);
         assert_eq!(dep, res.departures);
         assert_eq!(drp, res.drops);
-        assert!(r.snapshot_count() > 1, "per-interval + final snapshots");
-        assert!(!r.to_jsonl().is_empty());
+        assert!(tel.periods() > 1, "per-interval + final periods");
+        assert!(tel.sink_lines() > 0);
     }
 
     #[test]
     fn stats_ticks_precede_every_later_event_under_overload() {
-        use accturbo_obs::{shared, Event, Registry, RingTracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use accturbo_obs::{shared, Event, RingSink, RingTracer};
 
         // 80 Mbps offered on a 10 Mbps link: the link stays busy across
         // every 1 ms stats bucket, so arrivals (and their drops) land on
@@ -977,16 +949,8 @@ mod tests {
         let mut src = VecSource::new(cbr_packets(2_000, 100, 1000));
         let mut sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
         let mut tracer = shared(RingTracer::new(100_000));
-        let metrics = Rc::new(RefCell::new(Registry::new()));
-        let res = run_streamed(
-            &mut src,
-            &mut sw,
-            &cfg,
-            &mut tracer,
-            Some(&metrics),
-            None,
-            None,
-        );
+        let mut tel = Telemetry::new().with_sink(Box::new(RingSink::new(64)));
+        let res = run_streamed(&mut src, &mut sw, &cfg, &mut tracer, None, Some(&mut tel));
 
         let mut plain_src = VecSource::new(cbr_packets(2_000, 100, 1000));
         let mut plain_sw = SingleQueueSwitch::new(FifoQueue::new(10_000));
@@ -1023,9 +987,9 @@ mod tests {
             }
         }
         assert_eq!(
-            metrics.borrow().snapshot_count(),
+            tel.periods(),
             ticks as u64 + 1,
-            "one snapshot per bucket boundary plus the final one"
+            "one period per bucket boundary plus the final one"
         );
     }
 
@@ -1037,7 +1001,7 @@ mod tests {
         let a = run(&mut src1, &mut sw1, &cfg);
         let mut src2 = VecSource::new(cbr_packets(500, 100, 1000));
         let mut sw2 = SingleQueueSwitch::new(FifoQueue::new(10_000));
-        let b = run_streamed(&mut src2, &mut sw2, &cfg, &mut NoopTracer, None, None, None);
+        let b = run_streamed(&mut src2, &mut sw2, &cfg, &mut NoopTracer, None, None);
         assert_eq!(a.arrivals, b.arrivals);
         assert_eq!(a.departures, b.departures);
         assert_eq!(a.drops, b.drops);
@@ -1172,7 +1136,6 @@ mod tests {
                     &mut sw,
                     &cfg,
                     &mut NoopTracer,
-                    None,
                     Some(&faults),
                     None,
                 );

@@ -32,7 +32,7 @@ use crate::source::PacketSource;
 use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
-use accturbo_obs::{MetricsHandle, NoopTracer, Telemetry, Tracer};
+use accturbo_obs::{NoopTracer, Telemetry, Tracer};
 
 /// One directed link: serialization rate plus propagation delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -593,7 +593,6 @@ pub fn run_topology(
         &mut NoopTracer,
         None,
         None,
-        None,
     )
 }
 
@@ -603,9 +602,9 @@ pub fn run_topology(
 /// `pushback_limit` per message delivery (tagged with the installing
 /// node); the fault plane decides each shared control tick for every
 /// node and stretches transmissions on the root's bottleneck link; the
-/// metrics and telemetry count arrivals at the leaves, drops at any node
-/// (policer drops included), departures at the root, and the backlog
-/// summed over all nodes.
+/// telemetry counts arrivals at the leaves, drops at any node (policer
+/// drops included), departures at the root, and the backlog summed over
+/// all nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_topology_streamed<T: Tracer + ?Sized>(
     topo: &Topology,
@@ -614,12 +613,11 @@ pub fn run_topology_streamed<T: Tracer + ?Sized>(
     place: &mut dyn FnMut(&Packet) -> usize,
     cfg: &TopologyConfig,
     tracer: &mut T,
-    metrics: Option<&MetricsHandle>,
     faults: Option<&FaultInjector>,
     telemetry: Option<&mut Telemetry>,
 ) -> TopologyRunResult {
     drive(
-        source, topo, switches, place, cfg, tracer, metrics, faults, telemetry,
+        source, topo, switches, place, cfg, tracer, faults, telemetry,
     )
 }
 
@@ -1161,7 +1159,6 @@ mod tests {
             &mut |p| p.seq as usize % 2,
             &cfg,
             &mut NoopTracer,
-            None,
             Some(&faults),
             None,
         );

@@ -237,15 +237,7 @@ fn engine_under_faults_conserves_packets_and_is_deterministic() {
             let cfg = EngineConfig::new(Bandwidth::from_mbps(50))
                 .with_stats_interval(SimDuration::from_millis(10))
                 .with_control_period(SimDuration::from_micros(500));
-            let res = run_streamed(
-                &mut src,
-                &mut sw,
-                &cfg,
-                &mut NoopTracer,
-                None,
-                Some(&inj),
-                None,
-            );
+            let res = run_streamed(&mut src, &mut sw, &cfg, &mut NoopTracer, Some(&inj), None);
             (
                 res.arrivals,
                 res.departures,
@@ -295,15 +287,7 @@ fn delayed_control_ticks_run_exactly_once() {
     let cfg = EngineConfig::new(Bandwidth::from_mbps(50))
         .with_stats_interval(SimDuration::from_millis(10))
         .with_control_period(SimDuration::from_micros(500));
-    run_streamed(
-        &mut src,
-        &mut sw,
-        &cfg,
-        &mut NoopTracer,
-        None,
-        Some(&inj),
-        None,
-    );
+    run_streamed(&mut src, &mut sw, &cfg, &mut NoopTracer, Some(&inj), None);
     let stats = inj.stats();
     assert!(stats.ctrl_delayed > 0, "delay prob 0.8 must bite");
     assert_eq!(stats.ctrl_dropped, 0);

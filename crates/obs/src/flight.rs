@@ -4,8 +4,9 @@
 //!
 //! Long runs cannot afford full traces, but incidents still need
 //! context. The recorder buffers the last `capacity` events; when a
-//! trigger fires — a `fault` or `degrade` event arriving (automatic),
-//! or [`FlightRecorder::trigger`] called by a heuristic such as the
+//! trigger fires — a control-loop or link `fault` event or a `degrade`
+//! event arriving (automatic; per-packet fates never arm it), or
+//! [`FlightRecorder::trigger`] called by a heuristic such as the
 //! pulse-onset detector — it keeps recording for `post_window` more
 //! events and then emits the whole ring (pre-trigger context plus
 //! post-trigger aftermath) as one JSONL window. Re-triggers while a
@@ -14,14 +15,16 @@
 use crate::event::Event;
 use crate::sink::Sink;
 use crate::tracer::Tracer;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
-/// See the module docs. Implements [`Tracer`], so it can sit anywhere a
-/// tracer can — including shared between the engine and a switch via
-/// [`SharedFlightRecorder`].
+/// The `fault` kinds that arm the recorder: the control loop's and the
+/// link's. A per-packet fate at a 0.2 rate would dump a window every
+/// few dozen events.
+const ARMING_FAULTS: [&str; 4] = ["ctrl_drop", "ctrl_delay", "stale_snapshot", "link_flap"];
+
+/// See the module docs. Implements [`Tracer`]; a run feeds it through
+/// its [`crate::Telemetry`] bundle's [`crate::RunTracer`].
 pub struct FlightRecorder {
     ring: VecDeque<(u64, Event<'static>)>,
     capacity: usize,
@@ -133,7 +136,11 @@ impl Tracer for FlightRecorder {
         self.total_recorded += 1;
         match &mut self.pending {
             None => {
-                if matches!(event, Event::FaultInjected { .. } | Event::Degrade { .. }) {
+                let arms = match event {
+                    Event::FaultInjected { kind, .. } => ARMING_FAULTS.contains(&kind.as_ref()),
+                    _ => matches!(event, Event::Degrade { .. }),
+                };
+                if arms {
                     self.trigger(ts_ns, event.kind());
                 }
             }
@@ -147,20 +154,12 @@ impl Tracer for FlightRecorder {
     }
 }
 
-/// A flight recorder shareable between the engine and the switch it
-/// drives (both need `&mut` access during one simulation step).
-pub type SharedFlightRecorder = Rc<RefCell<FlightRecorder>>;
-
-/// Wraps a [`FlightRecorder`] for sharing across the engine/switch
-/// boundary; the blanket `Tracer for Rc<RefCell<T>>` impl applies.
-pub fn shared_recorder(recorder: FlightRecorder) -> SharedFlightRecorder {
-    Rc::new(RefCell::new(recorder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::RingSink;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn recorder(capacity: usize, post: usize) -> (FlightRecorder, SharedProbe) {
         let probe = SharedProbe::default();
@@ -225,12 +224,33 @@ mod tests {
     }
 
     #[test]
+    fn per_packet_fates_are_recorded_but_do_not_arm() {
+        let (mut rec, probe) = recorder(8, 2);
+        for kind in ["pkt_drop", "pkt_reorder"] {
+            rec.record(
+                0,
+                &Event::FaultInjected {
+                    kind: kind.into(),
+                    value: 0.0,
+                },
+            );
+        }
+        for tick in 0..10 {
+            rec.record(tick, &Event::ControlTick { tick });
+        }
+        rec.finish();
+        assert_eq!(rec.triggers(), 0);
+        assert!(probe.lines().is_empty());
+        assert_eq!(rec.total_recorded(), 12);
+    }
+
+    #[test]
     fn retrigger_while_draining_coalesces() {
         let (mut rec, probe) = recorder(8, 3);
         rec.record(
             0,
             &Event::FaultInjected {
-                kind: "a".into(),
+                kind: "link_flap".into(),
                 value: 0.0,
             },
         );
@@ -278,13 +298,17 @@ mod tests {
 
     #[test]
     fn works_behind_shared_handle_as_tracer() {
-        let shared = shared_recorder(FlightRecorder::new(8, 1, Box::new(RingSink::new(32))));
+        let shared = Rc::new(RefCell::new(FlightRecorder::new(
+            8,
+            1,
+            Box::new(RingSink::new(32)),
+        )));
         let mut a = shared.clone();
         assert!(a.enabled());
         a.record(
             0,
             &Event::FaultInjected {
-                kind: "x".into(),
+                kind: "ctrl_drop".into(),
                 value: 1.0,
             },
         );

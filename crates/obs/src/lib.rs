@@ -16,9 +16,8 @@
 //!   remap, control tick, pushback rate-limit change), emitted through
 //!   the [`Tracer`] trait. [`NoopTracer`] is the default and compiles to
 //!   nothing on the hot path; [`RingTracer`] buffers the last N events
-//!   and exports JSONL.
-//! * [`metrics`] — named counters, gauges, and fixed-bucket histograms,
-//!   snapshotted per stats interval into JSONL lines.
+//!   and renders them as JSONL.
+//! * [`metrics`] — named counters, gauges, and fixed-bucket histograms.
 //! * [`span`] — wall-clock self-profiling of pipeline stages
 //!   (classify/rank/enqueue) using `std::time::Instant`.
 //!
@@ -27,7 +26,8 @@
 //! * [`sink`] — where telemetry *goes* (JSONL file, bounded ring,
 //!   fan-out tee, CSV/JSONL dataset exporter), flushed per period.
 //! * [`stream`] — the per-period aggregation stage ([`Aggregator`]) and
-//!   the per-run bundle ([`Telemetry`]) the engine drives.
+//!   the per-run bundle ([`Telemetry`]), the one way a run exports
+//!   anything: it owns the registry and the run's one [`RunTracer`].
 //! * [`sample`] — deterministic reservoir sampling of per-flow records
 //!   ([`FlowSampler`]), exported as labeled datasets.
 //! * [`flight`] — the [`FlightRecorder`]: a silent ring that dumps a
@@ -52,11 +52,11 @@ pub mod stream;
 pub mod tracer;
 
 pub use event::Event;
-pub use flight::{shared_recorder, FlightRecorder, SharedFlightRecorder};
+pub use flight::FlightRecorder;
 pub use json::{escape_json, json_f64, raw_field};
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsHandle, Registry};
 pub use sample::{FlowKey, FlowRecord, FlowSampler};
 pub use sink::{DatasetFormat, DatasetSink, JsonlSink, RingSink, Sink, TeeSink};
 pub use span::{StageClock, StageId};
-pub use stream::{Aggregator, Telemetry};
+pub use stream::{Aggregator, RunTracer, Telemetry};
 pub use tracer::{shared, NoopTracer, RingTracer, SharedTracer, Tracer};

@@ -1,21 +1,13 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms with JSONL snapshots.
+//! histograms.
 //!
 //! Hot paths register once (getting a typed id handle) and then update
 //! through the id — an O(1) vector index, no string hashing per packet.
-//! The engine snapshots the registry at every stats interval; snapshots
-//! accumulate in the registry and export as JSONL, one metric per line:
-//!
-//! ```json
-//! {"ts":1000000,"metric":"pkts_enqueued","type":"counter","value":412}
-//! {"ts":1000000,"metric":"queue_depth_pkts","type":"gauge","value":7}
-//! {"ts":1000000,"metric":"cluster_distance","type":"histogram",
-//!  "count":412,"sum":8123.5,"buckets":[["1",10],["8",250],["+inf",2]]}
-//! ```
+//! The registry holds live values only: a run's [`crate::Telemetry`]
+//! bundle owns it and streams per-period deltas of it to its sink
+//! ([`crate::Aggregator`]).
 
-use crate::{escape_json, json_f64};
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Handle to a registered counter.
@@ -95,33 +87,12 @@ impl Histogram {
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
     }
-
-    fn write_json_fields(&self, out: &mut String) {
-        let _ = write!(out, ",\"count\":{},\"sum\":", self.count);
-        json_f64(self.sum, out);
-        out.push_str(",\"buckets\":[");
-        for (i, &c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            if i < self.bounds.len() {
-                json_f64(self.bounds[i], out);
-            } else {
-                out.push_str("+inf");
-            }
-            let _ = write!(out, "\",{c}]");
-        }
-        out.push(']');
-    }
 }
 
 /// The metrics registry.
 ///
 /// Register each metric once (typically at construction) to obtain an
-/// id handle, then update through the handle on the hot path. Call
-/// [`Registry::snapshot`] at stats-interval boundaries; the accumulated
-/// snapshots export via [`Registry::to_jsonl`].
+/// id handle, then update through the handle on the hot path.
 #[derive(Debug, Default)]
 pub struct Registry {
     counter_names: Vec<String>,
@@ -130,8 +101,6 @@ pub struct Registry {
     gauges: Vec<f64>,
     histogram_names: Vec<String>,
     histograms: Vec<Histogram>,
-    snapshots: String,
-    snapshot_count: u64,
 }
 
 impl Registry {
@@ -205,11 +174,6 @@ impl Registry {
         &self.histograms[id.0]
     }
 
-    /// Number of snapshots taken so far.
-    pub fn snapshot_count(&self) -> u64 {
-        self.snapshot_count
-    }
-
     /// Iterates `(name, value)` over all registered counters, in
     /// registration order. Used by the streaming aggregation stage.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
@@ -235,43 +199,6 @@ impl Registry {
             .iter()
             .map(String::as_str)
             .zip(self.histograms.iter())
-    }
-
-    /// Appends one JSONL line per registered metric at time `ts_ns`.
-    /// Counters and histograms are cumulative; gauges are instantaneous.
-    pub fn snapshot(&mut self, ts_ns: u64) {
-        let mut out = std::mem::take(&mut self.snapshots);
-        for (name, value) in self.counter_names.iter().zip(&self.counters) {
-            let _ = write!(out, "{{\"ts\":{ts_ns},\"metric\":\"");
-            escape_json(name, &mut out);
-            let _ = writeln!(out, "\",\"type\":\"counter\",\"value\":{value}}}");
-        }
-        for (name, value) in self.gauge_names.iter().zip(&self.gauges) {
-            let _ = write!(out, "{{\"ts\":{ts_ns},\"metric\":\"");
-            escape_json(name, &mut out);
-            out.push_str("\",\"type\":\"gauge\",\"value\":");
-            json_f64(*value, &mut out);
-            out.push_str("}\n");
-        }
-        for (name, h) in self.histogram_names.iter().zip(&self.histograms) {
-            let _ = write!(out, "{{\"ts\":{ts_ns},\"metric\":\"");
-            escape_json(name, &mut out);
-            out.push_str("\",\"type\":\"histogram\"");
-            h.write_json_fields(&mut out);
-            out.push_str("}\n");
-        }
-        self.snapshots = out;
-        self.snapshot_count += 1;
-    }
-
-    /// All snapshots taken so far, as JSONL.
-    pub fn to_jsonl(&self) -> &str {
-        &self.snapshots
-    }
-
-    /// Writes all snapshots to `path` as JSONL.
-    pub fn write_jsonl_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, &self.snapshots)
     }
 }
 
@@ -315,41 +242,5 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn histogram_rejects_unsorted_bounds() {
         let _ = Histogram::new(&[10.0, 1.0]);
-    }
-
-    #[test]
-    fn snapshot_emits_one_line_per_metric() {
-        let mut r = Registry::new();
-        let c = r.counter("pkts");
-        r.histogram("dist", &[1.0, 2.0]);
-        r.inc(c, 1);
-        r.snapshot(1_000_000);
-        r.inc(c, 1);
-        r.snapshot(2_000_000);
-        let jsonl = r.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 4);
-        assert_eq!(r.snapshot_count(), 2);
-        assert!(
-            jsonl.contains("\"ts\":1000000,\"metric\":\"pkts\",\"type\":\"counter\",\"value\":1")
-        );
-        assert!(
-            jsonl.contains("\"ts\":2000000,\"metric\":\"pkts\",\"type\":\"counter\",\"value\":2")
-        );
-        assert!(jsonl.contains("\"type\":\"histogram\""));
-        assert!(jsonl.contains("\"+inf\""));
-    }
-
-    #[test]
-    fn histogram_snapshot_shape() {
-        let mut r = Registry::new();
-        let h = r.histogram("lat", &[1.0]);
-        r.observe(h, 0.5);
-        r.observe(h, 2.0);
-        r.snapshot(5);
-        let line = r.to_jsonl().lines().next().unwrap();
-        assert_eq!(
-            line,
-            "{\"ts\":5,\"metric\":\"lat\",\"type\":\"histogram\",\"count\":2,\"sum\":2.5,\"buckets\":[[\"1\",1],[\"+inf\",1]]}"
-        );
     }
 }

@@ -5,11 +5,10 @@
 //! lines — counter *deltas*, gauge last-values, histogram merges
 //! (count/sum/bucket deltas) — remembering only one previous value per
 //! metric, so its memory is O(metrics), not O(periods). [`Telemetry`]
-//! bundles the whole streaming configuration for one run: the output
+//! bundles every export of one run: the metrics registry, the output
 //! sink, the aggregator, an optional reservoir [`FlowSampler`] feeding
-//! a [`DatasetSink`] at end of run, an optional shared
-//! [`FlightRecorder`](crate::FlightRecorder), and a pulse-onset heuristic that arms the
-//! recorder when per-period drops jump.
+//! a [`DatasetSink`] at end of run, the run's one [`RunTracer`], and a
+//! pulse-onset heuristic that arms the flight recorder.
 //!
 //! Line shapes emitted each period at time `ts`:
 //!
@@ -23,13 +22,17 @@
 //! {"ts":..,"ev":"pulse_onset","drops":..,"prev_drops":..}
 //! ```
 
-use crate::flight::SharedFlightRecorder;
+use crate::event::Event;
+use crate::flight::FlightRecorder;
 use crate::json::{escape_json, json_f64};
-use crate::metrics::Registry;
+use crate::metrics::{MetricsHandle, Registry};
 use crate::sample::{FlowKey, FlowSampler};
 use crate::sink::{DatasetSink, Sink};
+use crate::tracer::Tracer;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Per-period reduction of a [`Registry`]: counter deltas, gauge
 /// last-values, histogram count/sum/bucket deltas. Holds one previous
@@ -118,6 +121,38 @@ impl Aggregator {
     }
 }
 
+/// The run's one tracer, handed out by [`Telemetry::tracer`] to every
+/// emitter of the run (engine, switch, fault plane): it streams each
+/// event to the trace sink as the JSONL line
+/// [`RingTracer`](crate::RingTracer) renders, and feeds the flight
+/// recorder.
+#[derive(Default)]
+pub struct RunTracer {
+    trace: Option<Box<dyn Sink>>,
+    recorder: Option<FlightRecorder>,
+    trace_lines: u64,
+    line: String,
+}
+
+impl Tracer for RunTracer {
+    #[inline]
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+        if let Some(trace) = &mut self.trace {
+            self.line.clear();
+            event.write_jsonl(ts_ns, &mut self.line);
+            trace.emit(self.line.trim_end());
+            self.trace_lines += 1;
+        }
+        if let Some(rec) = &mut self.recorder {
+            rec.record(ts_ns, event);
+        }
+    }
+}
+
 /// Packet/byte counters for the period in flight.
 #[derive(Debug, Default, Clone, Copy)]
 struct PeriodCounters {
@@ -134,11 +169,13 @@ struct PeriodCounters {
 /// `on_depart`) only bump counters and feed the reservoir; all line
 /// formatting happens in [`Telemetry::on_period`] at period boundaries.
 pub struct Telemetry {
+    metrics: MetricsHandle,
     sink: Option<Box<dyn Sink>>,
     aggregator: Aggregator,
     sampler: Option<FlowSampler>,
     dataset: Option<DatasetSink>,
-    recorder: Option<SharedFlightRecorder>,
+    /// Present once a trace sink or a flight recorder is attached.
+    tracer: Option<Rc<RefCell<RunTracer>>>,
     /// Pulse-onset fires when period drops ≥ floor and > factor × prev.
     pulse_factor: f64,
     pulse_floor: u64,
@@ -158,14 +195,16 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates an empty bundle (no sink, no sampler, no recorder).
+    /// Creates a bundle with an empty registry and no outputs (no sink,
+    /// no sampler, no trace, no recorder).
     pub fn new() -> Self {
         Telemetry {
+            metrics: Rc::new(RefCell::new(Registry::new())),
             sink: None,
             aggregator: Aggregator::new(),
             sampler: None,
             dataset: None,
-            recorder: None,
+            tracer: None,
             pulse_factor: 4.0,
             pulse_floor: 50,
             cur: PeriodCounters::default(),
@@ -200,12 +239,24 @@ impl Telemetry {
         self
     }
 
-    /// Attaches a shared flight recorder; the pulse-onset heuristic
-    /// arms it, and callers can hand clones of the same handle to the
-    /// engine/switch as their tracer.
-    pub fn with_recorder(mut self, recorder: SharedFlightRecorder) -> Self {
-        self.recorder = Some(recorder);
+    /// Streams every event the run's tracer records into `sink`, one
+    /// JSONL line per event.
+    pub fn with_trace(mut self, sink: Box<dyn Sink>) -> Self {
+        self.run_tracer().trace = Some(sink);
         self
+    }
+
+    /// Feeds every event the run's tracer records into `recorder`; the
+    /// pulse-onset heuristic arms it too.
+    pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
+        self.run_tracer().recorder = Some(recorder);
+        self
+    }
+
+    fn run_tracer(&mut self) -> RefMut<'_, RunTracer> {
+        self.tracer
+            .get_or_insert_with(Default::default)
+            .borrow_mut()
     }
 
     /// Overrides the pulse-onset heuristic: fire when a period's drops
@@ -216,9 +267,16 @@ impl Telemetry {
         self
     }
 
-    /// A clone of the attached flight-recorder handle, if any.
-    pub fn recorder_handle(&self) -> Option<SharedFlightRecorder> {
-        self.recorder.clone()
+    /// The run's metrics registry: the engine registers its metrics in
+    /// it, and a switch's `set_metrics` takes it too.
+    pub fn metrics(&self) -> MetricsHandle {
+        Rc::clone(&self.metrics)
+    }
+
+    /// The run's one tracer, for every emitter of the run; `None`
+    /// without a trace sink or a flight recorder.
+    pub fn tracer(&self) -> Option<Rc<RefCell<RunTracer>>> {
+        self.tracer.clone()
     }
 
     /// Periods flushed so far.
@@ -251,11 +309,20 @@ impl Telemetry {
         self.dataset.as_ref().map_or(0, |d| d.rows())
     }
 
+    /// Trace lines streamed (0 without a trace sink).
+    pub fn trace_lines(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.borrow().trace_lines)
+    }
+
     /// Flight-recorder windows dumped (0 without a recorder).
     pub fn recorder_windows(&self) -> u64 {
-        self.recorder
-            .as_ref()
-            .map_or(0, |r| r.borrow().windows_emitted())
+        self.recorder().map_or(0, |r| r.windows_emitted())
+    }
+
+    /// The flight recorder, borrowed out of the run's tracer.
+    fn recorder(&self) -> Option<RefMut<'_, FlightRecorder>> {
+        let tracer = self.tracer.as_ref()?.borrow_mut();
+        RefMut::filter_map(tracer, |t| t.recorder.as_mut()).ok()
     }
 
     /// One packet arrived at the switch.
@@ -285,9 +352,9 @@ impl Telemetry {
     }
 
     /// Flushes the period ending at `ts_ns`: the `period` line, one
-    /// `agg` line per metric in `registry`, the pulse-onset check, and
-    /// a sink flush. Resets the period counters.
-    pub fn on_period(&mut self, ts_ns: u64, backlog_pkts: usize, registry: Option<&Registry>) {
+    /// `agg` line per metric in the registry, the pulse-onset check, and
+    /// a flush of the sink and the trace. Resets the period counters.
+    pub fn on_period(&mut self, ts_ns: u64, backlog_pkts: usize) {
         let cur = self.cur;
         if let Some(sink) = &mut self.sink {
             let mut line = std::mem::take(&mut self.line);
@@ -300,9 +367,8 @@ impl Telemetry {
             sink.emit(&line);
             self.line = line;
             self.sink_lines += 1;
-            if let Some(r) = registry {
-                self.sink_lines += self.aggregator.flush(r, ts_ns, sink.as_mut());
-            }
+            let r = self.metrics.borrow();
+            self.sink_lines += self.aggregator.flush(&r, ts_ns, sink.as_mut());
         }
         if cur.drops >= self.pulse_floor
             && cur.drops as f64 > self.prev_drops as f64 * self.pulse_factor
@@ -320,8 +386,8 @@ impl Telemetry {
                 self.line = line;
                 self.sink_lines += 1;
             }
-            if let Some(rec) = &self.recorder {
-                rec.borrow_mut().trigger(ts_ns, "pulse_onset");
+            if let Some(mut rec) = self.recorder() {
+                rec.trigger(ts_ns, "pulse_onset");
             }
         }
         self.prev_drops = cur.drops;
@@ -330,21 +396,26 @@ impl Telemetry {
         if let Some(sink) = &mut self.sink {
             sink.flush();
         }
+        if let Some(t) = &self.tracer {
+            if let Some(trace) = &mut t.borrow_mut().trace {
+                trace.flush();
+            }
+        }
     }
 
     /// End of run: flushes the final partial period, exports the
     /// dataset, and drains the flight recorder. Idempotent.
-    pub fn finish(&mut self, ts_ns: u64, backlog_pkts: usize, registry: Option<&Registry>) {
+    pub fn finish(&mut self, ts_ns: u64, backlog_pkts: usize) {
         if self.finished {
             return;
         }
         self.finished = true;
-        self.on_period(ts_ns, backlog_pkts, registry);
+        self.on_period(ts_ns, backlog_pkts);
         if let (Some(dataset), Some(sampler)) = (&mut self.dataset, &self.sampler) {
             dataset.export(sampler.records());
         }
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().finish();
+        if let Some(mut rec) = self.recorder() {
+            rec.finish();
         }
         if let Some(sink) = &mut self.sink {
             sink.flush();
@@ -377,8 +448,8 @@ mod tests {
         t.on_arrival(10, key(1), 0, 100);
         t.on_arrival(20, key(2), 1, 200);
         t.on_depart(100);
-        t.on_period(1_000, 5, None);
-        t.on_period(2_000, 0, None);
+        t.on_period(1_000, 5);
+        t.on_period(2_000, 0);
         assert_eq!(t.periods(), 2);
         assert_eq!(t.sink_lines(), 2);
         // Inspect via a fresh ring: re-run against a probe is clumsy, so
@@ -436,28 +507,59 @@ mod tests {
 
     #[test]
     fn pulse_onset_fires_on_drop_jump_and_arms_recorder() {
-        use crate::flight::{shared_recorder, FlightRecorder};
-        let rec = shared_recorder(FlightRecorder::new(8, 1, Box::new(RingSink::new(32))));
+        let rec = FlightRecorder::new(8, 1, Box::new(RingSink::new(32)));
         let mut t = ring_telemetry(64)
             .with_pulse_onset(4.0, 10)
-            .with_recorder(rec.clone());
+            .with_recorder(rec);
         // Quiet period, then a 40× jump.
         for _ in 0..2 {
             t.on_arrival(0, key(1), 0, 64);
         }
-        t.on_period(1_000, 0, None);
+        t.on_period(1_000, 0);
         for _ in 0..40 {
             t.on_drop(&key(1));
         }
-        t.on_period(2_000, 0, None);
+        t.on_period(2_000, 0);
         assert_eq!(t.pulse_onsets(), 1);
-        assert_eq!(rec.borrow().triggers(), 1);
+        // Armed with a one-event aftermath: the next event dumps.
+        let tracer = t.tracer().expect("a recorder implies the run tracer");
+        tracer
+            .borrow_mut()
+            .record(2_500, &Event::ControlTick { tick: 1 });
+        assert_eq!(t.recorder_windows(), 1);
         // Sustained drops at the same level do not re-fire.
         for _ in 0..40 {
             t.on_drop(&key(1));
         }
-        t.on_period(3_000, 0, None);
+        t.on_period(3_000, 0);
         assert_eq!(t.pulse_onsets(), 1);
+    }
+
+    #[test]
+    fn trace_streams_the_ring_tracers_lines() {
+        use crate::tracer::RingTracer;
+        let probe = Rc::new(RefCell::new(RingSink::new(16)));
+        struct Shared(Rc<RefCell<RingSink>>);
+        impl Sink for Shared {
+            fn emit(&mut self, line: &str) {
+                self.0.borrow_mut().emit(line);
+            }
+            fn flush(&mut self) {}
+        }
+        let t = Telemetry::new().with_trace(Box::new(Shared(Rc::clone(&probe))));
+        let tracer = t.tracer().expect("a trace implies the run tracer");
+        let mut ring = RingTracer::new(16);
+        let events = [
+            Event::ControlTick { tick: 1 },
+            Event::Depart { class: 2, size: 64 },
+        ];
+        for (ts, ev) in events.iter().enumerate() {
+            tracer.borrow_mut().record(ts as u64, ev);
+            ring.record(ts as u64, ev);
+        }
+        assert_eq!(probe.borrow().to_jsonl(), ring.to_jsonl());
+        assert_eq!(t.trace_lines(), 2);
+        assert_eq!(t.recorder_windows(), 0);
     }
 
     #[test]
@@ -468,8 +570,8 @@ mod tests {
             .with_dataset(DatasetSink::create(&dir).unwrap());
         t.on_arrival(5, key(1), 0, 100);
         t.on_arrival(6, key(2), 1, 200);
-        t.finish(1_000, 0, None);
-        t.finish(2_000, 0, None);
+        t.finish(1_000, 0);
+        t.finish(2_000, 0);
         assert_eq!(t.dataset_rows(), 2);
         assert_eq!(t.periods(), 1, "second finish is a no-op");
         let text = std::fs::read_to_string(&dir).unwrap();

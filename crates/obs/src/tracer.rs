@@ -1,6 +1,8 @@
-//! The [`Tracer`] trait and its two implementations: [`NoopTracer`]
+//! The [`Tracer`] trait and its two basic implementations: [`NoopTracer`]
 //! (the default — compiles to nothing) and [`RingTracer`] (a bounded
-//! in-memory ring buffer with JSONL export).
+//! in-memory ring buffer with JSONL rendering, for tests). A run's
+//! streamed trace goes through the [`crate::Telemetry`] bundle's
+//! [`crate::RunTracer`] instead.
 
 use crate::event::Event;
 use std::cell::RefCell;
@@ -87,11 +89,6 @@ impl RingTracer {
             ev.write_jsonl(*ts, &mut out);
         }
         out
-    }
-
-    /// Writes the buffer as JSONL to `path`.
-    pub fn write_jsonl_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
     }
 
     /// Drops all buffered events (the total-recorded count is kept).

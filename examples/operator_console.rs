@@ -16,9 +16,7 @@ use accturbo::netsim::{
     run, run_streamed, Bandwidth, ClassId, EngineConfig, MergedSource, PacketSource, SimDuration,
     SimTime,
 };
-use accturbo::obs::{
-    raw_field, Event, MetricsHandle, NoopTracer, Registry, Sink, Telemetry, Tracer,
-};
+use accturbo::obs::{raw_field, Event, NoopTracer, Sink, Telemetry, Tracer};
 use accturbo::sched::RankingAlgorithm;
 use accturbo::traffic::{
     AttackConfig, AttackSource, AttackVector, BackgroundConfig, BackgroundSource, CbrSource,
@@ -216,8 +214,8 @@ fn main() {
     let period = SimDuration::from_millis(250);
     let mut source = workload();
     let mut sw = switch();
-    let metrics: MetricsHandle = Rc::new(RefCell::new(Registry::new()));
-    sw.set_metrics(Rc::clone(&metrics));
+    let mut tel = Telemetry::new().with_sink(Box::new(ConsoleSink::new()));
+    sw.set_metrics(tel.metrics());
     let cfg = EngineConfig::new(Bandwidth::from_bps(LINK_BPS))
         .with_stats_interval(period)
         .with_control_period(period)
@@ -230,13 +228,11 @@ fn main() {
         "{:>6}  {:>8}  {:>8}  {:>8}  {:>8}",
         "t(s)", "arrived", "dropped", "enqueued", "backlog"
     );
-    let mut tel = Telemetry::new().with_sink(Box::new(ConsoleSink::new()));
     run_streamed(
         &mut source,
         &mut sw,
         &cfg,
         &mut NoopTracer,
-        Some(&metrics),
         None,
         Some(&mut tel),
     );

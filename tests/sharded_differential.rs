@@ -15,7 +15,7 @@
 //! the scenario.
 
 use accturbo_adversary::Corpus;
-use accturbo_experiments::cli::{build_telemetry, parse_run};
+use accturbo_experiments::cli::{build_telemetry, parse_run, Outputs};
 use accturbo_experiments::robustness::FAULT_KINDS;
 use accturbo_experiments::spec::{DefenseSpec, ScenarioOutcome, ScenarioSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -170,7 +170,13 @@ fn telemetry_run(spec: &ScenarioSpec, tag: &str) -> (ScenarioOutcome, [Vec<u8>; 
     let paths = ["sink.jsonl", "recorder.jsonl", "dataset.csv"]
         .map(|name| dir.join(format!("accturbo_threaded_{pid}_{tag}_{name}")));
     let [sink, recorder, dataset] = paths.each_ref().map(|p| p.to_str().expect("utf-8 path"));
-    let mut tel = build_telemetry(Some(sink), Some(dataset), Some(recorder), spec.seed)
+    let outputs = Outputs {
+        sink: Some(sink.into()),
+        dataset: Some(dataset.into()),
+        flight_recorder: Some(recorder.into()),
+        ..Outputs::default()
+    };
+    let mut tel = build_telemetry(&outputs, spec.seed)
         .expect("telemetry outputs open")
         .expect("outputs were requested");
     let outcome = spec.execute_streamed(Some(&mut tel));

@@ -6,14 +6,18 @@
 //!   changes nothing about the simulation itself,
 //! * determinism — same seed ⇒ byte-identical dataset export,
 //! * flight recorder — a faulted run dumps an incident window, a clean
-//!   run dumps nothing,
+//!   run dumps nothing, and fault-plane events reach it,
+//! * trace — the streamed trace is the `RingTracer` rendering of the
+//!   same run, byte for byte,
 //! * fan-out — `TeeSink` delivers every line to every sink in order,
 //!   including when fed from the parallel runner's in-order stream.
 
-use accturbo_experiments::cli::{build_telemetry, parse_run};
-use accturbo_experiments::spec::{ScenarioOutcome, ScenarioSpec};
+use accturbo_experiments::cli::{build_telemetry, parse_run, Outputs};
+use accturbo_experiments::spec::{AccTurboSpec, ScenarioOutcome, ScenarioSpec};
+use accturbo_netsim::{run_streamed, EngineConfig};
 use accturbo_obs::{
-    shared_recorder, DatasetSink, FlightRecorder, FlowSampler, RingSink, Sink, TeeSink, Telemetry,
+    shared, DatasetSink, FlightRecorder, FlowSampler, RingSink, RingTracer, Sink, TeeSink,
+    Telemetry,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -93,21 +97,28 @@ fn cicday_quick_run_keeps_telemetry_memory_bounded() {
     std::fs::remove_file(&dataset_path).ok();
 }
 
-/// Attaching a full telemetry bundle (sink and flight recorder) must
-/// not perturb the simulation: for every defense with and without a
-/// fault plane, the streamed outcome matches the plain `execute()`
-/// packet for packet, fault counter for fault counter. `topology=line:1`
-/// runs flat when streamed, and both of its outcomes match the flat
-/// run's.
+/// Attaching a full telemetry bundle (sink, trace and flight recorder)
+/// must not perturb the simulation: for every defense with and without
+/// a fault plane, the streamed outcome matches the plain `execute()`
+/// packet for packet, fault counter for fault counter, and so does a
+/// run with only a trace. `topology=line:1` runs flat when streamed,
+/// and both of its outcomes match the flat run's.
 #[test]
 fn telemetry_does_not_perturb_the_scenario() {
     fn streamed(spec: &ScenarioSpec) -> ScenarioOutcome {
         let rec = FlightRecorder::new(256, 32, Box::new(RingSink::new(64)));
         let mut tel = Telemetry::new()
             .with_sink(Box::new(RingSink::new(1024)))
-            .with_recorder(shared_recorder(rec));
+            .with_trace(Box::new(RingSink::new(64)))
+            .with_recorder(rec);
         let out = spec.execute_streamed(Some(&mut tel));
-        assert!(tel.periods() > 0 && tel.sink_lines() > 0);
+        assert!(tel.periods() > 0 && tel.sink_lines() > 0 && tel.trace_lines() > 0);
+        out
+    }
+    fn traced(spec: &ScenarioSpec) -> ScenarioOutcome {
+        let mut tel = Telemetry::new().with_trace(Box::new(RingSink::new(64)));
+        let out = spec.execute_streamed(Some(&mut tel));
+        assert!(tel.trace_lines() > 0);
         out
     }
     fn assert_same(ctx: &str, a: &ScenarioOutcome, b: &ScenarioOutcome) {
@@ -154,7 +165,9 @@ fn telemetry_does_not_perturb_the_scenario() {
             let spec = parse_run(&argv).unwrap().spec;
             let plain = spec.execute();
             assert_eq!(plain.fault_stats.is_some(), faults.is_some());
-            assert_same(&argv.join(" "), &plain, &streamed(&spec));
+            let ctx = argv.join(" ");
+            assert_same(&ctx, &plain, &streamed(&spec));
+            assert_same(&format!("{ctx} --trace"), &plain, &traced(&spec));
         }
     }
 
@@ -184,9 +197,11 @@ fn dataset_export_is_deterministic_per_seed() {
             "--quick",
         ]))
         .unwrap();
-        let mut tel = build_telemetry(None, Some(path.to_str().unwrap()), None, cmd.spec.seed)
-            .unwrap()
-            .unwrap();
+        let outputs = Outputs {
+            dataset: Some(path.to_str().unwrap().into()),
+            ..Outputs::default()
+        };
+        let mut tel = build_telemetry(&outputs, cmd.spec.seed).unwrap().unwrap();
         cmd.spec.execute_streamed(Some(&mut tel));
         std::fs::read(path).unwrap()
     };
@@ -219,7 +234,7 @@ fn flight_recorder_fires_on_faults_and_stays_silent_when_clean() {
         let probe = ProbeSink::default();
         let rec = FlightRecorder::new(256, 32, Box::new(probe.clone()));
         let mut tel = Telemetry::new()
-            .with_recorder(shared_recorder(rec))
+            .with_recorder(rec)
             .with_pulse_onset(4.0, u64::MAX);
         cmd.spec.execute_streamed(Some(&mut tel));
         let lines = probe.0.borrow().clone();
@@ -241,6 +256,83 @@ fn flight_recorder_fires_on_faults_and_stays_silent_when_clean() {
         fault_lines.len() > 1,
         "window must contain the buffered events, got {fault_lines:?}"
     );
+}
+
+/// The fault plane's events reach the flight recorder: link flaps on a
+/// plain FIFO (no switch tracer, no degradation) arm it, while
+/// per-packet fates are recorded without arming it. The pulse-onset
+/// heuristic is floored out of reach so only faults can arm.
+#[test]
+fn fault_events_reach_the_flight_recorder() {
+    let windows = |faults: &str| {
+        let cmd = parse_run(&args(&[
+            "workload=background",
+            "defense=fifo",
+            "secs=10",
+            faults,
+        ]))
+        .unwrap();
+        let probe = ProbeSink::default();
+        let rec = FlightRecorder::new(512, 64, Box::new(probe.clone()));
+        let mut tel = Telemetry::new()
+            .with_recorder(rec)
+            .with_pulse_onset(4.0, u64::MAX);
+        let out = cmd.spec.execute_streamed(Some(&mut tel));
+        let lines = probe.0.borrow().clone();
+        (
+            out.fault_stats.expect("a fault plane"),
+            tel.recorder_windows(),
+            lines,
+        )
+    };
+
+    let (stats, flap_windows, lines) = windows("faults=link_flap:0.3");
+    assert!(stats.flap_windows > 0, "the flaps must fire");
+    assert!(flap_windows >= 1, "link flaps must dump a window");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"ev\":\"flight_window\"") && l.contains("\"trigger\":\"fault\"")),
+        "a window armed by a fault"
+    );
+    assert!(lines.iter().any(|l| l.contains("\"kind\":\"link_flap\"")));
+
+    let (stats, drop_windows, lines) = windows("faults=pkt_drop:0.2");
+    assert!(stats.pkt_dropped > 0, "the drops must fire");
+    assert_eq!(drop_windows, 0, "per-packet fates must not arm: {lines:?}");
+}
+
+/// The streamed trace of a run is, byte for byte, what a `RingTracer`
+/// installed on the same emitters renders for the same run — the format
+/// `xp trace` reads.
+#[test]
+fn streamed_trace_equals_the_ring_tracer_rendering() {
+    let spec = parse_run(&args(&["workload=fig2", "defense=accturbo", "secs=6"]))
+        .unwrap()
+        .spec;
+    let path = tmp_path("trace.jsonl");
+    let outputs = Outputs {
+        trace: Some(path.to_str().unwrap().into()),
+        ..Outputs::default()
+    };
+    let mut tel = build_telemetry(&outputs, spec.seed).unwrap().unwrap();
+    let streamed_out = spec.execute_streamed(Some(&mut tel));
+    let streamed = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let ring = shared(RingTracer::new(1_000_000));
+    let mut sw = AccTurboSpec::simulation().build();
+    sw.set_tracer(Box::new(ring.clone()));
+    let mut src = spec.workload.build(spec.link_bps, spec.secs, spec.seed);
+    let cfg = EngineConfig::experiment(spec.link_bps, spec.secs, spec.effective_period());
+    let res = run_streamed(&mut *src, &mut sw, &cfg, &mut ring.clone(), None, None);
+
+    assert_eq!(res.arrivals, streamed_out.result.arrivals);
+    let ring = ring.borrow();
+    assert_eq!(ring.total_recorded(), ring.len() as u64, "nothing evicted");
+    assert_eq!(tel.trace_lines(), ring.total_recorded());
+    assert!(ring.len() > 10_000, "a real trace: {}", ring.len());
+    assert!(streamed == ring.to_jsonl(), "the streamed trace drifted");
 }
 
 /// `TeeSink` fan-out keeps ordering when fed from the parallel runner:
