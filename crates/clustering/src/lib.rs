@@ -33,6 +33,6 @@ pub use feature::{Feature, FeatureBatch, FeatureKind, FeatureSet, FeatureSpec};
 pub use hybrid::HybridClusterer;
 pub use kmeans::{kmeans, nearest, KMeansFit};
 pub use online::{
-    Assignment, ClusteringConfig, DistanceKind, InitMode, OnlineClusterer, RepMode, Repr,
-    SearchKind, WindowStats,
+    AssignAction, Assignment, ClusteringConfig, DistanceKind, InitMode, OnlineClusterer, RepMode,
+    Repr, SearchKind, WindowStats,
 };

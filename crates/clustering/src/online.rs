@@ -20,7 +20,6 @@ use crate::kernel::{
     LaneColumns, Lanes, Nearest,
 };
 use accturbo_netsim::Packet;
-use accturbo_obs::{Event, NoopTracer, Tracer};
 
 /// Reference (pre-specialization) kernel control, compiled only with the
 /// `reference` cargo feature. The differential tests and the
@@ -331,7 +330,7 @@ impl ClusteringConfig {
 
 /// What happened structurally when a packet was assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AssignAction {
+pub enum AssignAction {
     /// The packet was already covered (or absorbed without growth).
     Covered,
     /// An empty/reused slot was seeded at the packet.
@@ -340,9 +339,9 @@ enum AssignAction {
     /// packet (exhaustive search only).
     Merged {
         /// The slot that was emptied (and re-seeded at the packet).
-        from: usize,
+        from: u32,
         /// The slot that absorbed `from`'s extent and counters.
-        into: usize,
+        into: u32,
     },
     /// The nearest cluster expanded (or would have, absent budget) to
     /// admit the packet; `grew` is whether it actually changed shape.
@@ -352,15 +351,19 @@ enum AssignAction {
     },
 }
 
-/// The result of a traced assignment: the chosen cluster and the
-/// distance the packet had to it before any expansion.
+/// One packet's assignment record: its cluster, its distance to it
+/// before any expansion, and what the assignment did to the clusters;
+/// all a per-packet observer needs. `u32` indices keep a record at 24
+/// bytes, so a batch of them shares L1 with its packets and features.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// Index of the cluster the packet was assigned to.
-    pub cluster: usize,
+    pub cluster: u32,
     /// Distance from the packet to that cluster before expansion
     /// (0 when the packet was covered or seeded a slot).
     pub distance: f64,
+    /// What the assignment did to the clusters.
+    pub action: AssignAction,
 }
 
 /// One cluster's internal representation.
@@ -666,54 +669,17 @@ impl OnlineClusterer {
 
     /// Assigns `pkt` to a cluster and returns the cluster index.
     pub fn assign(&mut self, pkt: &Packet) -> usize {
-        self.assign_traced(pkt, &mut NoopTracer, 0).cluster
+        self.assign_record(pkt).cluster as usize
     }
 
-    /// Like [`assign`](Self::assign), but emits `cluster_seed` /
-    /// `cluster_assign` / `cluster_merge` trace events at `now_ns` and
-    /// returns the pre-expansion distance alongside the cluster index.
-    pub fn assign_traced<T: Tracer + ?Sized>(
-        &mut self,
-        pkt: &Packet,
-        tracer: &mut T,
-        now_ns: u64,
-    ) -> Assignment {
+    /// Like [`assign`](Self::assign), but returns the packet's whole
+    /// [`Assignment`] record.
+    pub fn assign_record(&mut self, pkt: &Packet) -> Assignment {
         let mut values = std::mem::take(&mut self.scratch);
         self.cfg.features.extract_into(pkt, &mut values);
-        let (cluster, distance, action) = self.assign_values_inner(&values, pkt.size);
+        let record = self.assign_values_inner(&values, pkt.size);
         self.scratch = values;
-        if tracer.enabled() {
-            match action {
-                AssignAction::Seeded => {
-                    tracer.record(now_ns, &Event::ClusterSeed { cluster });
-                }
-                AssignAction::Merged { from, into } => {
-                    tracer.record(now_ns, &Event::ClusterMerge { from, into });
-                    tracer.record(now_ns, &Event::ClusterSeed { cluster });
-                }
-                AssignAction::Covered => {
-                    tracer.record(
-                        now_ns,
-                        &Event::ClusterAssign {
-                            cluster,
-                            distance,
-                            expanded: false,
-                        },
-                    );
-                }
-                AssignAction::Expanded { grew } => {
-                    tracer.record(
-                        now_ns,
-                        &Event::ClusterAssign {
-                            cluster,
-                            distance,
-                            expanded: grew,
-                        },
-                    );
-                }
-            }
-        }
-        Assignment { cluster, distance }
+        record
     }
 
     /// Assigns a pre-extracted feature vector carrying `bytes` of payload.
@@ -725,15 +691,15 @@ impl OnlineClusterer {
     /// lanes are exact only inside that range. The arity is always
     /// checked; the range only in debug builds.
     pub fn assign_values(&mut self, values: &[u32], bytes: u32) -> usize {
-        self.assign_values_inner(values, bytes).0
+        self.assign_values_inner(values, bytes).cluster as usize
     }
 
     /// Assigns every packet of `batch`, in order, and writes their
-    /// cluster indices into `out` (cleared first): exactly
+    /// [`Assignment`] records into `out` (cleared first): exactly
     /// [`assign_values`](Self::assign_values) on each packet's feature
-    /// vector and byte count in turn, with the same clusters, counters,
-    /// window ranges and geometry afterwards. The values obey the same
-    /// contract.
+    /// vector and byte count in turn, with the same records, clusters,
+    /// counters, window ranges and geometry afterwards. The values obey
+    /// the same contract.
     ///
     /// On the deployable configuration (Manhattan distance, fast search,
     /// ordinal features in `i32` lanes) with every slot occupied, only
@@ -751,7 +717,7 @@ impl OnlineClusterer {
     /// pays at most a scalar scan per packet. Any other configuration (seeding, merges,
     /// nominal sets, `i64` lanes, Anime or Euclidean distance, forced
     /// reference kernels) runs `assign_values` per packet.
-    pub fn assign_batch(&mut self, batch: &FeatureBatch, out: &mut Vec<u32>) {
+    pub fn assign_batch(&mut self, batch: &FeatureBatch, out: &mut Vec<Assignment>) {
         out.clear();
         let frozen = !self.use_reference
             && self.cfg.distance == DistanceKind::Manhattan
@@ -762,7 +728,7 @@ impl OnlineClusterer {
             LaneColumns::Narrow(lanes) if frozen => lanes,
             _ => {
                 for j in 0..batch.len() {
-                    out.push(self.assign_values(batch.row(j), batch.bytes(j)) as u32);
+                    out.push(self.assign_values_inner(batch.row(j), batch.bytes(j)));
                 }
                 return;
             }
@@ -795,7 +761,8 @@ impl OnlineClusterer {
                 }
             }
             let d = d as u64;
-            if d > 0 && self.budget[i] >= d {
+            let grew = d > 0 && self.budget[i] >= d;
+            if grew {
                 self.budget[i] -= d;
                 let Some(Repr::Range(c)) = self.clusters[i].as_mut() else {
                     unreachable!("every slot is occupied")
@@ -807,7 +774,14 @@ impl OnlineClusterer {
                 }
             }
             self.count(i, values, batch.bytes(j));
-            out.push(i as u32);
+            out.push(Assignment {
+                cluster: i as u32,
+                distance: d as f64,
+                action: match d {
+                    0 => AssignAction::Covered,
+                    _ => AssignAction::Expanded { grew },
+                },
+            });
         }
         self.batch_best = best;
         self.batch_arg = arg;
@@ -827,19 +801,23 @@ impl OnlineClusterer {
         }
     }
 
-    fn assign_values_inner(&mut self, values: &[u32], bytes: u32) -> (usize, f64, AssignAction) {
+    fn assign_values_inner(&mut self, values: &[u32], bytes: u32) -> Assignment {
         assert_eq!(
             values.len(),
             self.cfg.features.len(),
             "feature vector arity mismatch"
         );
         self.debug_assert_in_range(values);
-        let (idx, dist, action) = match self.cfg.distance {
+        let (cluster, distance, action) = match self.cfg.distance {
             DistanceKind::Euclidean => self.assign_center(values),
             _ => self.assign_range(values),
         };
-        self.count(idx, values, bytes);
-        (idx, dist, action)
+        self.count(cluster, values, bytes);
+        Assignment {
+            cluster: cluster as u32,
+            distance,
+            action,
+        }
     }
 
     /// Books `values` (`bytes` of payload) to slot `idx`: the ledger and
@@ -1011,7 +989,14 @@ impl OnlineClusterer {
                             )));
                             self.sync_lanes(a);
                             self.sync_lanes(b);
-                            return (b, 0.0, AssignAction::Merged { from: b, into: a });
+                            return (
+                                b,
+                                0.0,
+                                AssignAction::Merged {
+                                    from: b as u32,
+                                    into: a as u32,
+                                },
+                            );
                         }
                     }
                 }
@@ -1097,7 +1082,14 @@ impl OnlineClusterer {
                     target.merge(&other);
                     self.fold_stats(b, a);
                     self.clusters[b] = Some(Repr::Center(CenterCluster::seed(values)));
-                    return (b, 0.0, AssignAction::Merged { from: b, into: a });
+                    return (
+                        b,
+                        0.0,
+                        AssignAction::Merged {
+                            from: b as u32,
+                            into: a as u32,
+                        },
+                    );
                 }
             }
         }
@@ -1437,42 +1429,42 @@ mod tests {
     }
 
     #[test]
-    fn traced_assignment_emits_seed_assign_and_merge_events() {
-        use accturbo_obs::RingTracer;
+    fn assignment_records_report_seed_assign_and_merge() {
         let mut oc = OnlineClusterer::new(cfg(2, DistanceKind::Manhattan, SearchKind::Exhaustive));
-        let mut t = RingTracer::new(64);
-        // Two seeds, then a nearby point (assign), then a far point that
+        // Two seeds, then a nearby point (covered), then a far point that
         // triggers a merge (same scenario as `exhaustive_merges_when_cheaper`).
-        let a = oc.assign_traced(&pkt(10, 1000), &mut t, 1);
-        assert_eq!(a.distance, 0.0);
-        oc.assign_traced(&pkt(12, 1005), &mut t, 2);
-        let near = oc.assign_traced(&pkt(10, 1000), &mut t, 3);
-        assert_eq!(near.cluster, a.cluster);
-        oc.assign_traced(&pkt(250, 64000), &mut t, 4);
-        let kinds: Vec<&str> = t.iter().map(|(_, e)| e.kind()).collect();
+        let a = oc.assign_record(&pkt(10, 1000));
+        let b = oc.assign_record(&pkt(12, 1005));
+        let near = oc.assign_record(&pkt(10, 1000));
+        let far = oc.assign_record(&pkt(250, 64000));
+        let seeded = |cluster| Assignment {
+            cluster,
+            distance: 0.0,
+            action: AssignAction::Seeded,
+        };
+        assert_eq!(a, seeded(0));
+        assert_eq!(b, seeded(1));
         assert_eq!(
-            kinds,
-            [
-                "cluster_seed",
-                "cluster_seed",
-                "cluster_assign",
-                "cluster_merge",
-                "cluster_seed"
-            ]
+            near,
+            Assignment {
+                cluster: a.cluster,
+                distance: 0.0,
+                action: AssignAction::Covered,
+            }
+        );
+        assert_eq!(
+            far,
+            Assignment {
+                cluster: 1,
+                distance: 0.0,
+                action: AssignAction::Merged { from: 1, into: 0 },
+            }
         );
     }
 
     #[test]
-    fn traced_and_plain_assignment_agree() {
-        use accturbo_obs::NoopTracer;
-        let mut a = OnlineClusterer::new(cfg(3, DistanceKind::Manhattan, SearchKind::Fast));
-        let mut b = a.clone();
-        for i in 0..200u32 {
-            let p = pkt((i * 37 % 251) as u8, (i * 997 % 60000) as u16);
-            let ia = a.assign(&p);
-            let ib = b.assign_traced(&p, &mut NoopTracer, i as u64).cluster;
-            assert_eq!(ia, ib, "packet {i}");
-        }
+    fn an_assignment_record_stays_at_24_bytes() {
+        assert_eq!(std::mem::size_of::<Assignment>(), 24);
     }
 
     #[test]
@@ -1708,11 +1700,15 @@ mod tests {
                                 oc.scan_range_reference(v),
                                 "{label}: reference, vector {i}"
                             );
-                            let (idx, _, action) = oc.assign_values_inner(v, 100);
+                            let Assignment {
+                                cluster: idx,
+                                action,
+                                ..
+                            } = oc.assign_values_inner(v, 100);
                             merges += usize::from(matches!(action, AssignAction::Merged { .. }));
                             #[cfg(feature = "reference")]
                             assert_eq!(
-                                idx,
+                                idx as usize,
                                 slow.assign_values(v, 100),
                                 "{label}: lockstep, vector {i}"
                             );
@@ -1899,7 +1895,7 @@ mod tests {
                         let w = features.len();
                         let (mut lo, mut hi) = (vec![u32::MAX; w], vec![0u32; w]);
                         for (i, v) in stream.iter().enumerate() {
-                            let (_, _, action) = oc.assign_values_inner(v, 100);
+                            let action = oc.assign_values_inner(v, 100).action;
                             merges += usize::from(matches!(action, AssignAction::Merged { .. }));
                             for f in 0..w {
                                 lo[f] = lo[f].min(v[f]);
@@ -1994,14 +1990,9 @@ mod tests {
             for (j, p) in run.iter().enumerate() {
                 c.features.extract_into(p, &mut values);
                 assert_eq!(batch.row(j), values, "{label}: packet {j}'s row");
-                let (want, _, action) = scalar.assign_values_inner(&values, p.size);
-                assert_eq!(
-                    out[j] as usize,
-                    want,
-                    "{label}: packet {j} of {}",
-                    run.len()
-                );
-                let grew = matches!(action, AssignAction::Expanded { grew: true });
+                let want = scalar.assign_values_inner(&values, p.size);
+                assert_eq!(out[j], want, "{label}: packet {j} of {}", run.len());
+                let grew = want.action == AssignAction::Expanded { grew: true };
                 mid_batch_growth += usize::from(grew && j + 1 < run.len());
             }
             assert_eq!(out.len(), run.len(), "{label}");
@@ -2148,7 +2139,7 @@ mod tests {
         for run in pkts.chunks(97) {
             batch.fill(&c.features, run);
             batched.assign_batch(&batch, &mut out);
-            let want: Vec<u32> = run.iter().map(|p| scalar.assign(p) as u32).collect();
+            let want: Vec<Assignment> = run.iter().map(|p| scalar.assign_record(p)).collect();
             assert_eq!(out, want);
             assert_eq!(batched.totals(), scalar.totals());
         }

@@ -78,19 +78,6 @@ impl AccTurboConfig {
         self.queue_capacity_bytes = bytes;
         self
     }
-
-    /// Overrides the clustering engine wholesale (for the §8.1 design
-    /// space sweeps: Anime/Euclidean distances, exhaustive search, …).
-    pub fn with_clustering(mut self, clustering: ClusteringConfig) -> Self {
-        self.clustering = clustering;
-        self
-    }
-
-    /// Disables cluster re-seeding at polls.
-    pub fn without_reset_on_poll(mut self) -> Self {
-        self.reset_on_poll = false;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -14,16 +14,17 @@
 //! continuously instead of in |queues| steps.
 
 use crate::config::AccTurboConfig;
-use accturbo_clustering::{FeatureBatch, OnlineClusterer, WindowStats};
+use accturbo_clustering::{Assignment, FeatureBatch, OnlineClusterer, WindowStats};
 use accturbo_netsim::{Dropped, Packet, SimTime, Switch};
 use accturbo_sched::{RankingAlgorithm, SpPifo};
 
 /// ACC-Turbo with per-packet ranks over an SP-PIFO scheduler.
 pub struct RankedAccTurboSwitch {
     clusterer: OnlineClusterer,
-    /// Feature columns of the arrivals classified ahead; empty until the
-    /// first batch.
+    /// Feature columns and assignment records of the arrivals classified
+    /// ahead; empty until the first batch.
     batch: FeatureBatch,
+    records: Vec<Assignment>,
     ranking: RankingAlgorithm,
     scheduler: SpPifo,
     /// Rank of each cluster, refreshed every control tick from the
@@ -49,6 +50,7 @@ impl RankedAccTurboSwitch {
         RankedAccTurboSwitch {
             clusterer: OnlineClusterer::new(cfg.clustering),
             batch: FeatureBatch::new(),
+            records: Vec::new(),
             ranking: cfg.ranking,
             scheduler: SpPifo::new(cfg.num_queues, cfg.queue_capacity_bytes),
             cluster_rank: vec![0; n],
@@ -77,20 +79,20 @@ impl Switch for RankedAccTurboSwitch {
         self.scheduler.enqueue_ranked(pkt, rank, now, drops);
     }
 
-    fn classify_ahead(&mut self, pkts: &[Packet], clusters: &mut Vec<u32>) -> bool {
+    fn classify_ahead(&mut self, pkts: &[Packet]) -> bool {
         self.batch.fill(&self.clusterer.config().features, pkts);
-        self.clusterer.assign_batch(&self.batch, clusters);
+        self.clusterer.assign_batch(&self.batch, &mut self.records);
         true
     }
 
     fn ingress_classified(
         &mut self,
         pkt: Packet,
-        cluster: u32,
+        index: usize,
         now: SimTime,
         drops: &mut Vec<Dropped>,
     ) {
-        let rank = self.cluster_rank[cluster as usize];
+        let rank = self.cluster_rank[self.records[index].cluster as usize];
         self.scheduler.enqueue_ranked(pkt, rank, now, drops);
     }
 

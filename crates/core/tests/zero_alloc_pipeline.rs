@@ -110,18 +110,14 @@ fn switch_steady_state_does_not_allocate() {
 fn allocs_during_lookahead(sw: &mut AccTurboSwitch<'static>, n: u64) -> u64 {
     let mut drops = Vec::with_capacity(64);
     let mut run: Vec<Packet> = Vec::with_capacity(200);
-    let mut tickets: Vec<u32> = Vec::with_capacity(256);
     let before = allocations();
     for start in (0..n).step_by(200) {
         run.clear();
         run.extend((start..n.min(start + 200)).map(pkt));
-        assert!(
-            sw.classify_ahead(&run, &mut tickets),
-            "an uninstrumented switch classifies ahead"
-        );
-        for (p, &queue) in run.iter().zip(&tickets) {
+        assert!(sw.classify_ahead(&run), "the switch classifies ahead");
+        for (j, p) in run.iter().enumerate() {
             let now = p.arrival;
-            sw.ingress_classified(p.clone(), queue, now, &mut drops);
+            sw.ingress_classified(p.clone(), j, now, &mut drops);
             let _ = sw.dequeue(now);
         }
         sw.control_tick(SimTime::from_nanos((start + 199) * 1_000));

@@ -392,8 +392,9 @@ const ASSIGN_BATCH: usize = 256;
 
 /// Batched cluster-assignment throughput: [`OnlineClusterer::assign_batch`]
 /// over runs of 256 packets (features extracted into the batch's
-/// columns, then the frozen-geometry pass and the in-order commit),
-/// versus (reference) per-packet `assign` over the same packets. The
+/// columns, then the frozen-geometry pass and the in-order commit, which
+/// writes each packet's `Assignment` record), versus (reference)
+/// per-packet `assign_record` over the same packets. The
 /// 12-feature simulation profile with 10 anchored clusters, the
 /// configuration that takes the batch pass; a window poll and reset
 /// every 2048 packets as in `cluster_update`. Both sides must end with
@@ -419,7 +420,7 @@ fn bench_cluster_assign_batch(h: &Harness, n: u64) -> BenchRow {
     };
     let mut per_packet = |mut c: OnlineClusterer| {
         for (i, pkt) in packets.iter().enumerate() {
-            accturbo_bench::black_box(c.assign(pkt));
+            accturbo_bench::black_box(c.assign_record(pkt));
             if i % 2048 == 2047 {
                 c.take_window_into(&mut packet_window);
                 c.reset_clusters();

@@ -68,6 +68,21 @@ impl Outputs {
             || self.flight_recorder.is_some()
     }
 
+    /// Fails with the first write error of `telemetry`'s outputs,
+    /// naming its flag and path; call it once the run is finished.
+    pub fn check_written(&self, telemetry: &Telemetry) -> Result<(), String> {
+        let Some((output, e)) = telemetry.io_error() else {
+            return Ok(());
+        };
+        let path = match output {
+            "trace" => &self.trace,
+            "sink" => &self.sink,
+            "dataset" => &self.dataset,
+            _ => &self.flight_recorder,
+        };
+        Err(format!("--{output} {}: {e}", path.as_deref().unwrap_or("")))
+    }
+
     /// The path a flag sets, or `None` when `flag` is not a path flag.
     fn slot(&mut self, flag: &str) -> Option<&mut Option<String>> {
         match flag {
@@ -695,6 +710,9 @@ pub fn render_run(cmd: &RunCmd) -> Result<String, String> {
     let spec = &cmd.spec;
     let mut telemetry = build_telemetry(&cmd.outputs, spec.seed)?;
     let outcome = spec.execute_streamed(telemetry.as_mut());
+    if let Some(t) = &telemetry {
+        cmd.outputs.check_written(t)?;
+    }
     let res = &outcome.result;
     let secs = spec.secs;
     let mut out = String::new();
@@ -1530,6 +1548,28 @@ mod tests {
         assert!(err.contains("--trace"), "{err}");
         let plain = parse_run(&args(&["workload=fig2"])).unwrap();
         assert!(!plain.outputs.any());
+    }
+
+    #[test]
+    fn run_render_fails_on_a_full_device() {
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        // Dropped control ticks arm the recorder, which writes nothing
+        // in a clean run.
+        for flag in ["--trace", "--sink", "--dataset", "--flight-recorder"] {
+            let cmd = parse_run(&args(&[
+                "workload=fig2",
+                "defense=accturbo",
+                "secs=2",
+                "faults=ctrl_drop:1.0",
+                flag,
+                "/dev/full",
+            ]))
+            .unwrap();
+            let err = render_run(&cmd).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} /dev/full: ")), "{err}");
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ fn export(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
         }
     }
     let _ = spec.execute_streamed(Some(&mut tel));
+    outputs.check_written(&tel)?;
     if let Some(path) = &outputs.trace {
         eprintln!("wrote {} trace events to {path}", tel.trace_lines());
     }

@@ -21,9 +21,7 @@ use crate::spec::{
 };
 use crate::Figure;
 use accturbo_jaqen::Signature;
-use accturbo_netsim::MergedSource;
 use accturbo_telemetry::{f, Table};
-use accturbo_traffic::workloads;
 
 /// The canonical workload seed (the historical in-module constant).
 pub const DEFAULT_SEED: u64 = 0x7AB;
@@ -63,11 +61,6 @@ impl Defense {
             Defense::AccTurbo => "ACC-Turbo",
         }
     }
-}
-
-/// The single-flow workload shared with Fig. 8's sweeps.
-pub fn single_flow_workload(secs: u64, seed: u64) -> MergedSource {
-    workloads::flood(Variation::SingleFlow, secs, seed)
 }
 
 /// Maps a Table 3 column to its declarative defense (Jaqen runs

@@ -240,8 +240,8 @@ const LOOKAHEAD: usize = 256;
 /// the arrivals that precede the next tick, up to [`LOOKAHEAD`] of them,
 /// in one [`PacketSource::fill`] call. When the leaf switch can, it
 /// classifies them all in one [`Switch::classify_ahead`] call, and each
-/// is then handed over at its own arrival event through
-/// [`Switch::ingress_classified`].
+/// is then handed over at its own arrival event, with its index in the
+/// batch, through [`Switch::ingress_classified`].
 ///
 /// Buffering is exact whenever the source's stream does not depend on
 /// the run, which holds for every source but the fault plane's
@@ -250,18 +250,17 @@ const LOOKAHEAD: usize = 256;
 /// but arrivals reaches the leaf's classifier between two control ticks,
 /// and control ticks fire before arrivals at equal times, so no batch
 /// holds a packet at or past the next tick. It needs one leaf and no
-/// pushback (whose policers drop before ingress); the switch may decline
-/// a batch, after which the run stays buffered but classifies per
-/// packet.
+/// pushback (whose policers drop before ingress); a switch that does not
+/// classify ahead declines the first batch, after which the run stays
+/// buffered but classifies per packet.
 struct Lookahead {
     /// Whether batches are formed (no fault plane).
     on: bool,
     /// Whether the leaf classifies each batch: one leaf, no pushback,
-    /// and no batch declined yet.
+    /// and a switch that classifies ahead.
     classify: bool,
-    /// The batch in flight, and its tickets (empty when unclassified).
+    /// The batch in flight.
     pkts: Vec<Packet>,
-    tickets: Vec<u32>,
     /// The next batch packet to become the pending arrival.
     next: usize,
     /// Whether the pending arrival is the batch's packet `next - 1`.
@@ -280,7 +279,6 @@ impl Lookahead {
             on,
             classify: on && classify,
             pkts: Vec::new(),
-            tickets: Vec::new(),
             next: 0,
             in_batch: false,
             held: None,
@@ -311,21 +309,17 @@ impl Lookahead {
         next_arrival(source, end)
     }
 
-    /// The pending arrival's ticket, if its batch was classified.
+    /// The pending arrival's index in its batch, if that was classified.
     #[inline]
-    fn ticket(&self) -> Option<u32> {
-        match self.in_batch {
-            true => self.tickets.get(self.next - 1).copied(),
-            false => None,
-        }
+    fn classified(&self) -> Option<usize> {
+        (self.classify && self.in_batch).then(|| self.next - 1)
     }
 
     /// Starts a batch at `first`, whose arrival event is firing: fills
     /// it with the arrivals before `horizon` (the next control tick) and
     /// the end time, and has `switch` classify them all if it may. A
     /// packet at or past the end time is discarded and ends the source,
-    /// exactly as [`next_arrival`] does; one before it is held. On a
-    /// decline, stops classifying.
+    /// exactly as [`next_arrival`] does; one before it is held.
     fn fill(
         &mut self,
         first: &Packet,
@@ -344,11 +338,7 @@ impl Lookahead {
             Filled::Held(pkt) if pkt.arrival < end_at => self.held = Some(pkt),
             Filled::Held(_) | Filled::Done => self.done = true,
         }
-        self.tickets.clear();
-        if self.classify && !switch.classify_ahead(&self.pkts, &mut self.tickets) {
-            self.classify = false;
-            self.tickets.clear();
-        }
+        self.classify = self.classify && switch.classify_ahead(&self.pkts);
     }
 }
 
@@ -691,8 +681,8 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                 if let Some(t) = telemetry.as_mut() {
                     t.on_arrival(now.as_nanos(), flow_key(&pkt), pkt.class.0, pkt.size);
                 }
-                ingress_at!(leaf, pkt, |p| match ahead.ticket() {
-                    Some(t) => nodes[leaf].ingress_classified(p, t, now, &mut drops_buf),
+                ingress_at!(leaf, pkt, |p| match ahead.classified() {
+                    Some(j) => nodes[leaf].ingress_classified(p, j, now, &mut drops_buf),
                     None => nodes[leaf].ingress(p, now, &mut drops_buf),
                 });
                 if let Some((m, ids)) = &metrics {

@@ -40,11 +40,6 @@ impl FifoQueue {
         self
     }
 
-    /// The configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cap_bytes
-    }
-
     /// Whether `pkt` would fit right now.
     pub fn fits(&self, pkt: &Packet) -> bool {
         self.bytes + pkt.size as u64 <= self.cap_bytes && self.queue.len() < self.cap_pkts

@@ -62,11 +62,6 @@ impl PriorityBank {
     pub fn len_pkts_at(&self, idx: usize) -> usize {
         self.queues[idx].len_pkts()
     }
-
-    /// Bytes queued at priority `idx`.
-    pub fn len_bytes_at(&self, idx: usize) -> u64 {
-        self.queues[idx].len_bytes()
-    }
 }
 
 impl QueueDiscipline for PriorityBank {

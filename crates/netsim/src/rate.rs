@@ -36,11 +36,6 @@ impl EwmaRate {
         }
     }
 
-    /// ACC's configuration: 0.1 s intervals, newest sample weighted 0.5.
-    pub fn acc_default() -> Self {
-        EwmaRate::new(SimDuration::from_millis(100), 0.5)
-    }
-
     /// Records `bytes` arriving at `now`, closing any elapsed measurement
     /// windows first.
     pub fn record(&mut self, bytes: u64, now: SimTime) {

@@ -87,34 +87,31 @@ pub trait Switch {
     }
 
     /// Classifies a run of upcoming arrivals ahead of their events, in
-    /// arrival order, writing one ticket per packet into `tickets`
-    /// (cleared first); returns `false`, leaving every state untouched,
-    /// when the switch cannot (the default). The engine then hands each
-    /// packet over at its arrival event through
-    /// [`ingress_classified`](Self::ingress_classified) with its ticket.
+    /// arrival order, or returns `false`, touching nothing, when the
+    /// switch does not classify ahead (the default). The engine then
+    /// hands each packet over at its arrival event, with its index in
+    /// `pkts`, through [`ingress_classified`](Self::ingress_classified).
     ///
     /// The engine pulls arrivals in batches whenever no fault plane runs
     /// (on any switch and any tree), but offers a batch here only when
     /// classification depends on the arrival stream and the control
     /// ticks alone: one leaf and no pushback, so nothing but these
     /// arrivals reaches the switch's ingress meanwhile, and every packet
-    /// arrives before the next control tick. A switch must return
-    /// `false` whenever classifying ahead would be observable, for
-    /// example through a per-packet observer; the engine then stops
-    /// classifying ahead for the rest of the run, but keeps batching.
-    fn classify_ahead(&mut self, _pkts: &[Packet], _tickets: &mut Vec<u32>) -> bool {
+    /// arrives before the next control tick. A switch answers alike for
+    /// every batch: after a `false` the engine offers no more.
+    fn classify_ahead(&mut self, _pkts: &[Packet]) -> bool {
         false
     }
 
-    /// [`ingress`](Self::ingress) of a packet that
-    /// [`classify_ahead`](Self::classify_ahead) classified into `ticket`:
-    /// only the part of ingress that classification does not cover. Must
-    /// be observably identical to plain `ingress` at this point of the
-    /// run; the default ignores the ticket and delegates.
+    /// [`ingress`](Self::ingress) of the packet at `index` in the batch
+    /// [`classify_ahead`](Self::classify_ahead) classified last: the part
+    /// of ingress classification does not cover, with the queues, drops,
+    /// events and metrics plain `ingress` would produce here; the default
+    /// ignores the index and delegates.
     fn ingress_classified(
         &mut self,
         pkt: Packet,
-        _ticket: u32,
+        _index: usize,
         now: SimTime,
         drops: &mut Vec<Dropped>,
     ) {

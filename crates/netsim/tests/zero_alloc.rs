@@ -114,8 +114,8 @@ fn engine_steady_state_does_not_allocate() {
     );
 }
 
-/// A FIFO that classifies ahead: every packet gets ticket 0, and the
-/// batches it accepted are counted.
+/// A FIFO that classifies ahead (classification is a no-op), counting
+/// the batches it accepted.
 struct Ahead {
     inner: SingleQueueSwitch<FifoQueue>,
     batches: u64,
@@ -125,13 +125,11 @@ impl Switch for Ahead {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
         self.inner.ingress(pkt, now, drops);
     }
-    fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
-        tickets.clear();
-        tickets.resize(pkts.len(), 0);
+    fn classify_ahead(&mut self, _: &[Packet]) -> bool {
         self.batches += 1;
         true
     }
-    fn ingress_classified(&mut self, pkt: Packet, _: u32, now: SimTime, d: &mut Vec<Dropped>) {
+    fn ingress_classified(&mut self, pkt: Packet, _: usize, now: SimTime, d: &mut Vec<Dropped>) {
         self.inner.ingress(pkt, now, d);
     }
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {

@@ -90,6 +90,11 @@ impl FlightRecorder {
         self.total_recorded
     }
 
+    /// The first I/O error of the recorder's sink, if any.
+    pub fn io_error(&self) -> Option<&std::io::Error> {
+        self.sink.io_error()
+    }
+
     /// Dumps a partially filled post-trigger window at end of run, so an
     /// anomaly near the end is not lost. Clean runs emit nothing.
     pub fn finish(&mut self) {

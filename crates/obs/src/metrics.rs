@@ -169,11 +169,6 @@ impl Registry {
         self.histograms[id.0].observe(value);
     }
 
-    /// Reads a histogram.
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0]
-    }
-
     /// Iterates `(name, value)` over all registered counters, in
     /// registration order. Used by the streaming aggregation stage.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {

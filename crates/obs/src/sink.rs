@@ -31,12 +31,19 @@ pub trait Sink {
 
     /// Pushes buffered lines to their destination (period boundary).
     fn flush(&mut self);
+
+    /// The first I/O error the sink hit, if any. Sinks keep running
+    /// past one rather than panicking mid-simulation, so a run checks
+    /// this at its end. The default (an in-memory sink) never fails.
+    fn io_error(&self) -> Option<&std::io::Error> {
+        None
+    }
 }
 
 /// A buffered JSONL file writer.
 ///
 /// I/O errors are captured rather than panicking mid-simulation; check
-/// [`JsonlSink::io_error`] after the run.
+/// [`Sink::io_error`] after the run.
 pub struct JsonlSink {
     w: BufWriter<File>,
     lines: u64,
@@ -56,11 +63,6 @@ impl JsonlSink {
     /// Lines written so far.
     pub fn lines(&self) -> u64 {
         self.lines
-    }
-
-    /// The first I/O error encountered, if any.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
     }
 }
 
@@ -82,6 +84,10 @@ impl Sink for JsonlSink {
                 self.error = Some(e);
             }
         }
+    }
+
+    fn io_error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 }
 
@@ -190,6 +196,10 @@ impl Sink for TeeSink {
         for s in &mut self.sinks {
             s.flush();
         }
+    }
+
+    fn io_error(&self) -> Option<&std::io::Error> {
+        self.sinks.iter().find_map(|s| s.io_error())
     }
 }
 
@@ -324,6 +334,22 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_full_device_is_reported_through_the_tee() {
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let mut tee = TeeSink::new();
+        tee.push(Box::new(RingSink::new(4)));
+        tee.push(Box::new(JsonlSink::create(full).unwrap()));
+        tee.emit("{\"a\":1}");
+        assert!(tee.io_error().is_none(), "the line is still buffered");
+        tee.flush();
+        let err = tee.io_error().expect("flushing to a full device fails");
+        assert_eq!(err.raw_os_error(), Some(28), "{err}");
     }
 
     #[test]

@@ -319,6 +319,28 @@ impl Telemetry {
         self.recorder().map_or(0, |r| r.windows_emitted())
     }
 
+    /// The first I/O error of the run's outputs, checked in the order
+    /// trace, sink, dataset, flight recorder: the output's name (`trace`,
+    /// `sink`, `dataset` or `flight-recorder`) and the error's message.
+    /// Outputs keep running past an error, so a run checks this once it
+    /// is [finished](Self::finish).
+    pub fn io_error(&self) -> Option<(&'static str, String)> {
+        let tracer = self.tracer.as_ref().map(|t| t.borrow());
+        let tracer = tracer.as_deref();
+        let first = [
+            ("trace", tracer.and_then(|t| t.trace.as_ref()?.io_error())),
+            ("sink", self.sink.as_ref().and_then(|s| s.io_error())),
+            ("dataset", self.dataset.as_ref().and_then(|d| d.io_error())),
+            (
+                "flight-recorder",
+                tracer.and_then(|t| t.recorder.as_ref()?.io_error()),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(output, e)| Some((output, e?.to_string())));
+        first
+    }
+
     /// The flight recorder, borrowed out of the run's tracer.
     fn recorder(&self) -> Option<RefMut<'_, FlightRecorder>> {
         let tracer = self.tracer.as_ref()?.borrow_mut();

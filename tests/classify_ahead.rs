@@ -7,8 +7,8 @@
 //! on ranked ACC-Turbo, both must produce the same run result, cluster
 //! totals, mapping and tick count, with control ticks landing exactly on
 //! arrival times, an end time cutting a batch in the middle, and no
-//! control plane at all. A traced switch must decline every batch and
-//! still match.
+//! control plane at all. A switch with a tracer, metrics and a stage
+//! clock classifies ahead too, and its events and registry must match.
 
 use accturbo::clustering::FeatureSet;
 use accturbo::core::{AccTurboConfig, AccTurboSwitch, RankedAccTurboSwitch};
@@ -17,7 +17,7 @@ use accturbo::netsim::{
     run, Bandwidth, ClassId, Dropped, EngineConfig, Packet, PacketSource, SimDuration, SimTime,
     Switch, VecSource,
 };
-use accturbo::obs::{Event, Tracer};
+use accturbo::obs::{shared, Registry, RingTracer, SharedTracer};
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -73,20 +73,20 @@ impl<S: Switch> Switch for Counting<S> {
     fn ingress(&mut self, pkt: Packet, now: SimTime, drops: &mut Vec<Dropped>) {
         self.inner.ingress(pkt, now, drops);
     }
-    fn classify_ahead(&mut self, pkts: &[Packet], tickets: &mut Vec<u32>) -> bool {
-        let took = self.inner.classify_ahead(pkts, tickets);
+    fn classify_ahead(&mut self, pkts: &[Packet]) -> bool {
+        let took = self.inner.classify_ahead(pkts);
         self.batches.borrow_mut().0 += u64::from(took);
         took
     }
     fn ingress_classified(
         &mut self,
         pkt: Packet,
-        ticket: u32,
+        index: usize,
         now: SimTime,
         drops: &mut Vec<Dropped>,
     ) {
         self.batches.borrow_mut().1 += 1;
-        self.inner.ingress_classified(pkt, ticket, now, drops);
+        self.inner.ingress_classified(pkt, index, now, drops);
     }
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
         self.inner.dequeue(now)
@@ -238,62 +238,82 @@ fn ranked_acc_turbo_matches_the_per_packet_oracle() {
     }
 }
 
-/// Records each `enqueue` event as `(ts, cluster, queue)`.
-#[derive(Default)]
-struct Enqueues(Vec<(u64, usize, usize)>);
-
-impl Tracer for Enqueues {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
-        if let Event::Enqueue {
-            queue,
-            cluster: Some(cluster),
-            ..
-        } = *event
-        {
-            self.0.push((ts_ns, cluster, queue));
-        }
-    }
+/// A switch with a tracer, a metrics registry and stage timing, and
+/// what it reports to.
+fn instrumented() -> (AccTurboSwitch<'static>, SharedTracer, Rc<RefCell<Registry>>) {
+    let mut sw = AccTurboSwitch::new(
+        AccTurboConfig::simulation(FeatureSet::simulation_default()).with_queue_capacity(16 * 1024),
+    );
+    let (tracer, metrics) = (shared(RingTracer::new(100_000)), Rc::default());
+    sw.set_tracer(Box::new(Rc::clone(&tracer)));
+    sw.set_metrics(Rc::clone(&metrics));
+    sw.set_timing(true);
+    (sw, tracer, metrics)
 }
 
 #[test]
-fn a_traced_switch_declines_every_batch_and_matches_the_oracle() {
+fn an_instrumented_switch_classifies_ahead_and_matches_the_oracle() {
     let pkts = workload(0x7A9, 4_000);
     let (_, cfg) = configs().swap_remove(0);
-    type Seen = Rc<RefCell<Enqueues>>;
-    let build = |seen: &Seen| {
-        let mut sw = AccTurboSwitch::new(
-            AccTurboConfig::simulation(FeatureSet::simulation_default())
-                .with_queue_capacity(16 * 1024),
-        );
-        sw.set_tracer(Box::new(Rc::clone(seen)));
-        sw
-    };
-    let (ahead_seen, oracle_seen): (Seen, Seen) = Default::default();
     let counts = Rc::new(RefCell::new((0, 0)));
+    let (inner, ahead_trace, ahead_metrics) = instrumented();
     let mut ahead = Counting {
-        inner: build(&ahead_seen),
+        inner,
         batches: Rc::clone(&counts),
     };
     let got = run(&mut VecSource::new(pkts.clone()), &mut ahead, &cfg);
-    let mut oracle = build(&oracle_seen);
+    let (mut oracle, oracle_trace, oracle_metrics) = instrumented();
     let want = run_reference(&mut VecSource::new(pkts.clone()), &mut oracle, &cfg);
     assert_eq!(format!("{got:?}"), format!("{want:?}"));
     assert_eq!(turbo_state(&ahead.inner), turbo_state(&oracle));
-    assert_eq!(
-        *counts.borrow(),
-        (0, 0),
-        "a tracer must keep the per-packet path"
+    let (batches, classified) = *counts.borrow();
+    assert!(
+        batches > 0 && classified > 0,
+        "an instrumented switch classifies ahead"
     );
-    let seen = &ahead_seen.borrow().0;
-    assert_eq!(seen.len() as u64, got.arrivals);
-    assert_eq!(*seen, oracle_seen.borrow().0);
-    // Each event is stamped with its packet's arrival.
-    assert!(seen
+
+    // Every event, cluster distances included, in the same order and
+    // at the same timestamps.
+    let (ahead_trace, oracle_trace) = (ahead_trace.borrow(), oracle_trace.borrow());
+    assert_eq!(ahead_trace.total_recorded(), ahead_trace.len() as u64);
+    assert_eq!(ahead_trace.to_jsonl(), oracle_trace.to_jsonl());
+    for kind in ["cluster_assign", "enqueue", "priority_remap"] {
+        assert!(
+            ahead_trace.iter().any(|(_, e)| e.kind() == kind),
+            "no {kind} event"
+        );
+    }
+    let enqueues: Vec<u64> = ahead_trace
+        .iter()
+        .filter(|(_, e)| e.kind() == "enqueue")
+        .map(|&(ts, _)| ts)
+        .collect();
+    assert_eq!(enqueues.len() as u64, got.arrivals);
+    // Each enqueue is stamped with its packet's arrival.
+    assert!(enqueues
         .iter()
         .zip(&pkts)
-        .all(|(&(ts, _, _), p)| ts == p.arrival.as_nanos()));
+        .all(|(&ts, p)| ts == p.arrival.as_nanos()));
+
+    // Every counter, gauge and histogram, the distance histogram
+    // included.
+    let registry = ahead_metrics.borrow();
+    assert_eq!(
+        format!("{registry:?}"),
+        format!("{:?}", oracle_metrics.borrow())
+    );
+    let (_, distances) = registry
+        .histograms()
+        .find(|(name, _)| *name == "cluster_distance")
+        .expect("the switch registers cluster_distance");
+    assert_eq!(distances.count(), got.arrivals);
+
+    // The batched run times `classify` once per batch, and once per
+    // packet it hands over unclassified.
+    let report = ahead.inner.stage_clock().report();
+    let &(_, _, calls) = report
+        .iter()
+        .find(|(name, _, _)| *name == "classify")
+        .expect("a classify stage");
+    assert_eq!(calls, batches + got.arrivals - classified);
 }

@@ -8,7 +8,8 @@
 //! * flight recorder — a faulted run dumps an incident window, a clean
 //!   run dumps nothing, and fault-plane events reach it,
 //! * trace — the streamed trace is the `RingTracer` rendering of the
-//!   same run, byte for byte,
+//!   same run, byte for byte, and installing it leaves the sink stream
+//!   unchanged,
 //! * fan-out — `TeeSink` delivers every line to every sink in order,
 //!   including when fed from the parallel runner's in-order stream.
 
@@ -333,6 +334,41 @@ fn streamed_trace_equals_the_ring_tracer_rendering() {
     assert_eq!(tel.trace_lines(), ring.total_recorded());
     assert!(ring.len() > 10_000, "a real trace: {}", ring.len());
     assert!(streamed == ring.to_jsonl(), "the streamed trace drifted");
+}
+
+/// The Fig. 2 ACC-Turbo `--sink` stream does not depend on whether a
+/// tracer is installed, and its `cluster_distance` histogram counts
+/// every arrival's distance either way.
+#[test]
+fn the_sink_stream_is_identical_with_and_without_a_tracer() {
+    let spec = parse_run(&args(&["workload=fig2", "defense=accturbo", "--quick"]))
+        .unwrap()
+        .spec;
+    let sink_lines = |traced: bool| {
+        let probe = ProbeSink::default();
+        let mut tel = Telemetry::new().with_sink(Box::new(probe.clone()));
+        if traced {
+            tel = tel.with_trace(Box::new(RingSink::new(64)));
+        }
+        let out = spec.execute_streamed(Some(&mut tel));
+        assert_eq!(tel.trace_lines() > 0, traced);
+        let lines = probe.0.take();
+        (out.result.arrivals, lines)
+    };
+    let (arrivals, plain) = sink_lines(false);
+    let (_, traced) = sink_lines(true);
+    assert!(plain == traced, "the tracer changed the sink stream");
+    let counts: Vec<u64> = plain
+        .iter()
+        .filter(|l| l.contains(r#""metric":"cluster_distance""#))
+        .map(|l| {
+            let count = &l[l.find(r#""count":"#).expect("a count field") + 8..];
+            count[..count.find(',').unwrap()].parse().unwrap()
+        })
+        .collect();
+    assert!(counts.len() > 1, "one cluster_distance line per period");
+    assert!(counts[0] > 0, "the first period observed distances");
+    assert_eq!(counts.iter().sum::<u64>(), arrivals);
 }
 
 /// `TeeSink` fan-out keeps ordering when fed from the parallel runner:
