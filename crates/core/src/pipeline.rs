@@ -38,9 +38,10 @@ struct SwitchMetrics {
     degrade_missed: GaugeId,
     degrade_stale: GaugeId,
     degrade_fallbacks: GaugeId,
-    /// `(arrivals, drops, drop_ratio)` per packet class, keyed by class
-    /// id. Registered once per class; ticks only update by id.
-    per_class: std::collections::HashMap<u16, (CounterId, CounterId, GaugeId)>,
+    /// `(arrivals, drops, drop_ratio)` per packet class, indexed by class
+    /// id. Registered once per class, in first-seen order; ticks only
+    /// update by id.
+    per_class: Vec<Option<(CounterId, CounterId, GaugeId)>>,
 }
 
 impl SwitchMetrics {
@@ -75,24 +76,25 @@ impl SwitchMetrics {
             degrade_missed: degrade_ids.0,
             degrade_stale: degrade_ids.1,
             degrade_fallbacks: degrade_ids.2,
-            per_class: std::collections::HashMap::new(),
+            per_class: Vec::new(),
         }
     }
 
     /// Lazily registers the per-class counter pair (and drop-ratio gauge)
     /// for `class`.
     fn class_ids(&mut self, class: u16) -> (CounterId, CounterId) {
-        if let Some(&(pkts, drops, _)) = self.per_class.get(&class) {
-            return (pkts, drops);
+        let slot = usize::from(class);
+        if self.per_class.len() <= slot {
+            self.per_class.resize(slot + 1, None);
         }
-        let mut r = self.handle.borrow_mut();
-        let ids = (
-            r.counter(&format!("switch_pkts_class_{class}")),
-            r.counter(&format!("switch_drops_class_{class}")),
-            r.gauge(&format!("drop_ratio_class_{class}")),
-        );
-        drop(r);
-        self.per_class.insert(class, ids);
+        let ids = *self.per_class[slot].get_or_insert_with(|| {
+            let mut r = self.handle.borrow_mut();
+            (
+                r.counter(&format!("switch_pkts_class_{class}")),
+                r.counter(&format!("switch_drops_class_{class}")),
+                r.gauge(&format!("drop_ratio_class_{class}")),
+            )
+        });
         (ids.0, ids.1)
     }
 }
@@ -234,9 +236,12 @@ impl<'a> AccTurboSwitch<'a> {
 
     /// Installs a fault plane: stale-snapshot decisions for control ticks
     /// are drawn from `faults`, and the switch starts caching the
-    /// previous window's poll so it has an old snapshot to serve. Missed
-    /// ticks (the engine's `control_missed`) are handled by the
-    /// degradation policy whether or not an injector is installed.
+    /// previous window's poll so it has an old snapshot to serve. With a
+    /// tracer installed, each tick drains the injector's records up to
+    /// the tick into it, so a `stale_snapshot` fault precedes the tick's
+    /// `priority_remap` and `degrade` events. Missed ticks (the engine's
+    /// `control_missed`) are handled by the degradation policy whether
+    /// or not an injector is installed.
     pub fn set_faults(&mut self, faults: FaultInjector) {
         self.faults = Some(faults);
     }
@@ -400,7 +405,12 @@ impl Switch for AccTurboSwitch<'_> {
         let mut degrade: Option<DegradeAction> = None;
         let mut fresh = true;
         if let Some(f) = &self.faults {
-            if f.stale_snapshot(now) && self.have_stale {
+            let stale = f.stale_snapshot(now);
+            // The stale record goes out now, ahead of this tick's events.
+            if let Some(tracer) = self.tracer.as_mut() {
+                f.drain(now, tracer.as_mut());
+            }
+            if stale && self.have_stale {
                 std::mem::swap(&mut self.window_scratch, &mut self.stale_window);
                 std::mem::swap(&mut self.sizes_scratch, &mut self.stale_sizes);
                 degrade = Some(self.degradation.on_stale_tick(now_ns));
@@ -450,7 +460,7 @@ impl Switch for AccTurboSwitch<'_> {
             r.set(m.degrade_missed, d.total_missed as f64);
             r.set(m.degrade_stale, d.total_stale as f64);
             r.set(m.degrade_fallbacks, d.fallbacks as f64);
-            for &(pkts_id, drops_id, ratio_id) in m.per_class.values() {
+            for &(pkts_id, drops_id, ratio_id) in m.per_class.iter().flatten() {
                 let pkts = r.counter_value(pkts_id);
                 if pkts > 0 {
                     let ratio = r.counter_value(drops_id) as f64 / pkts as f64;

@@ -7,8 +7,8 @@
 
 use crate::result::FigureResult;
 use accturbo_netsim::{
-    run_streamed, ClassId, EngineConfig, FaultInjector, NoopFaultInjector, PacketSource, RunResult,
-    SimDuration, Switch,
+    run_streamed, ClassId, EngineConfig, FaultInjector, PacketSource, RunResult, SimDuration,
+    Switch,
 };
 use accturbo_obs::NoopTracer;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,12 +49,11 @@ pub fn baseline_fifo() -> accturbo_netsim::FifoQueue {
 /// injector through the engine.
 static FORCE_NOOP_FAULTS: AtomicBool = AtomicBool::new(false);
 
-/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): puts
-/// every fault-free run on the engine's fault path with a no-op
-/// injector so the differential test can assert that threading a
-/// do-nothing injector through every figure leaves the output
-/// byte-identical. Process-global — tests using it must not run
-/// concurrently with other figure runs.
+/// Fault-noop lockdown hook (`tests/fault_noop_equivalence.rs`): hands
+/// every fault-free run a no-op injector so the differential test can
+/// assert that threading a do-nothing injector through every figure
+/// leaves the output byte-identical. Process-global — tests using it
+/// must not run concurrently with other figure runs.
 pub fn force_noop_fault_injection(on: bool) {
     FORCE_NOOP_FAULTS.store(on, Ordering::SeqCst);
 }
@@ -64,7 +63,7 @@ pub fn force_noop_fault_injection(on: bool) {
 pub(crate) fn forced_noop_faults() -> Option<FaultInjector> {
     FORCE_NOOP_FAULTS
         .load(Ordering::SeqCst)
-        .then(|| NoopFaultInjector.into())
+        .then(FaultInjector::noop)
 }
 
 /// Runs `source` through `switch` with the standard experiment engine:

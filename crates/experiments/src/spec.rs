@@ -1586,8 +1586,8 @@ impl ScenarioSpec {
     /// bundle's registry (engine counters, queue depths, degradation
     /// gauges), so the aggregation stage has per-period values to delta,
     /// and the bundle's one tracer (with a trace or a flight recorder)
-    /// goes to the engine, an ACC-Turbo bottleneck and the fault plane,
-    /// so their events land in one timeline. Without it the run is
+    /// goes to the engine and an ACC-Turbo bottleneck, so their events
+    /// and the fault plane's land in one timeline. Without it the run is
     /// byte-identical to the plain engine paths the figures use.
     pub fn execute_streamed(&self, telemetry: Option<&mut Telemetry>) -> ScenarioOutcome {
         let (t, fault_stats, degradation) = self.run(telemetry);
@@ -1613,13 +1613,10 @@ impl ScenarioSpec {
         let tspec = self.topology.clone().unwrap_or_else(line1);
         let topo = tspec.build(self.link_bps);
         let tracer = telemetry.as_ref().and_then(|t| t.tracer());
-        let faults = self.faults.as_ref().map(|fc| {
-            let mut inj = FaultInjector::new(FaultSchedule::new(fc.clone()));
-            if let Some(t) = &tracer {
-                inj.set_tracer(t.clone());
-            }
-            inj
-        });
+        let faults = self
+            .faults
+            .clone()
+            .map(|fc| FaultInjector::new(FaultSchedule::new(fc)));
         let engine_faults = faults.clone().or_else(forced_noop_faults);
         // ACC-Turbo stays concrete: its metrics/tracer/fault setters and
         // degradation counters are not on the `Switch` trait.

@@ -188,7 +188,9 @@ fn flow_key(p: &Packet) -> FlowKey {
 /// switch's `control_missed` hook — or postponed) and each transmission
 /// start on the bottleneck link (whose serialization time is stretched
 /// inside a link-flap window). Packet-level faults live in
-/// [`crate::fault::FaultedSource`], outside the engine.
+/// [`crate::fault::FaultedSource`], outside the engine. The engine
+/// records the injector's queued faults into `tracer` as its clock
+/// reaches them, and the rest at the end of the run.
 ///
 /// **Telemetry** (DESIGN.md §11). When `telemetry` is given, the engine
 /// registers `engine_arrivals` / `engine_departures` / `engine_drops`
@@ -243,19 +245,17 @@ const LOOKAHEAD: usize = 256;
 /// is then handed over at its own arrival event, with its index in the
 /// batch, through [`Switch::ingress_classified`].
 ///
-/// Buffering is exact whenever the source's stream does not depend on
-/// the run, which holds for every source but the fault plane's
-/// (`FaultedSource` shares its injector with the loop, so pulling ahead
-/// would reorder the draws). Classifying ahead is exact because nothing
-/// but arrivals reaches the leaf's classifier between two control ticks,
-/// and control ticks fire before arrivals at equal times, so no batch
-/// holds a packet at or past the next tick. It needs one leaf and no
-/// pushback (whose policers drop before ingress); a switch that does not
-/// classify ahead declines the first batch, after which the run stays
-/// buffered but classifies per packet.
+/// Buffering is exact because no source's stream depends on the run:
+/// `FaultedSource` draws packet fates from a stream of their own, so
+/// pulling ahead only queues their fault records earlier, and the loop
+/// records those at their own times. Classifying ahead is exact because
+/// nothing but arrivals reaches the leaf's classifier between two
+/// control ticks, and control ticks fire before arrivals at equal times,
+/// so no batch holds a packet at or past the next tick. It needs one
+/// leaf and no pushback (whose policers drop before ingress); a switch
+/// that does not classify ahead declines the first batch, after which
+/// the run stays buffered but classifies per packet.
 struct Lookahead {
-    /// Whether batches are formed (no fault plane).
-    on: bool,
     /// Whether the leaf classifies each batch: one leaf, no pushback,
     /// and a switch that classifies ahead.
     classify: bool,
@@ -274,10 +274,9 @@ struct Lookahead {
 }
 
 impl Lookahead {
-    fn new(on: bool, classify: bool) -> Self {
+    fn new(classify: bool) -> Self {
         Lookahead {
-            on,
-            classify: on && classify,
+            classify,
             pkts: Vec::new(),
             next: 0,
             in_batch: false,
@@ -287,7 +286,7 @@ impl Lookahead {
     }
 
     /// The next pending arrival: from the batch, then the held packet,
-    /// then the source. Without batches this is [`next_arrival`].
+    /// then the source.
     ///
     /// Inlined like [`next_arrival`]: `drive` is instantiated in the
     /// calling crates, where an out-of-line call per arrival cost the
@@ -423,10 +422,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
     let (tx_id, deliver_id) = (|i: usize| i, |i: usize| n + i);
     let (mut busy, mut on_wire) = (0usize, 0usize);
     let mut pending: Option<Packet> = next_arrival(source, cfg.end_time);
-    let mut ahead = Lookahead::new(
-        faults.is_none(),
-        leaves.len() == 1 && cfg.pushback.is_none(),
-    );
+    let mut ahead = Lookahead::new(leaves.len() == 1 && cfg.pushback.is_none());
     let mut control_at = cfg
         .control_period
         .map_or(SimTime::MAX, |p| SimTime::ZERO + p);
@@ -441,6 +437,13 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
     // A control tick the injector postponed: when it finally fires it runs
     // unconditionally — a delayed tick can be late, but never lost twice.
     let mut control_delayed = false;
+
+    // Records the fault plane's queued faults up to `at` (DESIGN.md §9).
+    let drain = |at: SimTime, tracer: &mut T| {
+        if let Some(f) = faults {
+            f.drain(at, tracer);
+        }
+    };
 
     // Packets queued across every node, from the loop's own counts: every
     // arrival has departed, dropped, or sits on a link or in a queue.
@@ -519,12 +522,14 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
         now = t;
 
         // Stats-interval boundary: note the tick and stream the period.
+        // Then the faults queued up to now, those before the tick first.
         let bucket = now.bucket(cfg.stats_interval);
         if bucket != stats_bucket {
             stats_bucket = bucket;
             let boundary_ns = bucket * cfg.stats_interval.as_nanos();
             let backlog_pkts = queued!();
             debug_assert_eq!(backlog_pkts, backlog(nodes), "the derived backlog");
+            drain(SimTime::from_nanos(boundary_ns - 1), tracer);
             if tracer.enabled() {
                 tracer.record(boundary_ns, &Event::StatsTick { bucket });
             }
@@ -533,6 +538,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                 t.on_period(boundary_ns, backlog_pkts);
             }
         }
+        drain(now, tracer);
 
         // The nodes this event may have let transmit — the ready set, in
         // ascending order. Every other node is busy or has nothing
@@ -613,6 +619,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     Some(f) if !control_delayed => f.control_action(now),
                     _ => ControlAction::Run,
                 };
+                drain(now, tracer);
                 match action {
                     ControlAction::Run => {
                         control_delayed = false;
@@ -672,7 +679,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                     [only] => *only,
                     _ => leaves[place(&pkt)],
                 };
-                if ahead.on && !ahead.in_batch {
+                if !ahead.in_batch {
                     let sw = &mut *nodes[leaf];
                     ahead.fill(&pkt, source, cfg.end_time, control_at, sw);
                 }
@@ -726,7 +733,9 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
         );
     }
 
-    // The streamed final period, so short runs still export one.
+    // The faults still queued, then the final period (so short runs
+    // still export one).
+    drain(SimTime::MAX, tracer);
     let backlog_pkts = backlog(nodes);
     if let (Some(t), Some((m, ids))) = (telemetry, &metrics) {
         m.borrow_mut().set(ids.3, backlog_pkts as f64);
@@ -984,6 +993,38 @@ mod tests {
     }
 
     #[test]
+    fn fault_records_reach_the_trace_in_time_order() {
+        use crate::fault::{FaultConfig, FaultInjector, FaultSchedule, FaultedSource};
+        use accturbo_obs::{shared, RingTracer};
+
+        // One packet every 300 us on a fast link, half of them dropped
+        // by the fault plane: a dropped packet often falls between the
+        // last event before a 1 ms bucket boundary and the boundary.
+        let faults = FaultInjector::new(FaultSchedule::new(FaultConfig {
+            pkt_drop: 0.5,
+            pkt_reorder: 0.2,
+            ..FaultConfig::none(3)
+        }));
+        let pkts = VecSource::new(cbr_packets(400, 300, 100));
+        let mut src = FaultedSource::new(pkts, faults.clone());
+        let mut sw = SingleQueueSwitch::new(FifoQueue::new(100_000));
+        let cfg = EngineConfig::new(Bandwidth::from_mbps(100))
+            .with_stats_interval(SimDuration::from_millis(1))
+            .with_control_period(SimDuration::from_micros(700));
+        let mut tracer = shared(RingTracer::new(100_000));
+        run_streamed(&mut src, &mut sw, &cfg, &mut tracer, Some(&faults), None);
+
+        let t = tracer.borrow();
+        let s = faults.stats();
+        let traced = t.iter().filter(|(_, e)| e.kind() == "fault").count() as u64;
+        assert_eq!(traced, s.pkt_dropped + s.pkt_reordered);
+        let events: Vec<(u64, &str)> = t.iter().map(|(ts, e)| (*ts, e.kind())).collect();
+        for pair in events.windows(2) {
+            assert!(pair[0].0 <= pair[1].0, "{:?} then {:?}", pair[0], pair[1]);
+        }
+    }
+
+    #[test]
     fn plain_run_matches_instrumented_run() {
         let cfg = EngineConfig::new(Bandwidth::from_mbps(10));
         let mut src1 = VecSource::new(cbr_packets(500, 100, 1000));
@@ -1093,11 +1134,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_per_packet_runs_pull_one_packet_past_the_end() {
+    fn plain_and_faulted_runs_pull_one_packet_past_the_end() {
         // 50 arrivals per millisecond. With 1 ms ticks a batch ends at
         // every tick, with 7 ms ticks also at the 256-packet cap, and
         // without ticks only at the cap; the end time falls inside a
-        // batch, and then exactly on an arrival.
+        // batch, and then exactly on an arrival. Both runs batch: the
+        // faulted one through `FaultedSource`'s default `fill`.
         use crate::fault::{FaultInjector, FaultedSource};
         for end_ns in [61_234_567, 61_220_000] {
             let end = SimTime::from_nanos(end_ns);
@@ -1119,10 +1161,10 @@ mod tests {
                 let a = run(&mut batched, &mut sw, &cfg);
 
                 let faults = FaultInjector::noop();
-                let mut per_packet = FaultedSource::new(counter(), faults.clone());
+                let mut faulted = FaultedSource::new(counter(), faults.clone());
                 let mut sw = SingleQueueSwitch::new(FifoQueue::new(20_000));
                 let b = run_streamed(
-                    &mut per_packet,
+                    &mut faulted,
                     &mut sw,
                     &cfg,
                     &mut NoopTracer,
@@ -1133,7 +1175,7 @@ mod tests {
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
                 assert_eq!(batched.past_end, 1, "{label}: batched run");
                 assert_eq!(batched.pulls, a.arrivals + 1, "{label}: batched run");
-                assert_eq!(per_packet.injected(), a.arrivals + 1, "{label}");
+                assert_eq!(faulted.injected(), a.arrivals + 1, "{label}");
             }
         }
     }

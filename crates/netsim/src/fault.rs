@@ -9,6 +9,11 @@
 //! seed reproduces the same fault event stream bit-for-bit regardless of
 //! how many worker threads the experiment harness uses.
 //!
+//! The schedule writes no trace: it queues each fault as a [`FaultRecord`]
+//! at the fault's simulated time, and whoever runs the clock records the
+//! queue up to its present ([`FaultInjector::drain`]), so a fate drawn
+//! ahead of the engine still lands at its own time.
+//!
 //! The engine, the `accturbo-core` pipeline and the packet sources accept
 //! an `Option<&FaultInjector>` / `Option<FaultInjector>`: with `None` (the
 //! default everywhere) the fault-free path executes exactly the
@@ -22,7 +27,7 @@ use accturbo_obs::{Event, Tracer};
 use accturbo_prng::{Rng, SeedableRng, StdRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::rc::Rc;
 
 /// Per-concern stream separators: one SplitMix64-expanded seed per fault
@@ -141,8 +146,8 @@ pub struct FaultStats {
     pub flap_windows: u64,
 }
 
-/// One injected fault, for the determinism property tests: the decision
-/// stream of a schedule is fully described by this log.
+/// One injected fault, as the schedule queues it until it is drained.
+/// The decision stream of a schedule is fully described by these records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
     /// Simulated time the fault applies at, nanoseconds.
@@ -192,7 +197,10 @@ pub struct FaultSchedule {
     flap_start: SimTime,
     flap_end: SimTime,
     stats: FaultStats,
-    log: Option<Vec<FaultRecord>>,
+    /// Injected faults not yet drained, as `(kind, value)` keyed by time,
+    /// then draw order.
+    queued: BinaryHeap<Reverse<Timed<(&'static str, f64)>>>,
+    draws: u64,
 }
 
 impl FaultSchedule {
@@ -209,7 +217,8 @@ impl FaultSchedule {
             flap_start: SimTime::ZERO,
             flap_end: SimTime::ZERO,
             stats: FaultStats::default(),
-            log: None,
+            queued: BinaryHeap::new(),
+            draws: 0,
             cfg,
         }
     }
@@ -220,25 +229,29 @@ impl FaultSchedule {
         FaultSchedule::new(FaultConfig::none(seed))
     }
 
-    /// Whether this schedule can ever inject a fault.
-    pub fn is_noop(&self) -> bool {
-        let c = &self.cfg;
-        c.ctrl_drop == 0.0
-            && c.ctrl_delay == 0.0
-            && c.stale_snapshot == 0.0
-            && c.pkt_drop == 0.0
-            && c.pkt_reorder == 0.0
-            && c.link_flap == 0.0
+    /// Records every queued fault at or before `now` as a `fault` event
+    /// at its own time, in time order (ties in draw order), and forgets
+    /// it; the rest stays queued.
+    pub fn drain<T: Tracer + ?Sized>(&mut self, now: SimTime, tracer: &mut T) {
+        while let Some(FaultRecord { at_ns, kind, value }) = self.pop_until(now) {
+            if tracer.enabled() {
+                let kind = kind.into();
+                tracer.record(at_ns, &Event::FaultInjected { kind, value });
+            }
+        }
     }
 
-    /// Starts recording every injected fault into an inspectable log.
-    pub fn enable_log(&mut self) {
-        self.log = Some(Vec::new());
-    }
-
-    /// Takes the fault log accumulated since [`enable_log`](Self::enable_log).
+    /// Takes every queued fault, whatever its time, in drain order.
     pub fn take_log(&mut self) -> Vec<FaultRecord> {
-        self.log.take().unwrap_or_default()
+        std::iter::from_fn(|| self.pop_until(SimTime::MAX)).collect()
+    }
+
+    /// The earliest queued fault, if it applies at or before `now`.
+    fn pop_until(&mut self, now: SimTime) -> Option<FaultRecord> {
+        let top = self.queued.peek_mut().filter(|top| top.0.at <= now)?;
+        let Reverse(Timed { at, item, .. }) = PeekMut::pop(top);
+        let (at_ns, (kind, value)) = (at.as_nanos(), item);
+        Some(FaultRecord { at_ns, kind, value })
     }
 
     /// Injection counters so far.
@@ -246,64 +259,51 @@ impl FaultSchedule {
         self.stats
     }
 
-    fn note(&mut self, at: SimTime, kind: &'static str, value: f64, tracer: &mut dyn Tracer) {
-        if let Some(log) = &mut self.log {
-            log.push(FaultRecord {
-                at_ns: at.as_nanos(),
-                kind,
-                value,
-            });
-        }
-        if tracer.enabled() {
-            tracer.record(
-                at.as_nanos(),
-                &Event::FaultInjected {
-                    kind: kind.into(),
-                    value,
-                },
-            );
-        }
+    fn note(&mut self, at: SimTime, kind: &'static str, value: f64) {
+        let (seq, item) = (self.draws, (kind, value));
+        self.draws += 1;
+        self.queued.push(Reverse(Timed { at, seq, item }));
     }
 
     /// Decides the fate of the control tick firing at `now`.
-    pub fn control_action(&mut self, now: SimTime, tracer: &mut dyn Tracer) -> ControlAction {
+    pub fn control_action(&mut self, now: SimTime) -> ControlAction {
         if self.cfg.ctrl_drop > 0.0 && self.ctrl_rng.gen_bool(self.cfg.ctrl_drop) {
             self.stats.ctrl_dropped += 1;
-            self.note(now, "ctrl_drop", 0.0, tracer);
+            self.note(now, "ctrl_drop", 0.0);
             return ControlAction::Skip;
         }
         if self.cfg.ctrl_delay > 0.0 && self.ctrl_rng.gen_bool(self.cfg.ctrl_delay) {
             let max = self.cfg.ctrl_delay_max.as_nanos().max(1);
             let d = self.ctrl_rng.gen_range(1..=max);
             self.stats.ctrl_delayed += 1;
-            self.note(now, "ctrl_delay", d as f64, tracer);
+            self.note(now, "ctrl_delay", d as f64);
             return ControlAction::Delay(SimDuration::from_nanos(d));
         }
         ControlAction::Run
     }
 
     /// Whether the control tick at `now` sees a stale cluster snapshot.
-    pub fn stale_snapshot(&mut self, now: SimTime, tracer: &mut dyn Tracer) -> bool {
+    pub fn stale_snapshot(&mut self, now: SimTime) -> bool {
         if self.cfg.stale_snapshot > 0.0 && self.stale_rng.gen_bool(self.cfg.stale_snapshot) {
             self.stats.stale_served += 1;
-            self.note(now, "stale_snapshot", 0.0, tracer);
+            self.note(now, "stale_snapshot", 0.0);
             return true;
         }
         false
     }
 
     /// Decides the fate of a packet injected at `arrival`.
-    pub fn pkt_fate(&mut self, arrival: SimTime, tracer: &mut dyn Tracer) -> PktFate {
+    pub fn pkt_fate(&mut self, arrival: SimTime) -> PktFate {
         if self.cfg.pkt_drop > 0.0 && self.pkt_rng.gen_bool(self.cfg.pkt_drop) {
             self.stats.pkt_dropped += 1;
-            self.note(arrival, "pkt_drop", 0.0, tracer);
+            self.note(arrival, "pkt_drop", 0.0);
             return PktFate::Drop;
         }
         if self.cfg.pkt_reorder > 0.0 && self.pkt_rng.gen_bool(self.cfg.pkt_reorder) {
             let max = self.cfg.pkt_jitter_max.as_nanos().max(1);
             let d = self.pkt_rng.gen_range(1..=max);
             self.stats.pkt_reordered += 1;
-            self.note(arrival, "pkt_reorder", d as f64, tracer);
+            self.note(arrival, "pkt_reorder", d as f64);
             return PktFate::Delay(SimDuration::from_nanos(d));
         }
         PktFate::Deliver
@@ -313,7 +313,10 @@ impl FaultSchedule {
     /// configured derate inside one. Windows form a renewal process
     /// generated in time order from the link stream, so the sequence does
     /// not depend on when (or how often) the engine samples the link.
-    pub fn link_scale(&mut self, now: SimTime, tracer: &mut dyn Tracer) -> f64 {
+    /// Each window is queued when the first sample at or past the
+    /// previous window's end generates it: at least half an up phase
+    /// before its start whenever the link is sampled that often.
+    pub fn link_scale(&mut self, now: SimTime) -> f64 {
         if self.cfg.link_flap <= 0.0 {
             return 1.0;
         }
@@ -326,7 +329,7 @@ impl FaultSchedule {
             self.flap_start = self.flap_end + SimDuration::from_nanos(gap.max(1));
             self.flap_end = self.flap_start + SimDuration::from_nanos(dur);
             self.stats.flap_windows += 1;
-            self.note(self.flap_start, "link_flap", dur as f64, tracer);
+            self.note(self.flap_start, "link_flap", dur as f64);
         }
         if now >= self.flap_start {
             self.cfg.link_derate
@@ -336,24 +339,12 @@ impl FaultSchedule {
     }
 }
 
-/// A cheaply-cloneable shared handle to one [`FaultSchedule`], plus an
-/// optional trace sink that surfaces every injected fault as an
-/// `accturbo-obs` `fault` event. The engine, the pipeline and the faulted
-/// source each hold a clone so all decisions come from one seeded
-/// schedule.
-#[derive(Clone)]
+/// A cheaply-cloneable shared handle to one [`FaultSchedule`]. The
+/// engine, the pipeline and the faulted source each hold a clone so all
+/// decisions come from one seeded schedule.
+#[derive(Debug, Clone)]
 pub struct FaultInjector {
     inner: Rc<RefCell<FaultSchedule>>,
-    tracer: Option<Rc<RefCell<dyn Tracer>>>,
-}
-
-impl std::fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field("schedule", &self.inner.borrow())
-            .field("traced", &self.tracer.is_some())
-            .finish()
-    }
 }
 
 impl FaultInjector {
@@ -361,33 +352,20 @@ impl FaultInjector {
     pub fn new(schedule: FaultSchedule) -> Self {
         FaultInjector {
             inner: Rc::new(RefCell::new(schedule)),
-            tracer: None,
         }
     }
 
-    /// An injector that never injects anything (see also
-    /// [`NoopFaultInjector`]).
+    /// An injector that never injects anything.
     pub fn noop() -> Self {
         FaultInjector::new(FaultSchedule::none(0))
     }
 
-    /// Installs a trace sink: every injected fault is recorded as a
-    /// `fault` event at its simulated time.
-    pub fn set_tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) {
-        self.tracer = Some(tracer);
+    /// See [`FaultSchedule::drain`].
+    pub fn drain<T: Tracer + ?Sized>(&self, now: SimTime, tracer: &mut T) {
+        self.inner.borrow_mut().drain(now, tracer);
     }
 
-    /// Whether the underlying schedule can ever inject a fault.
-    pub fn is_noop(&self) -> bool {
-        self.inner.borrow().is_noop()
-    }
-
-    /// Starts recording the fault log (see [`FaultSchedule::enable_log`]).
-    pub fn enable_log(&self) {
-        self.inner.borrow_mut().enable_log();
-    }
-
-    /// Takes the accumulated fault log.
+    /// See [`FaultSchedule::take_log`].
     pub fn take_log(&self) -> Vec<FaultRecord> {
         self.inner.borrow_mut().take_log()
     }
@@ -397,69 +375,50 @@ impl FaultInjector {
         self.inner.borrow().stats()
     }
 
-    fn with_tracer<R>(&self, f: impl FnOnce(&mut FaultSchedule, &mut dyn Tracer) -> R) -> R {
-        let mut sched = self.inner.borrow_mut();
-        match &self.tracer {
-            Some(t) => f(&mut sched, &mut *t.borrow_mut()),
-            None => f(&mut sched, &mut accturbo_obs::NoopTracer),
-        }
-    }
-
     /// See [`FaultSchedule::control_action`].
     pub fn control_action(&self, now: SimTime) -> ControlAction {
-        self.with_tracer(|s, t| s.control_action(now, t))
+        self.inner.borrow_mut().control_action(now)
     }
 
     /// See [`FaultSchedule::stale_snapshot`].
     pub fn stale_snapshot(&self, now: SimTime) -> bool {
-        self.with_tracer(|s, t| s.stale_snapshot(now, t))
+        self.inner.borrow_mut().stale_snapshot(now)
     }
 
     /// See [`FaultSchedule::pkt_fate`].
     pub fn pkt_fate(&self, arrival: SimTime) -> PktFate {
-        self.with_tracer(|s, t| s.pkt_fate(arrival, t))
+        self.inner.borrow_mut().pkt_fate(arrival)
     }
 
     /// See [`FaultSchedule::link_scale`].
     pub fn link_scale(&self, now: SimTime) -> f64 {
-        self.with_tracer(|s, t| s.link_scale(now, t))
+        self.inner.borrow_mut().link_scale(now)
     }
 }
 
-/// The explicit "no faults" injector of the differential lockdown tests:
-/// `NoopFaultInjector.into()` yields a [`FaultInjector`] whose schedule
-/// is [`FaultSchedule::none`]. Threading it through the engine must leave
-/// every figure byte-identical to the un-faulted code path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopFaultInjector;
-
-impl From<NoopFaultInjector> for FaultInjector {
-    fn from(_: NoopFaultInjector) -> FaultInjector {
-        FaultInjector::noop()
-    }
-}
-
-/// Heap entry of the faulted source's reorder buffer.
-struct Held {
+/// A heap entry ordered by time, then sequence number: a queued fault
+/// record, or a packet held in the faulted source's reorder buffer.
+#[derive(Debug)]
+struct Timed<T> {
     at: SimTime,
     seq: u64,
-    pkt: Packet,
+    item: T,
 }
 
-impl PartialEq for Held {
+impl<T> PartialEq for Timed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Held {}
-impl PartialOrd for Held {
+impl<T> Eq for Timed<T> {}
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Held {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Seq tie-break keeps un-jittered packets in injection order.
+        // The seq tie-break keeps equal times in draw (or injection) order.
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
@@ -472,7 +431,7 @@ impl Ord for Held {
 pub struct FaultedSource<S: PacketSource> {
     inner: S,
     faults: FaultInjector,
-    heap: BinaryHeap<Reverse<Held>>,
+    heap: BinaryHeap<Reverse<Timed<Packet>>>,
     next_seq: u64,
     /// Latest original arrival pulled from `inner`: any future packet's
     /// release time is at least this, so the heap minimum at or below it
@@ -510,7 +469,7 @@ impl<S: PacketSource> PacketSource for FaultedSource<S> {
             if let Some(Reverse(top)) = self.heap.peek() {
                 if self.exhausted || top.at <= self.frontier {
                     let Reverse(held) = self.heap.pop().expect("peeked entry exists");
-                    let mut pkt = held.pkt;
+                    let mut pkt = held.item;
                     pkt.arrival = held.at;
                     return Some(pkt);
                 }
@@ -524,19 +483,18 @@ impl<S: PacketSource> PacketSource for FaultedSource<S> {
                     self.frontier = pkt.arrival;
                     let seq = self.next_seq;
                     self.next_seq += 1;
-                    match self.faults.pkt_fate(pkt.arrival) {
-                        PktFate::Drop => {}
-                        PktFate::Deliver => self.heap.push(Reverse(Held {
-                            at: pkt.arrival,
-                            seq,
-                            pkt,
-                        })),
-                        PktFate::Delay(d) => self.heap.push(Reverse(Held {
-                            at: pkt.arrival + d,
-                            seq,
-                            pkt,
-                        })),
-                    }
+                    let at = match self.faults.pkt_fate(pkt.arrival) {
+                        PktFate::Drop => continue,
+                        // Nothing held goes first: no need to hold it.
+                        PktFate::Deliver
+                            if self.heap.peek().is_none_or(|top| top.0.at > pkt.arrival) =>
+                        {
+                            return Some(pkt)
+                        }
+                        PktFate::Deliver => pkt.arrival,
+                        PktFate::Delay(d) => pkt.arrival + d,
+                    };
+                    self.heap.push(Reverse(Timed { at, seq, item: pkt }));
                 }
             }
         }
@@ -557,22 +515,16 @@ mod tests {
     #[test]
     fn noop_schedule_injects_nothing_and_draws_nothing() {
         let mut s = FaultSchedule::none(7);
-        assert!(s.is_noop());
         let mut before = s.ctrl_rng.clone();
         for i in 0..100 {
             let t = SimTime::from_millis(i);
-            assert_eq!(
-                s.control_action(t, &mut accturbo_obs::NoopTracer),
-                ControlAction::Run
-            );
-            assert!(!s.stale_snapshot(t, &mut accturbo_obs::NoopTracer));
-            assert_eq!(
-                s.pkt_fate(t, &mut accturbo_obs::NoopTracer),
-                PktFate::Deliver
-            );
-            assert_eq!(s.link_scale(t, &mut accturbo_obs::NoopTracer), 1.0);
+            assert_eq!(s.control_action(t), ControlAction::Run);
+            assert!(!s.stale_snapshot(t));
+            assert_eq!(s.pkt_fate(t), PktFate::Deliver);
+            assert_eq!(s.link_scale(t), 1.0);
         }
         assert_eq!(s.stats(), FaultStats::default());
+        assert!(s.take_log().is_empty());
         assert_eq!(s.ctrl_rng.next_u64(), before.next_u64());
     }
 
@@ -580,7 +532,7 @@ mod tests {
     fn noop_faulted_source_is_an_identity_adapter() {
         let pkts = cbr(500, 100);
         let mut plain = VecSource::new(pkts.clone());
-        let mut faulted = FaultedSource::new(VecSource::new(pkts), NoopFaultInjector.into());
+        let mut faulted = FaultedSource::new(VecSource::new(pkts), FaultInjector::noop());
         loop {
             let (a, b) = (plain.next_packet(), faulted.next_packet());
             match (&a, &b) {
@@ -619,6 +571,37 @@ mod tests {
     }
 
     #[test]
+    fn faulted_source_releases_in_time_then_injection_order() {
+        // Three arrivals per nanosecond and jitters of at most 4 ns:
+        // release times collide all the time, and ties keep injection
+        // order, whether a packet was held or passed straight through.
+        let cfg = FaultConfig {
+            pkt_drop: 0.1,
+            pkt_reorder: 0.5,
+            pkt_jitter_max: SimDuration::from_nanos(4),
+            ..FaultConfig::none(9)
+        };
+        let pkts: Vec<Packet> = (0..3_000u32)
+            .map(|i| Packet::new(SimTime::from_nanos(u64::from(i / 3))).with_size(64 + i))
+            .collect();
+        let mut fates = FaultSchedule::new(cfg.clone());
+        let mut want: Vec<(SimTime, u32)> = (pkts.iter())
+            .filter_map(|p| match fates.pkt_fate(p.arrival) {
+                PktFate::Drop => None,
+                PktFate::Deliver => Some((p.arrival, p.size)),
+                PktFate::Delay(d) => Some((p.arrival + d, p.size)),
+            })
+            .collect();
+        want.sort_by_key(|&(at, _)| at);
+        let inj = FaultInjector::new(FaultSchedule::new(cfg));
+        let mut src = FaultedSource::new(VecSource::new(pkts), inj);
+        let got: Vec<(SimTime, u32)> = std::iter::from_fn(|| src.next_packet())
+            .map(|p| (p.arrival, p.size))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn link_flap_windows_are_time_ordered_and_sampling_independent() {
         let cfg = FaultConfig {
             link_flap: 0.4,
@@ -631,9 +614,9 @@ mod tests {
         let mut sparse = FaultSchedule::new(cfg);
         for ms in 0..5_000u64 {
             let now = SimTime::from_millis(ms);
-            let d = dense.link_scale(now, &mut accturbo_obs::NoopTracer);
+            let d = dense.link_scale(now);
             if ms % 97 == 0 {
-                let s = sparse.link_scale(now, &mut accturbo_obs::NoopTracer);
+                let s = sparse.link_scale(now);
                 assert_eq!(d, s, "at {ms} ms");
             }
         }
@@ -641,20 +624,44 @@ mod tests {
     }
 
     #[test]
-    fn fault_events_reach_an_installed_tracer() {
+    fn drain_records_only_faults_up_to_now_in_time_order() {
         use accturbo_obs::RingTracer;
-        let mut inj = FaultInjector::new(FaultSchedule::new(FaultConfig {
+        let inj = FaultInjector::new(FaultSchedule::new(FaultConfig {
             ctrl_drop: 1.0,
+            pkt_drop: 1.0,
             ..FaultConfig::none(5)
         }));
-        let ring: Rc<RefCell<RingTracer>> = Rc::new(RefCell::new(RingTracer::new(100)));
-        inj.set_tracer(ring.clone());
+        // Drawn out of time order: a packet fate ahead of the clock, then
+        // two control ticks, the second at the packet's time.
+        let ms = SimTime::from_millis;
+        assert_eq!(inj.pkt_fate(ms(3)), PktFate::Drop);
+        assert_eq!(inj.control_action(ms(1)), ControlAction::Skip);
+        assert_eq!(inj.control_action(ms(3)), ControlAction::Skip);
+        assert_eq!(inj.pkt_fate(ms(5)), PktFate::Drop);
+
+        let mut ring = RingTracer::new(100);
+        inj.drain(ms(3), &mut ring);
+        let seen: Vec<(u64, String)> = ring
+            .iter()
+            .map(|(t, e)| match e {
+                Event::FaultInjected { kind, .. } => (*t, kind.to_string()),
+                _ => panic!("not a fault event: {e:?}"),
+            })
+            .collect();
+        let at = |m: u64| m * 1_000_000;
+        let expect = [(1, "ctrl_drop"), (3, "pkt_drop"), (3, "ctrl_drop")];
+        let expect: Vec<(u64, String)> = expect.map(|(m, k)| (at(m), k.into())).into();
+        assert_eq!(seen, expect, "time order, ties in draw order");
+
+        let rest = inj.take_log();
         assert_eq!(
-            inj.control_action(SimTime::from_secs(1)),
-            ControlAction::Skip
+            rest,
+            [FaultRecord {
+                at_ns: at(5),
+                kind: "pkt_drop",
+                value: 0.0,
+            }]
         );
-        let t = ring.borrow();
-        let faults = t.iter().filter(|(_, e)| e.kind() == "fault").count();
-        assert_eq!(faults, 1, "the injected fault must be traced");
+        assert!(inj.take_log().is_empty(), "the queue is drained");
     }
 }

@@ -51,7 +51,7 @@ pub mod units;
 pub use engine::{run, run_streamed, EngineConfig, RunResult};
 pub use fault::{
     ControlAction, FaultConfig, FaultInjector, FaultRecord, FaultSchedule, FaultStats,
-    FaultedSource, NoopFaultInjector, PktFate,
+    FaultedSource, PktFate,
 };
 pub use latency::DelayHistogram;
 pub use packet::{ClassId, DropReason, Dropped, FiveTuple, Packet};

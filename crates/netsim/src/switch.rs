@@ -92,12 +92,12 @@ pub trait Switch {
     /// hands each packet over at its arrival event, with its index in
     /// `pkts`, through [`ingress_classified`](Self::ingress_classified).
     ///
-    /// The engine pulls arrivals in batches whenever no fault plane runs
-    /// (on any switch and any tree), but offers a batch here only when
-    /// classification depends on the arrival stream and the control
-    /// ticks alone: one leaf and no pushback, so nothing but these
-    /// arrivals reaches the switch's ingress meanwhile, and every packet
-    /// arrives before the next control tick. A switch answers alike for
+    /// The engine pulls arrivals in batches on every run (any switch,
+    /// any tree, with or without a fault plane), but offers a batch here
+    /// only when classification depends on the arrival stream and the
+    /// control ticks alone: one leaf and no pushback, so nothing but
+    /// these arrivals reaches the switch's ingress meanwhile, and every
+    /// packet arrives before the next control tick. A switch answers alike for
     /// every batch: after a `false` the engine offers no more.
     fn classify_ahead(&mut self, _pkts: &[Packet]) -> bool {
         false

@@ -50,16 +50,16 @@ fn drive(schedule: &mut FaultSchedule, script_seed: u64, steps: u32) {
         let now = SimTime::from_nanos(t);
         match rng.gen_range(0..4u32) {
             0 => {
-                let _ = schedule.control_action(now, &mut NoopTracer);
+                let _ = schedule.control_action(now);
             }
             1 => {
-                let _ = schedule.stale_snapshot(now, &mut NoopTracer);
+                let _ = schedule.stale_snapshot(now);
             }
             2 => {
-                let _ = schedule.pkt_fate(now, &mut NoopTracer);
+                let _ = schedule.pkt_fate(now);
             }
             _ => {
-                let _ = schedule.link_scale(now, &mut NoopTracer);
+                let _ = schedule.link_scale(now);
             }
         }
     }
@@ -74,8 +74,6 @@ fn fault_streams_are_a_pure_function_of_the_seed() {
         let cfg = random_fault_config(&mut meta, 1000 + case);
         let mut a = FaultSchedule::new(cfg.clone());
         let mut b = FaultSchedule::new(cfg.clone());
-        a.enable_log();
-        b.enable_log();
         drive(&mut a, case, 2_000);
         drive(&mut b, case, 2_000);
         let log_a = a.take_log();
@@ -89,7 +87,6 @@ fn fault_streams_are_a_pure_function_of_the_seed() {
             seed: 999_000 + case,
             ..cfg
         });
-        c.enable_log();
         drive(&mut c, case, 2_000);
         if !log_a.is_empty() {
             assert_ne!(
@@ -125,12 +122,12 @@ fn per_concern_streams_are_isolated() {
         let now = SimTime::from_micros(i * 50);
         // Interleave: the full schedule burns control randomness between
         // packet decisions, the pkt-only schedule does not.
-        let _ = with_ctrl.control_action(now, &mut NoopTracer);
-        let _ = with_ctrl.stale_snapshot(now, &mut NoopTracer);
-        let a = with_ctrl.pkt_fate(now, &mut NoopTracer);
-        let _ = without_ctrl.control_action(now, &mut NoopTracer);
-        let _ = without_ctrl.stale_snapshot(now, &mut NoopTracer);
-        let b = without_ctrl.pkt_fate(now, &mut NoopTracer);
+        let _ = with_ctrl.control_action(now);
+        let _ = with_ctrl.stale_snapshot(now);
+        let a = with_ctrl.pkt_fate(now);
+        let _ = without_ctrl.control_action(now);
+        let _ = without_ctrl.stale_snapshot(now);
+        let b = without_ctrl.pkt_fate(now);
         assert_eq!(a, b, "packet fate shifted at step {i}");
     }
     assert!(with_ctrl.stats().ctrl_dropped > 0);
@@ -310,16 +307,16 @@ fn fault_decisions_never_panic_at_config_corners() {
         let mut s = FaultSchedule::new(FaultConfig::uniform(intensity, 1));
         for i in 0..1_000u64 {
             let now = SimTime::from_micros(i * 37);
-            match s.control_action(now, &mut NoopTracer) {
+            match s.control_action(now) {
                 ControlAction::Run | ControlAction::Skip => {}
                 ControlAction::Delay(d) => assert!(d.as_nanos() > 0),
             }
-            let _ = s.stale_snapshot(now, &mut NoopTracer);
-            match s.pkt_fate(now, &mut NoopTracer) {
+            let _ = s.stale_snapshot(now);
+            match s.pkt_fate(now) {
                 PktFate::Deliver | PktFate::Drop => {}
                 PktFate::Delay(d) => assert!(d.as_nanos() > 0),
             }
-            let scale = s.link_scale(now, &mut NoopTracer);
+            let scale = s.link_scale(now);
             assert!(scale > 0.0 && scale <= 1.0);
         }
     }

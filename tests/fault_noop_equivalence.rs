@@ -5,6 +5,12 @@
 //! nothing (no behaviour change, no RNG draws) until a fault is
 //! actually configured.
 //!
+//! Both sides pull their arrivals in batches: a fault plane no longer
+//! puts the engine on per-packet pulls, so this compares no per-packet
+//! path. The per-packet oracles are `classify_ahead.rs`
+//! (`run_reference`), `topology_matrix.rs` (`run_topology_reference`),
+//! `source_fill.rs` and, for faulted runs, `fault_oracle.rs`.
+//!
 //! A single `#[test]` covers all pre-existing figures because the noop
 //! toggle is process-global: parallel test threads must not observe
 //! each other's engine selection.

@@ -6,10 +6,11 @@
 //!   changes nothing about the simulation itself,
 //! * determinism — same seed ⇒ byte-identical dataset export,
 //! * flight recorder — a faulted run dumps an incident window, a clean
-//!   run dumps nothing, and fault-plane events reach it,
+//!   run dumps nothing, and fault-plane events reach it, a flap's window
+//!   holding what followed the flap,
 //! * trace — the streamed trace is the `RingTracer` rendering of the
-//!   same run, byte for byte, and installing it leaves the sink stream
-//!   unchanged,
+//!   same run, byte for byte, stays in time order under every fault
+//!   kind, and installing it leaves the sink stream unchanged,
 //! * fan-out — `TeeSink` delivers every line to every sink in order,
 //!   including when fed from the parallel runner's in-order stream.
 
@@ -297,10 +298,107 @@ fn fault_events_reach_the_flight_recorder() {
         "a window armed by a fault"
     );
     assert!(lines.iter().any(|l| l.contains("\"kind\":\"link_flap\"")));
+    // A flap's window holds what followed the flap: past its `fault`
+    // line, no event is older than the flap.
+    let mut rest = &lines[..];
+    let mut flap_windows = 0;
+    while let Some((header, tail)) = rest.split_first() {
+        let events: usize = header
+            .rsplit("\"events\":")
+            .next()
+            .unwrap()
+            .trim_end_matches('}')
+            .parse()
+            .unwrap();
+        let (window, next) = tail.split_at(events);
+        rest = next;
+        if !header.contains("\"trigger\":\"fault\"") {
+            continue;
+        }
+        let at = line_ts(header);
+        let flap = window
+            .iter()
+            .position(|l| l.contains("\"kind\":\"link_flap\"") && line_ts(l) == at)
+            .expect("the arming flap is in its window");
+        for l in &window[flap + 1..] {
+            assert!(line_ts(l) >= at, "flap at {at} ns, then {l}");
+        }
+        flap_windows += 1;
+    }
+    assert!(flap_windows >= 1);
 
     let (stats, drop_windows, lines) = windows("faults=pkt_drop:0.2");
     assert!(stats.pkt_dropped > 0, "the drops must fire");
     assert_eq!(drop_windows, 0, "per-packet fates must not arm: {lines:?}");
+}
+
+/// The simulated time of a trace or flight-recorder line.
+fn line_ts(line: &str) -> u64 {
+    let ts = line.strip_prefix("{\"ts\":").expect("a line led by its ts");
+    ts[..ts.find(',').unwrap()].parse().unwrap()
+}
+
+/// With every fault kind at once, a run's streamed trace stays in time
+/// order, on the Fig. 2 ACC-Turbo switch and on a pushback star: packet
+/// fates are drawn as the engine pulls arrivals ahead and link windows
+/// when the previous one ends, yet each `fault` line lands at its own
+/// time, and every fault drawn reaches the trace.
+#[test]
+fn faulted_traces_stay_in_time_order() {
+    let faults = "faults=ctrl_drop:0.2+ctrl_delay:0.2+stale:0.2+pkt_drop:0.01+pkt_reorder:0.01+link_flap:0.2";
+    for sentence in [
+        &["workload=fig2", "defense=accturbo", "--quick", faults][..],
+        &[
+            "workload=flood",
+            "defense=acc",
+            "secs=10",
+            "topology=star:4:pushback=on",
+            faults,
+        ],
+    ] {
+        let spec = parse_run(&args(sentence)).unwrap().spec;
+        let probe = ProbeSink::default();
+        let mut tel = Telemetry::new().with_trace(Box::new(probe.clone()));
+        let s = spec.execute_streamed(Some(&mut tel)).fault_stats.unwrap();
+        let lines = probe.0.borrow();
+        let drawn = [
+            s.ctrl_dropped,
+            s.ctrl_delayed,
+            s.pkt_dropped,
+            s.pkt_reordered,
+            s.flap_windows,
+        ];
+        assert!(drawn.iter().all(|&n| n > 0), "{sentence:?}: {s:?}");
+        let traced = lines
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"fault\""))
+            .count();
+        let all = drawn.iter().sum::<u64>() + s.stale_served;
+        assert_eq!(traced as u64, all, "{sentence:?}: every fault is traced");
+        for pair in lines.windows(2) {
+            assert!(
+                line_ts(&pair[0]) <= line_ts(&pair[1]),
+                "{sentence:?}: {} before {}",
+                pair[0],
+                pair[1]
+            );
+        }
+        // A tick's fault comes before what ACC-Turbo does about it.
+        let mut last_fault = "";
+        let mut degrades = 0;
+        for line in lines.iter() {
+            if line.contains("\"ev\":\"fault\"") {
+                last_fault = line;
+            } else if line.contains("\"ev\":\"degrade\"") {
+                let tick_fault = last_fault.contains("\"kind\":\"ctrl_drop\"")
+                    || last_fault.contains("\"kind\":\"stale_snapshot\"");
+                let same_tick = tick_fault && line_ts(last_fault) == line_ts(line);
+                assert!(same_tick, "{line} after {last_fault}");
+                degrades += 1;
+            }
+        }
+        assert!(degrades > 0 || sentence[1] != "defense=accturbo");
+    }
 }
 
 /// The streamed trace of a run is, byte for byte, what a `RingTracer`
