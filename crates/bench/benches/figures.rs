@@ -5,38 +5,19 @@
 //! --release -- all`.
 
 use accturbo_bench::{black_box, Harness};
-use accturbo_experiments::{fig10, fig11, fig2, fig3, fig6, fig7, fig8, fig9, table3, Scale};
+use accturbo_experiments::{figure_spec, Scale};
 
 fn main() {
     // One quick-scale iteration already takes O(seconds); three samples
     // keep `cargo bench` tolerable while still exposing regressions.
     let h = Harness::from_args().with_samples(3);
 
-    h.run("figures/fig2_quick", || {
-        black_box(fig2::report(Scale::Quick));
-    });
-    h.run("figures/fig3_quick", || {
-        black_box(fig3::report(Scale::Quick));
-    });
-    h.run("figures/fig6_quick", || {
-        black_box(fig6::report(Scale::Quick));
-    });
-    h.run("figures/fig7_quick", || {
-        black_box(fig7::report(Scale::Quick));
-    });
-    h.run("figures/table3_quick", || {
-        black_box(table3::report(Scale::Quick));
-    });
-    h.run("figures/fig8_quick", || {
-        black_box(fig8::report(Scale::Quick));
-    });
-    h.run("figures/fig9_quick", || {
-        black_box(fig9::report(Scale::Quick));
-    });
-    h.run("figures/fig10_quick", || {
-        black_box(fig10::report(Scale::Quick));
-    });
-    h.run("figures/fig11_quick", || {
-        black_box(fig11::report(Scale::Quick));
-    });
+    for name in [
+        "fig2", "fig3", "fig6", "fig7", "table3", "fig8", "fig9", "fig10", "fig11",
+    ] {
+        let spec = figure_spec(name).expect("a registered figure");
+        h.run(&format!("figures/{name}_quick"), || {
+            black_box(spec.run_default(Scale::Quick).rendered);
+        });
+    }
 }

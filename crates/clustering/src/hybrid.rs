@@ -106,11 +106,6 @@ impl HybridClusterer {
     pub fn refits(&self) -> u64 {
         self.refits
     }
-
-    /// Current cluster count (≤ k during bootstrap).
-    pub fn num_centers(&self) -> usize {
-        self.centers.len()
-    }
 }
 
 #[cfg(test)]
@@ -171,9 +166,11 @@ mod tests {
     #[test]
     fn bootstrap_reaches_k_centers() {
         let mut hc = HybridClusterer::new(features(), 3, 0.2, 100, 1);
-        hc.assign(&pkt(1, 100));
-        hc.assign(&pkt(100, 20000));
-        hc.assign(&pkt(200, 50000));
-        assert_eq!(hc.num_centers(), 3);
+        let seeded = [
+            hc.assign(&pkt(1, 100)),
+            hc.assign(&pkt(100, 20000)),
+            hc.assign(&pkt(200, 50000)),
+        ];
+        assert_eq!(seeded, [0, 1, 2], "each distinct point seeds a center");
     }
 }

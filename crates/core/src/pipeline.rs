@@ -340,7 +340,7 @@ impl<'a> AccTurboSwitch<'a> {
                 tracer.record(
                     now_ns,
                     &Event::Degrade {
-                        action: action.name().into(),
+                        action: action.name(),
                         missed: self.degradation.consecutive_missed(),
                     },
                 );

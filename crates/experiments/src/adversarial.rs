@@ -85,11 +85,6 @@ pub fn figure(scale: Scale, seed: u64) -> Figure {
     Figure::new(table.render(), r)
 }
 
-/// Regenerates the §9 adversarial table at the canonical seed.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

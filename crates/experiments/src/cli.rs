@@ -181,7 +181,7 @@ pub fn usage() -> String {
          \x20                                corpus file), --quick (corpus frame).\n\
          \x20                                e.g. xp search defense=accturbo \\\n\
          \x20                                        --budget 48 --out acc.corpus\n\
-         \x20   xp trace PATH                pretty-print a JSONL trace file\n\
+         \x20   xp trace PATH                render a JSONL trace, one line per event\n\
          \x20   xp bench-export [--smoke] [--out PATH]\n\
          \x20                                measure datapath throughput (engine\n\
          \x20                                step, cluster update, SP-PIFO enqueue)\n\

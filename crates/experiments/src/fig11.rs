@@ -239,12 +239,6 @@ pub fn figure(scale: Scale, seed: u64) -> Figure {
     Figure::new(out, r)
 }
 
-/// Regenerates Fig. 11 at the canonical seed and returns the textual
-/// report.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,12 +2,11 @@
 //!
 //! Regeneration harness for every table and figure of the paper's
 //! evaluation (see DESIGN.md §3 for the experiment index). Each module
-//! owns one figure/table and exposes two entry points:
-//!
-//! * `figure(Scale, seed) -> Figure` — the rendered report *plus* a
-//!   machine-readable [`FigureResult`] (the golden-snapshot payload);
-//! * `report(Scale) -> String` — the rendered report at the module's
-//!   canonical seed (what `xp` prints by default).
+//! owns one figure/table and exposes one entry point,
+//! `figure(Scale, seed) -> Figure`: the rendered report *plus* a
+//! machine-readable [`FigureResult`] (the golden-snapshot payload). Its
+//! [`FigureSpec`] in the registry runs it at the module's canonical seed
+//! ([`FigureSpec::run_default`], what `xp` prints by default).
 //!
 //! The [`FIGURES`] registry lists every figure in the paper's order and
 //! is the single source of truth for the `xp` binary, the golden
@@ -182,16 +181,5 @@ mod registry_tests {
             assert!(figure_spec(spec.name).is_some());
         }
         assert!(figure_spec("fig99").is_none());
-    }
-
-    #[test]
-    fn report_equals_default_seeded_figure() {
-        // The legacy `report` entry point and the registry's canonical
-        // seed must agree (here spot-checked on the cheapest module).
-        let spec = figure_spec("pushback").unwrap();
-        assert_eq!(
-            spec.run_default(Scale::Quick).rendered,
-            pushback::report(Scale::Quick)
-        );
     }
 }

@@ -7,7 +7,7 @@
 //!    [--trace PATH] [--sink PATH] [--dataset PATH] [--flight-recorder PATH]
 //! xp search defense=SPEC [--budget N] [--seed N] [--top N]
 //!    [--jobs N] [--out PATH] [--quick]   # adversarial worst-case search
-//! xp trace PATH        # pretty-print a JSONL trace
+//! xp trace PATH        # render a JSONL trace, one line per event
 //! xp bench-export [--smoke] [--out PATH]   # datapath throughput JSON
 //! xp --help
 //! ```
@@ -22,9 +22,9 @@ use accturbo_experiments::cli::{self, Cli, JobSpan};
 use accturbo_obs::{Event, Tracer as _};
 use std::process::ExitCode;
 
-/// `xp trace PATH`: pretty-print a JSONL trace written by `--trace`.
-/// Forward-compatible: unknown event kinds come out raw with a warning
-/// rather than being silently dropped (`accturbo_experiments::trace`).
+/// `xp trace PATH`: render a JSONL trace one line per event, each from
+/// its own fields whatever its kind; a malformed line comes out raw with
+/// a warning (`accturbo_experiments::trace`).
 fn dump_trace(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let stdout = std::io::stdout();
@@ -34,12 +34,9 @@ fn dump_trace(path: &str) -> Result<(), String> {
         Ok(stats) => stats,
         Err(_) => return Ok(()),
     };
-    if stats.unknown > 0 {
-        eprintln!(
-            "warning: {} line(s) with unknown event kinds rendered raw \
-             (trace written by a newer xp?)",
-            stats.unknown
-        );
+    if stats.malformed > 0 {
+        let n = stats.malformed;
+        eprintln!("warning: {n} malformed line(s) rendered raw (no `ts` and `ev`)");
     }
     Ok(())
 }
@@ -65,7 +62,7 @@ fn export(cli: &Cli, spans: &[JobSpan]) -> Result<(), String> {
             tracer.borrow_mut().record(
                 span.started_at.as_nanos() as u64,
                 &Event::JobSpan {
-                    job: span.figure.into(),
+                    job: span.figure,
                     seed: span.seed,
                     worker: span.worker,
                     elapsed_ns: span.elapsed.as_nanos() as u64,

@@ -146,11 +146,6 @@ pub fn figure(scale: Scale, seed: u64) -> Figure {
     Figure::new(t.render(), r)
 }
 
-/// Regenerates the pushback comparison table at the canonical seed.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +212,7 @@ mod tests {
             true
         }
 
-        fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+        fn record(&mut self, ts_ns: u64, event: &Event) {
             if event.kind() == "pushback_limit" {
                 self.0.record(ts_ns, event);
             }

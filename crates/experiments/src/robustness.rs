@@ -244,11 +244,6 @@ pub fn figure_with(scale: Scale, seed: u64, mix: &[(String, f64)]) -> Figure {
     Figure::new(out, r)
 }
 
-/// Regenerates the sweep at the canonical seed.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,12 +126,6 @@ pub fn figure(scale: Scale, seed: u64) -> Figure {
     Figure::new(table.render(), r)
 }
 
-/// Regenerates Table 3 at the canonical seed and returns the textual
-/// report.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,11 +95,6 @@ pub fn figure(scale: Scale, seed: u64) -> Figure {
     Figure::new(out, r)
 }
 
-/// Regenerates the topology figure at the canonical seed.
-pub fn report(scale: Scale) -> String {
-    figure(scale, DEFAULT_SEED).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

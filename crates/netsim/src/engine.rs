@@ -485,7 +485,7 @@ pub(crate) fn drive<T: Tracer + ?Sized>(
                             queue: None,
                             class: d.packet.class.0,
                             size: d.packet.size,
-                            reason: d.reason.name().into(),
+                            reason: d.reason.name(),
                         },
                     );
                 }
@@ -956,7 +956,7 @@ mod tests {
         let plain = run(&mut plain_src, &mut plain_sw, &cfg);
         assert_eq!(format!("{res:?}"), format!("{plain:?}"));
 
-        let events: Vec<(u64, Event<'static>)> = tracer.borrow().iter().cloned().collect();
+        let events: Vec<(u64, Event)> = tracer.borrow().iter().cloned().collect();
         let interval = cfg.stats_interval.as_nanos();
         let ticks = events
             .iter()

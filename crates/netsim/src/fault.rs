@@ -235,7 +235,6 @@ impl FaultSchedule {
     pub fn drain<T: Tracer + ?Sized>(&mut self, now: SimTime, tracer: &mut T) {
         while let Some(FaultRecord { at_ns, kind, value }) = self.pop_until(now) {
             if tracer.enabled() {
-                let kind = kind.into();
                 tracer.record(at_ns, &Event::FaultInjected { kind, value });
             }
         }

@@ -66,11 +66,6 @@ impl PifoQueue {
             }
         }
     }
-
-    /// The rank of the next packet to be dequeued.
-    pub fn peek_rank(&self) -> Option<u64> {
-        self.entries.keys().next().map(|&(rank, _)| rank)
-    }
 }
 
 impl QueueDiscipline for PifoQueue {
@@ -166,7 +161,6 @@ mod tests {
         q.enqueue_ranked(pkt(3, 300), 0, &mut drops);
         assert_eq!(drops.len(), 3);
         assert_eq!(q.len_pkts(), 1);
-        assert_eq!(q.peek_rank(), Some(0));
     }
 
     #[test]

@@ -223,16 +223,6 @@ impl StatsCollector {
             100.0 * dropped as f64 / arrived as f64
         }
     }
-
-    /// Highest class id observed (useful for iterating report columns).
-    pub fn max_class(&self) -> u16 {
-        self.buckets
-            .iter()
-            .map(|b| b.arrived.len().max(b.departed.len()).max(b.dropped.len()))
-            .max()
-            .unwrap_or(0)
-            .saturating_sub(1) as u16
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +317,6 @@ mod tests {
         assert_eq!(s.total_arrived(ClassId(2)).pkts, 3);
         assert_eq!(s.total_departed(ClassId(2)).bytes, 300);
         assert_eq!(s.num_buckets(), 4);
-        assert_eq!(s.max_class(), 2);
     }
 
     #[test]

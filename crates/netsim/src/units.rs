@@ -35,20 +35,9 @@ impl Bandwidth {
         Bandwidth(gbps * 1_000_000_000)
     }
 
-    /// Builds a bandwidth from fractional megabits per second.
-    pub fn from_mbps_f64(mbps: f64) -> Self {
-        assert!(mbps.is_finite() && mbps >= 0.0, "invalid bandwidth: {mbps}");
-        Bandwidth((mbps * 1e6).round() as u64)
-    }
-
     /// Bits per second.
     pub const fn as_bps(self) -> u64 {
         self.0
-    }
-
-    /// Megabits per second.
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Time to serialize `bytes` onto a link of this bandwidth.
@@ -88,7 +77,6 @@ mod tests {
     fn unit_conversions() {
         assert_eq!(Bandwidth::from_gbps(1).as_bps(), 1_000_000_000);
         assert_eq!(Bandwidth::from_mbps(10), Bandwidth::from_kbps(10_000));
-        assert!((Bandwidth::from_mbps_f64(1.5).as_mbps_f64() - 1.5).abs() < 1e-9);
     }
 
     #[test]

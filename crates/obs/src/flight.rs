@@ -26,7 +26,7 @@ const ARMING_FAULTS: [&str; 4] = ["ctrl_drop", "ctrl_delay", "stale_snapshot", "
 /// See the module docs. Implements [`Tracer`]; a run feeds it through
 /// its [`crate::Telemetry`] bundle's [`crate::RunTracer`].
 pub struct FlightRecorder {
-    ring: VecDeque<(u64, Event<'static>)>,
+    ring: VecDeque<(u64, Event)>,
     capacity: usize,
     post_window: usize,
     /// `(trigger ts, reason, events still to record before dumping)`.
@@ -133,16 +133,16 @@ impl Tracer for FlightRecorder {
         true
     }
 
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, ts_ns: u64, event: &Event) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back((ts_ns, event.to_static()));
+        self.ring.push_back((ts_ns, event.clone()));
         self.total_recorded += 1;
         match &mut self.pending {
             None => {
                 let arms = match event {
-                    Event::FaultInjected { kind, .. } => ARMING_FAULTS.contains(&kind.as_ref()),
+                    Event::FaultInjected { kind, .. } => ARMING_FAULTS.contains(kind),
                     _ => matches!(event, Event::Degrade { .. }),
                 };
                 if arms {
@@ -210,7 +210,7 @@ mod tests {
         rec.record(
             50,
             &Event::FaultInjected {
-                kind: "ctrl_drop".into(),
+                kind: "ctrl_drop",
                 value: 0.0,
             },
         );
@@ -232,13 +232,7 @@ mod tests {
     fn per_packet_fates_are_recorded_but_do_not_arm() {
         let (mut rec, probe) = recorder(8, 2);
         for kind in ["pkt_drop", "pkt_reorder"] {
-            rec.record(
-                0,
-                &Event::FaultInjected {
-                    kind: kind.into(),
-                    value: 0.0,
-                },
-            );
+            rec.record(0, &Event::FaultInjected { kind, value: 0.0 });
         }
         for tick in 0..10 {
             rec.record(tick, &Event::ControlTick { tick });
@@ -255,14 +249,14 @@ mod tests {
         rec.record(
             0,
             &Event::FaultInjected {
-                kind: "link_flap".into(),
+                kind: "link_flap",
                 value: 0.0,
             },
         );
         rec.record(
             1,
             &Event::Degrade {
-                action: "fallback_fifo".into(),
+                action: "fallback_fifo",
                 missed: 3,
             },
         );
@@ -313,7 +307,7 @@ mod tests {
         a.record(
             0,
             &Event::FaultInjected {
-                kind: "ctrl_drop".into(),
+                kind: "ctrl_drop",
                 value: 1.0,
             },
         );

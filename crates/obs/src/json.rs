@@ -5,7 +5,8 @@
 //! once, tested, because every JSONL producer in the workspace must
 //! agree on escaping and number formatting for the goldens to stay
 //! byte-stable. This is intentionally not a JSON library: the schema is
-//! flat one-object-per-line JSONL that the workspace itself emits.
+//! flat one-object-per-line JSONL that the workspace itself emits, and
+//! [`fields`] / [`raw_field`] read it back without knowing its kinds.
 
 use std::fmt::Write as _;
 
@@ -47,8 +48,51 @@ pub fn dotted(addr: u32) -> String {
 /// String values keep their surrounding quotes.
 pub fn raw_field<'s>(body: &'s str, key: &str) -> Option<&'s str> {
     let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let rest = &body[start..];
+    let rest = &body[body.find(&pat)? + pat.len()..];
+    Some(&rest[..value_len(rest)])
+}
+
+/// The `(key, raw value)` pairs of a flat one-line JSON object body
+/// (outer braces stripped), in order. Values are cut as [`raw_field`]
+/// cuts them. Iteration stops at the first text that is not a
+/// `"key":value` pair; [`Fields::rest`] then holds that text, so a
+/// well-formed body is one that leaves it empty.
+pub fn fields(body: &str) -> Fields<'_> {
+    Fields { rest: body }
+}
+
+/// The iterator [`fields`] returns.
+#[derive(Debug, Clone)]
+pub struct Fields<'s> {
+    rest: &'s str,
+}
+
+impl<'s> Fields<'s> {
+    /// The text not yet read as pairs: empty once every pair was read.
+    pub fn rest(&self) -> &'s str {
+        self.rest
+    }
+}
+
+impl<'s> Iterator for Fields<'s> {
+    type Item = (&'s str, &'s str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (key, after) = self.rest.strip_prefix('"')?.split_once('"')?;
+        let after = after.strip_prefix(':')?;
+        let value = &after[..value_len(after)];
+        if value.is_empty() {
+            return None;
+        }
+        let tail = &after[value.len()..];
+        self.rest = tail.strip_prefix(',').unwrap_or(tail);
+        Some((key, value))
+    }
+}
+
+/// The length of the raw value that opens `rest`: up to its first comma
+/// outside strings and brackets, or all of `rest`.
+fn value_len(rest: &str) -> usize {
     let (mut depth, mut in_str, mut esc) = (0usize, false, false);
     for (i, ch) in rest.char_indices() {
         if esc {
@@ -60,11 +104,11 @@ pub fn raw_field<'s>(body: &'s str, key: &str) -> Option<&'s str> {
             '"' => in_str = !in_str,
             '[' if !in_str => depth += 1,
             ']' if !in_str => depth = depth.saturating_sub(1),
-            ',' if !in_str && depth == 0 => return Some(&rest[..i]),
+            ',' if !in_str && depth == 0 => return i,
             _ => {}
         }
     }
-    Some(rest)
+    rest.len()
 }
 
 #[cfg(test)]
@@ -120,5 +164,68 @@ mod tests {
             Some("\"he said \\\"no,\\\" twice\"")
         );
         assert_eq!(raw_field(body, "size"), Some("9"));
+    }
+
+    /// Object bodies `xp trace` must split into exactly these pairs: a
+    /// kind no build emits, an array, and an escaped quote and a comma
+    /// inside a string.
+    const BODIES: [(&str, &[(&str, &str)]); 3] = [
+        (
+            r#""ts":5000000000,"ev":"quantum_teleport","qubits":3"#,
+            &[
+                ("ts", "5000000000"),
+                ("ev", "\"quantum_teleport\""),
+                ("qubits", "3"),
+            ],
+        ),
+        (
+            r#""ts":42,"ev":"priority_remap","mapping":[0,3,1]"#,
+            &[
+                ("ts", "42"),
+                ("ev", "\"priority_remap\""),
+                ("mapping", "[0,3,1]"),
+            ],
+        ),
+        (
+            r#""ts":7,"ev":"drop","reason":"he said \"no,\" twice","size":9"#,
+            &[
+                ("ts", "7"),
+                ("ev", "\"drop\""),
+                ("reason", r#""he said \"no,\" twice""#),
+                ("size", "9"),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn fields_split_a_body_into_its_pairs() {
+        for (body, pairs) in BODIES {
+            let mut it = fields(body);
+            assert_eq!(it.by_ref().collect::<Vec<_>>(), pairs, "{body}");
+            assert_eq!(it.rest(), "", "{body}");
+        }
+    }
+
+    #[test]
+    fn fields_and_raw_field_agree_on_every_key() {
+        for (body, _) in BODIES {
+            for (key, value) in fields(body) {
+                assert_eq!(raw_field(body, key), Some(value), "{body}: {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn fields_stop_at_the_first_text_that_is_no_pair() {
+        for (body, read, rest) in [
+            ("not json", 0, "not json"),
+            (r#""ts":1,oops"#, 1, "oops"),
+            (r#""ts":1,"ev":"#, 1, r#""ev":"#),
+            (r#""ts" 1"#, 0, r#""ts" 1"#),
+        ] {
+            let mut it = fields(body);
+            assert_eq!(it.by_ref().count(), read, "{body}");
+            assert_eq!(it.rest(), rest, "{body}");
+        }
     }
 }

@@ -140,7 +140,7 @@ impl Tracer for RunTracer {
         true
     }
 
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, ts_ns: u64, event: &Event) {
         if let Some(trace) = &mut self.trace {
             self.line.clear();
             event.write_jsonl(ts_ns, &mut self.line);

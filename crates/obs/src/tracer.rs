@@ -22,7 +22,7 @@ pub trait Tracer {
     fn enabled(&self) -> bool;
 
     /// Records one event at simulated time `ts_ns`.
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>);
+    fn record(&mut self, ts_ns: u64, event: &Event);
 }
 
 /// The default tracer: drops everything.
@@ -36,7 +36,7 @@ impl Tracer for NoopTracer {
     }
 
     #[inline(always)]
-    fn record(&mut self, _ts_ns: u64, _event: &Event<'_>) {}
+    fn record(&mut self, _ts_ns: u64, _event: &Event) {}
 }
 
 /// A bounded ring buffer of trace events.
@@ -46,7 +46,7 @@ impl Tracer for NoopTracer {
 /// note truncation honestly.
 #[derive(Debug, Clone)]
 pub struct RingTracer {
-    buf: VecDeque<(u64, Event<'static>)>,
+    buf: VecDeque<(u64, Event)>,
     capacity: usize,
     total: u64,
 }
@@ -78,7 +78,7 @@ impl RingTracer {
     }
 
     /// Iterates over the buffered `(ts_ns, event)` pairs, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(u64, Event<'static>)> {
+    pub fn iter(&self) -> impl Iterator<Item = &(u64, Event)> {
         self.buf.iter()
     }
 
@@ -103,11 +103,11 @@ impl Tracer for RingTracer {
         true
     }
 
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, ts_ns: u64, event: &Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
-        self.buf.push_back((ts_ns, event.to_static()));
+        self.buf.push_back((ts_ns, event.clone()));
         self.total += 1;
     }
 }
@@ -128,7 +128,7 @@ impl<T: Tracer> Tracer for Rc<RefCell<T>> {
     }
 
     #[inline]
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, ts_ns: u64, event: &Event) {
         self.borrow_mut().record(ts_ns, event);
     }
 }

@@ -117,7 +117,7 @@ impl Controller {
             tracer.record(
                 now_ns,
                 &Event::PriorityRemap {
-                    mapping: out.as_slice().into(),
+                    mapping: out.to_vec(),
                 },
             );
         }

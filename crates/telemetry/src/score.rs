@@ -97,7 +97,7 @@ impl Tracer for SchedulingScore {
         true
     }
 
-    fn record(&mut self, ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, ts_ns: u64, event: &Event) {
         if let Event::Enqueue { queue, class, .. } = *event {
             SchedulingScore::record(self, SimTime::from_nanos(ts_ns), queue, ClassId(class));
         }

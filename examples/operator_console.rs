@@ -99,7 +99,7 @@ impl Tracer for BackupCounts {
         true
     }
 
-    fn record(&mut self, _ts_ns: u64, event: &Event<'_>) {
+    fn record(&mut self, _ts_ns: u64, event: &Event) {
         if let Event::Enqueue {
             cluster: Some(cluster),
             class: 0,

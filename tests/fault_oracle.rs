@@ -56,7 +56,7 @@ struct Outcome {
     /// `(ctrl_dropped, ctrl_delayed, stale_served, flap_windows)`.
     faults: (u64, u64, u64, u64),
     degradation: String,
-    trace: Vec<(u64, Event<'static>)>,
+    trace: Vec<(u64, Event)>,
 }
 
 /// Runs `source` through a traced ACC-Turbo switch under `faults`, with
